@@ -42,7 +42,7 @@ from .flow import (
 )
 from .diagnostics import DiagnosticsRecord, compute_diagnostics
 from .forms import DifferentialForm, wedge, wedge_power
-from .grid import DEFAULT_FD, SPECTRAL, TorusGrid
+from .grid import SPECTRAL, TorusGrid
 from .metrics import (
     balanced_band_metric,
     conformally_balanced_defect,

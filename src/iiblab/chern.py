@@ -28,7 +28,6 @@ import string
 
 import numpy as np
 
-from . import accel
 from .errors import ValenceError
 from .grid import SPECTRAL, TorusGrid
 from .metrics import check_positive, volume_norm_sq
@@ -66,11 +65,25 @@ class ChernPackage:
             check_positive(self.g)
 
     # -- first layer: derivatives of the metric ------------------------------
+    #
+    # The hot contractions below run in the grid-last layout (index axes
+    # first, grid axes last): each is a short loop of broadcast products of
+    # contiguous grid arrays, summed over the active directions only, since
+    # dg and gamma vanish along every inactive direction j.  The public
+    # properties stay grid-first; those built here are views.
 
     @functools.cached_property
     def ginv(self) -> np.ndarray:
         """Inverse metric, ``ginv[..., p, a]`` with p the unbarred row."""
         return np.linalg.inv(self.g)
+
+    @functools.cached_property
+    def _g_last(self) -> np.ndarray:
+        return np.ascontiguousarray(self.grid.to_grid_last(self.g))
+
+    @functools.cached_property
+    def _ginv_last(self) -> np.ndarray:
+        return np.ascontiguousarray(self.grid.to_grid_last(self.ginv))
 
     @functools.cached_property
     def dg(self) -> np.ndarray:
@@ -79,29 +92,56 @@ class ChernPackage:
 
     @functools.cached_property
     def gamma(self) -> np.ndarray:
-        """Connection ``gamma[..., m, a, b]`` (upper a, lowers m and b)."""
-        return accel.gamma_from_dg(self.ginv, self.dg)
+        """Connection ``gamma[..., m, a, b]`` (upper a, lowers m and b).
+
+        ``gamma[m, p, q] = sum_a ginv[p, a] dg[m, a, q]``.
+        """
+        ginv, dg = self._ginv_last, self.grid.to_grid_last(self.dg)
+        out = np.zeros_like(dg)
+        for m in self.grid.active_directions:
+            for a in range(self.grid.n):
+                out[m] += ginv[:, a, None] * dg[m, a]
+        return self.grid.to_grid_first(out)
 
     @functools.cached_property
     def curvature(self) -> np.ndarray:
         """``curv[..., k, j, a, b]``: minus the barred k-derivative of gamma."""
-        return -self.grid.holomorphic_gradient(self.gamma, self.scheme, barred=True)
+        grid = self.grid
+        gamma = grid.to_grid_last(self.gamma)
+        out = np.zeros((grid.n,) + gamma.shape, dtype=complex)
+        active = grid.active_directions
+        requests = [(k, True) for k in active]
+        for j in active:
+            for k, d in zip(active, grid.derivatives(gamma[j], requests, self.scheme)):
+                np.negative(d, out=out[k, j])
+        return grid.to_grid_first(out)
 
     @functools.cached_property
     def second_ricci(self) -> np.ndarray:
-        """Both-lower contraction ``out[..., p, q]`` (p barred)."""
-        return accel.second_ricci(self.g, self.ginv, self.curvature)
+        """Both-lower contraction ``out[..., p, q]`` (p barred).
 
-    @functools.cached_property
-    def second_ricci_endo(self) -> np.ndarray:
-        """Endomorphism form ``out[..., a, b]``: full trace of curvature."""
-        return np.einsum("...jk,...kjab->...ab", self.ginv, self.curvature)
+        ``out[p, q] = sum g[p, l] ginv[j, k] curv[k, j, l, q]``.
+        """
+        ginv, curv = self._ginv_last, self.grid.to_grid_last(self.curvature)
+        traced = np.zeros_like(ginv)
+        for j in self.grid.active_directions:
+            for k in self.grid.active_directions:
+                traced += ginv[j, k] * curv[k, j]
+        g = self._g_last
+        out = np.zeros_like(ginv)
+        for l in range(self.grid.n):
+            out += g[:, l, None] * traced[l]
+        return self.grid.to_grid_first(out)
 
     @functools.cached_property
     def t_low(self) -> np.ndarray:
-        """Torsion ``t_low[..., k, j, m]`` with the barred slot k lowered."""
-        dg = self.dg
-        return np.swapaxes(dg, -3, -2) - np.moveaxis(dg, (-3, -2, -1), (-1, -3, -2))
+        """Torsion ``t_low[..., k, j, m] = dg[..., j, k, m] - dg[..., m, k, j]``."""
+        dg = self.grid.to_grid_last(self.dg)
+        out = np.zeros_like(dg)
+        for a in self.grid.active_directions:
+            out[:, a] += dg[a]
+            out[:, :, a] -= dg[a]
+        return self.grid.to_grid_first(out)
 
     @functools.cached_property
     def t_up(self) -> np.ndarray:
@@ -115,8 +155,35 @@ class ChernPackage:
 
     @functools.cached_property
     def ttbar(self) -> np.ndarray:
-        """Hermitian square ``ttbar[..., k, j]`` of the torsion (k barred)."""
-        return accel.ttbar_matrix(self.ginv, self.t_low)
+        """Hermitian square ``ttbar[..., k, j]`` of the torsion (k barred).
+
+        ``ttbar[k, j] = sum t_low[k, p, q] conj(t_low[j, a, b]) ginv[p, a]
+        ginv[q, b]``.  With ``t_low[k, p, q] = dg[p, k, q] - dg[q, k, p]`` the
+        raised torsion is ``u[k, a, b] = w[k, a, b] - w[k, b, a]``, where
+        ``w[k, a, b] = sum_p ginv[p, a] r_p[k, b]`` and ``r_p = dg[p] ginv``.
+        Since u is antisymmetric in (a, b),
+        ``ttbar[k, j] = 2 sum u[k, a, b] conj(dg[a, j, b])``.  Every sum over
+        the first index of dg (p and a) runs over the active directions only.
+        """
+        n = self.grid.n
+        ginv, dg = self._ginv_last, self.grid.to_grid_last(self.dg)
+        active = self.grid.active_directions
+        r = {}
+        for p in active:
+            r[p] = np.zeros_like(ginv)
+            for q in range(n):
+                r[p] += dg[p, :, q, None] * ginv[q]
+        out = np.zeros_like(ginv)
+        for a in active:
+            u = np.zeros_like(ginv)
+            for p in active:
+                u += ginv[p, a] * r[p]
+                u -= r[p][:, a, None] * ginv[p]
+            dg_bar = np.conj(dg[a])
+            for b in range(n):
+                out += u[:, b, None] * dg_bar[:, b]
+        out *= 2.0
+        return self.grid.to_grid_first(out)
 
     @functools.cached_property
     def t_norm_sq(self) -> np.ndarray:

@@ -15,10 +15,6 @@ record per cadence tick with strictly increasing time, then a status
 record.  Snapshot files use the binary container from
 ``iiblab.snapshot`` and always include the final state, which on a
 singularity stop is the last positive-definite one.
-
-Thread count for the accelerated kernels is read from the environment
-variable ``IIBLAB_THREADS`` at import time; ``IIBLAB_DISABLE_NUMBA``
-forces the pure-numpy path.
 """
 
 from __future__ import annotations

@@ -65,6 +65,7 @@ from .grid import SPECTRAL, TorusGrid
 from .metrics import (
     conformally_balanced_defect,
     hermitize,
+    is_positive,
     min_eigenvalue,
     volume_norm,
     volume_norm_sq,
@@ -83,7 +84,6 @@ __all__ = [
     "weighted_dot_from_metric_dot",
     "metric_dot_from_weighted_dot",
     "anchor_velocity",
-    "anchor_stationarity_defect",
     "weighted_velocity",
     "induced_weighted_source",
     "run_flow",
@@ -177,23 +177,6 @@ def _anchor_target(
             np.asarray(source_matrix, dtype=complex), grid.shape + (grid.n, grid.n)
         ))
     return wn2, wn1, target
-
-
-def anchor_stationarity_defect(
-    grid: TorusGrid,
-    g: np.ndarray,
-    source_matrix: np.ndarray | None = None,
-    scheme: str = SPECTRAL,
-    c: complex = 1.0,
-) -> float:
-    """Max sigma-matrix norm of the anchor equation's right side.
-
-    Zero exactly at stationary points of the anchor flow with the given
-    source.
-    """
-    pkg = ChernPackage(grid, g, scheme, c)
-    _, _, target = _anchor_target(pkg, source_matrix)
-    return float(np.abs(n1n1_to_matrix(target)).max())
 
 
 def anchor_velocity(
@@ -421,12 +404,13 @@ def run_flow(
     traj.snapshots.append(y.copy())
 
     t = 0.0
-    for step in range(control.max_steps):
-        remaining = t_final - t
-        if remaining <= 1e-15 * max(1.0, abs(t_final)):
-            break
+    while t_final - t > 1e-15 * max(1.0, abs(t_final)):
+        if traj.steps_taken == control.max_steps:
+            raise NumericalBlowupError(
+                f"flow did not reach t={t_final} within {control.max_steps} steps"
+            )
         try:
-            dt = control.step_size(grid, y, remaining)
+            dt = control.step_size(grid, y, t_final - t)
             y_next = _rk4_step(velocity, y, dt)
         except (PositivityError, SingularSystemError, DegeneracyError) as err:
             traj.status = STATUS_SINGULARITY
@@ -441,10 +425,11 @@ def run_flow(
             traj.status = STATUS_BLOWUP
             traj.stop_detail = "non-finite state"
             break
-        low = min_eigenvalue(y_next)
-        if low <= control.positivity_floor:
+        if not is_positive(y_next, control.positivity_floor):
             traj.status = STATUS_SINGULARITY
-            traj.stop_detail = f"min eigenvalue {low:.3e} at t={t + dt:.6g}"
+            traj.stop_detail = (
+                f"min eigenvalue {min_eigenvalue(y_next):.3e} at t={t + dt:.6g}"
+            )
             break
 
         y = y_next
@@ -453,10 +438,6 @@ def run_flow(
         if traj.steps_taken % snapshot_every == 0:
             traj.times.append(t)
             traj.snapshots.append(y.copy())
-    else:
-        raise NumericalBlowupError(
-            f"flow did not reach t={t_final} within {control.max_steps} steps"
-        )
 
     if traj.times[-1] != t:
         # Record the final accepted state even on an abnormal stop: y is only

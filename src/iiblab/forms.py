@@ -97,7 +97,6 @@ class DifferentialForm:
     p: int
     q: int
     comps: dict[Key, np.ndarray] = dc_field(default_factory=dict)
-    aliasing_warning: bool = False
 
     def __post_init__(self):
         n = self.grid.n
@@ -134,7 +133,6 @@ class DifferentialForm:
         return DifferentialForm(
             self.grid, self.p, self.q,
             {k: v.copy() for k, v in self.comps.items()},
-            self.aliasing_warning,
         )
 
     def max_abs(self) -> float:
@@ -154,7 +152,6 @@ class DifferentialForm:
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
         self._require_compatible(other)
         out = self.copy()
-        out.aliasing_warning = self.aliasing_warning or other.aliasing_warning
         for key, v in other.comps.items():
             out._accumulate(key, v)
         return out
@@ -178,48 +175,45 @@ class DifferentialForm:
             out._accumulate((K, J), sign * np.conj(v))
         return out
 
-    def reality_defect(self) -> float:
-        """Max deviation from realness; only meaningful when p == q."""
-        return (self - self.conjugate()).max_abs()
-
     # -- derivatives --------------------------------------------------------
+
+    def _derivatives(self, scheme: str, holomorphic: bool, antiholomorphic: bool):
+        """del and/or delbar, sharing one transform per component.
+
+        Returns the (p+1,q) and (p,q+1) forms, None for the one not asked for.
+        """
+        n = self.grid.n
+        d = DifferentialForm(self.grid, self.p + 1, self.q) if holomorphic else None
+        dbar = DifferentialForm(self.grid, self.p, self.q + 1) if antiholomorphic else None
+        front = (-1) ** self.p  # dzbar^k passes the whole dz block
+        for (J, K), v in self.comps.items():
+            requests = []
+            if holomorphic:
+                requests += [(j, False) for j in range(n) if j not in J]
+            if antiholomorphic:
+                requests += [(k, True) for k in range(n) if k not in K]
+            for (j, barred), dv in zip(requests, self.grid.derivatives(v, requests, scheme)):
+                if dv is None:
+                    continue
+                if barred:
+                    merged, sign = _merge_sign((j,), K)
+                    dbar._accumulate((J, merged), front * sign * dv)
+                else:
+                    merged, sign = _merge_sign((j,), J)
+                    d._accumulate((merged, K), sign * dv)
+        return d, dbar
 
     def del_(self, scheme: str = SPECTRAL) -> "DifferentialForm":
         """Holomorphic exterior derivative (p,q) -> (p+1,q)."""
-        out = DifferentialForm(self.grid, self.p + 1, self.q)
-        warn = self.aliasing_warning
-        for (J, K), v in self.comps.items():
-            if not warn and self.grid.aliasing_risk(v):
-                warn = True
-            for j in range(self.grid.n):
-                if j in J:
-                    continue
-                merged, sign = _merge_sign((j,), J)
-                dv = self.grid.complex_derivative(v, j, scheme)
-                out._accumulate((merged, K), sign * dv)
-        out.aliasing_warning = warn
-        return out
+        return self._derivatives(scheme, True, False)[0]
 
     def delbar(self, scheme: str = SPECTRAL) -> "DifferentialForm":
         """Anti-holomorphic exterior derivative (p,q) -> (p,q+1)."""
-        out = DifferentialForm(self.grid, self.p, self.q + 1)
-        warn = self.aliasing_warning
-        front = (-1) ** self.p  # dzbar^k passes the whole dz block
-        for (J, K), v in self.comps.items():
-            if not warn and self.grid.aliasing_risk(v):
-                warn = True
-            for k in range(self.grid.n):
-                if k in K:
-                    continue
-                merged, sign = _merge_sign((k,), K)
-                dv = self.grid.complex_derivative_bar(v, k, scheme)
-                out._accumulate((J, merged), front * sign * dv)
-        out.aliasing_warning = warn
-        return out
+        return self._derivatives(scheme, False, True)[1]
 
     def exterior_d(self, scheme: str = SPECTRAL):
         """Full exterior derivative, returned as the (del, delbar) pair."""
-        return self.del_(scheme), self.delbar(scheme)
+        return self._derivatives(scheme, True, True)
 
     def exterior_d_max_abs(self, scheme: str = SPECTRAL) -> float:
         d1, d2 = self.exterior_d(scheme)
@@ -234,7 +228,6 @@ def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     if p > n or q > n:
         raise DegreeError(f"wedge overflows bidegree: ({p},{q}) with n={n}")
     out = DifferentialForm(a.grid, p, q)
-    out.aliasing_warning = a.aliasing_warning or b.aliasing_warning
     for ka, va in a.comps.items():
         for kb, vb in b.comps.items():
             key, sign = wedge_monomial(ka, kb)
@@ -270,14 +263,11 @@ def sigma_coefficient(n: int, j: int, k: int) -> complex:
     return volume_coefficient(n) / (1j * sign)
 
 
-_sigma_coefficient = sigma_coefficient
-
-
 def sigma_basis_form(grid: TorusGrid, j: int, k: int) -> DifferentialForm:
     """The (n-1,n-1) monomial dual to ``i dz^j ^ dzbar^k`` (zero-based)."""
     n = grid.n
     out = DifferentialForm(grid, n - 1, n - 1)
-    c = _sigma_coefficient(n, j, k)
+    c = sigma_coefficient(n, j, k)
     out.set_component(_complement(n, j), _complement(n, k), np.full(grid.shape, c))
     return out
 
@@ -293,7 +283,7 @@ def n1n1_to_matrix(theta: DifferentialForm) -> np.ndarray:
     out = np.zeros(theta.grid.shape + (n, n), dtype=complex)
     for j in range(n):
         for k in range(n):
-            c = _sigma_coefficient(n, j, k)
+            c = sigma_coefficient(n, j, k)
             out[..., j, k] = theta.component(_complement(n, j), _complement(n, k)) / c
     return out
 
@@ -304,7 +294,7 @@ def matrix_to_n1n1(grid: TorusGrid, matrix: np.ndarray) -> DifferentialForm:
     out = DifferentialForm(grid, n - 1, n - 1)
     for j in range(n):
         for k in range(n):
-            c = _sigma_coefficient(n, j, k)
+            c = sigma_coefficient(n, j, k)
             out._accumulate(
                 (_complement(n, j), _complement(n, k)),
                 c * np.asarray(matrix[..., j, k], dtype=complex),

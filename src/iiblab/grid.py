@@ -18,6 +18,13 @@ Two derivative discretisations are provided:
 * ``"fdN"`` (N even, 2..12): centred finite differences of order N,
   used as the independent cross-check path by the verifier.
 
+All complex derivatives go through :meth:`TorusGrid.derivatives`, which
+works on *grid-last* arrays (index axes first, grid axes last).  On the
+spectral path it takes one forward ``fftn`` per field, multiplies by the
+precomputed symbols of the requested active directions and takes one
+inverse transform per request.  Directions with no active real axis are
+exact zeros and cost no transform on either path.
+
 Complex derivatives follow the convention
 
     d/dz^j    = (d/dx^j - i d/dy^j) / 2
@@ -35,11 +42,9 @@ import numpy as np
 
 from .errors import GridError
 
-__all__ = ["TorusGrid", "fd_weights", "SPECTRAL", "DEFAULT_FD"]
+__all__ = ["TorusGrid", "fd_weights", "SPECTRAL"]
 
 SPECTRAL = "spectral"
-#: Order used when the verifier asks for "the" finite-difference oracle.
-DEFAULT_FD = "fd12"
 
 _FD_RE = re.compile(r"^fd(\d+)$")
 
@@ -195,21 +200,96 @@ class TorusGrid:
             out += c * (np.roll(values, -k, axis=pos) - np.roll(values, k, axis=pos))
         return out
 
+    @functools.cached_property
+    def active_directions(self) -> tuple[int, ...]:
+        """Complex directions (zero-based) with at least one active real axis."""
+        return tuple(sorted({a // 2 for a in self.active_axes}))
+
+    @functools.cached_property
+    def _symbols(self) -> dict[tuple[int, bool], np.ndarray]:
+        """Spectral symbols of d/dz^j and d/dzbar^j over the grid axes.
+
+        Keyed by ``(j, barred)`` for the active directions only.
+        """
+        def axis_symbol(real_axis):
+            pos = self.axis_position(real_axis)
+            return 0.0 if pos is None else self._spectral_multiplier(self.ndim_grid, pos)
+
+        out = {}
+        for j in self.active_directions:
+            dx, dy = axis_symbol(2 * j), axis_symbol(2 * j + 1)
+            out[j, False] = 0.5 * (dx - 1j * dy)
+            out[j, True] = 0.5 * (dx + 1j * dy)
+        return out
+
+    def to_grid_last(self, values: np.ndarray) -> np.ndarray:
+        """View of a grid-first array with the grid axes moved to the end."""
+        g = self.ndim_grid
+        return np.moveaxis(values, range(g), range(values.ndim - g, values.ndim))
+
+    def to_grid_first(self, values: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`to_grid_last`, also a view."""
+        g = self.ndim_grid
+        return np.moveaxis(values, range(values.ndim - g, values.ndim), range(g))
+
+    def derivatives(
+        self, values: np.ndarray, requests, scheme: str = SPECTRAL
+    ) -> list[np.ndarray | None]:
+        """Complex derivatives of one grid-last field.
+
+        ``requests`` lists ``(j, barred)`` pairs: d/dz^j, or d/dzbar^j when
+        ``barred``.  Returns one grid-last array per request, or None for a
+        direction with no active real axis, where the derivative vanishes
+        identically.  On the spectral path all requests share one forward
+        transform; the finite-difference path composes
+        :meth:`real_derivative` per direction.
+        """
+        live = [j in self.active_directions for j, _ in requests]
+        if not any(live):
+            return [None] * len(live)
+        if _parse_scheme(scheme) is None:
+            axes = tuple(range(values.ndim - self.ndim_grid, values.ndim))
+            # Derivatives ignore constants: transforming the deviation from
+            # the first node keeps a large mean out of the FFT round-off.
+            origin = values[(...,) + (slice(0, 1),) * self.ndim_grid]
+            spectrum = np.subtract(values, origin, dtype=complex, order="C")
+            np.fft.fftn(spectrum, axes=axes, out=spectrum)
+
+            def one(j, barred):
+                term = spectrum * self._symbols[j, barred]
+                return np.fft.ifftn(term, axes=axes, out=term)
+
+        else:
+            first = self.to_grid_first(values)
+
+            def one(j, barred):
+                dx = self.real_derivative(first, 2 * j, scheme)
+                dy = self.real_derivative(first, 2 * j + 1, scheme)
+                d = 0.5 * (dx + 1j * dy) if barred else 0.5 * (dx - 1j * dy)
+                return self.to_grid_last(d)
+
+        return [
+            one(j, bool(barred)) if ok else None
+            for (j, barred), ok in zip(requests, live)
+        ]
+
+    def _derivative(self, values: np.ndarray, j: int, barred: bool, scheme: str):
+        (d,) = self.derivatives(self.to_grid_last(values), [(j, barred)], scheme)
+        if d is None:
+            return np.zeros(values.shape, dtype=complex)
+        return self.to_grid_first(d)
+
     def complex_derivative(
         self, values: np.ndarray, j: int, scheme: str = SPECTRAL
     ) -> np.ndarray:
         """Holomorphic derivative d/dz^j (j zero-based)."""
-        dx = self.real_derivative(values, 2 * j, scheme)
-        dy = self.real_derivative(values, 2 * j + 1, scheme)
-        return 0.5 * (dx - 1j * dy)
+        return self._derivative(values, j, False, scheme)
 
     def complex_derivative_bar(
         self, values: np.ndarray, j: int, scheme: str = SPECTRAL
     ) -> np.ndarray:
         """Anti-holomorphic derivative d/dzbar^j (j zero-based)."""
-        dx = self.real_derivative(values, 2 * j, scheme)
-        dy = self.real_derivative(values, 2 * j + 1, scheme)
-        return 0.5 * (dx + 1j * dy)
+        return self._derivative(values, j, True, scheme)
 
     def holomorphic_gradient(
         self, values: np.ndarray, scheme: str = SPECTRAL, barred: bool = False
@@ -218,11 +298,17 @@ class TorusGrid:
 
         The new direction axis is inserted after the grid axes, in front of
         any tensor index axes, matching the index-ordering convention used
-        by the covariant-derivative machinery.
+        by the covariant-derivative machinery.  The result is a grid-first
+        view of a grid-last array; :meth:`to_grid_last` recovers the
+        contiguous layout for free.
         """
-        op = self.complex_derivative_bar if barred else self.complex_derivative
-        stack = [op(values, j, scheme) for j in range(self.n)]
-        return np.stack(stack, axis=self.ndim_grid)
+        last = self.to_grid_last(values)
+        out = np.zeros((self.n,) + last.shape, dtype=complex)
+        requests = [(j, barred) for j in range(self.n)]
+        for j, d in enumerate(self.derivatives(last, requests, scheme)):
+            if d is not None:
+                out[j] = d
+        return self.to_grid_first(out)
 
     # -- resolution hygiene ----------------------------------------------
 
@@ -249,8 +335,3 @@ class TorusGrid:
         extra = tuple(range(self.ndim_grid, values.ndim))
         band = power[mask].sum() if not extra else power.sum(axis=extra)[mask].sum()
         return float(band / total)
-
-    ALIASING_THRESHOLD = 1e-10
-
-    def aliasing_risk(self, values: np.ndarray) -> bool:
-        return self.top_band_fraction(values) > self.ALIASING_THRESHOLD

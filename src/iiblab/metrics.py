@@ -28,6 +28,7 @@ from .grid import SPECTRAL, TorusGrid
 __all__ = [
     "hermitize",
     "hermiticity_defect",
+    "is_positive",
     "check_positive",
     "min_eigenvalue",
     "flat_metric",
@@ -58,17 +59,32 @@ def min_eigenvalue(g: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(g).min())
 
 
-def check_positive(g: np.ndarray, floor: float = 0.0) -> float:
-    """Validate Hermiticity and positivity; returns the minimum eigenvalue."""
+def is_positive(g: np.ndarray, floor: float = 0.0) -> bool:
+    """Whether every matrix of ``g - floor * I`` has a Cholesky factor."""
+    if floor:
+        g = g - floor * np.eye(g.shape[-1])
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def check_positive(g: np.ndarray, floor: float = 0.0) -> None:
+    """Validate Hermiticity and positivity above ``floor``.
+
+    Positivity is decided by a Cholesky factorization; the eigenvalues are
+    computed only on failure, for the error message.
+    """
     defect = hermiticity_defect(g)
     if defect > HERMITICITY_TOLERANCE:
         raise HermiticityError(f"matrix field deviates from Hermitian by {defect:.3e}")
+    if is_positive(g, floor):
+        return
     low = min_eigenvalue(g)
-    if low <= floor:
-        raise PositivityError(
-            f"metric loses positivity: min eigenvalue {low:.3e}", min_eigenvalue=low
-        )
-    return low
+    raise PositivityError(
+        f"metric loses positivity: min eigenvalue {low:.3e}", min_eigenvalue=low
+    )
 
 
 # -- constructors -------------------------------------------------------------

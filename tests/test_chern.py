@@ -122,3 +122,54 @@ def test_scalar_laplacian_flat_symbol():
     lap = pkg.scalar_laplacian(f)
     # flat Laplacian g^{p qbar} d_p d_qbar picks up -(pi^2) per unit mode
     assert np.abs(lap + np.pi**2 * f).max() < 1e-10
+
+
+# -- the grid-last contractions against their plain einsum formulas ----------
+
+GEOMETRIES = [
+    (n, axes) for n in (3, 4) for axes in ((0, 1), (0, 2), (1, 4), (0, 1, 2, 3))
+]
+
+
+def _geometry_id(geometry):
+    n, axes = geometry
+    return f"n{n}-axes{''.join(map(str, axes))}"
+
+
+@pytest.fixture(scope="module", params=GEOMETRIES, ids=_geometry_id)
+def packages(request):
+    """A random metric on an R=8 grid, analyzed spectrally and with fd4."""
+    n, axes = request.param
+    grid = TorusGrid(n, axes, 8)
+    g = random_band_metric(grid, seed=3)
+    return [ChernPackage(grid, g, scheme) for scheme in ("spectral", "fd4")]
+
+
+def _close(got, want):
+    return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_gamma_matches_einsum(packages):
+    for pkg in packages:
+        dg = pkg.grid.holomorphic_gradient(pkg.g, pkg.scheme)
+        assert _close(pkg.gamma, np.einsum("...pa,...jaq->...jpq", pkg.ginv, dg))
+
+
+def test_second_ricci_matches_einsum(packages):
+    for pkg in packages:
+        curv = -pkg.grid.holomorphic_gradient(pkg.gamma, pkg.scheme, barred=True)
+        assert _close(pkg.curvature, curv)
+        want = np.einsum("...pl,...jk,...kjlq->...pq", pkg.g, pkg.ginv, curv)
+        assert _close(pkg.second_ricci, want)
+
+
+def test_ttbar_matches_einsum(packages):
+    for pkg in packages:
+        dg = pkg.grid.holomorphic_gradient(pkg.g, pkg.scheme)
+        t_low = np.swapaxes(dg, -3, -2) - np.moveaxis(dg, (-3, -2, -1), (-1, -3, -2))
+        assert np.array_equal(pkg.t_low, t_low)
+        want = np.einsum(
+            "...kpq,...jab,...pa,...qb->...kj",
+            t_low, np.conj(t_low), pkg.ginv, pkg.ginv, optimize=True,
+        )
+        assert _close(pkg.ttbar, want)

@@ -15,7 +15,7 @@ from iiblab import (
     run_flow,
     weighted_velocity,
 )
-from iiblab.errors import DegeneracyError
+from iiblab.errors import DegeneracyError, NumericalBlowupError
 from iiblab.flow import (
     STATUS_COMPLETED,
     STATUS_SINGULARITY,
@@ -125,6 +125,17 @@ def test_trajectory_bookkeeping():
     assert [round(t / 1e-5) for t in traj.times] == [0, 2, 4, 5]
     g_end = traj.metric_at(len(traj.times) - 1)
     assert g_end.shape == GRID.shape + (3, 3)
+
+
+def test_step_budget_counts_the_last_step():
+    # t_final / dt = 5 steps: a budget of exactly 5 is enough, 4 is not
+    traj = run_flow(GRID, _balanced(), FORM_WEIGHTED, 5e-5,
+                    StepControl(dt=1e-5, max_steps=5))
+    assert traj.status == STATUS_COMPLETED
+    assert traj.steps_taken == 5
+    with pytest.raises(NumericalBlowupError):
+        run_flow(GRID, _balanced(), FORM_WEIGHTED, 5e-5,
+                 StepControl(dt=1e-5, max_steps=4))
 
 
 def test_singularity_stop_keeps_last_positive_state():

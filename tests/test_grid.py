@@ -109,3 +109,29 @@ def test_top_band_fraction_flags_rough_fields(grid):
     rough = rng.standard_normal(grid.shape)
     assert grid.top_band_fraction(smooth) < 1e-12
     assert grid.top_band_fraction(rough) > 0.1
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("axes", [(0, 1), (0, 2), (1, 4), (0, 1, 2, 3)])
+def test_engine_matches_per_axis_derivatives(n, axes):
+    grid = TorusGrid(n, axes, 8)
+    rng = np.random.default_rng(7)
+    f = rng.standard_normal(grid.shape + (2,)) + 1j * rng.standard_normal(grid.shape + (2,))
+    grad = grid.holomorphic_gradient(f)
+    grad_bar = grid.holomorphic_gradient(f, barred=True)
+    for j in range(n):
+        dx = grid.real_derivative(f, 2 * j)
+        dy = grid.real_derivative(f, 2 * j + 1)
+        pairs = [
+            (grad[..., j, :], 0.5 * (dx - 1j * dy)),
+            (grad_bar[..., j, :], 0.5 * (dx + 1j * dy)),
+            (grid.complex_derivative(f, j), 0.5 * (dx - 1j * dy)),
+            (grid.complex_derivative_bar(f, j), 0.5 * (dx + 1j * dy)),
+        ]
+        if j in grid.active_directions:
+            for got, want in pairs:
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        else:
+            assert 2 * j not in axes and 2 * j + 1 not in axes
+            for got, _ in pairs:
+                assert np.all(got == 0.0)

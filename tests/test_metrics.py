@@ -13,7 +13,13 @@ from iiblab import (
     random_band_metric,
     volume_norm,
 )
-from iiblab.metrics import fourier_scalar, hermiticity_defect, torsion_trace_defect
+from iiblab.metrics import (
+    check_positive,
+    fourier_scalar,
+    hermiticity_defect,
+    is_positive,
+    torsion_trace_defect,
+)
 
 GRID = TorusGrid(3, (0, 1), 16)
 
@@ -102,3 +108,31 @@ def test_balanced_defect_detects_kahler_nonbalanced():
     phi = 0.05 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
     g = kahler_from_potential(GRID, phi)
     assert conformally_balanced_defect(GRID, g) > 1e-4
+
+
+def _with_node(eigenvalues):
+    """Flat metric with one node replaced by a rotated diagonal matrix."""
+    rng = np.random.default_rng(4)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    g = flat_metric(GRID)
+    node = u @ np.diag(eigenvalues) @ np.conj(u.T)
+    g[5, 9] = 0.5 * (node + np.conj(node.T))
+    return g
+
+
+def test_positivity_gate_reports_negative_eigenvalue():
+    g = _with_node([1.0, -0.25, 2.0])
+    assert not is_positive(g)
+    with pytest.raises(PositivityError, match=r"min eigenvalue -2\.500e-01") as err:
+        check_positive(g)
+    assert err.value.min_eigenvalue == pytest.approx(-0.25)
+
+
+def test_positivity_gate_honours_nonzero_floor():
+    g = _with_node([1.0, 0.999e-3, 2.0])
+    check_positive(g)
+    check_positive(g, floor=0.998e-3)
+    assert not is_positive(g, floor=1e-3)
+    with pytest.raises(PositivityError, match=r"min eigenvalue 9\.990e-04") as err:
+        check_positive(g, floor=1e-3)
+    assert err.value.min_eigenvalue == pytest.approx(0.999e-3)
