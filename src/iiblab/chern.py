@@ -32,7 +32,12 @@ from .errors import ValenceError
 from .grid import SPECTRAL, TorusGrid
 from .metrics import check_positive, volume_norm_sq
 
-__all__ = ["ChernPackage", "relative_endomorphism", "relative_eigenvalues"]
+__all__ = [
+    "ChernPackage",
+    "pair_endo_forms",
+    "relative_endomorphism",
+    "relative_eigenvalues",
+]
 
 _LETTERS = string.ascii_lowercase.replace("m", "").replace("p", "")
 
@@ -51,7 +56,6 @@ class ChernPackage:
         grid: TorusGrid,
         g: np.ndarray,
         scheme: str = SPECTRAL,
-        volume_constant: complex = 1.0,
         validate: bool = True,
     ):
         expected = grid.shape + (grid.n, grid.n)
@@ -60,7 +64,6 @@ class ChernPackage:
         self.grid = grid
         self.g = np.asarray(g, dtype=complex)
         self.scheme = scheme
-        self.volume_constant = complex(volume_constant)
         if validate:
             check_positive(self.g)
 
@@ -193,7 +196,7 @@ class ChernPackage:
     @functools.cached_property
     def norm_sq(self) -> np.ndarray:
         """Squared volume-form norm at each node."""
-        return volume_norm_sq(self.g, self.volume_constant)
+        return volume_norm_sq(self.g)
 
     @functools.cached_property
     def log_norm(self) -> np.ndarray:
@@ -282,15 +285,25 @@ class ChernPackage:
         endomorphism slots with the metric pair, conjugating the second
         factor.
         """
-        return np.einsum(
-            "...mg,...ub,...la,...mbl,...gua->...",
-            self.ginv,
-            self.g,
-            self.ginv,
-            a,
-            np.conj(a),
-            optimize=True,
-        ).real
+        return pair_endo_forms(self.ginv, self.g, self.ginv, a, a).real
+
+
+def pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
+    """Sesquilinear pairing of endomorphism-valued one-forms (conjugate on y).
+
+    ``m1`` contracts the form slots, ``m2`` the upper endomorphism slots and
+    ``m3`` the lower ones; with ``(ginv, g, ginv)`` this is the metric
+    pairing behind :meth:`ChernPackage.endo_norm_sq`.
+    """
+    return np.einsum(
+        "...mg,...ub,...la,...mbl,...gua->...",
+        m1,
+        m2,
+        m3,
+        x,
+        np.conj(y),
+        optimize=True,
+    )
 
 
 def relative_endomorphism(g_ref: np.ndarray, g: np.ndarray) -> np.ndarray:

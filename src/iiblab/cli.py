@@ -37,21 +37,9 @@ from .flow import (
     run_flow,
 )
 from .diagnostics import compute_diagnostics
-from .metrics import flat_metric
 from .runconfig import ResolvedConfig, load_config_file, resolve_config
 from .snapshot import save_snapshot, snapshot_info
-from .verify import (
-    EVOLUTION_REGISTRY,
-    verify_S_evolution,
-    verify_bianchi,
-    verify_commutator_convention,
-    verify_connection_difference,
-    verify_dilaton_evolution,
-    verify_quasilinear_ricci,
-    verify_stationarity,
-    verify_tau_identity,
-    verify_trh_evolution,
-)
+from .verify import EVOLUTION_REGISTRY, SPATIAL_REGISTRY
 
 __all__ = ["main"]
 
@@ -94,62 +82,44 @@ def _out_dir(args, rc: ResolvedConfig) -> str:
 def _execute_suite(rc: ResolvedConfig) -> list:
     """Run the configured identity suite on the configured initial data.
 
-    Spatial identities are checked directly on the initial metric (the
-    relative-connection check takes the flat metric as its reference).
-    Evolution identities share one short fixed-step trajectory of the
-    weighted formulation, five snapshots wide.  A sigma-basis source is
-    frozen to its induced matrix field at t = 0 so the window is an
-    exact solution of the equation the identities describe.
+    Spatial identities are checked directly on the initial metric; the
+    stationarity check also receives the run's anchor source.  Evolution
+    identities share one short fixed-step trajectory of the weighted
+    formulation, five snapshots wide.  A sigma-basis source is frozen to
+    its induced matrix field at t = 0 so the window is an exact solution
+    of the equation the identities describe.
     """
     grid, g0 = rc.grid, rc.initial_metric
     reports = []
-    window = None
-    window_phi = None
-
-    def tol_kwargs(tol):
-        return {} if tol is None else {"tolerance": tol}
-
+    window = window_phi = None
     for name, tol in rc.verify_suite:
-        kw = tol_kwargs(tol)
-        if name == "tau":
-            reports += verify_tau_identity(grid, g0, **kw)
-        elif name == "connection-difference":
-            reports += verify_connection_difference(grid, g0, flat_metric(grid), **kw)
-        elif name == "bianchi":
-            reports += verify_bianchi(grid, g0, **kw)
-        elif name == "commutator":
-            reports += verify_commutator_convention(grid, g0, **kw)
-        elif name == "quasilinear":
-            reports += verify_quasilinear_ricci(grid, g0, **kw)
-        elif name == "stationarity":
-            reports += verify_stationarity(grid, g0, source_matrix=rc.anchor_source, **kw)
-        elif name in EVOLUTION_REGISTRY:
-            if window is None:
-                window_phi = rc.weighted_source
-                if rc.anchor_source is not None:
-                    window_phi = induced_weighted_source(grid, g0, rc.anchor_source)
-                dt = rc.control.dt
-                window = run_flow(
-                    grid,
-                    g0,
-                    FORM_WEIGHTED,
-                    t_final=(EVOLUTION_WINDOW - 1) * dt,
-                    control=StepControl(dt=dt),
-                    weighted_source=window_phi,
-                    snapshot_every=1,
+        kw = {} if tol is None else {"tolerance": tol}
+        if name in SPATIAL_REGISTRY:
+            if name == "stationarity":
+                kw["source_matrix"] = rc.anchor_source
+            reports += SPATIAL_REGISTRY[name](grid, g0, **kw)
+            continue
+        if window is None:
+            window_phi = rc.weighted_source
+            if rc.anchor_source is not None:
+                window_phi = induced_weighted_source(grid, g0, rc.anchor_source)
+            dt = rc.control.dt
+            window = run_flow(
+                grid,
+                g0,
+                FORM_WEIGHTED,
+                t_final=(EVOLUTION_WINDOW - 1) * dt,
+                control=StepControl(dt=dt),
+                weighted_source=window_phi,
+                snapshot_every=1,
+            )
+            if len(window.snapshots) < EVOLUTION_WINDOW:
+                raise ConfigError(
+                    f"verification trajectory stopped early"
+                    f" ({window.status}: {window.stop_detail}); evolution"
+                    " identities need five healthy snapshots"
                 )
-                if len(window.snapshots) < EVOLUTION_WINDOW:
-                    raise ConfigError(
-                        f"verification trajectory stopped early"
-                        f" ({window.status}: {window.stop_detail}); evolution"
-                        " identities need five healthy snapshots"
-                    )
-            if name == "trh":
-                reports += verify_trh_evolution(window, phi=window_phi, **kw)
-            elif name == "dilaton":
-                reports += verify_dilaton_evolution(window, phi=window_phi, **kw)
-            else:
-                reports += verify_S_evolution(window, phi=window_phi, **kw)
+        reports += EVOLUTION_REGISTRY[name](window, phi=window_phi, **kw)
     return reports
 
 
@@ -230,7 +200,6 @@ def _cmd_run(args) -> int:
                 trajectory.metric_at(j),
                 baseline,
                 trajectory.times[j],
-                volume_constant=trajectory.volume_constant,
                 test_function=rc.test_function,
             )
             line = {"kind": "diagnostics", "step": step}
@@ -262,10 +231,6 @@ def _cmd_run(args) -> int:
                 "formulation": rc.formulation,
                 "step": step,
                 "status": trajectory.status if j == last else "running",
-                "volumeConstant": [
-                    trajectory.volume_constant.real,
-                    trajectory.volume_constant.imag,
-                ],
             },
         )
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chern import ChernPackage, relative_eigenvalues
-from .grid import SPECTRAL, TorusGrid
+from .grid import TorusGrid
 from .metrics import conformally_balanced_defect, volume_norm
 
 __all__ = ["DiagnosticsRecord", "compute_diagnostics"]
@@ -73,8 +73,6 @@ def compute_diagnostics(
     g: np.ndarray,
     g_initial: np.ndarray,
     t: float,
-    volume_constant: complex = 1.0,
-    scheme: str = SPECTRAL,
     test_function: tuple[float, float] | None = None,
 ) -> DiagnosticsRecord:
     """Build one record for the physical metric ``g`` at time ``t``.
@@ -83,8 +81,8 @@ def compute_diagnostics(
     fixes both the endomorphism baseline and the reference connection
     for S.  ``test_function`` is an optional ``(epsilon, a)`` pair.
     """
-    pkg = ChernPackage(grid, g, scheme=scheme)
-    ref = ChernPackage(grid, np.asarray(g_initial, dtype=complex), scheme=scheme)
+    pkg = ChernPackage(grid, g)
+    ref = ChernPackage(grid, np.asarray(g_initial, dtype=complex))
 
     eigs = relative_eigenvalues(g_initial, g)
     trh = np.einsum("...jk,...kj->...", ref.ginv, pkg.g).real
@@ -93,7 +91,7 @@ def compute_diagnostics(
     tau = pkg.tau
     tau_sq = np.einsum("...jk,...j,...k->...", pkg.ginv, tau, np.conj(tau)).real
 
-    norm = volume_norm(pkg.g, volume_constant)
+    norm = volume_norm(pkg.g)
     s_field = pkg.endo_norm_sq(pkg.connection_difference(ref))
 
     tf_max = None
@@ -117,9 +115,7 @@ def compute_diagnostics(
         trh_min=float(trh.min()),
         trh_max=float(trh.max()),
         det_h_min=float(det_h.min()),
-        balanced_defect=float(
-            conformally_balanced_defect(grid, pkg.g, volume_constant, scheme)
-        ),
+        balanced_defect=float(conformally_balanced_defect(grid, pkg.g)),
         torsion_sq_max=float(pkg.t_norm_sq.max()),
         test_function_max=tf_max,
     )

@@ -27,12 +27,17 @@ data and comparing trajectories.  Stationary points are unaffected: the
 anchor velocity vanishes exactly when i del delbar omega^{n-2} equals
 the source.
 
-Weight chain (exact algebra, used to hop between formulations):
+Weight chain (exact algebra, used to hop between formulations), with
+the norm taken of the volume form Omega = dz^1 ^ ... ^ dz^n:
 
     w       = norm_g * g
-    g       = norm_w^{2/(n-2)} * w          with  norm_w^2 = |c|^2 / det w
+    g       = norm_w^{2/(n-2)} * w          with  norm_w^2 = 1 / det w
     dw/dt   = norm_g * ( dg/dt - 1/2 tr(g^-1 dg/dt) g )
     dg/dt   = norm_w^{2/(n-2)} * ( dw/dt - tr(w^-1 dw/dt)/(n-2) * w )
+
+A constant multiple c * Omega would only rescale time: both curvature
+terms are unchanged when w is scaled, so the flow of |c| * w is the
+flow of w with time scaled by |c|.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from .forms import (
     wedge_monomial,
     wedge_power,
 )
-from .grid import SPECTRAL, TorusGrid
+from .grid import TorusGrid
 from .metrics import (
     conformally_balanced_defect,
     hermitize,
@@ -82,7 +87,6 @@ __all__ = [
     "weighted_from_metric",
     "metric_from_weighted",
     "weighted_dot_from_metric_dot",
-    "metric_dot_from_weighted_dot",
     "anchor_velocity",
     "weighted_velocity",
     "induced_weighted_source",
@@ -103,33 +107,24 @@ SOLVE_RESIDUAL_GATE = 1e-10
 # -- weight chain -------------------------------------------------------------
 
 
-def weighted_from_metric(g: np.ndarray, c: complex = 1.0) -> np.ndarray:
-    u = volume_norm(g, c)
+def weighted_from_metric(g: np.ndarray) -> np.ndarray:
+    u = volume_norm(g)
     return u[..., None, None] * g
 
 
-def metric_from_weighted(w: np.ndarray, c: complex = 1.0) -> np.ndarray:
+def metric_from_weighted(w: np.ndarray) -> np.ndarray:
     n = w.shape[-1]
     if n < 3:
         raise DegeneracyError("weight chain needs at least 3 complex dimensions")
-    norm_w_sq = volume_norm_sq(w, c)
+    norm_w_sq = volume_norm_sq(w)
     factor = norm_w_sq ** (1.0 / (n - 2))
     return factor[..., None, None] * w
 
 
-def weighted_dot_from_metric_dot(g: np.ndarray, g_dot: np.ndarray, c: complex = 1.0) -> np.ndarray:
-    u = volume_norm(g, c)
+def weighted_dot_from_metric_dot(g: np.ndarray, g_dot: np.ndarray) -> np.ndarray:
+    u = volume_norm(g)
     trace = np.einsum("...pa,...ap->...", np.linalg.inv(g), g_dot)
     return u[..., None, None] * (g_dot - 0.5 * trace[..., None, None] * g)
-
-
-def metric_dot_from_weighted_dot(w: np.ndarray, w_dot: np.ndarray, c: complex = 1.0) -> np.ndarray:
-    n = w.shape[-1]
-    if n < 3:
-        raise DegeneracyError("weight chain needs at least 3 complex dimensions")
-    factor = volume_norm_sq(w, c) ** (1.0 / (n - 2))
-    trace = np.einsum("...pa,...ap->...", np.linalg.inv(w), w_dot)
-    return factor[..., None, None] * (w_dot - (trace[..., None, None] / (n - 2)) * w)
 
 
 # -- anchor formulation --------------------------------------------------------
@@ -215,7 +210,7 @@ def anchor_velocity(
     trace_row = np.swapaxes(pkg.ginv, -1, -2).reshape(grid.shape + (n * n,))
     A -= 0.5 * wn1_mat.reshape(grid.shape + (n * n, 1)) * trace_row[..., None, :]
 
-    u = volume_norm(pkg.g, pkg.volume_constant)
+    u = volume_norm(pkg.g)
     A *= u[..., None, None]
 
     try:
@@ -238,14 +233,10 @@ def anchor_velocity(
 
 
 def weighted_velocity(
-    grid: TorusGrid,
-    w: np.ndarray,
-    source_matrix: np.ndarray | None = None,
-    scheme: str = SPECTRAL,
-    c: complex = 1.0,
+    grid: TorusGrid, w: np.ndarray, source_matrix: np.ndarray | None = None
 ) -> np.ndarray:
     """Velocity of the weighted metric: curvature and torsion of w itself."""
-    pkg = ChernPackage(grid, w, scheme, c)
+    pkg = ChernPackage(grid, w)
     out = -pkg.second_ricci - 0.5 * pkg.ttbar
     if source_matrix is not None:
         out = out - np.asarray(source_matrix, dtype=complex)
@@ -253,11 +244,7 @@ def weighted_velocity(
 
 
 def induced_weighted_source(
-    grid: TorusGrid,
-    g: np.ndarray,
-    anchor_source_matrix: np.ndarray,
-    scheme: str = SPECTRAL,
-    c: complex = 1.0,
+    grid: TorusGrid, g: np.ndarray, anchor_source_matrix: np.ndarray
 ) -> np.ndarray:
     """Matrix source for the weighted flow equivalent to an anchor source.
 
@@ -267,11 +254,11 @@ def induced_weighted_source(
     level) zero, which is precisely the statement that the two
     formulations agree.
     """
-    pkg = ChernPackage(grid, g, scheme, c)
+    pkg = ChernPackage(grid, g)
     g_dot = anchor_velocity(pkg, anchor_source_matrix)
-    w_dot = weighted_dot_from_metric_dot(g, g_dot, c)
-    w = weighted_from_metric(g, c)
-    free = weighted_velocity(grid, w, None, scheme, c)
+    w_dot = weighted_dot_from_metric_dot(g, g_dot)
+    w = weighted_from_metric(g)
+    free = weighted_velocity(grid, w)
     return hermitize(free - w_dot)
 
 
@@ -307,7 +294,6 @@ class Trajectory:
 
     grid: TorusGrid
     formulation: str
-    volume_constant: complex
     times: list[float] = dc_field(default_factory=list)
     snapshots: list[np.ndarray] = dc_field(default_factory=list)
     status: str = STATUS_COMPLETED
@@ -319,12 +305,8 @@ class Trajectory:
         """Snapshot as a plain metric, whatever the native variable is."""
         raw = self.snapshots[index]
         if self.formulation == FORM_WEIGHTED:
-            return metric_from_weighted(raw, self.volume_constant)
+            return metric_from_weighted(raw)
         return raw
-
-    @property
-    def final_metric(self) -> np.ndarray:
-        return self.metric_at(len(self.snapshots) - 1)
 
 
 def _rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
@@ -343,8 +325,6 @@ def run_flow(
     control: StepControl | None = None,
     anchor_source: np.ndarray | None = None,
     weighted_source: np.ndarray | None = None,
-    scheme: str = SPECTRAL,
-    volume_constant: complex = 1.0,
     snapshot_every: int = 1,
 ) -> Trajectory:
     """Integrate either formulation from a metric g0 up to time t_final.
@@ -366,7 +346,7 @@ def run_flow(
     if anchor_source is not None and weighted_source is not None:
         raise ConfigError("give at most one source")
 
-    defect = conformally_balanced_defect(grid, g0, volume_constant, scheme)
+    defect = conformally_balanced_defect(grid, g0)
     off_manifold = defect > BALANCED_GATE
     if formulation == FORM_ANCHOR and off_manifold:
         raise ConfigError(
@@ -378,28 +358,21 @@ def run_flow(
         y = np.array(g0, dtype=complex)
 
         def velocity(state: np.ndarray) -> np.ndarray:
-            pkg = ChernPackage(grid, hermitize(state), scheme, volume_constant)
+            pkg = ChernPackage(grid, hermitize(state))
             return anchor_velocity(pkg, anchor_source)
 
     else:
-        y = weighted_from_metric(np.asarray(g0, dtype=complex), volume_constant)
+        y = weighted_from_metric(np.asarray(g0, dtype=complex))
 
         def velocity(state: np.ndarray) -> np.ndarray:
             state = hermitize(state)
             src = weighted_source
             if anchor_source is not None:
-                g_now = metric_from_weighted(state, volume_constant)
-                src = induced_weighted_source(
-                    grid, g_now, anchor_source, scheme, volume_constant
-                )
-            return weighted_velocity(grid, state, src, scheme, volume_constant)
+                g_now = metric_from_weighted(state)
+                src = induced_weighted_source(grid, g_now, anchor_source)
+            return weighted_velocity(grid, state, src)
 
-    traj = Trajectory(
-        grid=grid,
-        formulation=formulation,
-        volume_constant=volume_constant,
-        off_manifold=off_manifold,
-    )
+    traj = Trajectory(grid=grid, formulation=formulation, off_manifold=off_manifold)
     traj.times.append(0.0)
     traj.snapshots.append(y.copy())
 

@@ -167,14 +167,6 @@ class DifferentialForm:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "DifferentialForm":
-        """Complex conjugate, a (q,p)-form."""
-        sign = (-1) ** (self.p * self.q)
-        out = DifferentialForm(self.grid, self.q, self.p)
-        for (J, K), v in self.comps.items():
-            out._accumulate((K, J), sign * np.conj(v))
-        return out
-
     # -- derivatives --------------------------------------------------------
 
     def _derivatives(self, scheme: str, holomorphic: bool, antiholomorphic: bool):

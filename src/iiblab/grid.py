@@ -129,10 +129,6 @@ class TorusGrid:
         return len(self.active_axes)
 
     @property
-    def num_nodes(self) -> int:
-        return self.resolution ** len(self.active_axes)
-
-    @property
     def spacing(self) -> float:
         return 1.0 / self.resolution
 
@@ -152,9 +148,6 @@ class TorusGrid:
         reshape = [1] * self.ndim_grid
         reshape[pos] = self.resolution
         return np.broadcast_to(t.reshape(reshape), self.shape).copy()
-
-    def zeros(self, index_shape: tuple[int, ...] = ()) -> np.ndarray:
-        return np.zeros(self.shape + index_shape, dtype=complex)
 
     def mean(self, values: np.ndarray) -> np.ndarray:
         """Average over the grid nodes (leading axes)."""

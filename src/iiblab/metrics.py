@@ -4,10 +4,14 @@ A metric field is a grid of positive Hermitian matrices ``g[..., k, j]``
 where the FIRST matrix index is the barred one.  The associated positive
 (1,1)-form is ``i g[kbar,j] dz^j ^ dzbar^k``.
 
-The holomorphic volume form on the torus is ``c dz^1 ^ ... ^ dz^n`` with
-a constant ``c``; its pointwise norm against a metric g is
+The holomorphic volume form on the torus is ``Omega = dz^1 ^ ... ^ dz^n``;
+its pointwise norm against a metric g is
 
-    norm_sq = |c|**2 / det g.
+    norm_sq = 1 / det g.
+
+A constant multiple c * Omega would only rescale time: the curvature
+terms of the flow do not change when the weighted metric is scaled, so
+the flow of |c| * w is the flow of w with time scaled by |c|.
 
 A metric is *balanced* when d(omega^{n-1}) = 0 and *conformally balanced*
 when d(norm ||Omega||_g * omega^{n-1}) = 0.  The defect of the latter is
@@ -22,8 +26,8 @@ import itertools
 import numpy as np
 
 from .errors import GridError, HermiticityError, PositivityError
-from .forms import DifferentialForm, matrix_to_one_one, wedge_power
-from .grid import SPECTRAL, TorusGrid
+from .forms import matrix_to_one_one, wedge_power
+from .grid import TorusGrid
 
 __all__ = [
     "hermitize",
@@ -38,7 +42,6 @@ __all__ = [
     "fourier_scalar",
     "volume_norm_sq",
     "volume_norm",
-    "omega_form",
     "conformally_balanced_defect",
     "torsion_trace_defect",
 ]
@@ -125,29 +128,29 @@ def fourier_scalar(grid: TorusGrid, terms) -> np.ndarray:
 def balanced_band_metric(grid: TorusGrid, f: np.ndarray, stretch: float = 1.0) -> np.ndarray:
     """Anisotropic conformally balanced family driven by one scalar f.
 
-    ``g = diag(stretch**2 * exp(2 f), exp(f), ..., exp(f))`` is exactly
-    conformally balanced for any f because
-    ``norm * omega^{n-1}`` has constant coefficients along the stretched
-    direction block.  With n = 3 this is the closed-form family used by
-    the stationarity and preservation checks.
+    ``g = diag(stretch**2 * exp((n-1) f), exp(f), ..., exp(f))`` has
+    ``norm * omega^{n-1}`` with coefficient ``1 / stretch`` on the component
+    missing direction 0 and ``stretch * exp((n-2) f)`` on every other one.
+    It is therefore exactly conformally balanced whenever f varies only
+    along real axes 0 and 1, the coordinates of direction 0.  With n = 3
+    this is the closed-form family used by the stationarity and
+    preservation checks.
     """
     n = grid.n
     g = np.zeros(grid.shape + (n, n), dtype=complex)
-    g[..., 0, 0] = (stretch ** 2) * np.exp(2.0 * f)
+    g[..., 0, 0] = (stretch ** 2) * np.exp(float(n - 1) * f)
     for j in range(1, n):
         g[..., j, j] = np.exp(f)
     return g
 
 
-def kahler_from_potential(grid: TorusGrid, phi: np.ndarray, scheme: str = SPECTRAL) -> np.ndarray:
+def kahler_from_potential(grid: TorusGrid, phi: np.ndarray) -> np.ndarray:
     """Metric ``g[kbar,j] = delta + d_j d_kbar phi`` from a real potential."""
     n = grid.n
     g = flat_metric(grid)
     phi_c = np.asarray(phi, dtype=complex)
     for k in range(n):
-        row = grid.holomorphic_gradient(
-            grid.complex_derivative_bar(phi_c, k, scheme), scheme
-        )
+        row = grid.holomorphic_gradient(grid.complex_derivative_bar(phi_c, k))
         for j in range(n):
             g[..., k, j] = g[..., k, j] + row[..., j]
     return hermitize(g)
@@ -213,38 +216,31 @@ def random_band_metric(
 # -- volume data --------------------------------------------------------------
 
 
-def volume_norm_sq(g: np.ndarray, c: complex = 1.0) -> np.ndarray:
+def volume_norm_sq(g: np.ndarray) -> np.ndarray:
     """Pointwise squared norm of the holomorphic volume form."""
     det = np.linalg.det(g)
     if np.any(det.real <= 0.0) or np.any(np.abs(det.imag) > 1e-8 * np.abs(det.real)):
         raise PositivityError("determinant not positive; metric invalid")
-    return (abs(c) ** 2) / det.real
+    return 1.0 / det.real
 
 
-def volume_norm(g: np.ndarray, c: complex = 1.0) -> np.ndarray:
-    return np.sqrt(volume_norm_sq(g, c))
+def volume_norm(g: np.ndarray) -> np.ndarray:
+    return np.sqrt(volume_norm_sq(g))
 
 
-def omega_form(grid: TorusGrid, g: np.ndarray) -> DifferentialForm:
-    """The positive (1,1)-form of a metric field."""
-    return matrix_to_one_one(grid, g)
-
-
-def conformally_balanced_defect(
-    grid: TorusGrid, g: np.ndarray, c: complex = 1.0, scheme: str = SPECTRAL
-) -> float:
+def conformally_balanced_defect(grid: TorusGrid, g: np.ndarray) -> float:
     """Max norm of d( ||Omega||_g  omega^{n-1} ) over the grid.
 
     Zero exactly when the metric satisfies the conformally balanced
     condition the flow preserves.
     """
-    u = volume_norm(g, c)
-    omega = omega_form(grid, g)
+    u = volume_norm(g)
+    omega = matrix_to_one_one(grid, g)
     anchor = wedge_power(omega, grid.n - 1) * u.astype(complex)
-    return anchor.exterior_d_max_abs(scheme)
+    return anchor.exterior_d_max_abs()
 
 
-def torsion_trace_defect(grid: TorusGrid, g: np.ndarray, c: complex = 1.0, scheme: str = SPECTRAL):
+def torsion_trace_defect(grid: TorusGrid, g: np.ndarray):
     """Max norm of tau_j - d_j log ||Omega||_g over grid and directions.
 
     The conformally balanced condition forces the torsion trace to equal
@@ -253,11 +249,9 @@ def torsion_trace_defect(grid: TorusGrid, g: np.ndarray, c: complex = 1.0, schem
     """
     n = grid.n
     ginv = np.linalg.inv(g)
-    dlog = grid.holomorphic_gradient(np.log(volume_norm_sq(g, c)).astype(complex), scheme) * 0.5
+    dlog = grid.holomorphic_gradient(np.log(volume_norm_sq(g)).astype(complex)) * 0.5
 
-    dg = np.stack(
-        [grid.complex_derivative(g, j, scheme) for j in range(n)], axis=g.ndim - 2
-    )
+    dg = np.stack([grid.complex_derivative(g, j) for j in range(n)], axis=g.ndim - 2)
     # tau_i = T^p_{p i} with T^m_{jp} = g^{m qbar}(d_j g_{qbar p} - d_p g_{qbar j});
     # dg[..., j, q, p] holds d_j g_{qbar p}
     t_up = np.einsum("...mq,...jqp->...jmp", ginv, dg) - np.einsum(

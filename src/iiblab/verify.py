@@ -45,7 +45,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .chern import ChernPackage, relative_endomorphism
+from .chern import ChernPackage, pair_endo_forms, relative_endomorphism
 from .errors import ValenceError, VerificationError
 from .flow import BALANCED_GATE, FORM_WEIGHTED, Trajectory, _anchor_target
 from .forms import n1n1_to_matrix
@@ -199,7 +199,6 @@ def band_covector(grid: TorusGrid, amplitude: float = 0.25) -> np.ndarray:
 def verify_tau_identity(
     grid: TorusGrid,
     g: np.ndarray,
-    volume_constant: complex = 1.0,
     tolerance: float = 1e-8,
     swap_schemes: bool = False,
 ) -> list[ResidualReport]:
@@ -210,7 +209,7 @@ def verify_tau_identity(
     """
     s_lhs, s_rhs = _schemes(swap_schemes)
     oracle = _spatial_oracle(s_lhs, s_rhs)
-    defect = conformally_balanced_defect(grid, g, volume_constant, SPECTRAL)
+    defect = conformally_balanced_defect(grid, g)
     if defect > BALANCED_GATE:
         return [
             _precondition_report(
@@ -222,8 +221,8 @@ def verify_tau_identity(
                 " the identity does not apply",
             )
         ]
-    pkg = ChernPackage(grid, g, s_lhs, volume_constant)
-    log_sq = np.log(volume_norm_sq(g, volume_constant)).astype(complex)
+    pkg = ChernPackage(grid, g, s_lhs)
+    log_sq = np.log(volume_norm_sq(g)).astype(complex)
     dlog = 0.5 * grid.holomorphic_gradient(log_sq, s_rhs)
     return [_report("tau-torsion-trace", pkg.tau - dlog, tolerance, grid, oracle)]
 
@@ -231,8 +230,7 @@ def verify_tau_identity(
 def verify_connection_difference(
     grid: TorusGrid,
     g: np.ndarray,
-    g_ref: np.ndarray,
-    volume_constant: complex = 1.0,
+    g_ref: np.ndarray | None = None,
     tolerance: float = 1e-7,
     swap_schemes: bool = False,
 ) -> list[ResidualReport]:
@@ -243,11 +241,15 @@ def verify_connection_difference(
     endomorphism form ``hinv`` times the reference derivative of ``h``;
     the squared norm computed from the connection difference must match
     the direct contraction of the reference derivative of the metric.
+    The reference metric defaults to the flat one, as in
+    :func:`verify_S_evolution`.
     """
     s_lhs, s_rhs = _schemes(swap_schemes)
-    pkg = ChernPackage(grid, g, s_lhs, volume_constant)
-    ref = ChernPackage(grid, g_ref, s_lhs, volume_constant)
-    ref_fd = ChernPackage(grid, g_ref, s_rhs, volume_constant, validate=False)
+    if g_ref is None:
+        g_ref = flat_metric(grid)
+    pkg = ChernPackage(grid, g, s_lhs)
+    ref = ChernPackage(grid, g_ref, s_lhs)
+    ref_fd = ChernPackage(grid, g_ref, s_rhs, validate=False)
 
     a1 = pkg.connection_difference(ref)
     nb_g = ref_fd.covd(pkg.g, "Ll")
@@ -268,15 +270,7 @@ def verify_connection_difference(
     )
 
     s_direct = pkg.endo_norm_sq(a1)
-    s_from_dg = np.einsum(
-        "...mg,...ub,...la,...mbl,...gua->...",
-        pkg.ginv,
-        pkg.ginv,
-        pkg.ginv,
-        nb_g,
-        np.conj(nb_g),
-        optimize=True,
-    ).real
+    s_from_dg = pair_endo_forms(pkg.ginv, pkg.ginv, pkg.ginv, nb_g, nb_g).real
     rep_s = _report("s-two-path", s_direct - s_from_dg, tolerance, grid, oracle)
     return [rep_a, rep_s]
 
@@ -288,14 +282,13 @@ def _all_lower_curvature(pkg: ChernPackage) -> np.ndarray:
 def verify_bianchi(
     grid: TorusGrid,
     g: np.ndarray,
-    volume_constant: complex = 1.0,
     tolerance: float = 1e-7,
     swap_schemes: bool = False,
 ) -> list[ResidualReport]:
     """All four Bianchi-type identities of the Chern connection."""
     s_lhs, s_rhs = _schemes(swap_schemes)
-    pkg = ChernPackage(grid, g, s_lhs, volume_constant)
-    fd = ChernPackage(grid, g, s_rhs, volume_constant, validate=False)
+    pkg = ChernPackage(grid, g, s_lhs)
+    fd = ChernPackage(grid, g, s_rhs, validate=False)
     oracle = _spatial_oracle(s_lhs, s_rhs)
 
     low = _all_lower_curvature(pkg)
@@ -339,14 +332,13 @@ def verify_commutator_convention(
     grid: TorusGrid,
     g: np.ndarray,
     covector: np.ndarray | None = None,
-    volume_constant: complex = 1.0,
     tolerance: float = 1e-7,
     swap_schemes: bool = False,
 ) -> list[ResidualReport]:
     """Mixed-derivative commutators on a covector and its conjugate."""
     s_lhs, s_rhs = _schemes(swap_schemes)
-    pkg = ChernPackage(grid, g, s_lhs, volume_constant)
-    fd = ChernPackage(grid, g, s_rhs, volume_constant, validate=False)
+    pkg = ChernPackage(grid, g, s_lhs)
+    fd = ChernPackage(grid, g, s_rhs, validate=False)
     oracle = _spatial_oracle(s_lhs, s_rhs)
     if covector is None:
         # Constant default probe: on the flat metric every term of the
@@ -381,13 +373,12 @@ def verify_commutator_convention(
 def verify_quasilinear_ricci(
     grid: TorusGrid,
     g: np.ndarray,
-    volume_constant: complex = 1.0,
     tolerance: float = 1e-7,
     swap_schemes: bool = False,
 ) -> list[ResidualReport]:
     """Second Ricci curvature against its quasilinear decomposition."""
     s_lhs, s_rhs = _schemes(swap_schemes)
-    pkg = ChernPackage(grid, g, s_lhs, volume_constant)
+    pkg = ChernPackage(grid, g, s_lhs)
     oracle = _spatial_oracle(s_lhs, s_rhs)
     dg_u = grid.holomorphic_gradient(pkg.g, s_rhs)
     ddg = grid.holomorphic_gradient(dg_u, s_rhs, barred=True)
@@ -409,9 +400,7 @@ def verify_stationarity(
     grid: TorusGrid,
     g: np.ndarray,
     source_matrix: np.ndarray | None = None,
-    volume_constant: complex = 1.0,
     tolerance: float = 1e-10,
-    scheme: str = SPECTRAL,
 ) -> list[ResidualReport]:
     """Both defects of the stationary system.
 
@@ -419,14 +408,14 @@ def verify_stationarity(
     power is closed and the curvature-form target matches the source;
     the two reports carry one defect each.
     """
-    pkg = ChernPackage(grid, g, scheme, volume_constant)
-    oracle = {"scheme": scheme}
+    pkg = ChernPackage(grid, g)
+    oracle = {"scheme": SPECTRAL}
     _, wn1, target = _anchor_target(pkg, source_matrix)
 
-    u = np.sqrt(volume_norm_sq(g, volume_constant)).astype(complex)
+    u = np.sqrt(volume_norm_sq(g)).astype(complex)
     anchor = wn1 * u
     d_parts = []
-    for part in anchor.exterior_d(scheme):
+    for part in anchor.exterior_d():
         d_parts.extend(part.comps.values())
     if d_parts:
         balanced = _report("stationarity-balanced", d_parts, tolerance, grid, oracle)
@@ -506,9 +495,8 @@ def verify_trh_evolution(
     """Heat-operator identity for the trace of the relative endomorphism."""
     times, states = _weighted_states(trajectory)
     grid = trajectory.grid
-    vc = trajectory.volume_constant
     g_hat = states[0] if reference_metric is None else np.asarray(reference_metric)
-    ref = ChernPackage(grid, g_hat, SPECTRAL, vc)
+    ref = ChernPackage(grid, g_hat)
     phi_field = _source_field(grid, phi)
 
     h_all = [np.einsum("...ma,...an->...mn", ref.ginv, s) for s in states]
@@ -517,7 +505,7 @@ def verify_trh_evolution(
     centers = _centered_windows(times, max_windows)
     residuals = []
     for c, dt in centers:
-        pkg = ChernPackage(grid, states[c], SPECTRAL, vc, validate=False)
+        pkg = ChernPackage(grid, states[c], validate=False)
         d_trh = (trh_all[c + 1] - trh_all[c - 1]) / (2.0 * dt)
         lap = pkg.scalar_laplacian(trh_all[c])
         h = h_all[c]
@@ -559,14 +547,13 @@ def verify_dilaton_evolution(
     """
     times, states = _weighted_states(trajectory)
     grid = trajectory.grid
-    vc = trajectory.volume_constant
     phi_field = _source_field(grid, phi)
-    log_all = [0.5 * np.log(volume_norm_sq(s, vc)) for s in states]
+    log_all = [0.5 * np.log(volume_norm_sq(s)) for s in states]
 
     centers = _centered_windows(times, max_windows)
     res_rate, res_heat = [], []
     for c, dt in centers:
-        pkg = ChernPackage(grid, states[c], SPECTRAL, vc, validate=False)
+        pkg = ChernPackage(grid, states[c], validate=False)
         d_log = (log_all[c + 1] - log_all[c - 1]) / (2.0 * dt)
         source = 0.0
         if phi_field is not None:
@@ -581,31 +568,6 @@ def verify_dilaton_evolution(
         _report("dilaton-evolution-rate", res_rate, tolerance, trajectory.grid, oracle),
         _report("dilaton-evolution-heat", res_heat, tolerance, trajectory.grid, oracle),
     ]
-
-
-def _pair_endo_forms(pkg: ChernPackage, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sesquilinear pairing of endomorphism-valued one-forms (conjugate on y)."""
-    return np.einsum(
-        "...mg,...ub,...la,...mbl,...gua->...",
-        pkg.ginv,
-        pkg.g,
-        pkg.ginv,
-        x,
-        np.conj(y),
-        optimize=True,
-    )
-
-
-def _correction_block(m1, m2, m3, a) -> np.ndarray:
-    return np.einsum(
-        "...mg,...ub,...la,...mbl,...gua->...",
-        m1,
-        m2,
-        m3,
-        a,
-        np.conj(a),
-        optimize=True,
-    )
 
 
 def verify_S_evolution(
@@ -634,9 +596,8 @@ def verify_S_evolution(
     """
     times, states = _weighted_states(trajectory)
     grid = trajectory.grid
-    vc = trajectory.volume_constant
     g_hat = flat_metric(grid) if reference_metric is None else np.asarray(reference_metric)
-    ref = ChernPackage(grid, g_hat, SPECTRAL, vc)
+    ref = ChernPackage(grid, g_hat)
     phi_field = _source_field(grid, phi)
 
     c = len(times) // 2 if center is None else center
@@ -648,7 +609,7 @@ def verify_S_evolution(
     dt = 0.5 * (d1 + d2)
 
     pkgs = {
-        t: ChernPackage(grid, states[t], SPECTRAL, vc, validate=False)
+        t: ChernPackage(grid, states[t], validate=False)
         for t in (c - 1, c, c + 1)
     }
     a_all = {t: pkgs[t].connection_difference(ref) for t in pkgs}
@@ -677,15 +638,16 @@ def verify_S_evolution(
         optimize=True,
     ).real
 
-    pair_block = _pair_endo_forms(pkg, heat_a, a) + _pair_endo_forms(pkg, a, heat_a)
+    metric = (pkg.ginv, pkg.g, pkg.ginv)
+    pair_block = pair_endo_forms(*metric, heat_a, a) + pair_endo_forms(*metric, a, heat_a)
 
     g_dot = (states[c + 1] - states[c - 1]) / (2.0 * dt)
     d_low = g_dot + pkg.second_ricci
     d_up = np.einsum("...mk,...kj,...jg->...mg", pkg.ginv, d_low, pkg.ginv)
     corr = (
-        _correction_block(d_up, pkg.g, pkg.ginv, a)
-        - _correction_block(pkg.ginv, d_low, pkg.ginv, a)
-        + _correction_block(pkg.ginv, pkg.g, d_up, a)
+        pair_endo_forms(d_up, pkg.g, pkg.ginv, a, a)
+        - pair_endo_forms(pkg.ginv, d_low, pkg.ginv, a, a)
+        + pair_endo_forms(pkg.ginv, pkg.g, d_up, a, a)
     )
 
     rhs = -norm_bar - norm_unb + pair_block - corr

@@ -198,13 +198,12 @@ def test_criterion_4_dilaton_monotone_bound(source_free_matrix):
     worst_excess = -np.inf
     worst_margin = np.inf
     for label, grid, traj in source_free_matrix:
-        c = traj.volume_constant
-        n0 = volume_norm(traj.metric_at(0), c)
+        n0 = volume_norm(traj.metric_at(0))
         floor = (n0.min() / n0.max()) ** 2
         det0 = np.linalg.det(traj.metric_at(0))
         for j in range(len(traj.times)):
             g = traj.metric_at(j)
-            excess = volume_norm(g, c).max() - n0.max()
+            excess = volume_norm(g).max() - n0.max()
             det_h = (np.linalg.det(g) / det0).real
             worst_excess = max(worst_excess, excess)
             worst_margin = min(worst_margin, det_h.min() - floor)

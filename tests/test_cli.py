@@ -8,6 +8,7 @@ import pytest
 from iiblab import load_snapshot
 from iiblab.cli import main
 from iiblab.metrics import min_eigenvalue
+from iiblab.runconfig import IDENTITY_NAMES
 
 RES = 8
 
@@ -102,10 +103,9 @@ def test_run_recompute_from_snapshots_matches_stream(tmp_path):
     grid0, _, arrays0, _ = load_snapshot(out / "state-00000000.snap")
     for rec in records:
         path = out / f"state-{rec['step']:08d}.snap"
-        grid, t, arrays, meta = load_snapshot(path)
+        grid, t, arrays, _ = load_snapshot(path)
         redone = compute_diagnostics(
             grid, arrays["metric"], arrays0["metric"], t,
-            volume_constant=complex(*meta["volumeConstant"]),
             test_function=(0.02, 1.0),
         ).to_dict()
         for key, value in redone.items():
@@ -212,6 +212,43 @@ def test_verify_tolerance_zero_fails_with_exit_four(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
     doc = json.loads((out / "reports.json").read_text())
     assert doc["allPass"] is False
+
+
+def test_verify_runs_every_registry_identity(tmp_path):
+    cfg = _flat_cfg(verifySuite=[{"identity": name} for name in IDENTITY_NAMES])
+    config = _write(tmp_path, "all.json", cfg)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", config, "--out", str(out)]) == 0
+    reports = json.loads((out / "reports.json").read_text())["reports"]
+    assert [r["identityName"] for r in reports] == [
+        "bianchi-first", "bianchi-first-conjugate",
+        "bianchi-second", "bianchi-second-conjugate",
+        "commutator-covector", "commutator-covector-barred",
+        "connection-difference", "s-two-path",
+        "quasilinear-second-ricci",
+        "stationarity-balanced", "stationarity-source",
+        "tau-torsion-trace",
+        "dilaton-evolution-rate", "dilaton-evolution-heat",
+        "s-evolution", "s-evolution-connection-rate", "s-evolution-connection-heat",
+        "trh-evolution",
+    ]
+    # every identity holds exactly on flat data
+    assert all(r["maxResidual"] == 0.0 for r in reports)
+
+
+def test_verify_stationarity_receives_the_anchor_source(tmp_path):
+    cfg = _flat_cfg(
+        source={"kind": "psi-constant",
+                "matrix": [[[0.125 if i == j == 0 else 0.0, 0.0] for j in range(3)]
+                           for i in range(3)]},
+        verifySuite=[{"identity": "stationarity"}],
+    )
+    config = _write(tmp_path, "psi.json", cfg)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", config, "--out", str(out)]) == 4
+    reports = json.loads((out / "reports.json").read_text())["reports"]
+    by_name = {r["identityName"]: r for r in reports}
+    assert by_name["stationarity-source"]["maxResidual"] == 0.125
 
 
 def test_verify_requires_suite(tmp_path, capsys):

@@ -21,13 +21,16 @@ from iiblab.flow import (
     STATUS_SINGULARITY,
     induced_weighted_source,
     metric_from_weighted,
+    weighted_dot_from_metric_dot,
     weighted_from_metric,
 )
 from iiblab.metrics import (
     balanced_band_metric,
     fourier_scalar,
+    hermitize,
     kahler_from_potential,
     random_band_metric,
+    volume_norm_sq,
 )
 
 GRID = TorusGrid(3, (0, 1), 8)
@@ -80,6 +83,25 @@ def test_weight_chain_roundtrip():
     w = weighted_from_metric(g)
     back = metric_from_weighted(w)
     assert np.abs(back - g).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_weight_chain_inverts_at_every_dimension(n):
+    grid = TorusGrid(n, (0, 1), 8)
+    # scaled away from det g = 1, so a wrong (n-2) exponent cannot hide
+    g = 2.5 * random_band_metric(grid, seed=n, amplitude=0.2)
+    rng = np.random.default_rng(n)
+    g_dot = hermitize(rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+
+    w = weighted_from_metric(g)
+    assert np.abs(metric_from_weighted(w) - g).max() <= 1e-12 * np.abs(g).max()
+
+    # reference inverse: dg/dt = norm_w^{2/(n-2)} (dw/dt - tr(w^-1 dw/dt)/(n-2) w)
+    w_dot = weighted_dot_from_metric_dot(g, g_dot)
+    factor = volume_norm_sq(w) ** (1.0 / (n - 2))
+    trace = np.einsum("...pa,...ap->...", np.linalg.inv(w), w_dot)
+    back = factor[..., None, None] * (w_dot - (trace[..., None, None] / (n - 2)) * w)
+    assert np.abs(back - g_dot).max() <= 1e-12 * np.abs(g_dot).max()
 
 
 def test_weight_chain_rejects_n2():

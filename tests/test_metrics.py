@@ -45,6 +45,14 @@ def test_balanced_family_is_exactly_balanced():
         assert conformally_balanced_defect(GRID, g) < 1e-12
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_balanced_family_is_balanced_beyond_three_dimensions(n):
+    grid = TorusGrid(n, (0, 1), 32)
+    f = fourier_scalar(grid, [[1, 1, 0.0, -0.15], [1, -1, 0.0, -0.15]])
+    g = balanced_band_metric(grid, f)
+    assert conformally_balanced_defect(grid, g) < 1e-12
+
+
 def test_balanced_family_breaks_off_stretched_coordinate():
     # same profile keyed to an axis of z^2: no longer balanced
     grid = TorusGrid(3, (0, 2), 16)
@@ -56,7 +64,7 @@ def test_balanced_family_breaks_off_stretched_coordinate():
 def test_volume_norm_closed_form():
     f = fourier_scalar(GRID, [[1, 0, 0.2, 0.0]])
     g = balanced_band_metric(GRID, f, stretch=2.0)
-    # det g = 4 exp(4f), so the norm with c = 1 is exp(-2f)/2
+    # det g = 4 exp(4f), so the norm is exp(-2f)/2
     assert np.abs(volume_norm(g) - 0.5 * np.exp(-2 * f)).max() < 1e-13
 
 
