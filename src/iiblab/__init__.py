@@ -24,7 +24,6 @@ from .errors import (
     GridError,
     HermiticityError,
     IIBLabError,
-    NumericalBlowupError,
     PositivityError,
     SingularSystemError,
     SnapshotFormatError,
@@ -40,7 +39,7 @@ from .flow import (
     run_flow,
     weighted_velocity,
 )
-from .diagnostics import DiagnosticsRecord, compute_diagnostics
+from .diagnostics import DiagnosticsBaseline, DiagnosticsRecord, compute_diagnostics
 from .forms import DifferentialForm, wedge, wedge_power
 from .grid import SPECTRAL, TorusGrid
 from .metrics import (

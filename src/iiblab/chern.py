@@ -34,9 +34,11 @@ from .metrics import check_positive, volume_norm_sq
 
 __all__ = [
     "ChernPackage",
+    "inverse_cholesky",
     "pair_endo_forms",
     "relative_endomorphism",
     "relative_eigenvalues",
+    "whiten",
 ]
 
 _LETTERS = string.ascii_lowercase.replace("m", "").replace("p", "")
@@ -153,8 +155,21 @@ class ChernPackage:
 
     @functools.cached_property
     def tau(self) -> np.ndarray:
-        """Torsion trace one-form ``tau[..., i]``."""
-        return np.einsum("...ppi->...i", self.t_up)
+        """Torsion trace one-form ``tau[..., i]``.
+
+        ``tau[i] = sum ginv[p, q] (dg[p, q, i] - dg[i, q, p])``, the trace of
+        :attr:`t_up` taken without forming it.  dg vanishes unless its first
+        index is active, so the first term sums over active p and the second
+        is non-zero only on the active i.
+        """
+        ginv, dg = self._ginv_last, self.grid.to_grid_last(self.dg)
+        ginv_t = np.swapaxes(ginv, 0, 1)
+        out = np.zeros_like(ginv[0])
+        for p in self.grid.active_directions:
+            for q in range(self.grid.n):
+                out += ginv[p, q] * dg[p, q]
+            out[p] -= (ginv_t * dg[p]).sum(axis=(0, 1))
+        return self.grid.to_grid_first(out)
 
     @functools.cached_property
     def ttbar(self) -> np.ndarray:
@@ -283,9 +298,29 @@ class ChernPackage:
 
         Contracts the form slot with the inverse metric and the
         endomorphism slots with the metric pair, conjugating the second
-        factor.
+        factor: ``sum_m sum_{u,c} z_m[u, c] w_m[u, c]`` with
+        ``z_m = g a_m ginv`` and ``w_m = sum_k ginv[m, k] conj(a_k)``.  This
+        is the same pairing as :func:`pair_endo_forms` with
+        ``(ginv, g, ginv)``, computed grid-last over every form slot (a may
+        be non-zero along inactive directions).
         """
-        return pair_endo_forms(self.ginv, self.g, self.ginv, a, a).real
+        n = self.grid.n
+        g, ginv = self._g_last, self._ginv_last
+        a = np.ascontiguousarray(self.grid.to_grid_last(np.asarray(a, dtype=complex)))
+        a_bar = np.conj(a)
+        out = np.zeros_like(g)
+        for m in range(n):
+            y = np.zeros_like(g)
+            for l in range(n):
+                y += a[m, :, l, None] * ginv[l]
+            z = np.zeros_like(g)
+            for b in range(n):
+                z += g[:, b, None] * y[b]
+            w = np.zeros_like(g)
+            for k in range(n):
+                w += ginv[m, k] * a_bar[k]
+            out += z * w
+        return out.sum(axis=(0, 1)).real
 
 
 def pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
@@ -311,14 +346,26 @@ def relative_endomorphism(g_ref: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(g_ref) @ g
 
 
+def inverse_cholesky(g_ref: np.ndarray) -> np.ndarray:
+    """``L^-1`` for the Cholesky factorization ``g_ref = L L^H``."""
+    return np.linalg.inv(np.linalg.cholesky(g_ref))
+
+
+def whiten(inv_chol: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``L^-1 g L^-H`` for ``inv_chol = L^-1`` (see :func:`inverse_cholesky`).
+
+    The result is Hermitian and similar to the relative endomorphism
+    ``g_ref^-1 g``, so it has the same eigenvalues, trace and determinant.
+    """
+    half = np.einsum("...ab,...bc->...ac", inv_chol, g)
+    return np.einsum("...ac,...dc->...ad", half, np.conj(inv_chol))
+
+
 def relative_eigenvalues(g_ref: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Eigenvalues of the metric pencil, ascending along the last axis.
 
-    Uses the Cholesky factor of the reference so the problem stays
-    Hermitian: the eigenvalues of ``L^-1 g L^-H`` equal those of the
-    relative endomorphism but eigvalsh sees an honest Hermitian matrix.
+    Whitens with the Cholesky factor of the reference so the problem stays
+    Hermitian: eigvalsh sees an honest Hermitian matrix with the
+    eigenvalues of the relative endomorphism.
     """
-    L = np.linalg.cholesky(g_ref)
-    half = np.linalg.solve(L, g)
-    full = np.linalg.solve(L, np.conj(np.swapaxes(half, -1, -2)))
-    return np.linalg.eigvalsh(full)
+    return np.linalg.eigvalsh(whiten(inverse_cholesky(g_ref), g))

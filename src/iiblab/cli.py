@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import ConfigError, IIBLabError, NumericalBlowupError, SnapshotFormatError
+from .errors import ConfigError, IIBLabError, SnapshotFormatError
 from .flow import (
     FORM_WEIGHTED,
     STATUS_BLOWUP,
@@ -36,7 +36,7 @@ from .flow import (
     induced_weighted_source,
     run_flow,
 )
-from .diagnostics import compute_diagnostics
+from .diagnostics import DiagnosticsBaseline, compute_diagnostics
 from .runconfig import ResolvedConfig, load_config_file, resolve_config
 from .snapshot import save_snapshot, snapshot_info
 from .verify import EVOLUTION_REGISTRY, SPATIAL_REGISTRY
@@ -163,27 +163,24 @@ def _cmd_run(args) -> int:
     if rc.snapshot_every is not None:
         stride = math.gcd(diag_every, rc.snapshot_every)
 
-    try:
-        trajectory = run_flow(
-            rc.grid,
-            rc.initial_metric,
-            rc.formulation,
-            rc.t_end,
-            control=rc.control,
-            anchor_source=rc.anchor_source,
-            weighted_source=rc.weighted_source,
-            snapshot_every=stride,
-        )
-    except NumericalBlowupError as err:
-        _emit_error(EXIT_BLOWUP, err)
-        return EXIT_BLOWUP
+    trajectory = run_flow(
+        rc.grid,
+        rc.initial_metric,
+        rc.formulation,
+        rc.t_end,
+        control=rc.control,
+        anchor_source=rc.anchor_source,
+        weighted_source=rc.weighted_source,
+        snapshot_every=stride,
+    )
 
     steps = _snapshot_steps(trajectory, stride)
     last = len(steps) - 1
-    # Baseline for the relative-endomorphism diagnostics: the run's own
-    # initial physical metric as the snapshot chain preserves it, so a
-    # recompute from saved files reproduces every record bit for bit.
-    baseline = trajectory.metric_at(0)
+    # Baseline for the relative-endomorphism diagnostics, built once per run
+    # from the run's own initial physical metric as the snapshot chain
+    # preserves it, so a recompute from saved files reproduces every record
+    # bit for bit.
+    baseline = DiagnosticsBaseline(rc.grid, trajectory.metric_at(0))
     diag_path = os.path.join(out, rc.output["diagnostics"])
     with open(diag_path, "w", encoding="utf-8") as fh:
         header = {

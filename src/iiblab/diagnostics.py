@@ -7,6 +7,13 @@ with respect to that fixed baseline.  The connection-magnitude field S
 uses the same baseline as reference connection.  Records are plain
 floats so a stream of them serializes directly to JSON lines.
 
+The baseline is built once per run, as a :class:`DiagnosticsBaseline`
+(its Chern package, with the inverse metric, the connection and the
+volume norm, and the inverse Cholesky factor that whitens each metric
+against it), so a record costs one :class:`ChernPackage` of the current
+metric.  A record given the baseline as a plain array builds it first;
+both calls run the same arithmetic.
+
 The optional blended test function ``log S + epsilon * tr h - a * log
 norm`` is only evaluated when requested.  S vanishes identically at the
 baseline time, so its logarithm is clamped at a tiny floor to keep the
@@ -19,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chern import ChernPackage, relative_eigenvalues
+from .chern import ChernPackage, inverse_cholesky, whiten
 from .grid import TorusGrid
-from .metrics import conformally_balanced_defect, volume_norm
+from .metrics import conformally_balanced_defect
 
-__all__ = ["DiagnosticsRecord", "compute_diagnostics"]
+__all__ = ["DiagnosticsBaseline", "DiagnosticsRecord", "compute_diagnostics"]
 
 _LOG_FLOOR = 1e-300
 
@@ -68,30 +75,47 @@ class DiagnosticsRecord:
         return bool(np.all(np.isfinite(vals)))
 
 
+class DiagnosticsBaseline:
+    """The t = 0 data every record of one run is compared against.
+
+    ``package`` is the :class:`ChernPackage` of the initial physical metric
+    (its inverse, connection and volume norm are cached there) and
+    ``inv_chol`` the inverse of its Cholesky factor.
+    """
+
+    def __init__(self, grid: TorusGrid, g_initial: np.ndarray):
+        self.package = ChernPackage(grid, np.asarray(g_initial, dtype=complex))
+        self.inv_chol = inverse_cholesky(self.package.g)
+
+
 def compute_diagnostics(
     grid: TorusGrid,
     g: np.ndarray,
-    g_initial: np.ndarray,
+    baseline: DiagnosticsBaseline | np.ndarray,
     t: float,
     test_function: tuple[float, float] | None = None,
 ) -> DiagnosticsRecord:
     """Build one record for the physical metric ``g`` at time ``t``.
 
-    ``g_initial`` is the physical metric at t = 0 of the same run and
-    fixes both the endomorphism baseline and the reference connection
-    for S.  ``test_function`` is an optional ``(epsilon, a)`` pair.
+    ``baseline`` is the run's :class:`DiagnosticsBaseline`, or the physical
+    metric at t = 0 of the same run, from which one is built.  It fixes
+    both the endomorphism baseline and the reference connection for S.
+    ``test_function`` is an optional ``(epsilon, a)`` pair.
     """
+    if not isinstance(baseline, DiagnosticsBaseline):
+        baseline = DiagnosticsBaseline(grid, baseline)
+    ref = baseline.package
     pkg = ChernPackage(grid, g)
-    ref = ChernPackage(grid, np.asarray(g_initial, dtype=complex))
 
-    eigs = relative_eigenvalues(g_initial, g)
-    trh = np.einsum("...jk,...kj->...", ref.ginv, pkg.g).real
-    det_h = (np.linalg.det(pkg.g) / np.linalg.det(ref.g)).real
+    h = whiten(baseline.inv_chol, pkg.g)
+    eigs = np.linalg.eigvalsh(h)
+    trh = np.einsum("...jj->...", h).real
+    det_h = ref.norm_sq / pkg.norm_sq
 
     tau = pkg.tau
     tau_sq = np.einsum("...jk,...j,...k->...", pkg.ginv, tau, np.conj(tau)).real
 
-    norm = volume_norm(pkg.g)
+    norm = np.sqrt(pkg.norm_sq)
     s_field = pkg.endo_norm_sq(pkg.connection_difference(ref))
 
     tf_max = None
@@ -115,7 +139,7 @@ def compute_diagnostics(
         trh_min=float(trh.min()),
         trh_max=float(trh.max()),
         det_h_min=float(det_h.min()),
-        balanced_defect=float(conformally_balanced_defect(grid, pkg.g)),
+        balanced_defect=float(conformally_balanced_defect(grid, pkg.g, norm)),
         torsion_sq_max=float(pkg.t_norm_sq.max()),
         test_function_max=tf_max,
     )

@@ -47,10 +47,6 @@ class SingularSystemError(IIBLabError):
     """The pointwise linear solve in the flux-form velocity is unreliable."""
 
 
-class NumericalBlowupError(IIBLabError):
-    """Non-finite values appeared during time integration."""
-
-
 class SnapshotFormatError(IIBLabError):
     """Snapshot file is corrupt or truncated.
 

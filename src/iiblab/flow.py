@@ -52,7 +52,6 @@ from .chern import ChernPackage
 from .errors import (
     ConfigError,
     DegeneracyError,
-    NumericalBlowupError,
     PositivityError,
     SingularSystemError,
 )
@@ -336,6 +335,11 @@ def run_flow(
     Hermitian sigma-matrix, a weighted source a Hermitian matrix.  Giving
     an anchor source to the weighted flow re-derives the equivalent
     matrix source from the current metric at every stage.
+
+    A run that stops early returns its trajectory with the status and
+    ``stop_detail`` set: ``STATUS_SINGULARITY`` at a loss of positivity,
+    ``STATUS_BLOWUP`` on a non-finite state or when ``control.max_steps``
+    steps did not reach ``t_final``.
     """
     if formulation not in (FORM_ANCHOR, FORM_WEIGHTED):
         raise ConfigError(f"unknown formulation '{formulation}'")
@@ -379,9 +383,12 @@ def run_flow(
     t = 0.0
     while t_final - t > 1e-15 * max(1.0, abs(t_final)):
         if traj.steps_taken == control.max_steps:
-            raise NumericalBlowupError(
-                f"flow did not reach t={t_final} within {control.max_steps} steps"
+            traj.status = STATUS_BLOWUP
+            traj.stop_detail = (
+                f"step budget exhausted: {control.max_steps} steps reached"
+                f" t={t:.6g} before t={t_final}"
             )
+            break
         try:
             dt = control.step_size(grid, y, t_final - t)
             y_next = _rk4_step(velocity, y, dt)

@@ -149,10 +149,6 @@ class TorusGrid:
         reshape[pos] = self.resolution
         return np.broadcast_to(t.reshape(reshape), self.shape).copy()
 
-    def mean(self, values: np.ndarray) -> np.ndarray:
-        """Average over the grid nodes (leading axes)."""
-        return values.mean(axis=tuple(range(self.ndim_grid)))
-
     def require_same(self, other: "TorusGrid"):
         if self != other:
             raise GridError(f"mismatched grids: {self} vs {other}")

@@ -228,13 +228,16 @@ def volume_norm(g: np.ndarray) -> np.ndarray:
     return np.sqrt(volume_norm_sq(g))
 
 
-def conformally_balanced_defect(grid: TorusGrid, g: np.ndarray) -> float:
+def conformally_balanced_defect(
+    grid: TorusGrid, g: np.ndarray, norm: np.ndarray | None = None
+) -> float:
     """Max norm of d( ||Omega||_g  omega^{n-1} ) over the grid.
 
     Zero exactly when the metric satisfies the conformally balanced
-    condition the flow preserves.
+    condition the flow preserves.  ``norm`` is ``volume_norm(g)`` when the
+    caller already holds it.
     """
-    u = volume_norm(g)
+    u = volume_norm(g) if norm is None else norm
     omega = matrix_to_one_one(grid, g)
     anchor = wedge_power(omega, grid.n - 1) * u.astype(complex)
     return anchor.exterior_d_max_abs()

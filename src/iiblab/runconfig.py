@@ -20,8 +20,9 @@ import json
 import os
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from .errors import ConfigError, GridError, SnapshotFormatError
 from .flow import FORM_ANCHOR, FORM_WEIGHTED, StepControl
@@ -189,6 +190,10 @@ CONFIG_SCHEMA = {
     },
 }
 
+# Built once: checking CONFIG_SCHEMA against the metaschema on every call
+# cost more than validating a config (tests/test_runconfig.py checks it).
+_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
 _OUTPUT_DEFAULTS = {
     "directory": ".",
     "diagnostics": "diagnostics.jsonl",
@@ -228,9 +233,8 @@ def load_config_file(path) -> dict:
 
 
 def validate_config(raw: dict) -> None:
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
+    err = best_match(_VALIDATOR.iter_errors(raw))
+    if err is not None:
         where = "/".join(str(p) for p in err.absolute_path) or "top level"
         raise ConfigError(f"config invalid at {where}: {err.message}")
 
@@ -244,6 +248,14 @@ def _build_metric(grid: TorusGrid, block: dict) -> np.ndarray:
             f = fourier_scalar(grid, block["fourierTerms"])
         except GridError as err:
             raise ConfigError(f"initialMetric.fourierTerms: {err}")
+        for term in block["fourierTerms"]:
+            off = [axis for k, axis in zip(term, grid.active_axes) if k and axis > 1]
+            if off:
+                raise ConfigError(
+                    f"initialMetric.fourierTerms: term {term} varies along real"
+                    f" axis {off[0]}; the balanced family is conformally balanced"
+                    " only for profiles of real axes 0 and 1"
+                )
         return balanced_band_metric(grid, f, block["stretch"])
     try:
         return random_band_metric(

@@ -40,7 +40,6 @@ variable, so every tensor below is built from that variable directly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -100,9 +99,6 @@ class ResidualReport:
             "status": self.status,
             "detail": self.detail,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _grid_spec(grid: TorusGrid) -> dict:

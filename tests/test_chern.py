@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from iiblab import ChernPackage, PositivityError, TorusGrid, flat_metric, random_band_metric
-from iiblab.chern import relative_eigenvalues, relative_endomorphism
+from iiblab.chern import pair_endo_forms, relative_eigenvalues, relative_endomorphism
 from iiblab.errors import ValenceError
 from iiblab.metrics import kahler_from_potential
 
@@ -173,3 +173,24 @@ def test_ttbar_matches_einsum(packages):
             t_low, np.conj(t_low), pkg.ginv, pkg.ginv, optimize=True,
         )
         assert _close(pkg.ttbar, want)
+
+
+def test_tau_matches_einsum(packages):
+    for pkg in packages:
+        assert _close(pkg.tau, np.einsum("...ppi->...i", pkg.t_up))
+
+
+def test_endo_norm_sq_matches_einsum(packages):
+    rng = np.random.default_rng(5)
+    for pkg in packages:
+        n = pkg.grid.n
+        # every geometry above has inactive directions; a generic form is
+        # non-zero on their slots, which the pairing must not skip
+        shape = pkg.grid.shape + (n, n, n)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = pair_endo_forms(pkg.ginv, pkg.g, pkg.ginv, a, a).real
+        assert _close(pkg.endo_norm_sq(a), want)
+        ref = ChernPackage(pkg.grid, random_band_metric(pkg.grid, seed=4), pkg.scheme)
+        diff = pkg.connection_difference(ref)
+        want = pair_endo_forms(pkg.ginv, pkg.g, pkg.ginv, diff, diff).real
+        assert _close(pkg.endo_norm_sq(diff), want)

@@ -139,13 +139,30 @@ def test_run_singularity_exit_and_last_state(tmp_path, capsys):
 
 def test_run_budget_exhaustion_is_blowup_exit(tmp_path, capsys):
     cfg = _flat_cfg()
-    cfg["control"] = {"tEnd": 1.0, "dt": 1e-3, "maxSteps": 5}
+    cfg["control"] = {"tEnd": 1.0, "dt": 1e-3, "maxSteps": 5, "diagnosticsEvery": 2}
     config = _write(tmp_path, "budget.json", cfg)
-    code = main(["run", "--config", config, "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = main(["run", "--config", config, "--out", str(out)])
     assert code == 3
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"]["code"] == 3
-    assert err["error"]["type"] == "NumericalBlowupError"
+    assert "status=blowup steps=5" in capsys.readouterr().out
+
+    # the stop writes what a clean run writes: records, status, final state
+    lines = _read_jsonl(out / "diagnostics.jsonl")
+    assert lines[0]["kind"] == "header"
+    assert [l["step"] for l in lines if l["kind"] == "diagnostics"] == [0, 2, 4, 5]
+    status = lines[-1]
+    assert status["kind"] == "status"
+    assert status["status"] == "blowup"
+    assert status["stepsTaken"] == 5
+    assert status["tFinal"] == pytest.approx(5e-3)
+    assert "step budget" in status["detail"]
+
+    snaps = sorted(out.glob("state-*.snap"))
+    assert [s.name for s in snaps] == ["state-00000005.snap"]
+    _, t, arrays, meta = load_snapshot(snaps[0])
+    assert t == pytest.approx(5e-3)
+    assert meta["status"] == "blowup"
+    assert np.array_equal(arrays["metric"], np.broadcast_to(np.eye(3), (RES, RES, 3, 3)))
 
 
 def test_config_errors_exit_one_with_json(tmp_path, capsys):
@@ -160,6 +177,15 @@ def test_config_errors_exit_one_with_json(tmp_path, capsys):
     config = _write(tmp_path, "n2.json", cfg)
     assert main(["run", "--config", config]) == 1
     assert "degenerate" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+    # a balanced-family profile along real axis 2 is off the balanced locus
+    cfg = _flat_cfg(initialMetric={"family": "balanced-family",
+                                   "fourierTerms": [[1, 1, 0.0, -0.15]]})
+    cfg["geometry"]["activeAxes"] = [0, 2]
+    config = _write(tmp_path, "off.json", cfg)
+    assert main(["run", "--config", config, "--out", str(tmp_path / "off")]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError" and "real axis 2" in err["message"]
 
 
 def test_verify_passes_on_balanced_family(tmp_path, capsys):

@@ -3,8 +3,22 @@
 import numpy as np
 import pytest
 
-from iiblab import DiagnosticsRecord, TorusGrid, compute_diagnostics, flat_metric
-from iiblab.metrics import balanced_band_metric, fourier_scalar
+from iiblab import (
+    ChernPackage,
+    DiagnosticsBaseline,
+    DiagnosticsRecord,
+    TorusGrid,
+    compute_diagnostics,
+    flat_metric,
+    random_band_metric,
+)
+from iiblab.chern import pair_endo_forms
+from iiblab.metrics import (
+    balanced_band_metric,
+    conformally_balanced_defect,
+    fourier_scalar,
+    volume_norm,
+)
 
 GRID = TorusGrid(3, (0, 1), 8)
 
@@ -96,3 +110,72 @@ def test_record_is_plain_dataclass():
         balanced_defect=0.0, torsion_sq_max=0.0,
     )
     assert not bad.is_finite()
+
+
+# -- the record against its formulas with a baseline rebuilt every time -------
+
+
+def _reference_record(grid, g, g_initial, t, test_function):
+    """Every field from its textbook formula: two packages, the pencil
+    solves, the trace of the raised torsion and the einsum pairing for S."""
+    pkg = ChernPackage(grid, g)
+    ref = ChernPackage(grid, g_initial)
+
+    L = np.linalg.cholesky(g_initial)
+    half = np.linalg.solve(L, g)
+    eigs = np.linalg.eigvalsh(np.linalg.solve(L, np.conj(np.swapaxes(half, -1, -2))))
+    trh = np.einsum("...jk,...kj->...", ref.ginv, pkg.g).real
+    det_h = (np.linalg.det(pkg.g) / np.linalg.det(ref.g)).real
+
+    tau = np.einsum("...ppi->...i", pkg.t_up)
+    tau_sq = np.einsum("...jk,...j,...k->...", pkg.ginv, tau, np.conj(tau)).real
+
+    norm = volume_norm(pkg.g)
+    a = pkg.gamma - ref.gamma
+    s_field = pair_endo_forms(pkg.ginv, pkg.g, pkg.ginv, a, a).real
+    eps, weight = test_function
+    blended = np.log(np.maximum(s_field, 1e-300)) + eps * trh - weight * np.log(norm)
+    return {
+        "t": t,
+        "hEigMin": eigs.min(),
+        "hEigMax": eigs.max(),
+        "tauMax": np.sqrt(max(tau_sq.max(), 0.0)),
+        "normMax": norm.max(),
+        "normMin": norm.min(),
+        "sMax": s_field.max(),
+        "trhMin": trh.min(),
+        "trhMax": trh.max(),
+        "detHMin": det_h.min(),
+        "balancedDefect": conformally_balanced_defect(grid, pkg.g),
+        "torsionSqMax": pkg.t_norm_sq.max(),
+        "testFunctionMax": blended.max(),
+    }
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(n, axes) for n in (3, 4) for axes in ((0, 1), (0, 2), (0, 1, 2, 3))],
+    ids=lambda p: f"n{p[0]}-axes{''.join(map(str, p[1]))}",
+)
+def random_pair(request):
+    n, axes = request.param
+    grid = TorusGrid(n, axes, 16 if len(axes) == 2 else 8)
+    return grid, random_band_metric(grid, seed=2), random_band_metric(grid, seed=1)
+
+
+def test_record_matches_reference_formulas(random_pair):
+    grid, g, g0 = random_pair
+    want = _reference_record(grid, g, g0, 0.25, (0.02, 1.0))
+    got = compute_diagnostics(grid, g, g0, 0.25, test_function=(0.02, 1.0)).to_dict()
+    assert set(got) == set(want)
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+
+def test_prebuilt_baseline_is_bit_exact(random_pair):
+    grid, g, g0 = random_pair
+    baseline = DiagnosticsBaseline(grid, g0)
+    for metric in (g, g0):
+        from_array = compute_diagnostics(grid, metric, g0, 0.5, test_function=(0.02, 1.0))
+        prebuilt = compute_diagnostics(grid, metric, baseline, 0.5, test_function=(0.02, 1.0))
+        assert prebuilt == from_array

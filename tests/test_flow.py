@@ -15,8 +15,9 @@ from iiblab import (
     run_flow,
     weighted_velocity,
 )
-from iiblab.errors import DegeneracyError, NumericalBlowupError
+from iiblab.errors import DegeneracyError
 from iiblab.flow import (
+    STATUS_BLOWUP,
     STATUS_COMPLETED,
     STATUS_SINGULARITY,
     induced_weighted_source,
@@ -155,9 +156,15 @@ def test_step_budget_counts_the_last_step():
                     StepControl(dt=1e-5, max_steps=5))
     assert traj.status == STATUS_COMPLETED
     assert traj.steps_taken == 5
-    with pytest.raises(NumericalBlowupError):
-        run_flow(GRID, _balanced(), FORM_WEIGHTED, 5e-5,
-                 StepControl(dt=1e-5, max_steps=4))
+    short = run_flow(GRID, _balanced(), FORM_WEIGHTED, 5e-5,
+                     StepControl(dt=1e-5, max_steps=4))
+    assert short.status == STATUS_BLOWUP
+    assert "step budget" in short.stop_detail
+    assert short.steps_taken == 4
+    # the budget stop keeps every state it computed, the last one included
+    assert short.times == pytest.approx([0.0, 1e-5, 2e-5, 3e-5, 4e-5])
+    for a, b in zip(short.snapshots, traj.snapshots):
+        assert np.array_equal(a, b)
 
 
 def test_singularity_stop_keeps_last_positive_state():

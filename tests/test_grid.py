@@ -98,11 +98,6 @@ def test_gradient_axis_insertion_order(grid):
     assert np.abs(grad[..., 1, 0, 0]).max() < 1e-12
 
 
-def test_mean_is_node_average(grid):
-    f = 2.5 + np.sin(2 * np.pi * grid.coordinate(0))
-    assert grid.mean(f) == pytest.approx(2.5)
-
-
 def test_top_band_fraction_flags_rough_fields(grid):
     smooth = np.sin(2 * np.pi * grid.coordinate(0))
     rng = np.random.default_rng(0)

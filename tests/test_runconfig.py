@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
 
-from iiblab import ConfigError, load_config_file, resolve_config, save_snapshot
+from iiblab import CONFIG_SCHEMA, ConfigError, load_config_file, resolve_config, save_snapshot
 from iiblab.grid import TorusGrid
 from iiblab.metrics import balanced_band_metric, fourier_scalar
 
@@ -91,6 +92,25 @@ def test_balanced_family_matches_direct_construction():
         "family": "balanced-family", "fourierTerms": terms,
     }))
     assert rc2.resolved["initialMetric"]["stretch"] == 1.0
+
+
+def test_balanced_family_rejects_profiles_off_axes_zero_and_one():
+    geometry = {"n": 3, "activeAxes": [0, 2], "resolution": 8}
+    off = _base(geometry=geometry, initialMetric={
+        "family": "balanced-family", "fourierTerms": [[1, 1, 0.0, -0.15]],
+    })
+    with pytest.raises(ConfigError, match="real axis 2"):
+        resolve_config(off)
+    # a zero wave number on axis 2 keeps the profile on the balanced locus
+    on = _base(geometry=geometry, initialMetric={
+        "family": "balanced-family", "fourierTerms": [[1, 0, 0.0, -0.15]],
+    })
+    assert resolve_config(on).grid.active_axes == (0, 2)
+
+
+def test_config_schema_is_valid_json_schema():
+    # validate_config uses a validator built once, without this check
+    Draft202012Validator.check_schema(CONFIG_SCHEMA)
 
 
 def test_random_family_defaults_and_seed_override():

@@ -203,7 +203,8 @@ def test_source_enters_evolution_identities():
 
 def test_report_serialization_contract():
     rep = verify_bianchi(GRID, random_band_metric(GRID, seed=16))[0]
-    data = json.loads(rep.to_json())
+    # reports.json holds exactly to_dict(); it must survive a JSON round trip
+    data = json.loads(json.dumps(rep.to_dict()))
     assert set(data) == {
         "identityName", "maxResidual", "meanResidual", "tolerance",
         "gridSpec", "oracleSpec", "pass", "status", "detail",
