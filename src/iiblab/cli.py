@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import ConfigError, IIBLabError, SnapshotFormatError
+from .errors import ConfigError, IIBLabError
 from .flow import (
     FORM_WEIGHTED,
     STATUS_BLOWUP,
@@ -138,17 +138,6 @@ def _write_reports(path: str, rc: ResolvedConfig, reports: list) -> bool:
     return all_pass
 
 
-def _snapshot_steps(trajectory, stride: int) -> list[int]:
-    """Map stored snapshot indices to step numbers.
-
-    Snapshots are recorded every ``stride`` steps plus a possibly
-    off-cadence final state, so the step number is ``index * stride``
-    clamped by the total step count.
-    """
-    total = trajectory.steps_taken
-    return [min(j * stride, total) for j in range(len(trajectory.times))]
-
-
 def _cmd_run(args) -> int:
     rc = resolve_config(
         load_config_file(args.config),
@@ -174,13 +163,7 @@ def _cmd_run(args) -> int:
         snapshot_every=stride,
     )
 
-    steps = _snapshot_steps(trajectory, stride)
-    last = len(steps) - 1
-    # Baseline for the relative-endomorphism diagnostics, built once per run
-    # from the run's own initial physical metric as the snapshot chain
-    # preserves it, so a recompute from saved files reproduces every record
-    # bit for bit.
-    baseline = DiagnosticsBaseline(rc.grid, trajectory.metric_at(0))
+    last = len(trajectory.steps) - 1
     diag_path = os.path.join(out, rc.output["diagnostics"])
     with open(diag_path, "w", encoding="utf-8") as fh:
         header = {
@@ -189,19 +172,40 @@ def _cmd_run(args) -> int:
             "config": rc.resolved,
         }
         fh.write(json.dumps(header) + "\n")
-        for j, step in enumerate(steps):
-            if step % diag_every and j != last:
-                continue
-            record = compute_diagnostics(
-                rc.grid,
-                trajectory.metric_at(j),
-                baseline,
-                trajectory.times[j],
-                test_function=rc.test_function,
+        for j, step in enumerate(trajectory.steps):
+            record = j == last or step % diag_every == 0
+            snap = j == last or (
+                rc.snapshot_every is not None and step % rc.snapshot_every == 0
             )
-            line = {"kind": "diagnostics", "step": step}
-            line.update(record.to_dict())
-            fh.write(json.dumps(line) + "\n")
+            if not (record or snap):
+                continue
+            g = trajectory.metric_at(j)
+            if j == 0:
+                # Baseline for the relative-endomorphism diagnostics, built once
+                # per run from the run's own initial physical metric as the
+                # snapshot chain preserves it, so a recompute from saved files
+                # reproduces every record bit for bit.
+                baseline = DiagnosticsBaseline(rc.grid, g)
+            if record:
+                line = {"kind": "diagnostics", "step": step}
+                line.update(compute_diagnostics(
+                    rc.grid, g, baseline, trajectory.times[j],
+                    test_function=rc.test_function,
+                ).to_dict())
+                fh.write(json.dumps(line) + "\n")
+            if snap:
+                name = f"{rc.output['snapshotPrefix']}-{step:08d}.snap"
+                save_snapshot(
+                    os.path.join(out, name),
+                    rc.grid,
+                    trajectory.times[j],
+                    {"metric": g},
+                    meta={
+                        "formulation": rc.formulation,
+                        "step": step,
+                        "status": trajectory.status if j == last else "running",
+                    },
+                )
         status = {
             "kind": "status",
             "status": trajectory.status,
@@ -211,25 +215,6 @@ def _cmd_run(args) -> int:
         if trajectory.stop_detail:
             status["detail"] = trajectory.stop_detail
         fh.write(json.dumps(status) + "\n")
-
-    for j, step in enumerate(steps):
-        keep = j == last
-        if rc.snapshot_every is not None and step % rc.snapshot_every == 0:
-            keep = True
-        if not keep:
-            continue
-        name = f"{rc.output['snapshotPrefix']}-{step:08d}.snap"
-        save_snapshot(
-            os.path.join(out, name),
-            rc.grid,
-            trajectory.times[j],
-            {"metric": trajectory.metric_at(j)},
-            meta={
-                "formulation": rc.formulation,
-                "step": step,
-                "status": trajectory.status if j == last else "running",
-            },
-        )
 
     suite_pass = True
     if rc.verify_suite:
@@ -305,13 +290,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        return _emit_error(EXIT_CONFIG, err)
-    except SnapshotFormatError as err:
-        return _emit_error(EXIT_CONFIG, err)
-    except OSError as err:
-        return _emit_error(EXIT_CONFIG, err)
-    except IIBLabError as err:
+    except (IIBLabError, OSError) as err:
         return _emit_error(EXIT_CONFIG, err)
 
 

@@ -11,8 +11,7 @@ The baseline is built once per run, as a :class:`DiagnosticsBaseline`
 (its Chern package, with the inverse metric, the connection and the
 volume norm, and the inverse Cholesky factor that whitens each metric
 against it), so a record costs one :class:`ChernPackage` of the current
-metric.  A record given the baseline as a plain array builds it first;
-both calls run the same arithmetic.
+metric.
 
 The optional blended test function ``log S + epsilon * tr h - a * log
 norm`` is only evaluated when requested.  S vanishes identically at the
@@ -91,19 +90,16 @@ class DiagnosticsBaseline:
 def compute_diagnostics(
     grid: TorusGrid,
     g: np.ndarray,
-    baseline: DiagnosticsBaseline | np.ndarray,
+    baseline: DiagnosticsBaseline,
     t: float,
     test_function: tuple[float, float] | None = None,
 ) -> DiagnosticsRecord:
     """Build one record for the physical metric ``g`` at time ``t``.
 
-    ``baseline`` is the run's :class:`DiagnosticsBaseline`, or the physical
-    metric at t = 0 of the same run, from which one is built.  It fixes
-    both the endomorphism baseline and the reference connection for S.
+    ``baseline`` is the run's :class:`DiagnosticsBaseline`; it fixes both
+    the endomorphism baseline and the reference connection for S.
     ``test_function`` is an optional ``(epsilon, a)`` pair.
     """
-    if not isinstance(baseline, DiagnosticsBaseline):
-        baseline = DiagnosticsBaseline(grid, baseline)
     ref = baseline.package
     pkg = ChernPackage(grid, g)
 

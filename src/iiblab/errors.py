@@ -59,4 +59,9 @@ class SnapshotFormatError(IIBLabError):
 
 
 class VerificationError(IIBLabError):
-    """A verification suite reported at least one failing identity."""
+    """A trajectory cannot support an evolution identity check.
+
+    Raised when it is not a weighted-formulation run, holds fewer than
+    three stored states, or is not uniformly spaced in time where the
+    check takes its centered time derivative.
+    """

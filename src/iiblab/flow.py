@@ -100,6 +100,7 @@ STATUS_SINGULARITY = "singularity-stop"
 STATUS_BLOWUP = "blowup"
 
 BALANCED_GATE = 1e-8
+POSITIVITY_FLOOR = 1e-8  # smallest eigenvalue an accepted step may leave
 SOLVE_RESIDUAL_GATE = 1e-10
 
 
@@ -165,7 +166,7 @@ def _anchor_target(
     omega = matrix_to_one_one(grid, pkg.g)
     wn2 = wedge_power(omega, grid.n - 2)
     wn1 = wedge(wn2, omega)
-    target = wn2.delbar(pkg.scheme).del_(pkg.scheme) * 1j
+    target = wn2.delbar().del_() * 1j
     if source_matrix is not None:
         target = target - matrix_to_n1n1(grid, np.broadcast_to(
             np.asarray(source_matrix, dtype=complex), grid.shape + (grid.n, grid.n)
@@ -276,7 +277,6 @@ class StepControl:
     dt: float | None = None
     cfl: float = 0.2
     max_steps: int = 200_000
-    positivity_floor: float = 1e-8
 
     def step_size(self, grid: TorusGrid, state: np.ndarray, remaining: float) -> float:
         if self.dt is not None:
@@ -289,11 +289,16 @@ class StepControl:
 
 @dataclass
 class Trajectory:
-    """Recorded flow run: native snapshots plus conversion helpers."""
+    """Recorded flow run: native snapshots plus conversion helpers.
+
+    ``times[i]``, ``steps[i]`` and ``snapshots[i]`` are the time, the step
+    number and the state of the i-th kept state.
+    """
 
     grid: TorusGrid
     formulation: str
     times: list[float] = dc_field(default_factory=list)
+    steps: list[int] = dc_field(default_factory=list)
     snapshots: list[np.ndarray] = dc_field(default_factory=list)
     status: str = STATUS_COMPLETED
     off_manifold: bool = False
@@ -332,9 +337,10 @@ def run_flow(
     balanced (the evolution is only defined on that locus); the weighted
     formulation accepts any positive metric but labels the run
     off-manifold.  Sources are static fields: an anchor source is a
-    Hermitian sigma-matrix, a weighted source a Hermitian matrix.  Giving
-    an anchor source to the weighted flow re-derives the equivalent
-    matrix source from the current metric at every stage.
+    Hermitian sigma-matrix, a weighted source a Hermitian matrix.  Given
+    an anchor source, the weighted flow takes at every stage the anchor
+    velocity of the current metric with that source, pushed through the
+    weight chain.
 
     A run that stops early returns its trajectory with the status and
     ``stop_detail`` set: ``STATUS_SINGULARITY`` at a loss of positivity,
@@ -370,15 +376,20 @@ def run_flow(
 
         def velocity(state: np.ndarray) -> np.ndarray:
             state = hermitize(state)
-            src = weighted_source
-            if anchor_source is not None:
-                g_now = metric_from_weighted(state)
-                src = induced_weighted_source(grid, g_now, anchor_source)
-            return weighted_velocity(grid, state, src)
+            if anchor_source is None:
+                return weighted_velocity(grid, state, weighted_source)
+            g_now = metric_from_weighted(state)
+            g_dot = anchor_velocity(ChernPackage(grid, g_now), anchor_source)
+            return weighted_dot_from_metric_dot(g_now, g_dot)
 
     traj = Trajectory(grid=grid, formulation=formulation, off_manifold=off_manifold)
-    traj.times.append(0.0)
-    traj.snapshots.append(y.copy())
+
+    def keep(t: float) -> None:
+        traj.times.append(t)
+        traj.steps.append(traj.steps_taken)
+        traj.snapshots.append(y.copy())
+
+    keep(0.0)
 
     t = 0.0
     while t_final - t > 1e-15 * max(1.0, abs(t_final)):
@@ -405,7 +416,7 @@ def run_flow(
             traj.status = STATUS_BLOWUP
             traj.stop_detail = "non-finite state"
             break
-        if not is_positive(y_next, control.positivity_floor):
+        if not is_positive(y_next, POSITIVITY_FLOOR):
             traj.status = STATUS_SINGULARITY
             traj.stop_detail = (
                 f"min eigenvalue {min_eigenvalue(y_next):.3e} at t={t + dt:.6g}"
@@ -416,13 +427,11 @@ def run_flow(
         t += dt
         traj.steps_taken += 1
         if traj.steps_taken % snapshot_every == 0:
-            traj.times.append(t)
-            traj.snapshots.append(y.copy())
+            keep(t)
 
     if traj.times[-1] != t:
         # Record the final accepted state even on an abnormal stop: y is only
         # ever advanced after the positivity check, so this is always the last
         # positive-definite state.
-        traj.times.append(t)
-        traj.snapshots.append(y.copy())
+        keep(t)
     return traj

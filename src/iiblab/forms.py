@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import DegreeError, GridError
-from .grid import SPECTRAL, TorusGrid
+from .grid import TorusGrid
 
 __all__ = [
     "DifferentialForm",
@@ -169,8 +169,8 @@ class DifferentialForm:
 
     # -- derivatives --------------------------------------------------------
 
-    def _derivatives(self, scheme: str, holomorphic: bool, antiholomorphic: bool):
-        """del and/or delbar, sharing one transform per component.
+    def _derivatives(self, holomorphic: bool, antiholomorphic: bool):
+        """Spectral del and/or delbar, sharing one transform per component.
 
         Returns the (p+1,q) and (p,q+1) forms, None for the one not asked for.
         """
@@ -184,7 +184,7 @@ class DifferentialForm:
                 requests += [(j, False) for j in range(n) if j not in J]
             if antiholomorphic:
                 requests += [(k, True) for k in range(n) if k not in K]
-            for (j, barred), dv in zip(requests, self.grid.derivatives(v, requests, scheme)):
+            for (j, barred), dv in zip(requests, self.grid.derivatives(v, requests)):
                 if dv is None:
                     continue
                 if barred:
@@ -195,20 +195,20 @@ class DifferentialForm:
                     d._accumulate((merged, K), sign * dv)
         return d, dbar
 
-    def del_(self, scheme: str = SPECTRAL) -> "DifferentialForm":
+    def del_(self) -> "DifferentialForm":
         """Holomorphic exterior derivative (p,q) -> (p+1,q)."""
-        return self._derivatives(scheme, True, False)[0]
+        return self._derivatives(True, False)[0]
 
-    def delbar(self, scheme: str = SPECTRAL) -> "DifferentialForm":
+    def delbar(self) -> "DifferentialForm":
         """Anti-holomorphic exterior derivative (p,q) -> (p,q+1)."""
-        return self._derivatives(scheme, False, True)[1]
+        return self._derivatives(False, True)[1]
 
-    def exterior_d(self, scheme: str = SPECTRAL):
+    def exterior_d(self):
         """Full exterior derivative, returned as the (del, delbar) pair."""
-        return self._derivatives(scheme, True, True)
+        return self._derivatives(True, True)
 
-    def exterior_d_max_abs(self, scheme: str = SPECTRAL) -> float:
-        d1, d2 = self.exterior_d(scheme)
+    def exterior_d_max_abs(self) -> float:
+        d1, d2 = self.exterior_d()
         return max(d1.max_abs(), d2.max_abs())
 
 

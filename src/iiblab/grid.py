@@ -262,24 +262,6 @@ class TorusGrid:
             for (j, barred), ok in zip(requests, live)
         ]
 
-    def _derivative(self, values: np.ndarray, j: int, barred: bool, scheme: str):
-        (d,) = self.derivatives(self.to_grid_last(values), [(j, barred)], scheme)
-        if d is None:
-            return np.zeros(values.shape, dtype=complex)
-        return self.to_grid_first(d)
-
-    def complex_derivative(
-        self, values: np.ndarray, j: int, scheme: str = SPECTRAL
-    ) -> np.ndarray:
-        """Holomorphic derivative d/dz^j (j zero-based)."""
-        return self._derivative(values, j, False, scheme)
-
-    def complex_derivative_bar(
-        self, values: np.ndarray, j: int, scheme: str = SPECTRAL
-    ) -> np.ndarray:
-        """Anti-holomorphic derivative d/dzbar^j (j zero-based)."""
-        return self._derivative(values, j, True, scheme)
-
     def holomorphic_gradient(
         self, values: np.ndarray, scheme: str = SPECTRAL, barred: bool = False
     ) -> np.ndarray:

@@ -43,7 +43,6 @@ __all__ = [
     "volume_norm_sq",
     "volume_norm",
     "conformally_balanced_defect",
-    "torsion_trace_defect",
 ]
 
 HERMITICITY_TOLERANCE = 1e-12
@@ -73,8 +72,8 @@ def is_positive(g: np.ndarray, floor: float = 0.0) -> bool:
     return True
 
 
-def check_positive(g: np.ndarray, floor: float = 0.0) -> None:
-    """Validate Hermiticity and positivity above ``floor``.
+def check_positive(g: np.ndarray) -> None:
+    """Validate Hermiticity and positive definiteness.
 
     Positivity is decided by a Cholesky factorization; the eigenvalues are
     computed only on failure, for the error message.
@@ -82,7 +81,7 @@ def check_positive(g: np.ndarray, floor: float = 0.0) -> None:
     defect = hermiticity_defect(g)
     if defect > HERMITICITY_TOLERANCE:
         raise HermiticityError(f"matrix field deviates from Hermitian by {defect:.3e}")
-    if is_positive(g, floor):
+    if is_positive(g):
         return
     low = min_eigenvalue(g)
     raise PositivityError(
@@ -146,14 +145,9 @@ def balanced_band_metric(grid: TorusGrid, f: np.ndarray, stretch: float = 1.0) -
 
 def kahler_from_potential(grid: TorusGrid, phi: np.ndarray) -> np.ndarray:
     """Metric ``g[kbar,j] = delta + d_j d_kbar phi`` from a real potential."""
-    n = grid.n
-    g = flat_metric(grid)
-    phi_c = np.asarray(phi, dtype=complex)
-    for k in range(n):
-        row = grid.holomorphic_gradient(grid.complex_derivative_bar(phi_c, k))
-        for j in range(n):
-            g[..., k, j] = g[..., k, j] + row[..., j]
-    return hermitize(g)
+    grad_bar = grid.holomorphic_gradient(np.asarray(phi, dtype=complex), barred=True)
+    hess = grid.holomorphic_gradient(grad_bar)  # hess[..., j, k] = d_j d_kbar phi
+    return hermitize(flat_metric(grid) + np.swapaxes(hess, -1, -2))
 
 
 def random_band_metric(
@@ -241,24 +235,3 @@ def conformally_balanced_defect(
     omega = matrix_to_one_one(grid, g)
     anchor = wedge_power(omega, grid.n - 1) * u.astype(complex)
     return anchor.exterior_d_max_abs()
-
-
-def torsion_trace_defect(grid: TorusGrid, g: np.ndarray):
-    """Max norm of tau_j - d_j log ||Omega||_g over grid and directions.
-
-    The conformally balanced condition forces the torsion trace to equal
-    the holomorphic gradient of the dilaton; this measures that equality
-    directly from first derivatives of the metric.
-    """
-    n = grid.n
-    ginv = np.linalg.inv(g)
-    dlog = grid.holomorphic_gradient(np.log(volume_norm_sq(g)).astype(complex)) * 0.5
-
-    dg = np.stack([grid.complex_derivative(g, j) for j in range(n)], axis=g.ndim - 2)
-    # tau_i = T^p_{p i} with T^m_{jp} = g^{m qbar}(d_j g_{qbar p} - d_p g_{qbar j});
-    # dg[..., j, q, p] holds d_j g_{qbar p}
-    t_up = np.einsum("...mq,...jqp->...jmp", ginv, dg) - np.einsum(
-        "...mq,...pqj->...jmp", ginv, dg
-    )
-    tau = np.einsum("...ppi->...i", t_up)
-    return float(np.abs(tau - dlog).max())

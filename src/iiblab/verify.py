@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 ORACLE_SCHEME = "fd8"
+CONNECTION_RATE_TOLERANCE = 1e-6
 
 STATUS_OK = "ok"
 STATUS_PRECONDITION = "precondition-failed"
@@ -154,20 +155,14 @@ def _precondition_report(name, tolerance, grid, oracle, detail) -> ResidualRepor
     )
 
 
-def _schemes(swap: bool) -> tuple[str, str]:
-    return (ORACLE_SCHEME, SPECTRAL) if swap else (SPECTRAL, ORACLE_SCHEME)
-
-
-def _spatial_oracle(lhs: str, rhs: str, **extra) -> dict:
-    spec = {"lhsScheme": lhs, "rhsScheme": rhs}
-    spec.update(extra)
-    return spec
+def _spatial_oracle() -> dict:
+    return {"lhsScheme": SPECTRAL, "rhsScheme": ORACLE_SCHEME}
 
 
 # -- deterministic auxiliary field ---------------------------------------------
 
 
-def band_covector(grid: TorusGrid, amplitude: float = 0.25) -> np.ndarray:
+def band_covector(grid: TorusGrid) -> np.ndarray:
     """Fixed band-limited covector field for probing the commutator check.
 
     Deterministic on purpose: the commutator residual should be
@@ -176,6 +171,7 @@ def band_covector(grid: TorusGrid, amplitude: float = 0.25) -> np.ndarray:
     is constant so that flat data stays bit-exactly zero.
     """
     m = grid.ndim_grid
+    amplitude = 0.25
     comps = []
     for i in range(grid.n):
         axis = i % m
@@ -196,15 +192,13 @@ def verify_tau_identity(
     grid: TorusGrid,
     g: np.ndarray,
     tolerance: float = 1e-8,
-    swap_schemes: bool = False,
 ) -> list[ResidualReport]:
     """Torsion trace against the gradient of the volume-form norm.
 
     Applies only to conformally balanced metrics; anything else gets a
     precondition-failed report carrying the measured defect.
     """
-    s_lhs, s_rhs = _schemes(swap_schemes)
-    oracle = _spatial_oracle(s_lhs, s_rhs)
+    oracle = _spatial_oracle()
     defect = conformally_balanced_defect(grid, g)
     if defect > BALANCED_GATE:
         return [
@@ -217,18 +211,16 @@ def verify_tau_identity(
                 " the identity does not apply",
             )
         ]
-    pkg = ChernPackage(grid, g, s_lhs)
+    pkg = ChernPackage(grid, g)
     log_sq = np.log(volume_norm_sq(g)).astype(complex)
-    dlog = 0.5 * grid.holomorphic_gradient(log_sq, s_rhs)
+    dlog = 0.5 * grid.holomorphic_gradient(log_sq, ORACLE_SCHEME)
     return [_report("tau-torsion-trace", pkg.tau - dlog, tolerance, grid, oracle)]
 
 
 def verify_connection_difference(
     grid: TorusGrid,
     g: np.ndarray,
-    g_ref: np.ndarray | None = None,
     tolerance: float = 1e-7,
-    swap_schemes: bool = False,
 ) -> list[ResidualReport]:
     """Three assemblies of the relative connection, plus its norm.
 
@@ -237,15 +229,12 @@ def verify_connection_difference(
     endomorphism form ``hinv`` times the reference derivative of ``h``;
     the squared norm computed from the connection difference must match
     the direct contraction of the reference derivative of the metric.
-    The reference metric defaults to the flat one, as in
-    :func:`verify_S_evolution`.
+    The reference metric is the flat one, as in :func:`verify_S_evolution`.
     """
-    s_lhs, s_rhs = _schemes(swap_schemes)
-    if g_ref is None:
-        g_ref = flat_metric(grid)
-    pkg = ChernPackage(grid, g, s_lhs)
-    ref = ChernPackage(grid, g_ref, s_lhs)
-    ref_fd = ChernPackage(grid, g_ref, s_rhs, validate=False)
+    g_ref = flat_metric(grid)
+    pkg = ChernPackage(grid, g)
+    ref = ChernPackage(grid, g_ref)
+    ref_fd = ChernPackage(grid, g_ref, ORACLE_SCHEME, validate=False)
 
     a1 = pkg.connection_difference(ref)
     nb_g = ref_fd.covd(pkg.g, "Ll")
@@ -255,7 +244,7 @@ def verify_connection_difference(
     nb_h = ref_fd.covd(h, "ul")
     a3 = np.einsum("...ag,...igb->...iab", hinv, nb_h)
 
-    oracle = _spatial_oracle(s_lhs, s_rhs)
+    oracle = _spatial_oracle()
     rep_a = _report(
         "connection-difference",
         [a1 - a2, a1 - a3],
@@ -279,13 +268,11 @@ def verify_bianchi(
     grid: TorusGrid,
     g: np.ndarray,
     tolerance: float = 1e-7,
-    swap_schemes: bool = False,
 ) -> list[ResidualReport]:
     """All four Bianchi-type identities of the Chern connection."""
-    s_lhs, s_rhs = _schemes(swap_schemes)
-    pkg = ChernPackage(grid, g, s_lhs)
-    fd = ChernPackage(grid, g, s_rhs, validate=False)
-    oracle = _spatial_oracle(s_lhs, s_rhs)
+    pkg = ChernPackage(grid, g)
+    fd = ChernPackage(grid, g, ORACLE_SCHEME, validate=False)
+    oracle = _spatial_oracle()
 
     low = _all_lower_curvature(pkg)
     low_fd = _all_lower_curvature(fd)
@@ -329,13 +316,11 @@ def verify_commutator_convention(
     g: np.ndarray,
     covector: np.ndarray | None = None,
     tolerance: float = 1e-7,
-    swap_schemes: bool = False,
 ) -> list[ResidualReport]:
     """Mixed-derivative commutators on a covector and its conjugate."""
-    s_lhs, s_rhs = _schemes(swap_schemes)
-    pkg = ChernPackage(grid, g, s_lhs)
-    fd = ChernPackage(grid, g, s_rhs, validate=False)
-    oracle = _spatial_oracle(s_lhs, s_rhs)
+    pkg = ChernPackage(grid, g)
+    fd = ChernPackage(grid, g, ORACLE_SCHEME, validate=False)
+    oracle = _spatial_oracle()
     if covector is None:
         # Constant default probe: on the flat metric every term of the
         # residual is then identically zero, so the trivial case is
@@ -370,15 +355,13 @@ def verify_quasilinear_ricci(
     grid: TorusGrid,
     g: np.ndarray,
     tolerance: float = 1e-7,
-    swap_schemes: bool = False,
 ) -> list[ResidualReport]:
     """Second Ricci curvature against its quasilinear decomposition."""
-    s_lhs, s_rhs = _schemes(swap_schemes)
-    pkg = ChernPackage(grid, g, s_lhs)
-    oracle = _spatial_oracle(s_lhs, s_rhs)
-    dg_u = grid.holomorphic_gradient(pkg.g, s_rhs)
-    ddg = grid.holomorphic_gradient(dg_u, s_rhs, barred=True)
-    dg_b = grid.holomorphic_gradient(pkg.g, s_rhs, barred=True)
+    pkg = ChernPackage(grid, g)
+    oracle = _spatial_oracle()
+    dg_u = grid.holomorphic_gradient(pkg.g, ORACLE_SCHEME)
+    ddg = grid.holomorphic_gradient(dg_u, ORACLE_SCHEME, barred=True)
+    dg_b = grid.holomorphic_gradient(pkg.g, ORACLE_SCHEME, barred=True)
     term1 = -np.einsum("...qp,...pqkj->...kj", pkg.ginv, ddg)
     term2 = np.einsum(
         "...qp,...nl,...pkn,...qlj->...kj",
@@ -440,7 +423,7 @@ def _weighted_states(trajectory: Trajectory) -> tuple[np.ndarray, list[np.ndarra
     return np.asarray(trajectory.times, dtype=float), trajectory.snapshots
 
 
-def _centered_windows(times: np.ndarray, max_windows: int | None) -> list[tuple[int, float]]:
+def _centered_windows(times: np.ndarray) -> list[tuple[int, float]]:
     """Interior indices whose two neighbor gaps agree, with the gap size."""
     centers = []
     for c in range(1, len(times) - 1):
@@ -450,9 +433,6 @@ def _centered_windows(times: np.ndarray, max_windows: int | None) -> list[tuple[
             centers.append((c, 0.5 * (d1 + d2)))
     if not centers:
         raise VerificationError("no uniformly spaced snapshot triple found")
-    if max_windows is not None and len(centers) > max_windows:
-        stride = max(1, len(centers) // max_windows)
-        centers = centers[::stride][:max_windows]
     return centers
 
 
@@ -483,22 +463,22 @@ def _time_oracle(dt: float, windows: int) -> dict:
 
 def verify_trh_evolution(
     trajectory: Trajectory,
-    reference_metric: np.ndarray | None = None,
     phi=None,
     tolerance: float = 1e-5,
-    max_windows: int | None = None,
 ) -> list[ResidualReport]:
-    """Heat-operator identity for the trace of the relative endomorphism."""
+    """Heat-operator identity for the trace of the relative endomorphism.
+
+    The endomorphism is taken relative to the first stored state.
+    """
     times, states = _weighted_states(trajectory)
     grid = trajectory.grid
-    g_hat = states[0] if reference_metric is None else np.asarray(reference_metric)
-    ref = ChernPackage(grid, g_hat)
+    ref = ChernPackage(grid, states[0])
     phi_field = _source_field(grid, phi)
 
     h_all = [np.einsum("...ma,...an->...mn", ref.ginv, s) for s in states]
     trh_all = [np.einsum("...mm->...", h) for h in h_all]
 
-    centers = _centered_windows(times, max_windows)
+    centers = _centered_windows(times)
     residuals = []
     for c, dt in centers:
         pkg = ChernPackage(grid, states[c], validate=False)
@@ -533,7 +513,6 @@ def verify_dilaton_evolution(
     trajectory: Trajectory,
     phi=None,
     tolerance: float = 1e-5,
-    max_windows: int | None = None,
 ) -> list[ResidualReport]:
     """Both statements about the drift of the volume-form norm.
 
@@ -546,7 +525,7 @@ def verify_dilaton_evolution(
     phi_field = _source_field(grid, phi)
     log_all = [0.5 * np.log(volume_norm_sq(s)) for s in states]
 
-    centers = _centered_windows(times, max_windows)
+    centers = _centered_windows(times)
     res_rate, res_heat = [], []
     for c, dt in centers:
         pkg = ChernPackage(grid, states[c], validate=False)
@@ -568,11 +547,8 @@ def verify_dilaton_evolution(
 
 def verify_S_evolution(
     trajectory: Trajectory,
-    reference_metric: np.ndarray | None = None,
     phi=None,
     tolerance: float = 1e-3,
-    connection_rate_tolerance: float = 1e-6,
-    center: int | None = None,
 ) -> list[ResidualReport]:
     """Second-order identity for the relative-connection norm, plus cross-checks.
 
@@ -580,24 +556,23 @@ def verify_S_evolution(
     derivatives (of S, of the relative connection, and of the metric)
     all come from the snapshot window.  Residuals are normalized by the
     largest term in the identity, since S itself varies over orders of
-    magnitude along a run.  With the default flat reference the
-    relative connection is the full Chern connection of the evolving
-    metric, which keeps S of order one and the normalization honest
-    from the first snapshot on.
+    magnitude along a run.  The window is centered on the middle stored
+    state.  Against the flat reference the relative connection is the
+    full Chern connection of the evolving metric, which keeps S of order
+    one and the normalization honest from the first snapshot on.
 
     Cross-checks: the time derivative of the relative connection
     against the covariant derivative of the metric velocity (absolute
-    tolerance), and the flow-specific heat equation for the relative
-    connection (relative tolerance, needs the source when one acted).
+    tolerance ``CONNECTION_RATE_TOLERANCE``), and the flow-specific heat
+    equation for the relative connection (relative tolerance, needs the
+    source when one acted).
     """
     times, states = _weighted_states(trajectory)
     grid = trajectory.grid
-    g_hat = flat_metric(grid) if reference_metric is None else np.asarray(reference_metric)
-    ref = ChernPackage(grid, g_hat)
+    ref = ChernPackage(grid, flat_metric(grid))
     phi_field = _source_field(grid, phi)
 
-    c = len(times) // 2 if center is None else center
-    c = min(max(c, 1), len(times) - 2)
+    c = len(times) // 2
     d1 = times[c] - times[c - 1]
     d2 = times[c + 1] - times[c]
     if not (d1 > 0 and abs(d2 - d1) <= 1e-9 * max(d1, d2)):
@@ -652,7 +627,7 @@ def verify_S_evolution(
     scale = max(scale, 1e-30)
     oracle = _time_oracle(dt, 1)
     oracle["normalization"] = "relative-to-largest-term"
-    oracle["referenceMetric"] = "flat" if reference_metric is None else "supplied"
+    oracle["referenceMetric"] = "flat"
     rep_main = _report(
         "s-evolution",
         np.abs(lhs - rhs) / scale,
@@ -667,7 +642,7 @@ def verify_S_evolution(
     rep_rate = _report(
         "s-evolution-connection-rate",
         d_a - rate_rhs,
-        connection_rate_tolerance,
+        CONNECTION_RATE_TOLERANCE,
         grid,
         _time_oracle(dt, 1),
     )

@@ -133,7 +133,7 @@ def source_free_matrix(formulation_pair, evolution_windows, s_window,
 
 def _spatial_suite(grid, g):
     return (
-        verify_connection_difference(grid, g, flat_metric(grid))
+        verify_connection_difference(grid, g)
         + verify_bianchi(grid, g)
         + verify_commutator_convention(grid, g, covector=band_covector(grid))
         + verify_quasilinear_ricci(grid, g)

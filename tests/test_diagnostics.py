@@ -30,7 +30,7 @@ EXPECTED_KEYS = {
 
 def test_flat_record_values_are_exact():
     flat = flat_metric(GRID)
-    rec = compute_diagnostics(GRID, flat, flat, t=0.5)
+    rec = compute_diagnostics(GRID, flat, DiagnosticsBaseline(GRID, flat), t=0.5)
     assert rec.t == 0.5
     assert rec.h_eig_min == rec.h_eig_max == 1.0
     assert rec.tau_max == 0.0
@@ -46,7 +46,7 @@ def test_flat_record_values_are_exact():
 
 def test_constant_rescale_against_flat_baseline():
     flat = flat_metric(GRID)
-    rec = compute_diagnostics(GRID, 2.0 * flat, flat, t=0.0)
+    rec = compute_diagnostics(GRID, 2.0 * flat, DiagnosticsBaseline(GRID, flat), t=0.0)
     assert rec.h_eig_min == pytest.approx(2.0, abs=1e-13)
     assert rec.h_eig_max == pytest.approx(2.0, abs=1e-13)
     assert rec.trh_min == pytest.approx(6.0, abs=1e-12)
@@ -59,7 +59,7 @@ def test_constant_rescale_against_flat_baseline():
 def test_balanced_family_record_shape():
     f = fourier_scalar(GRID, [[1, 1, 0.0, -0.1], [1, -1, 0.0, -0.1]])
     g = balanced_band_metric(GRID, f)
-    rec = compute_diagnostics(GRID, g, g, t=0.0)
+    rec = compute_diagnostics(GRID, g, DiagnosticsBaseline(GRID, g), t=0.0)
     assert rec.balanced_defect < 1e-10
     assert rec.torsion_sq_max > 1e-6
     assert rec.tau_max > 1e-4
@@ -70,7 +70,7 @@ def test_balanced_family_record_shape():
 
 def test_dict_keys_are_camel_case():
     flat = flat_metric(GRID)
-    rec = compute_diagnostics(GRID, flat, flat, t=0.0)
+    rec = compute_diagnostics(GRID, flat, DiagnosticsBaseline(GRID, flat), t=0.0)
     assert set(rec.to_dict()) == EXPECTED_KEYS
 
 
@@ -79,7 +79,9 @@ def test_test_function_clamps_vanishing_s():
     function must still come out finite (log floor) and carry the trace
     term on top."""
     flat = flat_metric(GRID)
-    rec = compute_diagnostics(GRID, flat, flat, t=0.0, test_function=(0.1, 2.0))
+    rec = compute_diagnostics(
+        GRID, flat, DiagnosticsBaseline(GRID, flat), t=0.0, test_function=(0.1, 2.0)
+    )
     assert rec.test_function_max is not None
     assert np.isfinite(rec.test_function_max)
     assert rec.test_function_max == pytest.approx(np.log(1e-300) + 0.3, abs=1e-9)
@@ -91,7 +93,9 @@ def test_test_function_tracks_s_once_nonzero():
     flat = flat_metric(GRID)
     f = fourier_scalar(GRID, [[1, 1, 0.0, -0.1], [1, -1, 0.0, -0.1]])
     g = balanced_band_metric(GRID, f)
-    rec = compute_diagnostics(GRID, g, flat, t=0.0, test_function=(0.0, 0.0))
+    rec = compute_diagnostics(
+        GRID, g, DiagnosticsBaseline(GRID, flat), t=0.0, test_function=(0.0, 0.0)
+    )
     # with epsilon = a = 0 the test function is exactly log max S
     assert rec.test_function_max == pytest.approx(np.log(rec.s_max), rel=1e-12)
 
@@ -166,7 +170,8 @@ def random_pair(request):
 def test_record_matches_reference_formulas(random_pair):
     grid, g, g0 = random_pair
     want = _reference_record(grid, g, g0, 0.25, (0.02, 1.0))
-    got = compute_diagnostics(grid, g, g0, 0.25, test_function=(0.02, 1.0)).to_dict()
+    baseline = DiagnosticsBaseline(grid, g0)
+    got = compute_diagnostics(grid, g, baseline, 0.25, test_function=(0.02, 1.0)).to_dict()
     assert set(got) == set(want)
     for key, value in want.items():
         assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
@@ -176,6 +181,7 @@ def test_prebuilt_baseline_is_bit_exact(random_pair):
     grid, g, g0 = random_pair
     baseline = DiagnosticsBaseline(grid, g0)
     for metric in (g, g0):
-        from_array = compute_diagnostics(grid, metric, g0, 0.5, test_function=(0.02, 1.0))
+        fresh = DiagnosticsBaseline(grid, g0)
+        from_fresh = compute_diagnostics(grid, metric, fresh, 0.5, test_function=(0.02, 1.0))
         prebuilt = compute_diagnostics(grid, metric, baseline, 0.5, test_function=(0.02, 1.0))
-        assert prebuilt == from_array
+        assert prebuilt == from_fresh

@@ -146,6 +146,7 @@ def test_trajectory_bookkeeping():
     assert traj.steps_taken == 5
     # cadence 2 stores steps 0, 2, 4 plus the final off-cadence state
     assert [round(t / 1e-5) for t in traj.times] == [0, 2, 4, 5]
+    assert traj.steps == [0, 2, 4, 5]
     g_end = traj.metric_at(len(traj.times) - 1)
     assert g_end.shape == GRID.shape + (3, 3)
 
@@ -163,6 +164,7 @@ def test_step_budget_counts_the_last_step():
     assert short.steps_taken == 4
     # the budget stop keeps every state it computed, the last one included
     assert short.times == pytest.approx([0.0, 1e-5, 2e-5, 3e-5, 4e-5])
+    assert short.steps == [0, 1, 2, 3, 4]
     for a, b in zip(short.snapshots, traj.snapshots):
         assert np.array_equal(a, b)
 
@@ -189,3 +191,28 @@ def test_formulations_agree_over_short_horizon():
     ga = a.metric_at(len(a.times) - 1)
     gw = w.metric_at(len(w.times) - 1)
     assert np.abs(ga - gw).max() < 1e-10
+
+
+def _final_gap(grid, g0, t_final, **kwargs):
+    """Max relative gap between the final metrics of the two formulations."""
+    a = run_flow(grid, g0, FORM_ANCHOR, t_final, StepControl(dt=1e-5), **kwargs)
+    w = run_flow(grid, g0, FORM_WEIGHTED, t_final, StepControl(dt=1e-5), **kwargs)
+    assert a.status == w.status == STATUS_COMPLETED
+    ga = a.metric_at(len(a.times) - 1)
+    gw = w.metric_at(len(w.times) - 1)
+    return np.abs(ga - gw).max() / np.abs(ga).max()
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_formulations_agree_beyond_three_dimensions(n):
+    # checks the (n-2) weight-chain exponent and the (n-1) clock factor
+    grid = TorusGrid(n, (0, 1), 32)
+    assert _final_gap(grid, _balanced(grid), 5e-5) <= 1e-12
+
+
+def test_formulations_agree_with_an_anchor_source():
+    psi = np.zeros((3, 3), dtype=complex)
+    psi[0, 0], psi[1, 1] = 0.2, -0.1
+    psi[0, 1], psi[1, 0] = 0.05 + 0.03j, 0.05 - 0.03j
+    grid = TorusGrid(3, (0, 1), 16)
+    assert _final_gap(grid, _balanced(grid), 5e-5, anchor_source=psi) <= 1e-12

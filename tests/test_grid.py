@@ -68,10 +68,10 @@ def test_holomorphic_derivative_convention(grid):
     # d/dz of exp(2 pi i x^1) is pi i exp(...): half the real-axis rate
     x = grid.coordinate(0)
     f = np.exp(2j * np.pi * x)
-    dz = grid.complex_derivative(f, 0)
+    dz = grid.holomorphic_gradient(f)[..., 0]
     assert np.abs(dz - 1j * np.pi * f).max() < 1e-12
     # and exp(2 pi i x^1) depends on zbar^1 too: the barred half survives
-    dzb = grid.complex_derivative_bar(f, 0)
+    dzb = grid.holomorphic_gradient(f, barred=True)[..., 0]
     assert np.abs(dzb - 1j * np.pi * f).max() < 1e-12
 
 
@@ -79,11 +79,10 @@ def test_complex_derivative_symbol(grid):
     # for exp(2 pi i (k x + l y)): d/dz multiplies by pi i (k - i l)
     x, y = grid.coordinate(0), grid.coordinate(1)
     f = np.exp(2j * np.pi * (x + 2 * y))
-    dz = grid.complex_derivative(f, 0)
-    dzb = grid.complex_derivative_bar(f, 0)
-    assert np.abs(dz - 1j * np.pi * (1 - 2j) * f).max() < 1e-12
-    assert np.abs(dzb - 1j * np.pi * (1 + 2j) * f).max() < 1e-12
     grad = grid.holomorphic_gradient(f)
+    dzb = grid.holomorphic_gradient(f, barred=True)[..., 0]
+    assert np.abs(grad[..., 0] - 1j * np.pi * (1 - 2j) * f).max() < 1e-12
+    assert np.abs(dzb - 1j * np.pi * (1 + 2j) * f).max() < 1e-12
     assert grad.shape == grid.shape + (3,)
     assert np.abs(grad[..., 1]).max() < 1e-12  # no z^2 dependence
 
@@ -120,8 +119,6 @@ def test_engine_matches_per_axis_derivatives(n, axes):
         pairs = [
             (grad[..., j, :], 0.5 * (dx - 1j * dy)),
             (grad_bar[..., j, :], 0.5 * (dx + 1j * dy)),
-            (grid.complex_derivative(f, j), 0.5 * (dx - 1j * dy)),
-            (grid.complex_derivative_bar(f, j), 0.5 * (dx + 1j * dy)),
         ]
         if j in grid.active_directions:
             for got, want in pairs:

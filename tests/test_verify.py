@@ -46,7 +46,7 @@ def _short_run(grid, g0, n_steps=4, dt=1e-5, phi=None):
 def test_flat_metric_residuals_are_exact_zero():
     flat = flat_metric(GRID)
     reports = (
-        verify_connection_difference(GRID, flat, flat)
+        verify_connection_difference(GRID, flat)
         + verify_bianchi(GRID, flat)
         + verify_commutator_convention(GRID, flat)
         + verify_quasilinear_ricci(GRID, flat)
@@ -79,13 +79,18 @@ def test_flat_evolution_residuals_are_exact_zero():
 # -- oracle quality on generic data -------------------------------------------
 
 
-def test_spatial_suite_on_random_metric():
+@pytest.mark.parametrize(
+    "n,axes",
+    [(3, (0, 1)), (4, (0, 1)), (5, (0, 1)), (3, (0, 2))],
+    ids=["n3-axes01", "n4-axes01", "n5-axes01", "n3-axes02"],
+)
+def test_spatial_suite_on_random_metric(n, axes):
     # Default tolerances are calibrated for resolution 32; coarser grids
     # leave the finite-difference oracle noticeably above 1e-7.
-    grid = TorusGrid(3, (0, 1), 32)
+    grid = TorusGrid(n, axes, 32)
     g = random_band_metric(grid, seed=14)
     reports = (
-        verify_connection_difference(grid, g, flat_metric(grid))
+        verify_connection_difference(grid, g)
         + verify_bianchi(grid, g)
         + verify_commutator_convention(grid, g, covector=band_covector(grid))
         + verify_quasilinear_ricci(grid, g)
@@ -94,15 +99,6 @@ def test_spatial_suite_on_random_metric():
         assert rep.passed, (rep.identity_name, rep.max_residual)
         schemes = {rep.oracle_spec["lhsScheme"], rep.oracle_spec["rhsScheme"]}
         assert schemes == {"spectral", ORACLE_SCHEME}
-
-
-def test_swap_schemes_changes_little():
-    """Exchanging which side gets the independent oracle is near-neutral."""
-    g = random_band_metric(GRID, seed=15)
-    plain = verify_quasilinear_ricci(GRID, g)[0].max_residual
-    swapped = verify_quasilinear_ricci(GRID, g, swap_schemes=True)[0].max_residual
-    ratio = max(plain, swapped) / min(plain, swapped)
-    assert ratio < 10.0
 
 
 def test_kahler_one_variable_block_bianchi_tight():
