@@ -16,7 +16,7 @@ independent finite-difference oracles.  Entry points:
 * :mod:`iiblab.cli`      the ``iiblab`` command.
 """
 
-from .chern import ChernPackage, relative_eigenvalues, relative_endomorphism
+from .chern import ChernPackage
 from .errors import (
     ConfigError,
     DegeneracyError,
@@ -56,6 +56,7 @@ from .verify import (
     EVOLUTION_REGISTRY,
     SPATIAL_REGISTRY,
     ResidualReport,
+    relative_endomorphism,
     verify_S_evolution,
     verify_bianchi,
     verify_commutator_convention,

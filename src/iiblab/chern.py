@@ -18,7 +18,8 @@ are prepended as the FIRST index axis, with signature 'l' or 'L'.
 
 Index-first-barred convention: the metric array ``g[..., k, j]`` holds
 the component with barred row k and unbarred column j, and the inverse
-``ginv[..., p, a]`` holds the component with unbarred row p.
+``ginv[..., p, a]`` holds the component with unbarred row p.  Both
+``ginv`` and ``norm_sq`` come from the one :class:`metrics.MetricFactor`.
 """
 
 from __future__ import annotations
@@ -30,15 +31,11 @@ import numpy as np
 
 from .errors import ValenceError
 from .grid import SPECTRAL, TorusGrid
-from .metrics import check_positive, volume_norm_sq
+from .metrics import MetricFactor, check_positive
 
 __all__ = [
     "ChernPackage",
-    "inverse_cholesky",
     "pair_endo_forms",
-    "relative_endomorphism",
-    "relative_eigenvalues",
-    "whiten",
 ]
 
 _LETTERS = string.ascii_lowercase.replace("m", "").replace("p", "")
@@ -67,7 +64,7 @@ class ChernPackage:
         self.g = np.asarray(g, dtype=complex)
         self.scheme = scheme
         if validate:
-            check_positive(self.g)
+            self.factor = check_positive(self.g)
 
     # -- first layer: derivatives of the metric ------------------------------
     #
@@ -78,9 +75,14 @@ class ChernPackage:
     # properties stay grid-first; those built here are views.
 
     @functools.cached_property
+    def factor(self) -> MetricFactor:
+        """Cholesky factor of g; set by ``check_positive`` when validating."""
+        return MetricFactor(self.g)
+
+    @functools.cached_property
     def ginv(self) -> np.ndarray:
         """Inverse metric, ``ginv[..., p, a]`` with p the unbarred row."""
-        return np.linalg.inv(self.g)
+        return self.grid.to_grid_first(self.factor.ginv)
 
     @functools.cached_property
     def _g_last(self) -> np.ndarray:
@@ -151,7 +153,9 @@ class ChernPackage:
     @functools.cached_property
     def t_up(self) -> np.ndarray:
         """Torsion ``t_up[..., m, j, p]`` with the first slot raised."""
-        return np.einsum("...mq,...qjp->...mjp", self.ginv, self.t_low)
+        # C order: ginv is a strided view, and a strided t_up would make the
+        # verifiers' residuals strided too (a copy in every flattening)
+        return np.einsum("...mq,...qjp->...mjp", self.ginv, self.t_low, order="C")
 
     @functools.cached_property
     def tau(self) -> np.ndarray:
@@ -210,8 +214,8 @@ class ChernPackage:
 
     @functools.cached_property
     def norm_sq(self) -> np.ndarray:
-        """Squared volume-form norm at each node."""
-        return volume_norm_sq(self.g)
+        """Squared volume-form norm ``1 / det g`` at each node."""
+        return 1.0 / self.factor.det
 
     @functools.cached_property
     def log_norm(self) -> np.ndarray:
@@ -339,33 +343,3 @@ def pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
         np.conj(y),
         optimize=True,
     )
-
-
-def relative_endomorphism(g_ref: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``h[..., a, b]``: inverse reference metric times current metric."""
-    return np.linalg.inv(g_ref) @ g
-
-
-def inverse_cholesky(g_ref: np.ndarray) -> np.ndarray:
-    """``L^-1`` for the Cholesky factorization ``g_ref = L L^H``."""
-    return np.linalg.inv(np.linalg.cholesky(g_ref))
-
-
-def whiten(inv_chol: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``L^-1 g L^-H`` for ``inv_chol = L^-1`` (see :func:`inverse_cholesky`).
-
-    The result is Hermitian and similar to the relative endomorphism
-    ``g_ref^-1 g``, so it has the same eigenvalues, trace and determinant.
-    """
-    half = np.einsum("...ab,...bc->...ac", inv_chol, g)
-    return np.einsum("...ac,...dc->...ad", half, np.conj(inv_chol))
-
-
-def relative_eigenvalues(g_ref: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the metric pencil, ascending along the last axis.
-
-    Whitens with the Cholesky factor of the reference so the problem stays
-    Hermitian: eigvalsh sees an honest Hermitian matrix with the
-    eigenvalues of the relative endomorphism.
-    """
-    return np.linalg.eigvalsh(whiten(inverse_cholesky(g_ref), g))

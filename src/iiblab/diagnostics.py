@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chern import ChernPackage, inverse_cholesky, whiten
+from .chern import ChernPackage
 from .grid import TorusGrid
 from .metrics import conformally_balanced_defect
 
@@ -84,7 +84,7 @@ class DiagnosticsBaseline:
 
     def __init__(self, grid: TorusGrid, g_initial: np.ndarray):
         self.package = ChernPackage(grid, np.asarray(g_initial, dtype=complex))
-        self.inv_chol = inverse_cholesky(self.package.g)
+        self.inv_chol = grid.to_grid_first(self.package.factor.inv_chol())
 
 
 def compute_diagnostics(
@@ -103,7 +103,9 @@ def compute_diagnostics(
     ref = baseline.package
     pkg = ChernPackage(grid, g)
 
-    h = whiten(baseline.inv_chol, pkg.g)
+    # h = L^-1 g L^-H is Hermitian and similar to ref.g^-1 g: same eigenvalues and trace
+    half = np.einsum("...ab,...bc->...ac", baseline.inv_chol, pkg.g)
+    h = np.einsum("...ac,...dc->...ad", half, np.conj(baseline.inv_chol))
     eigs = np.linalg.eigvalsh(h)
     trh = np.einsum("...jj->...", h).real
     det_h = ref.norm_sq / pkg.norm_sq

@@ -52,6 +52,7 @@ from .chern import ChernPackage
 from .errors import (
     ConfigError,
     DegeneracyError,
+    HermiticityError,
     PositivityError,
     SingularSystemError,
 )
@@ -121,10 +122,11 @@ def metric_from_weighted(w: np.ndarray) -> np.ndarray:
     return factor[..., None, None] * w
 
 
-def weighted_dot_from_metric_dot(g: np.ndarray, g_dot: np.ndarray) -> np.ndarray:
-    u = volume_norm(g)
-    trace = np.einsum("...pa,...ap->...", np.linalg.inv(g), g_dot)
-    return u[..., None, None] * (g_dot - 0.5 * trace[..., None, None] * g)
+def weighted_dot_from_metric_dot(pkg: ChernPackage, g_dot: np.ndarray) -> np.ndarray:
+    """Velocity of ``w = norm * g`` from the velocity of the metric of ``pkg``."""
+    u = np.sqrt(pkg.norm_sq)
+    trace = np.einsum("...pa,...ap->...", pkg.ginv, g_dot)
+    return u[..., None, None] * (g_dot - 0.5 * trace[..., None, None] * pkg.g)
 
 
 # -- anchor formulation --------------------------------------------------------
@@ -210,8 +212,7 @@ def anchor_velocity(
     trace_row = np.swapaxes(pkg.ginv, -1, -2).reshape(grid.shape + (n * n,))
     A -= 0.5 * wn1_mat.reshape(grid.shape + (n * n, 1)) * trace_row[..., None, :]
 
-    u = volume_norm(pkg.g)
-    A *= u[..., None, None]
+    A *= np.sqrt(pkg.norm_sq)[..., None, None]
 
     try:
         x = np.linalg.solve(A, b[..., None])[..., 0]
@@ -256,7 +257,7 @@ def induced_weighted_source(
     """
     pkg = ChernPackage(grid, g)
     g_dot = anchor_velocity(pkg, anchor_source_matrix)
-    w_dot = weighted_dot_from_metric_dot(g, g_dot)
+    w_dot = weighted_dot_from_metric_dot(pkg, g_dot)
     w = weighted_from_metric(g)
     free = weighted_velocity(grid, w)
     return hermitize(free - w_dot)
@@ -378,9 +379,8 @@ def run_flow(
             state = hermitize(state)
             if anchor_source is None:
                 return weighted_velocity(grid, state, weighted_source)
-            g_now = metric_from_weighted(state)
-            g_dot = anchor_velocity(ChernPackage(grid, g_now), anchor_source)
-            return weighted_dot_from_metric_dot(g_now, g_dot)
+            pkg = ChernPackage(grid, metric_from_weighted(state))
+            return weighted_dot_from_metric_dot(pkg, anchor_velocity(pkg, anchor_source))
 
     traj = Trajectory(grid=grid, formulation=formulation, off_manifold=off_manifold)
 
@@ -407,7 +407,8 @@ def run_flow(
             traj.status = STATUS_SINGULARITY
             traj.stop_detail = str(err)
             break
-        except (np.linalg.LinAlgError, FloatingPointError) as err:
+        except (np.linalg.LinAlgError, FloatingPointError, HermiticityError) as err:
+            # a hermitized stage fails the Hermiticity test only when non-finite
             traj.status = STATUS_BLOWUP
             traj.stop_detail = str(err)
             break

@@ -9,6 +9,9 @@ its pointwise norm against a metric g is
 
     norm_sq = 1 / det g.
 
+Positivity, this determinant and the inverse metric all come from one
+Cholesky factor of the metric, a :class:`MetricFactor`.
+
 A constant multiple c * Omega would only rescale time: the curvature
 terms of the flow do not change when the weighted metric is scaled, so
 the flow of |c| * w is the flow of w with time scaled by |c|.
@@ -21,6 +24,7 @@ measures.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -30,6 +34,7 @@ from .forms import matrix_to_one_one, wedge_power
 from .grid import TorusGrid
 
 __all__ = [
+    "MetricFactor",
     "hermitize",
     "hermiticity_defect",
     "is_positive",
@@ -54,36 +59,80 @@ def hermitize(g: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(g: np.ndarray) -> float:
-    return float(np.abs(g - np.conj(np.swapaxes(g, -1, -2))).max())
+    with np.errstate(invalid="ignore"):  # a non-finite entry gives NaN or inf
+        return float(np.abs(g - np.conj(np.swapaxes(g, -1, -2))).max())
 
 
 def min_eigenvalue(g: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(g).min())
 
 
+class MetricFactor:
+    """Cholesky factor ``g = L L^H`` of a Hermitian matrix field, grid-last.
+
+    Unrolled over the n x n index slots, each a contiguous array over the
+    batch axes, from the lower triangle of g (Golub and Van Loan, *Matrix
+    Computations*, 4.2); a pivot that is not positive and finite raises
+    :class:`PositivityError`.  ``det`` is the product of the pivots,
+    ``inv_chol()`` is ``L^-1`` by forward substitution and ``ginv`` is
+    ``L^-H L^-1``, exactly Hermitian, both with the index slots first.
+    """
+
+    def __init__(self, g: np.ndarray):
+        a = np.moveaxis(g, (-2, -1), (0, 1))
+        self.lower = low = np.zeros(a.shape, dtype=complex)
+        self.det = 1.0
+        for j in range(a.shape[0]):
+            d = a[j, j].real - (low[j, :j].real ** 2 + low[j, :j].imag ** 2).sum(axis=0)
+            if not (d.min() > 0.0 and d.max() < np.inf):
+                raise PositivityError(f"metric not positive definite: Cholesky pivot {j}"
+                                      f" spans [{d.min():.3e}, {d.max():.3e}]")
+            self.det = self.det * d
+            low[j, j] = root = np.sqrt(d)
+            for i in range(j + 1, a.shape[0]):
+                low[i, j] = (a[i, j] - (low[i, :j] * np.conj(low[j, :j])).sum(axis=0)) / root
+
+    def inv_chol(self) -> np.ndarray:
+        low, out = self.lower, np.zeros_like(self.lower)
+        for i in range(len(low)):
+            out[i, i] = scale = 1.0 / low[i, i].real
+            for j in range(i):
+                out[i, j] = -scale * (low[i, j:i] * out[j:i, j]).sum(axis=0)
+        return out
+
+    @functools.cached_property
+    def ginv(self) -> np.ndarray:
+        m, out = self.inv_chol(), np.empty_like(self.lower)
+        for p in range(len(m)):
+            out[p, p] = (m[p:, p].real ** 2 + m[p:, p].imag ** 2).sum(axis=0)
+            for a in range(p + 1, len(m)):
+                out[p, a] = (np.conj(m[a:, p]) * m[a:, a]).sum(axis=0)
+                out[a, p] = np.conj(out[p, a])
+        return out
+
+
 def is_positive(g: np.ndarray, floor: float = 0.0) -> bool:
-    """Whether every matrix of ``g - floor * I`` has a Cholesky factor."""
-    if floor:
-        g = g - floor * np.eye(g.shape[-1])
+    """Whether every matrix of ``g - floor * I`` is finite and has a Cholesky factor."""
     try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
+        MetricFactor(g - floor * np.eye(g.shape[-1]))
+    except PositivityError:
         return False
-    return True
+    return bool(np.isfinite(g).all())
 
 
-def check_positive(g: np.ndarray) -> None:
-    """Validate Hermiticity and positive definiteness.
+def check_positive(g: np.ndarray) -> MetricFactor:
+    """Validate Hermiticity (a non-finite entry fails it) and positivity.
 
-    Positivity is decided by a Cholesky factorization; the eigenvalues are
-    computed only on failure, for the error message.
+    Returns the :class:`MetricFactor`; the eigenvalues are computed only on
+    failure, for the message.
     """
     defect = hermiticity_defect(g)
-    if defect > HERMITICITY_TOLERANCE:
+    if not defect <= HERMITICITY_TOLERANCE:
         raise HermiticityError(f"matrix field deviates from Hermitian by {defect:.3e}")
-    if is_positive(g):
-        return
-    low = min_eigenvalue(g)
+    try:
+        return MetricFactor(g)
+    except PositivityError:
+        low = min_eigenvalue(g)
     raise PositivityError(
         f"metric loses positivity: min eigenvalue {low:.3e}", min_eigenvalue=low
     )
@@ -212,10 +261,7 @@ def random_band_metric(
 
 def volume_norm_sq(g: np.ndarray) -> np.ndarray:
     """Pointwise squared norm of the holomorphic volume form."""
-    det = np.linalg.det(g)
-    if np.any(det.real <= 0.0) or np.any(np.abs(det.imag) > 1e-8 * np.abs(det.real)):
-        raise PositivityError("determinant not positive; metric invalid")
-    return 1.0 / det.real
+    return 1.0 / MetricFactor(g).det
 
 
 def volume_norm(g: np.ndarray) -> np.ndarray:

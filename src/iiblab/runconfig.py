@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -232,7 +233,19 @@ def load_config_file(path) -> dict:
     return raw
 
 
+def _non_finite(node, path=""):
+    """Error message for the first NaN or infinity in a JSON value, else None."""
+    if isinstance(node, float) and not math.isfinite(node):
+        return f"config invalid at {path[1:]}: {node} is not a finite number"
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    return next(filter(None, (_non_finite(v, f"{path}/{k}") for k, v in items)), None)
+
+
 def validate_config(raw: dict) -> None:
+    message = _non_finite(raw)
+    if message is not None:
+        raise ConfigError(message)
     err = best_match(_VALIDATOR.iter_errors(raw))
     if err is not None:
         where = "/".join(str(p) for p in err.absolute_path) or "top level"
@@ -298,6 +311,8 @@ def _load_phi(path, grid: TorusGrid) -> np.ndarray:
             f" (found {sorted(arrays)})"
         )
     phi = arrays["phi"]
+    if not np.isfinite(phi).all():
+        raise ConfigError(f"source field 'phi' in {path} has non-finite entries")
     if np.abs(phi - np.conj(np.swapaxes(phi, -2, -1))).max() > 1e-10:
         raise ConfigError("source field 'phi' must be Hermitian")
     return phi

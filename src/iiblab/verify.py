@@ -44,7 +44,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .chern import ChernPackage, pair_endo_forms, relative_endomorphism
+from .chern import ChernPackage, pair_endo_forms
 from .errors import ValenceError, VerificationError
 from .flow import BALANCED_GATE, FORM_WEIGHTED, Trajectory, _anchor_target
 from .forms import n1n1_to_matrix
@@ -62,6 +62,7 @@ __all__ = [
     "verify_trh_evolution",
     "verify_dilaton_evolution",
     "verify_S_evolution",
+    "relative_endomorphism",
     "ORACLE_SCHEME",
     "SPATIAL_REGISTRY",
     "EVOLUTION_REGISTRY",
@@ -157,6 +158,11 @@ def _precondition_report(name, tolerance, grid, oracle, detail) -> ResidualRepor
 
 def _spatial_oracle() -> dict:
     return {"lhsScheme": SPECTRAL, "rhsScheme": ORACLE_SCHEME}
+
+
+def relative_endomorphism(g_ref: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``h[..., a, b]``: inverse reference metric times current metric."""
+    return np.linalg.inv(g_ref) @ g
 
 
 # -- deterministic auxiliary field ---------------------------------------------

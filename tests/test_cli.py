@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from iiblab import load_snapshot
+from iiblab import TorusGrid, load_snapshot, save_snapshot
 from iiblab.cli import main
 from iiblab.metrics import min_eigenvalue
 from iiblab.runconfig import IDENTITY_NAMES
@@ -187,6 +187,55 @@ def test_config_errors_exit_one_with_json(tmp_path, capsys):
     assert main(["run", "--config", config, "--out", str(tmp_path / "off")]) == 1
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "ConfigError" and "real axis 2" in err["message"]
+
+
+def _config_error(capsys, argv):
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError" and err["code"] == 1
+    return err["message"]
+
+
+def test_non_finite_end_time_exits_one(tmp_path, capsys):
+    cfg = _flat_cfg()
+    cfg["control"]["tEnd"] = float("nan")
+    config = _write(tmp_path, "nan.json", cfg)
+    message = _config_error(capsys, ["run", "--config", config, "--out", str(tmp_path / "o")])
+    assert message == "config invalid at control/tEnd: nan is not a finite number"
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_step_exits_one(tmp_path, capsys):
+    cfg = _flat_cfg()
+    cfg["control"]["dt"] = float("nan")
+    config = _write(tmp_path, "nan.json", cfg)
+    message = _config_error(capsys, ["run", "--config", config, "--out", str(tmp_path / "o")])
+    assert message == "config invalid at control/dt: nan is not a finite number"
+
+
+def test_non_finite_fourier_coefficient_exits_one(tmp_path, capsys):
+    cfg = _flat_cfg(initialMetric={"family": "balanced-family",
+                                   "fourierTerms": [[1, 0, float("inf"), -0.05]]})
+    config = _write(tmp_path, "inf.json", cfg)
+    message = _config_error(capsys, ["run", "--config", config, "--out", str(tmp_path / "o")])
+    assert message == (
+        "config invalid at initialMetric/fourierTerms/0/2: inf is not a finite number"
+    )
+    cfg["initialMetric"]["fourierTerms"][0][2] = float("nan")
+    config = _write(tmp_path, "nan.json", cfg)
+    message = _config_error(capsys, ["run", "--config", config, "--out", str(tmp_path / "o")])
+    assert message.startswith("config invalid at initialMetric/fourierTerms/0/2: nan")
+
+
+def test_non_finite_phi_field_exits_one(tmp_path, capsys):
+    grid = TorusGrid(3, (0, 1), RES)
+    phi = np.zeros(grid.shape + (3, 3), dtype=complex)
+    phi[2, 3, 1, 1] = np.nan
+    save_snapshot(tmp_path / "phi.snap", grid, 0.0, {"phi": phi})
+    cfg = _flat_cfg(source={"kind": "phi-field", "path": "phi.snap"})
+    config = _write(tmp_path, "phi.json", cfg)
+    message = _config_error(capsys, ["run", "--config", config, "--out", str(tmp_path / "o")])
+    assert "'phi'" in message and "non-finite" in message
 
 
 def test_verify_passes_on_balanced_family(tmp_path, capsys):

@@ -98,7 +98,7 @@ def test_weight_chain_inverts_at_every_dimension(n):
     assert np.abs(metric_from_weighted(w) - g).max() <= 1e-12 * np.abs(g).max()
 
     # reference inverse: dg/dt = norm_w^{2/(n-2)} (dw/dt - tr(w^-1 dw/dt)/(n-2) w)
-    w_dot = weighted_dot_from_metric_dot(g, g_dot)
+    w_dot = weighted_dot_from_metric_dot(ChernPackage(grid, g), g_dot)
     factor = volume_norm_sq(w) ** (1.0 / (n - 2))
     trace = np.einsum("...pa,...ap->...", np.linalg.inv(w), w_dot)
     back = factor[..., None, None] * (w_dot - (trace[..., None, None] / (n - 2)) * w)
@@ -149,6 +149,17 @@ def test_trajectory_bookkeeping():
     assert traj.steps == [0, 2, 4, 5]
     g_end = traj.metric_at(len(traj.times) - 1)
     assert g_end.shape == GRID.shape + (3, 3)
+
+
+def test_non_finite_stage_is_a_blowup():
+    # a source of 1e308 overflows the second stage state to -inf
+    src = np.zeros(GRID.shape + (3, 3), dtype=complex)
+    src[..., 0, 0] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = run_flow(GRID, FLAT, FORM_WEIGHTED, 4.0, StepControl(dt=4.0),
+                        weighted_source=src)
+    assert traj.status == STATUS_BLOWUP and traj.steps_taken == 0
+    assert np.array_equal(traj.snapshots[-1], traj.snapshots[0])
 
 
 def test_step_budget_counts_the_last_step():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from iiblab import (
+    IIBLabError,
     PositivityError,
     TorusGrid,
     balanced_band_metric,
@@ -14,6 +15,7 @@ from iiblab import (
     volume_norm,
 )
 from iiblab.metrics import (
+    MetricFactor,
     check_positive,
     fourier_scalar,
     hermiticity_defect,
@@ -126,3 +128,37 @@ def test_positivity_gate_honours_nonzero_floor():
     check_positive(g)
     assert is_positive(g, floor=0.998e-3)
     assert not is_positive(g, floor=1e-3)
+
+
+@pytest.mark.parametrize(
+    "node, value",
+    [((2, 0), np.nan), ((0, 2), np.nan), ((1, 1), np.inf)],
+    ids=["nan-lower", "nan-upper-only", "inf-diagonal"],
+)
+def test_positivity_gate_rejects_non_finite_entries(node, value):
+    g = flat_metric(GRID)
+    g[5, 9][node] = value
+    assert not is_positive(g)
+    assert not is_positive(g, floor=1e-8)
+    with pytest.raises(IIBLabError):
+        check_positive(g)
+    if node[0] >= node[1]:  # the factor reads only the lower triangle
+        with pytest.raises(PositivityError):
+            volume_norm(g)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_factor_matches_numpy(n):
+    grid = TorusGrid(n, (0, 1), 16)
+    g = 2.5 * random_band_metric(grid, seed=10 + n, amplitude=0.3)
+    factor = check_positive(g)
+    ginv, inv_chol = (grid.to_grid_first(x) for x in (factor.ginv, factor.inv_chol()))
+
+    def rel(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    assert rel(ginv, np.linalg.inv(g)) <= 1e-14
+    assert rel(factor.det, np.linalg.det(g).real) <= 1e-14
+    assert rel(inv_chol, np.linalg.inv(np.linalg.cholesky(g))) <= 1e-14
+    assert np.array_equal(ginv, np.conj(np.swapaxes(ginv, -1, -2)))
+    assert np.array_equal(MetricFactor(g).ginv, factor.ginv)
