@@ -13,6 +13,11 @@ volume norm, and the inverse Cholesky factor that whitens each metric
 against it), so a record costs one :class:`ChernPackage` of the current
 metric.
 
+S, and so ``sMax``, is the norm of a difference of two O(1) connections
+that differ little early in a run, so there it carries only about 1e-10
+relative precision: a 1e-16 relative change of the state can move it by a
+few 1e-10 relative.  ``testFunctionMax`` inherits this through log S.
+
 The optional blended test function ``log S + epsilon * tr h - a * log
 norm`` is only evaluated when requested.  S vanishes identically at the
 baseline time, so its logarithm is clamped at a tiny floor to keep the

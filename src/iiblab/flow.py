@@ -302,7 +302,6 @@ class Trajectory:
     steps: list[int] = dc_field(default_factory=list)
     snapshots: list[np.ndarray] = dc_field(default_factory=list)
     status: str = STATUS_COMPLETED
-    off_manifold: bool = False
     steps_taken: int = 0
     stop_detail: str = ""
 
@@ -336,12 +335,11 @@ def run_flow(
 
     The anchor formulation refuses initial data that is not conformally
     balanced (the evolution is only defined on that locus); the weighted
-    formulation accepts any positive metric but labels the run
-    off-manifold.  Sources are static fields: an anchor source is a
-    Hermitian sigma-matrix, a weighted source a Hermitian matrix.  Given
-    an anchor source, the weighted flow takes at every stage the anchor
-    velocity of the current metric with that source, pushed through the
-    weight chain.
+    formulation accepts any positive metric.  Sources are static fields:
+    an anchor source is a Hermitian sigma-matrix, a weighted source a
+    Hermitian matrix.  Given an anchor source, the weighted flow takes at
+    every stage the anchor velocity of the current metric with that
+    source, pushed through the weight chain.
 
     A run that stops early returns its trajectory with the status and
     ``stop_detail`` set: ``STATUS_SINGULARITY`` at a loss of positivity,
@@ -357,15 +355,13 @@ def run_flow(
     if anchor_source is not None and weighted_source is not None:
         raise ConfigError("give at most one source")
 
-    defect = conformally_balanced_defect(grid, g0)
-    off_manifold = defect > BALANCED_GATE
-    if formulation == FORM_ANCHOR and off_manifold:
-        raise ConfigError(
-            f"anchor flow needs conformally balanced initial data;"
-            f" defect {defect:.3e} exceeds {BALANCED_GATE:.1e}"
-        )
-
     if formulation == FORM_ANCHOR:
+        defect = conformally_balanced_defect(grid, g0)
+        if defect > BALANCED_GATE:
+            raise ConfigError(
+                f"anchor flow needs conformally balanced initial data;"
+                f" defect {defect:.3e} exceeds {BALANCED_GATE:.1e}"
+            )
         y = np.array(g0, dtype=complex)
 
         def velocity(state: np.ndarray) -> np.ndarray:
@@ -382,7 +378,7 @@ def run_flow(
             pkg = ChernPackage(grid, metric_from_weighted(state))
             return weighted_dot_from_metric_dot(pkg, anchor_velocity(pkg, anchor_source))
 
-    traj = Trajectory(grid=grid, formulation=formulation, off_manifold=off_manifold)
+    traj = Trajectory(grid=grid, formulation=formulation)
 
     def keep(t: float) -> None:
         traj.times.append(t)

@@ -4,31 +4,34 @@ A configuration file is a single JSON object with blocks for geometry,
 initial metric family, source term, stepping control, an optional
 verification suite, and output naming.  Validation is strict: unknown
 keys are rejected everywhere so a typo fails loudly instead of being
-ignored.  ``resolve_config`` turns the raw dictionary into constructed
+ignored, and so are non-finite numbers and floats in integer fields.  One
+walk of ``CONFIG_SCHEMA`` checks a config and fills in the defaults the
+schema annotates; at import the schema is checked to use only keywords
+the walk reads.  ``resolve_config`` turns the raw dictionary into constructed
 objects (grid, metric field, sources, step control) plus a fully
 defaulted copy of the dictionary that drivers embed verbatim in their
 output headers, making every result file self-describing.
 
-Command line overrides (seed, resolution) are applied here, before
-defaulting, so the embedded copy always reflects what actually ran.
+Command line overrides (seed, resolution) are applied to the defaulted
+copy, so the embedded copy always reflects what actually ran.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from .errors import ConfigError, GridError, SnapshotFormatError
 from .flow import FORM_ANCHOR, FORM_WEIGHTED, StepControl
 from .grid import TorusGrid
-from .metrics import balanced_band_metric, flat_metric, fourier_scalar, random_band_metric
+from .metrics import (
+    balanced_band_metric, flat_metric, fourier_scalar, hermiticity_defect, random_band_metric,
+)
 from .snapshot import load_snapshot
 from .verify import EVOLUTION_REGISTRY, SPATIAL_REGISTRY
 
@@ -50,157 +53,159 @@ _NUMBER_PAIR = {
     "maxItems": 2,
 }
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["geometry", "initialMetric", "control"],
-    "properties": {
-        "geometry": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["n", "activeAxes", "resolution"],
-            "properties": {
-                "n": {"type": "integer", "minimum": 2},
-                "activeAxes": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 0},
-                    "minItems": 1,
-                },
-                "resolution": {"type": "integer", "minimum": 4},
-            },
-        },
-        "initialMetric": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["family"],
-                    "properties": {"family": {"const": "flat"}},
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["family", "fourierTerms"],
-                    "properties": {
-                        "family": {"const": "balanced-family"},
-                        "fourierTerms": {
-                            "type": "array",
-                            "minItems": 1,
-                            "items": {
-                                "type": "array",
-                                "items": {"type": "number"},
-                                "minItems": 3,
-                            },
-                        },
-                        "stretch": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["family", "seed"],
-                    "properties": {
-                        "family": {"const": "random"},
-                        "seed": {"type": "integer", "minimum": 0},
-                        "amplitude": {
-                            "type": "number",
-                            "exclusiveMinimum": 0,
-                            "maximum": 0.3,
-                        },
-                        "kmax": {"type": "integer", "minimum": 1},
-                    },
-                },
-            ]
-        },
-        "source": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["kind"],
-                    "properties": {"kind": {"const": "none"}},
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["kind", "matrix"],
-                    "properties": {
-                        "kind": {"const": "psi-constant"},
-                        "matrix": {
-                            "type": "array",
-                            "items": {"type": "array", "items": _NUMBER_PAIR},
-                        },
-                    },
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["kind", "path"],
-                    "properties": {
-                        "kind": {"const": "phi-field"},
-                        "path": {"type": "string"},
-                    },
-                },
-            ]
-        },
-        "control": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["tEnd"],
-            "properties": {
-                "tEnd": {"type": "number", "minimum": 0},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-                "cfl": {"type": "number", "exclusiveMinimum": 0},
-                "maxSteps": {"type": "integer", "minimum": 1},
-                "snapshotEvery": {"type": "integer", "minimum": 1},
-                "diagnosticsEvery": {"type": "integer", "minimum": 1},
-            },
-        },
-        "formulation": {"enum": [FORM_ANCHOR, FORM_WEIGHTED]},
-        "verifySuite": {
+
+def _strict(required: list, properties: dict, **keywords) -> dict:
+    """Object schema that rejects every key it does not list."""
+    return {"type": "object", "additionalProperties": False, "required": required,
+            "properties": properties, **keywords}
+
+
+CONFIG_SCHEMA = _strict(["geometry", "initialMetric", "control"], {
+    "geometry": _strict(["n", "activeAxes", "resolution"], {
+        "n": {"type": "integer", "minimum": 2},
+        "activeAxes": {
             "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["identity"],
-                "properties": {
-                    "identity": {"enum": list(IDENTITY_NAMES)},
-                    "tolerance": {"type": "number", "minimum": 0},
-                },
-            },
+            "items": {"type": "integer", "minimum": 0},
+            "minItems": 1,
         },
-        "testFunction": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["epsilon", "a"],
-            "properties": {
-                "epsilon": {"type": "number"},
-                "a": {"type": "number"},
+        "resolution": {"type": "integer", "minimum": 4},
+    }),
+    "initialMetric": {"oneOf": [
+        _strict(["family"], {"family": {"const": "flat"}}),
+        _strict(["family", "fourierTerms"], {
+            "family": {"const": "balanced-family"},
+            "fourierTerms": {
+                "type": "array",
+                "minItems": 1,
+                "items": {"type": "array", "items": {"type": "number"}, "minItems": 3},
             },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "directory": {"type": "string"},
-                "diagnostics": {"type": "string"},
-                "reports": {"type": "string"},
-                "snapshotPrefix": {"type": "string"},
+            "stretch": {"type": "number", "exclusiveMinimum": 0, "default": 1.0},
+        }),
+        _strict(["family", "seed"], {
+            "family": {"const": "random"},
+            "seed": {"type": "integer", "minimum": 0},
+            "amplitude": {
+                "type": "number",
+                "exclusiveMinimum": 0,
+                "maximum": 0.3,
+                "default": 0.05,
             },
-        },
-    },
-}
+            "kmax": {"type": "integer", "minimum": 1, "default": 1},
+        }),
+    ]},
+    "source": {"default": {"kind": "none"}, "oneOf": [
+        _strict(["kind"], {"kind": {"const": "none"}}),
+        _strict(["kind", "matrix"], {
+            "kind": {"const": "psi-constant"},
+            "matrix": {"type": "array", "items": {"type": "array", "items": _NUMBER_PAIR}},
+        }),
+        _strict(["kind", "path"], {
+            "kind": {"const": "phi-field"},
+            "path": {"type": "string"},
+        }),
+    ]},
+    "control": _strict(["tEnd"], {
+        "tEnd": {"type": "number", "minimum": 0},
+        "dt": {"type": "number", "exclusiveMinimum": 0},
+        "cfl": {"type": "number", "exclusiveMinimum": 0},
+        "maxSteps": {"type": "integer", "minimum": 1, "default": 200_000},
+        "snapshotEvery": {"type": "integer", "minimum": 1},
+        "diagnosticsEvery": {"type": "integer", "minimum": 1, "default": 10},
+    }),
+    "formulation": {"enum": [FORM_ANCHOR, FORM_WEIGHTED], "default": FORM_WEIGHTED},
+    "verifySuite": {"type": "array", "default": [], "items": _strict(["identity"], {
+        "identity": {"enum": list(IDENTITY_NAMES)},
+        "tolerance": {"type": "number", "minimum": 0},
+    })},
+    "output": _strict([], {
+        "directory": {"type": "string", "default": "."},
+        "diagnostics": {"type": "string", "default": "diagnostics.jsonl"},
+        "reports": {"type": "string", "default": "reports.json"},
+        "snapshotPrefix": {"type": "string", "default": "state"},
+    }, default={}),
+    "testFunction": _strict(["epsilon", "a"], {
+        "epsilon": {"type": "number"},
+        "a": {"type": "number"},
+    }),
+})
 
-# Built once: checking CONFIG_SCHEMA against the metaschema on every call
-# cost more than validating a config (tests/test_runconfig.py checks it).
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
-
-_OUTPUT_DEFAULTS = {
-    "directory": ".",
-    "diagnostics": "diagnostics.jsonl",
-    "reports": "reports.json",
-    "snapshotPrefix": "state",
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    # a JSON integer: neither a bool nor an integer-valued float such as 8.0
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
 }
+_LIMITS = {  # keyword: (test that the value or item count breaks the bound, message)
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "minItems": (operator.lt, "has fewer items than"),
+    "maxItems": (operator.gt, "has more items than"),
+}
+_KEYWORDS = {"type", "properties", "additionalProperties", "required", "const", "enum",
+             "items", "oneOf", "default", *_LIMITS}
+
+
+def _check_schema(schema: dict) -> None:
+    """Raise ValueError where ``schema`` says anything :func:`_walk` does not read."""
+    unknown = set(schema) - _KEYWORDS
+    if unknown:
+        raise ValueError(f"config schema keywords {sorted(unknown)} are not interpreted")
+    strict = schema.get("additionalProperties") is False
+    if schema.get("type", "object") not in _TYPES or strict != (schema.get("type") == "object"):
+        raise ValueError(f"config schema {schema}: unknown type, or a lax object")
+    for branch in schema.get("oneOf", ()):
+        key = (branch.get("required") or [None])[0]
+        if "const" not in branch.get("properties", {}).get(key, {}):
+            raise ValueError(f"oneOf branch {branch} has no const as first required key")
+    items = [schema["items"]] if "items" in schema else []
+    for sub in (*schema.get("properties", {}).values(), *schema.get("oneOf", ()), *items):
+        _check_schema(sub)
+
+
+def _walk(node, schema: dict, path: tuple):
+    """Checked copy of the JSON value ``node`` with the schema's defaults filled in."""
+
+    def fault(message: str):
+        where = "/".join(map(str, path)) or "top level"
+        raise ConfigError(f"config invalid at {where}: {message}")
+
+    if isinstance(node, float) and not math.isfinite(node):
+        fault(f"{node} is not a finite number")
+    if "oneOf" in schema:  # the branch whose const discriminator node carries
+        schema = next((b for b in schema["oneOf"] if isinstance(node, dict) and node.get(
+            b["required"][0]) == b["properties"][b["required"][0]]["const"]), None)
+        if schema is None:
+            fault(f"{node!r} is not valid under any of the given schemas")
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](node):
+        fault(f"{node!r} is not of type {kind!r}")
+    if "const" in schema and node != schema["const"]:
+        fault(f"{schema['const']!r} was expected")
+    if "enum" in schema and node not in schema["enum"]:
+        fault(f"{node!r} is not one of {schema['enum']!r}")
+    size = len(node) if isinstance(node, list) else node
+    for key, (breaks, text) in _LIMITS.items():
+        if key in schema and breaks(size, schema[key]):
+            fault(f"{node!r} {text} {schema[key]!r}")
+    if isinstance(node, list):
+        return [_walk(v, schema.get("items", {}), path + (i,)) for i, v in enumerate(node)]
+    if not isinstance(node, dict):
+        return node
+    props = schema.get("properties", {})
+    for key in schema.get("required", ()):
+        if key not in node:
+            fault(f"{key!r} is a required property")
+    for key in node:
+        if key not in props:
+            fault(f"Additional properties are not allowed ({key!r} was unexpected)")
+    return {key: _walk(node[key] if key in node else sub["default"], sub, path + (key,))
+            for key, sub in props.items() if key in node or "default" in sub}
+
+
+_check_schema(CONFIG_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -233,23 +238,9 @@ def load_config_file(path) -> dict:
     return raw
 
 
-def _non_finite(node, path=""):
-    """Error message for the first NaN or infinity in a JSON value, else None."""
-    if isinstance(node, float) and not math.isfinite(node):
-        return f"config invalid at {path[1:]}: {node} is not a finite number"
-    items = node.items() if isinstance(node, dict) else (
-        enumerate(node) if isinstance(node, list) else ())
-    return next(filter(None, (_non_finite(v, f"{path}/{k}") for k, v in items)), None)
-
-
-def validate_config(raw: dict) -> None:
-    message = _non_finite(raw)
-    if message is not None:
-        raise ConfigError(message)
-    err = best_match(_VALIDATOR.iter_errors(raw))
-    if err is not None:
-        where = "/".join(str(p) for p in err.absolute_path) or "top level"
-        raise ConfigError(f"config invalid at {where}: {err.message}")
+def validate_config(raw: dict) -> dict:
+    """Copy of ``raw`` with defaults filled in; ConfigError at its first fault."""
+    return _walk(raw, CONFIG_SCHEMA, ())
 
 
 def _build_metric(grid: TorusGrid, block: dict) -> np.ndarray:
@@ -286,7 +277,7 @@ def _parse_matrix(entries, n: int) -> np.ndarray:
             f" {arr.shape}"
         )
     mat = arr[..., 0] + 1j * arr[..., 1]
-    if np.abs(mat - mat.conj().T).max() > 1e-12:
+    if hermiticity_defect(mat) > 1e-12:
         raise ConfigError("source.matrix must be Hermitian")
     return mat
 
@@ -313,7 +304,7 @@ def _load_phi(path, grid: TorusGrid) -> np.ndarray:
     phi = arrays["phi"]
     if not np.isfinite(phi).all():
         raise ConfigError(f"source field 'phi' in {path} has non-finite entries")
-    if np.abs(phi - np.conj(np.swapaxes(phi, -2, -1))).max() > 1e-10:
+    if hermiticity_defect(phi) > 1e-10:
         raise ConfigError("source field 'phi' must be Hermitian")
     return phi
 
@@ -324,9 +315,8 @@ def resolve_config(
     resolution: int | None = None,
     base_dir: str = ".",
 ) -> ResolvedConfig:
-    """Validate, apply overrides, fill defaults, and construct objects."""
-    validate_config(raw)
-    cfg = copy.deepcopy(raw)
+    """Validate and default, apply overrides, and construct objects."""
+    cfg = validate_config(raw)
 
     if resolution is not None:
         cfg["geometry"]["resolution"] = int(resolution)
@@ -350,17 +340,10 @@ def resolve_config(
     except GridError as err:
         raise ConfigError(f"geometry: {err}")
 
-    metric_block = dict(cfg["initialMetric"])
-    if metric_block["family"] == "balanced-family":
-        metric_block.setdefault("stretch", 1.0)
-    elif metric_block["family"] == "random":
-        metric_block.setdefault("amplitude", 0.05)
-        metric_block.setdefault("kmax", 1)
-    initial_metric = _build_metric(grid, metric_block)
+    initial_metric = _build_metric(grid, cfg["initialMetric"])
 
-    formulation = cfg.get("formulation", FORM_WEIGHTED)
-
-    source_block = dict(cfg.get("source", {"kind": "none"}))
+    formulation = cfg["formulation"]
+    source_block = cfg["source"]
     anchor_source = None
     weighted_source = None
     if source_block["kind"] == "psi-constant":
@@ -376,21 +359,16 @@ def resolve_config(
             phi_path = os.path.join(base_dir, phi_path)
         weighted_source = _load_phi(phi_path, grid)
 
-    ctl = dict(cfg["control"])
+    ctl = cfg["control"]
     if "dt" in ctl and "cfl" in ctl:
         raise ConfigError("control: give dt (fixed step) or cfl (adaptive), not both")
-    ctl.setdefault("maxSteps", 200_000)
-    ctl.setdefault("diagnosticsEvery", 10)
     if "dt" in ctl:
         control = StepControl(dt=ctl["dt"], max_steps=ctl["maxSteps"])
     else:
-        ctl.setdefault("cfl", 0.2)
+        ctl.setdefault("cfl", 0.2)  # the one default that depends on another key
         control = StepControl(dt=None, cfl=ctl["cfl"], max_steps=ctl["maxSteps"])
 
-    suite = tuple(
-        (entry["identity"], entry.get("tolerance"))
-        for entry in cfg.get("verifySuite", [])
-    )
+    suite = tuple((entry["identity"], entry.get("tolerance")) for entry in cfg["verifySuite"])
     if control.dt is None and any(n in EVOLUTION_REGISTRY for n, _ in suite):
         raise ConfigError(
             "evolution identities use centered time differencing over a"
@@ -400,24 +378,6 @@ def resolve_config(
     tf = None
     if "testFunction" in cfg:
         tf = (cfg["testFunction"]["epsilon"], cfg["testFunction"]["a"])
-
-    output = dict(_OUTPUT_DEFAULTS)
-    output.update(cfg.get("output", {}))
-
-    resolved = {
-        "geometry": dict(geo),
-        "initialMetric": metric_block,
-        "source": source_block,
-        "control": ctl,
-        "formulation": formulation,
-        "verifySuite": [
-            {"identity": name, **({} if tol is None else {"tolerance": tol})}
-            for name, tol in suite
-        ],
-        "output": output,
-    }
-    if tf is not None:
-        resolved["testFunction"] = {"epsilon": tf[0], "a": tf[1]}
 
     return ResolvedConfig(
         grid=grid,
@@ -430,7 +390,7 @@ def resolve_config(
         anchor_source=anchor_source,
         weighted_source=weighted_source,
         verify_suite=suite,
-        output=output,
+        output=cfg["output"],
         test_function=tf,
-        resolved=resolved,
+        resolved=cfg,
     )

@@ -20,6 +20,7 @@ field points at the first offending byte of the file.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -88,7 +89,14 @@ def save_snapshot(
             fh.write(blob)
 
 
-def _read_header(raw: bytes):
+def _read(path):
+    """A snapshot file's bytes, checked header, grid and payload start.
+
+    Every fault of the header itself is reported at offset 0; the manifest
+    is checked against the geometry and the file size.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
     nl = raw.find(b"\n", 0, _MAX_HEADER)
     if nl < 0:
         raise SnapshotFormatError(
@@ -108,46 +116,6 @@ def _read_header(raw: bytes):
         raise SnapshotFormatError(
             f"unsupported endianness {header.get('endianness')!r}", offset=0
         )
-    return header, nl + 1
-
-
-def _check_manifest(header: dict, grid: TorusGrid, body: int, total: int):
-    nodes = 1
-    for extent in grid.shape:
-        nodes *= extent
-    per_field = nodes * grid.n * grid.n * _ITEM
-    cursor = 0
-    entries = header.get("arrays")
-    if not isinstance(entries, list) or not entries:
-        raise SnapshotFormatError("empty array manifest", offset=0)
-    for entry in entries:
-        off, length = entry.get("offset"), entry.get("byteLength")
-        if off != cursor:
-            raise SnapshotFormatError(
-                f"array {entry.get('name')!r} offset {off} breaks contiguity,"
-                f" expected {cursor}",
-                offset=body + cursor,
-            )
-        if length != per_field:
-            raise SnapshotFormatError(
-                f"array {entry.get('name')!r} length {length} != {per_field}"
-                " for this geometry",
-                offset=body + cursor,
-            )
-        cursor += length
-    if total != body + cursor:
-        raise SnapshotFormatError(
-            f"file holds {total} bytes, header implies {body + cursor}",
-            offset=min(total, body + cursor),
-        )
-    return entries
-
-
-def load_snapshot(path):
-    """Read a snapshot; returns ``(grid, t, arrays, meta)``."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    header, body = _read_header(raw)
     geo = header.get("geometry", {})
     try:
         grid = TorusGrid(
@@ -157,11 +125,48 @@ def load_snapshot(path):
         )
     except (KeyError, TypeError, ValueError, GridError) as err:
         raise SnapshotFormatError(f"bad geometry block: {err}", offset=0)
-    entries = _check_manifest(header, grid, body, len(raw))
+    t = header.get("t")
+    if type(t) not in (int, float) or not math.isfinite(t):
+        raise SnapshotFormatError(f"time stamp {t!r} is not a finite number", offset=0)
+    entries = header.get("arrays")
+    if not isinstance(entries, list) or not entries or not all(
+        isinstance(e, dict) and isinstance(e.get("name"), str)
+        and type(e.get("offset")) is type(e.get("byteLength")) is int for e in entries
+    ):
+        raise SnapshotFormatError("manifest is not a list of arrays", offset=0)
 
+    body = nl + 1
+    per_field = math.prod(grid.shape) * grid.n * grid.n * _ITEM
+    cursor = 0
+    for entry in entries:
+        off, length = entry["offset"], entry["byteLength"]
+        if off != cursor:
+            raise SnapshotFormatError(
+                f"array {entry['name']!r} offset {off} breaks contiguity,"
+                f" expected {cursor}",
+                offset=body + cursor,
+            )
+        if length != per_field:
+            raise SnapshotFormatError(
+                f"array {entry['name']!r} length {length} != {per_field}"
+                " for this geometry",
+                offset=body + cursor,
+            )
+        cursor += length
+    if len(raw) != body + cursor:
+        raise SnapshotFormatError(
+            f"file holds {len(raw)} bytes, header implies {body + cursor}",
+            offset=min(len(raw), body + cursor),
+        )
+    return raw, header, grid, body
+
+
+def load_snapshot(path):
+    """Read a snapshot; returns ``(grid, t, arrays, meta)``."""
+    raw, header, grid, body = _read(path)
     arrays: dict[str, np.ndarray] = {}
     shape = (grid.n, grid.n) + grid.shape
-    for entry in entries:
+    for entry in header["arrays"]:
         start = body + entry["offset"]
         flat = np.frombuffer(raw, dtype="<c16", count=entry["byteLength"] // _ITEM,
                              offset=start)
@@ -173,15 +178,7 @@ def load_snapshot(path):
 
 def snapshot_info(path) -> dict:
     """Header summary without decoding the payload (size still checked)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    header, body = _read_header(raw)
-    implied = body + sum(e.get("byteLength", 0) for e in header.get("arrays", []))
-    if len(raw) != implied:
-        raise SnapshotFormatError(
-            f"file holds {len(raw)} bytes, header implies {implied}",
-            offset=min(len(raw), implied),
-        )
+    raw, header, _, body = _read(path)
     return {
         "geometry": header["geometry"],
         "t": header["t"],
@@ -190,5 +187,5 @@ def snapshot_info(path) -> dict:
             for e in header["arrays"]
         ],
         "meta": header.get("meta", {}),
-        "payloadBytes": implied - body,
+        "payloadBytes": len(raw) - body,
     }

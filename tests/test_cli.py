@@ -1,10 +1,14 @@
 """Driver surface: exit codes, diagnostics stream, snapshot files, errors."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import iiblab
 from iiblab import TorusGrid, load_snapshot, save_snapshot
 from iiblab.cli import main
 from iiblab.metrics import min_eigenvalue
@@ -225,6 +229,54 @@ def test_non_finite_fourier_coefficient_exits_one(tmp_path, capsys):
     config = _write(tmp_path, "nan.json", cfg)
     message = _config_error(capsys, ["run", "--config", config, "--out", str(tmp_path / "o")])
     assert message.startswith("config invalid at initialMetric/fourierTerms/0/2: nan")
+
+
+@pytest.mark.parametrize("block, key, value, path", [
+    ("geometry", "resolution", 8.0, "geometry/resolution"),
+    ("control", "snapshotEvery", 1.0, "control/snapshotEvery"),
+    ("geometry", "n", 3.0, "geometry/n"),
+    ("initialMetric", "seed", 1.0, "initialMetric/seed"),
+])
+def test_integer_fields_take_json_integers(tmp_path, capsys, block, key, value, path):
+    cfg = _flat_cfg(initialMetric={"family": "random", "seed": 1})
+    cfg[block][key] = value
+    config = _write(tmp_path, "float.json", cfg)
+    message = _config_error(capsys, ["run", "--config", config, "--out", str(tmp_path / "o")])
+    assert message == f"config invalid at {path}: {value!r} is not of type 'integer'"
+
+
+def _malformed_snapshot(tmp_path, name, header_change, array="metric"):
+    grid = TorusGrid(3, (0, 1), RES)
+    path = tmp_path / name
+    save_snapshot(path, grid, 0.0, {array: np.zeros(grid.shape + (3, 3))})
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    header_change(header)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    return path
+
+
+def test_snapshot_info_on_malformed_header_exits_one(tmp_path, capsys):
+    snap = _malformed_snapshot(tmp_path, "not.snap", lambda h: h.__setitem__("arrays", 5))
+    assert main(["snapshot-info", str(snap)]) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "SnapshotFormatError" and err["offset"] == 0
+
+
+def test_phi_field_with_malformed_header_exits_one(tmp_path, capsys):
+    _malformed_snapshot(tmp_path, "phi.snap", lambda h: h.pop("t"), array="phi")
+    config = _write(tmp_path, "phi.json", _flat_cfg(source={"kind": "phi-field",
+                                                           "path": "phi.snap"}))
+    message = _config_error(capsys, ["run", "--config", config, "--out", str(tmp_path / "o")])
+    assert message.startswith("source.path") and "time stamp" in message
+
+
+def test_cli_import_leaves_jsonschema_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(iiblab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import iiblab.cli, sys; assert 'jsonschema' not in sys.modules"
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 
 def test_non_finite_phi_field_exits_one(tmp_path, capsys):

@@ -117,13 +117,14 @@ def test_anchor_flow_refuses_unbalanced_data():
         run_flow(GRID, g, FORM_ANCHOR, 1e-5, StepControl(dt=1e-5))
 
 
-def test_weighted_flow_labels_off_manifold():
+def test_weighted_flow_runs_off_the_balanced_locus():
+    # the Kahler data the anchor flow refuses is fine for the weighted flow
     x, y = GRID.coordinate(0), GRID.coordinate(1)
     g = kahler_from_potential(GRID, 0.05 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
     traj = run_flow(GRID, g, FORM_WEIGHTED, 2e-5, StepControl(dt=1e-5))
-    assert traj.off_manifold
-    traj2 = run_flow(GRID, _balanced(), FORM_WEIGHTED, 2e-5, StepControl(dt=1e-5))
-    assert not traj2.off_manifold
+    assert traj.status == STATUS_COMPLETED
+    assert traj.steps_taken == 2
+    assert traj.times[-1] == pytest.approx(2e-5)
 
 
 def test_source_argument_validation():

@@ -1,14 +1,17 @@
 """Config schema and resolution: strictness, defaults, overrides."""
 
+import copy
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
-from jsonschema import Draft202012Validator
 
 from iiblab import CONFIG_SCHEMA, ConfigError, load_config_file, resolve_config, save_snapshot
 from iiblab.grid import TorusGrid
 from iiblab.metrics import balanced_band_metric, fourier_scalar
+from iiblab.runconfig import _check_schema, validate_config
 
 try:
     from hypothesis import given, strategies as st
@@ -109,8 +112,127 @@ def test_balanced_family_rejects_profiles_off_axes_zero_and_one():
 
 
 def test_config_schema_is_valid_json_schema():
-    # validate_config uses a validator built once, without this check
-    Draft202012Validator.check_schema(CONFIG_SCHEMA)
+    # the schema stays standard JSON Schema, so jsonschema can be its oracle
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+def _corpus():
+    """The README example config and the configs these tests build."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    example = re.search(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    mat = [[[0.0, 0.0]] * 3 for _ in range(3)]
+    return [
+        json.loads(example.group(1)),
+        _base(),
+        _base(initialMetric={"family": "balanced-family",
+                             "fourierTerms": [[1, 1, 0.0, -0.05]], "stretch": 1.5}),
+        _base(initialMetric={"family": "random", "seed": 4, "amplitude": 0.1, "kmax": 2}),
+        _base(source={"kind": "psi-constant", "matrix": mat}),
+        _base(source={"kind": "phi-field", "path": "phi.snap"}, formulation="anchor"),
+        _base(control={"tEnd": 0.1, "cfl": 0.2, "maxSteps": 5, "snapshotEvery": 2,
+                       "diagnosticsEvery": 1}),
+        _base(verifySuite=[{"identity": "bianchi", "tolerance": 1e-6},
+                           {"identity": "commutator"}]),
+        _base(testFunction={"epsilon": 0.02, "a": 1.5}),
+        _base(output={"directory": "o", "diagnostics": "d.jsonl", "reports": "r.json",
+                      "snapshotPrefix": "s"}),
+    ]
+
+
+def _nodes(node, path=()):
+    """Every (path, value) inside a JSON value, the value itself first."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _edit(cfg, path, change):
+    out = copy.deepcopy(cfg)
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    change(parent, path[-1])
+    return out
+
+
+def _mutants(cfg):
+    """Each key dropped, each value retyped, one unknown key added per object."""
+    for path, node in _nodes(cfg):
+        if isinstance(node, dict):
+            yield _edit(cfg, path + ("zzUnknown",), lambda p, k: p.__setitem__(k, 1))
+        if not path:
+            continue
+        if isinstance(path[-1], str):
+            yield _edit(cfg, path, lambda p, k: p.pop(k))
+        for value in ("x", 2.5, 7, -1, True, None, [], {}):
+            yield _edit(cfg, path, lambda p, k, v=value: p.__setitem__(k, v))
+
+
+def _walk_accepts(cfg) -> bool:
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        return False
+    return True
+
+
+def test_walk_agrees_with_jsonschema_on_mutated_configs():
+    jsonschema = pytest.importorskip("jsonschema")
+    oracle = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    checked, disagree = 0, []
+    for cfg in _corpus():
+        assert _walk_accepts(cfg) and oracle.is_valid(cfg)
+        for mutant in _mutants(cfg):
+            checked += 1
+            if _walk_accepts(mutant) != oracle.is_valid(mutant):
+                disagree.append(mutant)
+    assert checked > 1000
+    assert not disagree, disagree[:3]
+
+
+@pytest.mark.parametrize("path, value", [
+    (("geometry", "resolution"), 8.0),
+    (("geometry", "activeAxes", 1), 1.0),
+    (("control", "maxSteps"), 5.0),
+    (("control", "tEnd"), float("nan")),
+    (("control", "dt"), float("inf")),
+    (("testFunction", "a"), float("-inf")),
+])
+def test_walk_rejects_integral_floats_and_non_finite_numbers_jsonschema_accepts(path, value):
+    jsonschema = pytest.importorskip("jsonschema")
+    cfg = _edit(_base(testFunction={"epsilon": 0.02, "a": 1.5}), path,
+                lambda p, k: p.__setitem__(k, value))
+    assert jsonschema.Draft202012Validator(CONFIG_SCHEMA).is_valid(cfg)
+    with pytest.raises(ConfigError, match=f"config invalid at {'/'.join(map(str, path))}: "):
+        validate_config(cfg)
+
+
+def test_validate_config_returns_a_defaulted_copy():
+    cfg = _base(initialMetric={"family": "balanced-family", "fourierTerms": [[1, 1, 0.0, -0.05]]})
+    out = validate_config(cfg)
+    assert out is not cfg and out["geometry"] is not cfg["geometry"]
+    assert out["initialMetric"]["stretch"] == 1.0
+    assert out["control"] == {"tEnd": 0.001, "dt": 1e-4, "maxSteps": 200_000,
+                              "diagnosticsEvery": 10}
+    assert out["verifySuite"] == [] and "testFunction" not in out
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "pattern": "^a"},
+    {"type": "object", "additionalProperties": False,
+     "properties": {"name": {"type": "string", "format": "uri"}}},
+    {"type": "array", "items": {"type": "integer", "multipleOf": 2}},
+    {"type": "object", "properties": {}},  # an object must reject unknown keys
+    {"type": "boolean"},
+    {"oneOf": [{"type": "object", "additionalProperties": False,
+                "properties": {"kind": {"type": "string"}}, "required": ["kind"]}]},
+])
+def test_unsupported_schema_keyword_raises(schema):
+    with pytest.raises(ValueError):
+        _check_schema(schema)
 
 
 def test_random_family_defaults_and_seed_override():

@@ -153,3 +153,27 @@ def test_snapshot_info_detects_size_mismatch(tmp_path):
     grown.write_bytes(path.read_bytes() + b"extra")
     with pytest.raises(SnapshotFormatError):
         snapshot_info(grown)
+
+
+@pytest.mark.parametrize("reader", [load_snapshot, snapshot_info])
+@pytest.mark.parametrize("change", [
+    lambda h: h.pop("t"),
+    lambda h: h.pop("geometry"),
+    lambda h: h.__setitem__("arrays", 5),
+    lambda h: h.__setitem__("arrays", ["x"]),
+    lambda h: h.__setitem__("t", "abc"),
+    lambda h: h.__setitem__("t", float("nan")),
+    lambda h: h["arrays"][0].pop("name"),
+    lambda h: h["arrays"][0].__setitem__("offset", 0.0),
+], ids=["no-t", "no-geometry", "arrays-5", "arrays-x", "t-abc", "t-nan", "no-name",
+        "float-offset"])
+def test_malformed_header_is_a_format_error_for_both_readers(tmp_path, reader, change):
+    path = tmp_path / "h.snap"
+    save_snapshot(path, GRID, 0.0, {"metric": random_band_metric(GRID, seed=11)})
+    head, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    change(header)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(SnapshotFormatError) as err:
+        reader(path)
+    assert err.value.offset == 0
