@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ValenceError
 from .grid import SPECTRAL, TorusGrid
-from .metrics import MetricFactor, check_positive
+from .metrics import check_positive
 
 __all__ = [
     "ChernPackage",
@@ -47,24 +47,19 @@ class ChernPackage:
     Instances treat the metric array as immutable; build a new package
     after any update.  The derivative scheme is fixed per package so a
     single snapshot can be analyzed twice (spectrally and with finite
-    differences) and the results compared.
+    differences) and the results compared.  Construction checks that the
+    metric is Hermitian and positive definite and keeps its Cholesky
+    factor as ``factor``.
     """
 
-    def __init__(
-        self,
-        grid: TorusGrid,
-        g: np.ndarray,
-        scheme: str = SPECTRAL,
-        validate: bool = True,
-    ):
+    def __init__(self, grid: TorusGrid, g: np.ndarray, scheme: str = SPECTRAL):
         expected = grid.shape + (grid.n, grid.n)
         if g.shape != expected:
             raise ValenceError(f"metric shape {g.shape}, expected {expected}")
         self.grid = grid
         self.g = np.asarray(g, dtype=complex)
         self.scheme = scheme
-        if validate:
-            self.factor = check_positive(self.g)
+        self.factor = check_positive(self.g)
 
     # -- first layer: derivatives of the metric ------------------------------
     #
@@ -73,11 +68,6 @@ class ChernPackage:
     # contiguous grid arrays, summed over the active directions only, since
     # dg and gamma vanish along every inactive direction j.  The public
     # properties stay grid-first; those built here are views.
-
-    @functools.cached_property
-    def factor(self) -> MetricFactor:
-        """Cholesky factor of g; set by ``check_positive`` when validating."""
-        return MetricFactor(self.g)
 
     @functools.cached_property
     def ginv(self) -> np.ndarray:

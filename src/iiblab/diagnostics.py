@@ -74,10 +74,6 @@ class DiagnosticsRecord:
             out["testFunctionMax"] = self.test_function_max
         return out
 
-    def is_finite(self) -> bool:
-        vals = [v for v in self.to_dict().values()]
-        return bool(np.all(np.isfinite(vals)))
-
 
 class DiagnosticsBaseline:
     """The t = 0 data every record of one run is compared against.

@@ -42,8 +42,6 @@ flow of w with time scaled by |c|.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -61,9 +59,7 @@ from .forms import (
     matrix_to_n1n1,
     matrix_to_one_one,
     n1n1_to_matrix,
-    sigma_coefficient,
     wedge,
-    wedge_monomial,
     wedge_power,
 )
 from .grid import TorusGrid
@@ -132,34 +128,6 @@ def weighted_dot_from_metric_dot(pkg: ChernPackage, g_dot: np.ndarray) -> np.nda
 # -- anchor formulation --------------------------------------------------------
 
 
-def _complement_single(n: int, tup: tuple[int, ...]) -> int:
-    return next(m for m in range(n) if m not in tup)
-
-
-@functools.lru_cache(maxsize=None)
-def _anchor_structure(n: int):
-    """Structure constants of the map (metric velocity) -> (anchor velocity).
-
-    Entries ``(j, k, key, a, b, coeff)`` mean: the sigma-matrix entry
-    [a, b] of ``one_one(X) ^ omega^{n-2}`` gains
-    ``coeff * X[k, j] * omega^{n-2}-component(key)``.
-    """
-    entries = []
-    lowers = list(itertools.combinations(range(n), n - 2))
-    for j in range(n):
-        for k in range(n):
-            for J in lowers:
-                for K in lowers:
-                    merged, sign = wedge_monomial(((j,), (k,)), (J, K))
-                    if merged is None:
-                        continue
-                    a = _complement_single(n, merged[0])
-                    b = _complement_single(n, merged[1])
-                    coeff = 1j * sign / sigma_coefficient(n, a, b)
-                    entries.append((j, k, (J, K), a, b, coeff))
-    return tuple(entries)
-
-
 def _anchor_target(
     pkg: ChernPackage, source_matrix: np.ndarray | None
 ) -> tuple[DifferentialForm, DifferentialForm, DifferentialForm]:
@@ -176,6 +144,31 @@ def _anchor_target(
     return wn2, wn1, target
 
 
+def _anchor_system(
+    pkg: ChernPackage, source_matrix: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-node system ``A x = b`` of :func:`anchor_velocity`."""
+    grid, n = pkg.grid, pkg.grid.n
+    wn2, wn1, target = _anchor_target(pkg, source_matrix)
+    b = (n - 1) * n1n1_to_matrix(target).reshape(grid.shape + (n * n,))
+
+    # column k*n + j: the sigma matrix of E[k, j] ^ omega^{n-2}
+    columns = [
+        n1n1_to_matrix(wedge(DifferentialForm(grid, 1, 1, {((j,), (k,)): 1j}), wn2))
+        for k in range(n) for j in range(n)
+    ]
+    A = np.stack(columns, axis=-1).reshape(grid.shape + (n * n, n * n))
+    A *= float(n - 1)
+
+    # trace block: coefficient of X[k, j] in tr(g^-1 X) is ginv[j, k]
+    trace_row = np.swapaxes(pkg.ginv, -1, -2).reshape(grid.shape + (n * n,))
+    wn1_col = n1n1_to_matrix(wn1).reshape(grid.shape + (n * n, 1))
+    A -= 0.5 * wn1_col * trace_row[..., None, :]
+
+    A *= np.sqrt(pkg.norm_sq)[..., None, None]
+    return A, b
+
+
 def anchor_velocity(
     pkg: ChernPackage, source_matrix: np.ndarray | None = None
 ) -> np.ndarray:
@@ -188,32 +181,15 @@ def anchor_velocity(
         norm * [ (n-1) M_wedge(X) - 1/2 tr(g^-1 X) M(omega^{n-1}) ]
             = (n-1) M(i del delbar omega^{n-2} - source)
 
-    M_wedge is assembled from cached structure constants; the system is
-    solved with a batched dense solve and the solution re-checked by
-    substitution (max relative forward residual below 1e-10, otherwise
+    M_wedge is built from the form algebra: its column for X[k, j] is
+    the sigma matrix of ``E[k, j] ^ omega^{n-2}``, where ``E[k, j]`` is
+    the (1,1)-form ``i dz^j ^ dzbar^k`` of the unit matrix (the
+    convention of :func:`matrix_to_one_one`).  The system is solved with
+    a batched dense solve and the solution re-checked by substitution
+    (max relative forward residual below 1e-10, otherwise
     :class:`SingularSystemError`).
     """
-    grid = pkg.grid
-    n = grid.n
-    wn2, wn1, target = _anchor_target(pkg, source_matrix)
-
-    wn1_mat = n1n1_to_matrix(wn1)
-    b = (n - 1) * n1n1_to_matrix(target).reshape(grid.shape + (n * n,))
-
-    A = np.zeros(grid.shape + (n * n, n * n), dtype=complex)
-    for j, k, key, a, bcol, coeff in _anchor_structure(n):
-        w = wn2.comps.get(key)
-        if w is None:
-            continue
-        A[..., a * n + bcol, k * n + j] += coeff * w
-    A *= float(n - 1)
-
-    # trace block: coefficient of X[k, j] in tr(g^-1 X) is ginv[j, k]
-    trace_row = np.swapaxes(pkg.ginv, -1, -2).reshape(grid.shape + (n * n,))
-    A -= 0.5 * wn1_mat.reshape(grid.shape + (n * n, 1)) * trace_row[..., None, :]
-
-    A *= np.sqrt(pkg.norm_sq)[..., None, None]
-
+    A, b = _anchor_system(pkg, source_matrix)
     try:
         x = np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError as err:
@@ -227,7 +203,7 @@ def anchor_velocity(
             f"anchor velocity solve lost accuracy: relative residual {rel:.3e}"
         )
 
-    return hermitize(x.reshape(grid.shape + (n, n)))
+    return hermitize(x.reshape(pkg.g.shape))
 
 
 # -- weighted formulation ------------------------------------------------------

@@ -20,11 +20,15 @@ Conventions fixed here and relied on throughout the library:
   ``sigma(j,k) ^ (i dz^j ^ dzbar^k) = V``.  The sigma coefficients of an
   (n-1,n-1)-form are its *matrix encoding*; the matrix of a real form is
   Hermitian.
+
+The sign functions ``_merge_sign``, ``wedge_monomial`` and
+``sigma_coefficient``, like ``_complement``, depend only on their index
+arguments and are cached.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -50,6 +54,7 @@ __all__ = [
 Key = tuple[tuple[int, ...], tuple[int, ...]]
 
 
+@functools.lru_cache(maxsize=None)
 def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
     """Sign and merged tuple for sorting the concatenation left+right.
 
@@ -66,6 +71,7 @@ def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
     return merged, (-1) ** inversions
 
 
+@functools.lru_cache(maxsize=None)
 def wedge_monomial(j1: Key, j2: Key):
     """Combine two monomials ``dz^J1 dzbar^K1`` and ``dz^J2 dzbar^K2``.
 
@@ -207,10 +213,6 @@ class DifferentialForm:
         """Full exterior derivative, returned as the (del, delbar) pair."""
         return self._derivatives(True, True)
 
-    def exterior_d_max_abs(self) -> float:
-        d1, d2 = self.exterior_d()
-        return max(d1.max_abs(), d2.max_abs())
-
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     """Wedge product of two forms on the same grid."""
@@ -242,10 +244,12 @@ def wedge_power(a: DifferentialForm, m: int) -> DifferentialForm:
 # -- the complement basis on (n-1, n-1) forms --------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _complement(n: int, j: int) -> tuple[int, ...]:
     return tuple(m for m in range(n) if m != j)
 
 
+@functools.lru_cache(maxsize=None)
 def sigma_coefficient(n: int, j: int, k: int) -> complex:
     """Coefficient c with sigma(j,k) = c dz^{J'} ^ dzbar^{K'}."""
     key, sign = wedge_monomial(
@@ -275,8 +279,9 @@ def n1n1_to_matrix(theta: DifferentialForm) -> np.ndarray:
     out = np.zeros(theta.grid.shape + (n, n), dtype=complex)
     for j in range(n):
         for k in range(n):
-            c = sigma_coefficient(n, j, k)
-            out[..., j, k] = theta.component(_complement(n, j), _complement(n, k)) / c
+            got = theta.comps.get((_complement(n, j), _complement(n, k)))
+            if got is not None:
+                out[..., j, k] = got / sigma_coefficient(n, j, k)
     return out
 
 

@@ -18,8 +18,8 @@ the flow of |c| * w is the flow of w with time scaled by |c|.
 
 A metric is *balanced* when d(omega^{n-1}) = 0 and *conformally balanced*
 when d(norm ||Omega||_g * omega^{n-1}) = 0.  The defect of the latter is
-what the flow preserves and what :meth:`conformally_balanced_defect`
-measures.
+what the flow preserves; :func:`balanced_defect_parts` computes that
+derivative and :func:`conformally_balanced_defect` its max norm.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "fourier_scalar",
     "volume_norm_sq",
     "volume_norm",
+    "balanced_defect_parts",
     "conformally_balanced_defect",
 ]
 
@@ -268,16 +269,27 @@ def volume_norm(g: np.ndarray) -> np.ndarray:
     return np.sqrt(volume_norm_sq(g))
 
 
+def balanced_defect_parts(
+    grid: TorusGrid, g: np.ndarray, norm: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """Component arrays of d( ||Omega||_g  omega^{n-1} ), del part first.
+
+    ``norm`` is ``volume_norm(g)`` when the caller already holds it.  The
+    list is never empty: every grid has an active direction.
+    """
+    u = volume_norm(g) if norm is None else norm
+    omega = matrix_to_one_one(grid, g)
+    anchor = wedge_power(omega, grid.n - 1) * u.astype(complex)
+    d, dbar = anchor.exterior_d()
+    return [*d.comps.values(), *dbar.comps.values()]
+
+
 def conformally_balanced_defect(
     grid: TorusGrid, g: np.ndarray, norm: np.ndarray | None = None
 ) -> float:
     """Max norm of d( ||Omega||_g  omega^{n-1} ) over the grid.
 
     Zero exactly when the metric satisfies the conformally balanced
-    condition the flow preserves.  ``norm`` is ``volume_norm(g)`` when the
-    caller already holds it.
+    condition the flow preserves.
     """
-    u = volume_norm(g) if norm is None else norm
-    omega = matrix_to_one_one(grid, g)
-    anchor = wedge_power(omega, grid.n - 1) * u.astype(complex)
-    return anchor.exterior_d_max_abs()
+    return max(float(np.abs(v).max()) for v in balanced_defect_parts(grid, g, norm))

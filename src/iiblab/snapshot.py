@@ -134,6 +134,8 @@ def _read(path):
         and type(e.get("offset")) is type(e.get("byteLength")) is int for e in entries
     ):
         raise SnapshotFormatError("manifest is not a list of arrays", offset=0)
+    if len({e["name"] for e in entries}) != len(entries):
+        raise SnapshotFormatError("manifest names an array twice", offset=0)
 
     body = nl + 1
     per_field = math.prod(grid.shape) * grid.n * grid.n * _ITEM

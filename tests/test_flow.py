@@ -1,5 +1,7 @@
 """Flow velocities, the weight chain, sources, and the integrator."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,14 @@ from iiblab.flow import (
     STATUS_BLOWUP,
     STATUS_COMPLETED,
     STATUS_SINGULARITY,
+    _anchor_system,
+    _anchor_target,
     induced_weighted_source,
     metric_from_weighted,
     weighted_dot_from_metric_dot,
     weighted_from_metric,
 )
+from iiblab.forms import n1n1_to_matrix, sigma_coefficient, wedge_monomial
 from iiblab.metrics import (
     balanced_band_metric,
     fourier_scalar,
@@ -228,3 +233,38 @@ def test_formulations_agree_with_an_anchor_source():
     psi[0, 1], psi[1, 0] = 0.05 + 0.03j, 0.05 - 0.03j
     grid = TorusGrid(3, (0, 1), 16)
     assert _final_gap(grid, _balanced(grid), 5e-5, anchor_source=psi) <= 1e-12
+
+
+def _structure_constant_matrix(pkg):
+    """The anchor matrix A assembled entry by entry from wedge signs and
+    sigma coefficients, as the flow did before reading it off the form
+    algebra; kept only here, as the reference."""
+    grid, n = pkg.grid, pkg.grid.n
+    wn2, wn1, _ = _anchor_target(pkg, None)
+    A = np.zeros(grid.shape + (n * n, n * n), dtype=complex)
+    lowers = list(itertools.combinations(range(n), n - 2))
+    for j, k, J, K in itertools.product(range(n), range(n), lowers, lowers):
+        merged, sign = wedge_monomial(((j,), (k,)), (J, K))
+        w = wn2.comps.get((J, K))
+        if merged is None or w is None:
+            continue
+        a = next(m for m in range(n) if m not in merged[0])
+        b = next(m for m in range(n) if m not in merged[1])
+        A[..., a * n + b, k * n + j] += 1j * sign / sigma_coefficient(n, a, b) * w
+    A *= float(n - 1)
+    trace_row = np.swapaxes(pkg.ginv, -1, -2).reshape(grid.shape + (n * n,))
+    A -= 0.5 * n1n1_to_matrix(wn1).reshape(grid.shape + (n * n, 1)) * trace_row[..., None, :]
+    A *= np.sqrt(pkg.norm_sq)[..., None, None]
+    return A
+
+
+@pytest.mark.parametrize("n, axes", [
+    (3, (0, 1)), (3, (0, 2)),
+    (4, (0, 1)), (4, (0, 2)), (4, (0, 1, 2, 3)),
+    (5, (0, 1)), (5, (0, 2)), (5, (0, 1, 2, 3)),
+])
+def test_anchor_matrix_equals_structure_constant_assembly(n, axes):
+    grid = TorusGrid(n, axes, 4)
+    pkg = ChernPackage(grid, random_band_metric(grid, seed=7, amplitude=0.2))
+    A, _ = _anchor_system(pkg, None)
+    assert np.array_equal(A, _structure_constant_matrix(pkg))

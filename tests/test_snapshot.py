@@ -165,11 +165,13 @@ def test_snapshot_info_detects_size_mismatch(tmp_path):
     lambda h: h.__setitem__("t", float("nan")),
     lambda h: h["arrays"][0].pop("name"),
     lambda h: h["arrays"][0].__setitem__("offset", 0.0),
+    lambda h: h["arrays"][1].__setitem__("name", "metric"),
 ], ids=["no-t", "no-geometry", "arrays-5", "arrays-x", "t-abc", "t-nan", "no-name",
-        "float-offset"])
+        "float-offset", "duplicate-name"])
 def test_malformed_header_is_a_format_error_for_both_readers(tmp_path, reader, change):
     path = tmp_path / "h.snap"
-    save_snapshot(path, GRID, 0.0, {"metric": random_band_metric(GRID, seed=11)})
+    g = random_band_metric(GRID, seed=11)
+    save_snapshot(path, GRID, 0.0, {"metric": g, "phi": 2.0 * g})
     head, payload = path.read_bytes().split(b"\n", 1)
     header = json.loads(head)
     change(header)

@@ -24,7 +24,13 @@ from iiblab import (
     verify_tau_identity,
     verify_trh_evolution,
 )
-from iiblab.metrics import balanced_band_metric, fourier_scalar, kahler_from_potential
+from iiblab.errors import HermiticityError
+from iiblab.metrics import (
+    balanced_band_metric,
+    conformally_balanced_defect,
+    fourier_scalar,
+    kahler_from_potential,
+)
 from iiblab.verify import ORACLE_SCHEME, ResidualReport, band_covector
 
 GRID = TorusGrid(3, (0, 1), 16)
@@ -144,6 +150,16 @@ def test_stationarity_source_defect_is_exactly_epsilon():
     assert by_name["stationarity-source"].max_residual == eps
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("family", ["balanced", "random"])
+def test_stationarity_balanced_is_the_balanced_defect(n, family):
+    grid = TorusGrid(n, (0, 1), 8)
+    g = _balanced(grid, 0.2) if family == "balanced" else random_band_metric(grid, seed=5)
+    rep = verify_stationarity(grid, g)[0]
+    assert rep.identity_name == "stationarity-balanced"
+    assert rep.max_residual == conformally_balanced_defect(grid, g)
+
+
 # -- evolution identities ------------------------------------------------------
 
 
@@ -180,6 +196,18 @@ def test_evolution_checks_need_weighted_trajectories():
     stub = run_flow(GRID, g0, FORM_WEIGHTED, 1e-5, StepControl(dt=1e-5))
     with pytest.raises(VerificationError):
         verify_trh_evolution(stub)
+
+
+@pytest.mark.parametrize("verifier", [
+    verify_trh_evolution, verify_dilaton_evolution, verify_S_evolution,
+])
+def test_evolution_verifier_checks_the_center_state(verifier):
+    traj = _short_run(GRID, _balanced(GRID, 0.05))
+    c = len(traj.snapshots) // 2
+    traj.snapshots[c] = traj.snapshots[c].copy()
+    traj.snapshots[c][..., 0, 1] += 1e-6
+    with pytest.raises(HermiticityError):
+        verifier(traj)
 
 
 def test_source_enters_evolution_identities():
