@@ -56,10 +56,11 @@ from .errors import (
 )
 from .forms import (
     DifferentialForm,
-    matrix_to_n1n1,
+    i_del_delbar_matrix,
     matrix_to_one_one,
     n1n1_to_matrix,
     wedge,
+    wedge_block,
     wedge_power,
 )
 from .grid import TorusGrid
@@ -130,17 +131,16 @@ def weighted_dot_from_metric_dot(pkg: ChernPackage, g_dot: np.ndarray) -> np.nda
 
 def _anchor_target(
     pkg: ChernPackage, source_matrix: np.ndarray | None
-) -> tuple[DifferentialForm, DifferentialForm, DifferentialForm]:
-    """Returns (omega^{n-2}, omega^{n-1}, target) for the anchor solve."""
+) -> tuple[DifferentialForm, DifferentialForm, np.ndarray]:
+    """Returns omega^{n-2}, omega^{n-1} and the sigma matrix of the target
+    ``i del delbar omega^{n-2} - source`` for the anchor solve."""
     grid = pkg.grid
     omega = matrix_to_one_one(grid, pkg.g)
     wn2 = wedge_power(omega, grid.n - 2)
     wn1 = wedge(wn2, omega)
-    target = wn2.delbar().del_() * 1j
+    target = i_del_delbar_matrix(wn2)
     if source_matrix is not None:
-        target = target - matrix_to_n1n1(grid, np.broadcast_to(
-            np.asarray(source_matrix, dtype=complex), grid.shape + (grid.n, grid.n)
-        ))
+        target -= np.asarray(source_matrix, dtype=complex)
     return wn2, wn1, target
 
 
@@ -150,14 +150,9 @@ def _anchor_system(
     """The per-node system ``A x = b`` of :func:`anchor_velocity`."""
     grid, n = pkg.grid, pkg.grid.n
     wn2, wn1, target = _anchor_target(pkg, source_matrix)
-    b = (n - 1) * n1n1_to_matrix(target).reshape(grid.shape + (n * n,))
+    b = (n - 1) * target.reshape(grid.shape + (n * n,))
 
-    # column k*n + j: the sigma matrix of E[k, j] ^ omega^{n-2}
-    columns = [
-        n1n1_to_matrix(wedge(DifferentialForm(grid, 1, 1, {((j,), (k,)): 1j}), wn2))
-        for k in range(n) for j in range(n)
-    ]
-    A = np.stack(columns, axis=-1).reshape(grid.shape + (n * n, n * n))
+    A = wedge_block(wn2)
     A *= float(n - 1)
 
     # trace block: coefficient of X[k, j] in tr(g^-1 X) is ginv[j, k]
@@ -181,13 +176,18 @@ def anchor_velocity(
         norm * [ (n-1) M_wedge(X) - 1/2 tr(g^-1 X) M(omega^{n-1}) ]
             = (n-1) M(i del delbar omega^{n-2} - source)
 
-    M_wedge is built from the form algebra: its column for X[k, j] is
-    the sigma matrix of ``E[k, j] ^ omega^{n-2}``, where ``E[k, j]`` is
-    the (1,1)-form ``i dz^j ^ dzbar^k`` of the unit matrix (the
-    convention of :func:`matrix_to_one_one`).  The system is solved with
-    a batched dense solve and the solution re-checked by substitution
-    (max relative forward residual below 1e-10, otherwise
-    :class:`SingularSystemError`).
+    The column of M_wedge for X[k, j] is the sigma matrix of
+    ``E[k, j] ^ omega^{n-2}``, where ``E[k, j]`` is the (1,1)-form
+    ``i dz^j ^ dzbar^k`` of the unit matrix (the convention of
+    :func:`matrix_to_one_one`).  Both M_wedge and the i del delbar target
+    come from one table compiled once per n from the ``forms`` sign
+    functions: M_wedge is one matrix product of the stacked components of
+    omega^{n-2} with it (:func:`~iiblab.forms.wedge_block`), and the
+    target applies its active-direction part to one stacked transform of
+    those components (:func:`~iiblab.forms.i_del_delbar_matrix`).  The
+    system is solved with a batched dense solve and the solution
+    re-checked by substitution (max relative forward residual below
+    1e-10, otherwise :class:`SingularSystemError`).
     """
     A, b = _anchor_system(pkg, source_matrix)
     try:
@@ -195,7 +195,7 @@ def anchor_velocity(
     except np.linalg.LinAlgError as err:
         raise SingularSystemError(f"anchor velocity solve failed: {err}") from err
 
-    residual = np.einsum("...ij,...j->...i", A, x) - b
+    residual = (A @ x[..., None])[..., 0] - b
     scale = max(float(np.abs(b).max()), float(np.abs(A).max() * np.abs(x).max()), 1e-30)
     rel = float(np.abs(residual).max()) / scale
     if rel > SOLVE_RESIDUAL_GATE:

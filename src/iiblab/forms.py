@@ -23,12 +23,18 @@ Conventions fixed here and relied on throughout the library:
 
 The sign functions ``_merge_sign``, ``wedge_monomial`` and
 ``sigma_coefficient``, like ``_complement``, depend only on their index
-arguments and are cached.
+arguments and are cached.  The anchor right-hand side reads two tables
+compiled from them once per n: :func:`wedge_block` multiplies the stacked
+components of an (n-2,n-2)-form by one coefficient matrix, and
+:func:`i_del_delbar_matrix` reuses that matrix, restricted to the active
+directions, to apply i del delbar with one forward and one inverse
+transform.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -49,6 +55,8 @@ __all__ = [
     "one_one_to_matrix",
     "volume_coefficient",
     "top_coefficient",
+    "wedge_block",
+    "i_del_delbar_matrix",
 ]
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
@@ -335,3 +343,100 @@ def top_coefficient(theta: DifferentialForm) -> np.ndarray:
         raise DegreeError(f"need an (n,n)-form, got ({theta.p},{theta.q})")
     full = tuple(range(n))
     return theta.component(full, full) / volume_coefficient(n)
+
+
+# -- compiled tables of the anchor right-hand side -----------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _wedge_table(n: int) -> tuple[tuple[Key, ...], np.ndarray]:
+    """Keys of an (n-2,n-2)-form and the matrix C of :func:`wedge_block`.
+
+    C has shape ``(K, n**4)`` with K = C(n, n-2)**2 components.  Column
+    ``(a*n + b)*n**2 + k*n + j`` holds, in the row of component ``kappa``,
+    the sigma coefficient ``[a, b]`` of ``E[k, j] ^ dz^J ^ dzbar^K``,
+    where ``E[k, j] = i dz^j ^ dzbar^k``.  Each entry is 0, +-1 or +-i,
+    and each column has at most one non-zero entry.
+    """
+    lowers = list(itertools.combinations(range(n), n - 2))
+    keys = tuple(itertools.product(lowers, lowers))
+    C = np.zeros((len(keys), n ** 4), dtype=complex)
+    for row, kappa in enumerate(keys):
+        for j, k in itertools.product(range(n), range(n)):
+            merged, sign = wedge_monomial(((j,), (k,)), kappa)
+            if merged is None:
+                continue
+            a = next(m for m in range(n) if m not in merged[0])
+            b = next(m for m in range(n) if m not in merged[1])
+            C[row, (a * n + b) * n * n + k * n + j] = 1j * sign / sigma_coefficient(n, a, b)
+    C.flags.writeable = False
+    return keys, C
+
+
+@functools.lru_cache(maxsize=None)
+def _i_del_delbar_table(n: int, directions: tuple[int, ...]):
+    """The part of C that i del delbar reaches along the given directions.
+
+    Returns ``(pairs, comps, rows, D)``: the (j, k) direction pairs, the
+    keys of the components and the indices of the sigma rows some pair
+    couples, and ``D[p, r, c]``, the coefficient of ``d_j dbar_k`` of
+    component ``comps[c]`` in row ``rows[r]`` for ``pairs[p] = (j, k)``.
+    """
+    keys, C = _wedge_table(n)
+    pairs = tuple(itertools.product(directions, directions))
+    D = C.reshape(-1, n * n, n * n)[:, :, [k * n + j for j, k in pairs]].transpose(2, 1, 0)
+    rows = np.flatnonzero(D.any(axis=(0, 2)))
+    live = np.flatnonzero(D.any(axis=(0, 1)))
+    D = np.ascontiguousarray(D[:, rows][:, :, live])
+    for table in (rows, D):
+        table.flags.writeable = False
+    return pairs, tuple(keys[c] for c in live), rows, D
+
+
+def _require_lower(theta: DifferentialForm) -> None:
+    n = theta.grid.n
+    if (theta.p, theta.q) != (n - 2, n - 2):
+        raise DegreeError(f"need an (n-2,n-2)-form, got ({theta.p},{theta.q})")
+
+
+def _stack(theta: DifferentialForm, keys, axis: int) -> np.ndarray:
+    shape = theta.grid.shape
+    return np.stack(
+        [np.broadcast_to(theta.comps.get(key, 0.0), shape) for key in keys],
+        axis=axis, dtype=complex,
+    )
+
+
+def wedge_block(theta: DifferentialForm) -> np.ndarray:
+    """Sigma matrices of ``E[k, j] ^ theta`` for an (n-2,n-2)-form theta.
+
+    Column ``k*n + j`` of the result (shape ``(*grid, n*n, n*n)``) is the
+    flattened sigma matrix of ``E[k, j] ^ theta``, as
+    ``n1n1_to_matrix(wedge(E[k, j], theta))`` would give it: one matrix
+    product of the stacked components with the compiled table C.  Every
+    entry takes one term with a coefficient of +-1 or +-i, so it is exact.
+    """
+    _require_lower(theta)
+    grid, n = theta.grid, theta.grid.n
+    keys, C = _wedge_table(n)
+    stacked = _stack(theta, keys, axis=-1).reshape(-1, len(keys))
+    return (stacked @ C).reshape(grid.shape + (n * n, n * n))
+
+
+def i_del_delbar_matrix(theta: DifferentialForm) -> np.ndarray:
+    """Sigma matrix of ``i del delbar theta`` for an (n-2,n-2)-form theta.
+
+    i del delbar of ``v dz^J ^ dzbar^K`` is the sum over (j, k) of
+    ``d_j dbar_k v  E[k, j] ^ dz^J ^ dzbar^K``, so its sigma coefficients
+    are the entries of C.  The components some active direction pair
+    reaches go to :meth:`TorusGrid.mixed_derivatives` together, with the
+    part of C that couples them to the sigma rows that can be non-zero:
+    one forward and one inverse transform.  Shape ``(*grid, n, n)``.
+    """
+    _require_lower(theta)
+    grid, n = theta.grid, theta.grid.n
+    pairs, comps, rows, D = _i_del_delbar_table(n, grid.active_directions)
+    live = grid.mixed_derivatives(_stack(theta, comps, axis=0), pairs, D)
+    out = np.zeros(grid.shape + (n * n,), dtype=complex)
+    out[..., rows] = grid.to_grid_first(live)
+    return out.reshape(grid.shape + (n, n))

@@ -23,7 +23,11 @@ works on *grid-last* arrays (index axes first, grid axes last).  On the
 spectral path it takes one forward ``fftn`` per field, multiplies by the
 precomputed symbols of the requested active directions and takes one
 inverse transform per request.  Directions with no active real axis are
-exact zeros and cost no transform on either path.
+exact zeros and cost no transform on either path.  Linear combinations of
+mixed second derivatives d/dz^j d/dzbar^k of a stack of fields (the i del
+delbar of the anchor flow) go through :meth:`TorusGrid.mixed_derivatives`,
+which takes one forward transform of the stack, multiplies by the product
+symbols and takes one inverse transform of the combinations.
 
 Complex derivatives follow the convention
 
@@ -261,6 +265,31 @@ class TorusGrid:
             one(j, bool(barred)) if ok else None
             for (j, barred), ok in zip(requests, live)
         ]
+
+    def mixed_derivatives(
+        self, values: np.ndarray, pairs, mix: np.ndarray
+    ) -> np.ndarray:
+        """Linear combinations of mixed second derivatives, spectral.
+
+        ``values`` stacks L grid-last fields, shape ``(L, *grid)``;
+        ``pairs`` lists P ``(j, k)`` pairs of active directions and ``mix``
+        has shape ``(P, R, L)``.  Returns the R grid-last fields
+        ``sum_p mix[p] @ (d/dz^j d/dzbar^k values)``.  The fields share one
+        forward transform (of their deviation from the first node, as in
+        :meth:`derivatives`, so constants give exact zeros) and the outputs
+        one inverse transform.
+        """
+        axes = tuple(range(1, values.ndim))
+        origin = values[(...,) + (slice(0, 1),) * self.ndim_grid]
+        spectrum = np.subtract(values, origin, dtype=complex, order="C")
+        np.fft.fftn(spectrum, axes=axes, out=spectrum)
+        symbols = np.stack([
+            np.broadcast_to(self._symbols[j, False] * self._symbols[k, True], self.shape)
+            for j, k in pairs
+        ]).reshape(len(pairs), 1, -1)
+        out = ((mix @ spectrum.reshape(len(values), -1)) * symbols).sum(axis=0)
+        out = out.reshape((mix.shape[1],) + self.shape)
+        return np.fft.ifftn(out, axes=axes, out=out)
 
     def holomorphic_gradient(
         self, values: np.ndarray, scheme: str = SPECTRAL, barred: bool = False

@@ -50,7 +50,6 @@ import numpy as np
 from .chern import ChernPackage, pair_endo_forms
 from .errors import ValenceError, VerificationError
 from .flow import BALANCED_GATE, FORM_WEIGHTED, Trajectory, _anchor_target
-from .forms import n1n1_to_matrix
 from .grid import SPECTRAL, TorusGrid
 from .metrics import (balanced_defect_parts, conformally_balanced_defect, flat_metric,
                       fourier_scalar, volume_norm_sq)
@@ -399,7 +398,7 @@ def verify_stationarity(
     parts = balanced_defect_parts(grid, g, np.sqrt(pkg.norm_sq))
     balanced = _report("stationarity-balanced", parts, tolerance, grid, oracle)
 
-    defect = n1n1_to_matrix(_anchor_target(pkg, source_matrix)[2])
+    defect = _anchor_target(pkg, source_matrix)[2]
     source_rep = _report("stationarity-source", defect, tolerance, grid, oracle)
     return [balanced, source_rep]
 

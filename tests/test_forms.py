@@ -6,13 +6,16 @@ import pytest
 from iiblab import DifferentialForm, TorusGrid, wedge, wedge_power
 from iiblab.errors import DegreeError
 from iiblab.forms import (
+    i_del_delbar_matrix,
     matrix_to_n1n1,
     matrix_to_one_one,
     n1n1_to_matrix,
     one_one_to_matrix,
     sigma_basis_form,
     top_coefficient,
+    wedge_block,
 )
+from iiblab.metrics import random_band_metric
 
 try:
     from hypothesis import given, settings
@@ -128,6 +131,50 @@ def test_exterior_d_on_scalar_matches_gradient():
     dz = GRID.holomorphic_gradient(np.sin(2 * np.pi * x))[..., 0]
     assert np.abs(dhol.component((0,), ()) - dz).max() < 1e-12
     assert np.abs(dbar.component((), (0,)) - np.conj(dz)).max() < 1e-12
+
+
+# geometries of the compiled anchor tables: one complex direction (0, 1),
+# two directions along their real axes only (0, 2), two full directions
+TABLE_GEOMETRIES = [
+    (n, axes) for n in (3, 4, 5) for axes in ((0, 1), (0, 2), (0, 1, 2, 3))
+]
+
+
+def _lower_power(n, axes, resolution=8):
+    """omega^{n-2} of a random metric: the form the anchor tables act on."""
+    grid = TorusGrid(n, axes, resolution)
+    omega = matrix_to_one_one(grid, random_band_metric(grid, seed=7, amplitude=0.2))
+    return wedge_power(omega, n - 2)
+
+
+@pytest.mark.parametrize("n, axes", TABLE_GEOMETRIES)
+def test_wedge_block_equals_form_built_columns(n, axes):
+    theta = _lower_power(n, axes)
+    grid = theta.grid
+    # column k*n + j: the sigma matrix of E[k, j] ^ theta, built by the form algebra
+    columns = [
+        n1n1_to_matrix(wedge(DifferentialForm(grid, 1, 1, {((j,), (k,)): 1j}), theta))
+        for k in range(n) for j in range(n)
+    ]
+    want = np.stack(columns, axis=-1).reshape(grid.shape + (n * n, n * n))
+    assert np.array_equal(wedge_block(theta), want)
+
+
+@pytest.mark.parametrize("n, axes, resolution", [
+    (n, axes, 8) for n, axes in TABLE_GEOMETRIES
+] + [(3, (0, 1, 2, 3, 4, 5), 4)])
+def test_i_del_delbar_matrix_equals_form_derivatives(n, axes, resolution):
+    theta = _lower_power(n, axes, resolution)
+    want = n1n1_to_matrix(theta.delbar().del_() * 1j)
+    got = i_del_delbar_matrix(theta)
+    # worst measured over these geometries, R = 4 and 8, seeds 0-3: 1.0e-15
+    assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
+
+
+def test_anchor_tables_need_the_lower_bidegree():
+    for table in (wedge_block, i_del_delbar_matrix):
+        with pytest.raises(DegreeError):
+            table(DifferentialForm(GRID, 2, 2))
 
 
 if HAS_HYPOTHESIS:
