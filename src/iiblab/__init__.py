@@ -56,7 +56,6 @@ from .verify import (
     EVOLUTION_REGISTRY,
     SPATIAL_REGISTRY,
     ResidualReport,
-    relative_endomorphism,
     verify_S_evolution,
     verify_bianchi,
     verify_commutator_convention,

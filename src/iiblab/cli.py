@@ -138,13 +138,17 @@ def _write_reports(path: str, rc: ResolvedConfig, reports: list) -> bool:
     return all_pass
 
 
-def _cmd_run(args) -> int:
-    rc = resolve_config(
+def _resolve(args) -> ResolvedConfig:
+    return resolve_config(
         load_config_file(args.config),
         seed=args.seed,
         resolution=args.resolution,
         base_dir=os.path.dirname(os.path.abspath(args.config)),
     )
+
+
+def _cmd_run(args) -> int:
+    rc = _resolve(args)
     out = _out_dir(args, rc)
 
     diag_every = rc.diagnostics_every
@@ -234,12 +238,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rc = resolve_config(
-        load_config_file(args.config),
-        seed=args.seed,
-        resolution=args.resolution,
-        base_dir=os.path.dirname(os.path.abspath(args.config)),
-    )
+    rc = _resolve(args)
     if not rc.verify_suite:
         raise ConfigError("verify needs a non-empty verifySuite block")
     out = _out_dir(args, rc)

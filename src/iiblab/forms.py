@@ -47,14 +47,10 @@ __all__ = [
     "wedge",
     "wedge_power",
     "wedge_monomial",
-    "sigma_basis_form",
     "sigma_coefficient",
     "n1n1_to_matrix",
-    "matrix_to_n1n1",
     "matrix_to_one_one",
-    "one_one_to_matrix",
     "volume_coefficient",
-    "top_coefficient",
     "wedge_block",
     "i_del_delbar_matrix",
 ]
@@ -267,15 +263,6 @@ def sigma_coefficient(n: int, j: int, k: int) -> complex:
     return volume_coefficient(n) / (1j * sign)
 
 
-def sigma_basis_form(grid: TorusGrid, j: int, k: int) -> DifferentialForm:
-    """The (n-1,n-1) monomial dual to ``i dz^j ^ dzbar^k`` (zero-based)."""
-    n = grid.n
-    out = DifferentialForm(grid, n - 1, n - 1)
-    c = sigma_coefficient(n, j, k)
-    out.set_component(_complement(n, j), _complement(n, k), np.full(grid.shape, c))
-    return out
-
-
 def n1n1_to_matrix(theta: DifferentialForm) -> np.ndarray:
     """Matrix encoding of an (n-1,n-1)-form in the sigma basis.
 
@@ -290,20 +277,6 @@ def n1n1_to_matrix(theta: DifferentialForm) -> np.ndarray:
             got = theta.comps.get((_complement(n, j), _complement(n, k)))
             if got is not None:
                 out[..., j, k] = got / sigma_coefficient(n, j, k)
-    return out
-
-
-def matrix_to_n1n1(grid: TorusGrid, matrix: np.ndarray) -> DifferentialForm:
-    """Inverse of :func:`n1n1_to_matrix`."""
-    n = grid.n
-    out = DifferentialForm(grid, n - 1, n - 1)
-    for j in range(n):
-        for k in range(n):
-            c = sigma_coefficient(n, j, k)
-            out._accumulate(
-                (_complement(n, j), _complement(n, k)),
-                c * np.asarray(matrix[..., j, k], dtype=complex),
-            )
     return out
 
 
@@ -322,27 +295,6 @@ def matrix_to_one_one(grid: TorusGrid, g: np.ndarray) -> DifferentialForm:
         for k in range(n):
             out._accumulate(((j,), (k,)), 1j * np.asarray(g[..., k, j], dtype=complex))
     return out
-
-
-def one_one_to_matrix(form: DifferentialForm) -> np.ndarray:
-    """Inverse of :func:`matrix_to_one_one`: recover g[..., k, j]."""
-    if (form.p, form.q) != (1, 1):
-        raise DegreeError(f"need a (1,1)-form, got ({form.p},{form.q})")
-    n = form.grid.n
-    out = np.zeros(form.grid.shape + (n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            out[..., k, j] = form.component((j,), (k,)) / 1j
-    return out
-
-
-def top_coefficient(theta: DifferentialForm) -> np.ndarray:
-    """Coefficient of the volume element V in an (n,n)-form."""
-    n = theta.grid.n
-    if (theta.p, theta.q) != (n, n):
-        raise DegreeError(f"need an (n,n)-form, got ({theta.p},{theta.q})")
-    full = tuple(range(n))
-    return theta.component(full, full) / volume_coefficient(n)
 
 
 # -- compiled tables of the anchor right-hand side -----------------------------

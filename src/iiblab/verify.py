@@ -51,8 +51,8 @@ from .chern import ChernPackage, pair_endo_forms
 from .errors import ValenceError, VerificationError
 from .flow import BALANCED_GATE, FORM_WEIGHTED, Trajectory, _anchor_target
 from .grid import SPECTRAL, TorusGrid
-from .metrics import (balanced_defect_parts, conformally_balanced_defect, flat_metric,
-                      fourier_scalar, volume_norm_sq)
+from .metrics import (balanced_defect_parts, conformally_balanced_defect, fourier_scalar,
+                      volume_norm_sq)
 
 __all__ = [
     "ResidualReport",
@@ -65,7 +65,6 @@ __all__ = [
     "verify_trh_evolution",
     "verify_dilaton_evolution",
     "verify_S_evolution",
-    "relative_endomorphism",
     "ORACLE_SCHEME",
     "SPATIAL_REGISTRY",
     "EVOLUTION_REGISTRY",
@@ -160,11 +159,6 @@ def _spatial_oracle() -> dict:
     return {"lhsScheme": SPECTRAL, "rhsScheme": ORACLE_SCHEME}
 
 
-def relative_endomorphism(g_ref: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``h[..., a, b]``: inverse reference metric times current metric."""
-    return np.linalg.inv(g_ref) @ g
-
-
 # -- deterministic auxiliary field ---------------------------------------------
 
 
@@ -218,7 +212,7 @@ def verify_tau_identity(
             )
         ]
     pkg = ChernPackage(grid, g)
-    log_sq = np.log(volume_norm_sq(g)).astype(complex)
+    log_sq = np.log(pkg.norm_sq).astype(complex)
     dlog = 0.5 * grid.holomorphic_gradient(log_sq, ORACLE_SCHEME)
     return [_report("tau-torsion-trace", pkg.tau - dlog, tolerance, grid, oracle)]
 
@@ -228,27 +222,20 @@ def verify_connection_difference(
     g: np.ndarray,
     tolerance: float = 1e-7,
 ) -> list[ResidualReport]:
-    """Three assemblies of the relative connection, plus its norm.
+    """Three assemblies of the Chern connection, plus its norm.
 
-    The difference of the two Chern connections must match both the
-    raised reference-covariant derivative of the metric and the
-    endomorphism form ``hinv`` times the reference derivative of ``h``;
-    the squared norm computed from the connection difference must match
-    the direct contraction of the reference derivative of the metric.
-    The reference metric is the flat one, as in :func:`verify_S_evolution`.
+    The reference metric is the flat one, as in :func:`verify_S_evolution`,
+    so the relative connection is the Chern connection itself.  The
+    spectral ``gamma`` must match the fd8 gradient of the
+    metric raised once with the Cholesky inverse ``ginv`` and once with
+    the LAPACK inverse ``inv(g)``; the squared norm of ``gamma`` must
+    match the direct contraction of that gradient.
     """
-    g_ref = flat_metric(grid)
     pkg = ChernPackage(grid, g)
-    ref = ChernPackage(grid, g_ref)
-    ref_fd = ChernPackage(grid, g_ref, ORACLE_SCHEME)
-
-    a1 = pkg.connection_difference(ref)
-    nb_g = ref_fd.covd(pkg.g, "Ll")
-    a2 = np.einsum("...kl,...ilj->...ikj", pkg.ginv, nb_g)
-    h = relative_endomorphism(g_ref, g)
-    hinv = relative_endomorphism(g, g_ref)
-    nb_h = ref_fd.covd(h, "ul")
-    a3 = np.einsum("...ag,...igb->...iab", hinv, nb_h)
+    a1 = pkg.gamma
+    dg_fd = grid.holomorphic_gradient(pkg.g, ORACLE_SCHEME)
+    a2 = np.einsum("...kl,...ilj->...ikj", pkg.ginv, dg_fd)
+    a3 = np.einsum("...ag,...igb->...iab", np.linalg.inv(pkg.g), dg_fd)
 
     oracle = _spatial_oracle()
     rep_a = _report(
@@ -261,7 +248,7 @@ def verify_connection_difference(
     )
 
     s_direct = pkg.endo_norm_sq(a1)
-    s_from_dg = pair_endo_forms(pkg.ginv, pkg.ginv, pkg.ginv, nb_g, nb_g).real
+    s_from_dg = pair_endo_forms(pkg.ginv, pkg.ginv, pkg.ginv, dg_fd, dg_fd).real
     rep_s = _report("s-two-path", s_direct - s_from_dg, tolerance, grid, oracle)
     return [rep_a, rep_s]
 
@@ -554,19 +541,19 @@ def verify_S_evolution(
     all come from the snapshot window.  Residuals are normalized by the
     largest term in the identity, since S itself varies over orders of
     magnitude along a run.  The window is centered on the middle stored
-    state.  Against the flat reference the relative connection is the
-    full Chern connection of the evolving metric, which keeps S of order
-    one and the normalization honest from the first snapshot on.
+    state.  The reference metric is flat, so its connection and curvature
+    vanish and S = |gamma|^2 with gamma the Chern connection of the
+    evolving metric.  A reference taken from the run itself would make S
+    vanish at that snapshot; the flat one keeps S of order one and the
+    normalization honest from the first snapshot on.
 
-    Cross-checks: the time derivative of the relative connection
-    against the covariant derivative of the metric velocity (absolute
-    tolerance ``CONNECTION_RATE_TOLERANCE``), and the flow-specific heat
-    equation for the relative connection (relative tolerance, needs the
-    source when one acted).
+    Cross-checks: the time derivative of gamma against the covariant
+    derivative of the metric velocity (absolute tolerance
+    ``CONNECTION_RATE_TOLERANCE``), and the flow-specific heat equation
+    for gamma (relative tolerance, needs the source when one acted).
     """
     times, states = _weighted_states(trajectory)
     grid = trajectory.grid
-    ref = ChernPackage(grid, flat_metric(grid))
     phi_field = _source_field(grid, phi)
 
     c = len(times) // 2
@@ -575,7 +562,7 @@ def verify_S_evolution(
         raise VerificationError("snapshot spacing around the center is not uniform")
 
     pkgs = {t: ChernPackage(grid, states[t]) for t in (c - 1, c, c + 1)}
-    a_all = {t: pkgs[t].connection_difference(ref) for t in pkgs}
+    a_all = {t: pkgs[t].gamma for t in pkgs}
     s_all = {t: pkgs[t].endo_norm_sq(a_all[t]) for t in pkgs}
     pkg = pkgs[c]
     a = a_all[c]
@@ -639,19 +626,16 @@ def verify_S_evolution(
         _time_oracle(dt, 1),
     )
 
-    w1 = np.einsum(
-        "...pq,...pqmab->...mab", pkg.ginv, pkg.covd(ref.curvature, "Llul")
-    )
     w2 = np.einsum(
         "...pq,...rmp,...qrab->...mab", pkg.ginv, pkg.t_up, pkg.curvature,
         optimize=True,
     )
     q_endo = -0.5 * np.einsum("...ag,...gb->...ab", pkg.ginv, pkg.ttbar)
-    heat_rhs = -w1 + w2 + pkg.covd(q_endo, "ul")
+    heat_rhs = w2 + pkg.covd(q_endo, "ul")
     if phi_field is not None:
         phi_endo = np.einsum("...ag,...gb->...ab", pkg.ginv, phi_field)
         heat_rhs = heat_rhs - pkg.covd(phi_endo, "ul")
-    heat_blocks = [heat_a, w1, w2, heat_rhs]
+    heat_blocks = [heat_a, w2, heat_rhs]
     heat_scale = max(float(np.abs(b).max()) for b in heat_blocks)
     heat_scale = max(heat_scale, 1e-30)
     oracle_heat = _time_oracle(dt, 1)

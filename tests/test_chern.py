@@ -9,7 +9,6 @@ import pytest
 
 from iiblab import ChernPackage, PositivityError, TorusGrid, flat_metric, random_band_metric
 from iiblab.chern import pair_endo_forms
-from iiblab.verify import relative_endomorphism
 from iiblab.errors import ValenceError
 from iiblab.metrics import kahler_from_potential
 
@@ -106,12 +105,6 @@ def test_chern_scalar_is_laplacian_of_log_norm(random_pkg):
     # the dilaton squared-log, with the volume form constant here
     lap = 2.0 * random_pkg.scalar_laplacian((-0.5 * log_sq).astype(complex)).real
     assert np.abs(random_pkg.chern_scalar - lap).max() < 1e-10
-
-
-def test_relative_endomorphism_and_eigenvalues():
-    g0 = flat_metric(GRID)
-    h = relative_endomorphism(g0, 2.0 * g0)
-    assert np.abs(h - 2.0 * np.eye(3)).max() < 1e-14
 
 
 def test_scalar_laplacian_flat_symbol():

@@ -381,8 +381,9 @@ def test_verify_stationarity_receives_the_anchor_source(tmp_path):
 
 def test_verify_requires_suite(tmp_path, capsys):
     config = _write(tmp_path, "nosuite.json", _flat_cfg())
-    assert main(["verify", "--config", config]) == 1
+    assert main(["verify", "--config", config, "--out", str(tmp_path / "o")]) == 1
     assert "verifySuite" in json.loads(capsys.readouterr().err)["error"]["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_resolution_override_lands_in_header(tmp_path):

@@ -1,6 +1,8 @@
-"""Every name a module exports exists."""
+"""Every name a module exports exists, and something uses it."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -11,9 +13,55 @@ MODULES = ["iiblab"] + [
     f"iiblab.{info.name}" for info in pkgutil.iter_modules(iiblab.__path__)
 ]
 
+SRC = pathlib.Path(iiblab.__file__).parent
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     missing = [sym for sym in getattr(module, "__all__", ()) if not hasattr(module, sym)]
     assert not missing, f"{name}.__all__ names missing symbols: {missing}"
+
+
+def _dunder_all(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names read as variables or attributes; definitions and strings do not count."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_every_exported_name_is_reachable():
+    """A submodule export is used somewhere in the package or re-exported.
+
+    Imports alone do not count as a use, except the package's own
+    re-exports in ``__init__``: those are the public interface.
+    """
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    reexported = {
+        alias.name
+        for node in ast.walk(trees["__init__"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = set().union(*(_referenced_names(t) for t in trees.values()))
+    orphans = [
+        f"iiblab.{mod}.{sym}"
+        for mod, tree in trees.items()
+        if mod != "__init__"
+        for sym in _dunder_all(tree)
+        if sym not in used and sym not in reexported
+    ]
+    assert not orphans, f"exported but never used in src/iiblab: {orphans}"

@@ -7,12 +7,10 @@ from iiblab import DifferentialForm, TorusGrid, wedge, wedge_power
 from iiblab.errors import DegreeError
 from iiblab.forms import (
     i_del_delbar_matrix,
-    matrix_to_n1n1,
     matrix_to_one_one,
     n1n1_to_matrix,
-    one_one_to_matrix,
-    sigma_basis_form,
-    top_coefficient,
+    sigma_coefficient,
+    volume_coefficient,
     wedge_block,
 )
 from iiblab.metrics import random_band_metric
@@ -74,41 +72,25 @@ def test_wedge_degree_overflow():
         wedge_power(a, 4)
 
 
-def test_one_one_matrix_roundtrip():
-    rng = np.random.default_rng(8)
-    g = rng.standard_normal(GRID.shape + (3, 3)) + 1j * rng.standard_normal(
-        GRID.shape + (3, 3)
-    )
-    form = matrix_to_one_one(GRID, g)
-    assert np.allclose(one_one_to_matrix(form), g)
-
-
 def test_sigma_basis_duality():
     """sigma(j,k) pairs to one volume against i dz^j ^ dzbar^k only.
 
     A probe matrix with a single entry at [a, b] encodes, barred index
     first, the monomial i dz^b ^ dzbar^a.
     """
+    full = (0, 1, 2)
     for j in range(3):
         for k in range(3):
-            sig = sigma_basis_form(GRID, j, k)
+            comp = tuple(m for m in full if m != j), tuple(m for m in full if m != k)
+            sig = DifferentialForm(GRID, 2, 2, {comp: sigma_coefficient(3, j, k)})
             for a in range(3):
                 for b in range(3):
                     probe = np.zeros((3, 3))
                     probe[a, b] = 1.0
-                    pairing = top_coefficient(
-                        wedge(sig, matrix_to_one_one(GRID, probe))
-                    )
+                    top = wedge(sig, matrix_to_one_one(GRID, probe))
+                    pairing = top.component(full, full) / volume_coefficient(3)
                     want = 1.0 if (j, k) == (b, a) else 0.0
                     assert np.abs(pairing - want).max() < 1e-14
-
-
-def test_n1n1_matrix_roundtrip():
-    rng = np.random.default_rng(9)
-    m = rng.standard_normal(GRID.shape + (3, 3)) + 1j * rng.standard_normal(
-        GRID.shape + (3, 3)
-    )
-    assert np.allclose(n1n1_to_matrix(matrix_to_n1n1(GRID, m)), m)
 
 
 def test_exterior_derivative_pieces_square_to_zero():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from iiblab import (
+    ChernPackage,
     FORM_ANCHOR,
     FORM_WEIGHTED,
     StepControl,
@@ -158,6 +159,38 @@ def test_stationarity_balanced_is_the_balanced_defect(n, family):
     rep = verify_stationarity(grid, g)[0]
     assert rep.identity_name == "stationarity-balanced"
     assert rep.max_residual == conformally_balanced_defect(grid, g)
+
+
+@pytest.mark.parametrize("n,axes", [(3, (0, 1)), (4, (0, 2, 3))], ids=["n3", "n4"])
+def test_flat_reference_terms_are_exactly_the_chern_terms(n, axes):
+    """Against the flat reference the relative connection is gamma itself.
+
+    The assemblies below measure the connection against explicit flat
+    Chern packages.  The verifiers read ``gamma``, the fd8 gradient of g
+    and its two inverses directly, and leave the derivative of the flat
+    curvature out of the S-evolution heat check; both shortcuts must be
+    exact, not merely close.
+    """
+    grid = TorusGrid(n, axes, 8)
+    g = random_band_metric(grid, seed=3)
+    flat = flat_metric(grid)
+    pkg = ChernPackage(grid, g)
+    ref = ChernPackage(grid, flat)
+    ref_fd = ChernPackage(grid, flat, ORACLE_SCHEME)
+
+    old_a1 = pkg.connection_difference(ref)
+    old_a2 = np.einsum("...kl,...ilj->...ikj", pkg.ginv, ref_fd.covd(pkg.g, "Ll"))
+    h = np.linalg.inv(flat) @ g
+    hinv = np.linalg.inv(g) @ flat
+    old_a3 = np.einsum("...ag,...igb->...iab", hinv, ref_fd.covd(h, "ul"))
+
+    dg_fd = grid.holomorphic_gradient(pkg.g, ORACLE_SCHEME)
+    assert np.array_equal(old_a1, pkg.gamma)
+    assert np.array_equal(old_a2, np.einsum("...kl,...ilj->...ikj", pkg.ginv, dg_fd))
+    assert np.array_equal(
+        old_a3, np.einsum("...ag,...igb->...iab", np.linalg.inv(pkg.g), dg_fd)
+    )
+    assert not np.any(pkg.covd(ref.curvature, "Llul"))
 
 
 # -- evolution identities ------------------------------------------------------
