@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DegreeError, GridError
+from .errors import DegreeError
 from .grid import TorusGrid
 
 __all__ = [
@@ -113,87 +113,29 @@ class DifferentialForm:
         if not (0 <= self.p <= n and 0 <= self.q <= n):
             raise DegreeError(f"bidegree ({self.p},{self.q}) outside [0,{n}]")
 
-    # -- bookkeeping ------------------------------------------------------
-
-    def _check_key(self, key: Key):
-        J, K = key
-        if len(J) != self.p or len(K) != self.q:
-            raise DegreeError(f"key {key} does not match bidegree ({self.p},{self.q})")
-        if list(J) != sorted(set(J)) or list(K) != sorted(set(K)):
-            raise DegreeError(f"multi-indices must be strictly increasing: {key}")
-
-    def set_component(self, J: tuple[int, ...], K: tuple[int, ...], values) -> None:
-        key = (tuple(J), tuple(K))
-        self._check_key(key)
-        arr = np.asarray(values, dtype=complex)
-        self.comps[key] = np.broadcast_to(arr, self.grid.shape).astype(complex)
-
-    def component(self, J: tuple[int, ...], K: tuple[int, ...]) -> np.ndarray:
-        """Coefficient array of one monomial (zeros when absent)."""
-        key = (tuple(J), tuple(K))
-        self._check_key(key)
-        got = self.comps.get(key)
-        return got if got is not None else np.zeros(self.grid.shape, dtype=complex)
-
     def _accumulate(self, key: Key, values: np.ndarray):
         have = self.comps.get(key)
         self.comps[key] = values if have is None else have + values
 
-    def copy(self) -> "DifferentialForm":
+    def __mul__(self, scalar) -> "DifferentialForm":
         return DifferentialForm(
-            self.grid, self.p, self.q,
-            {k: v.copy() for k, v in self.comps.items()},
+            self.grid, self.p, self.q, {k: v * scalar for k, v in self.comps.items()}
         )
 
-    def max_abs(self) -> float:
-        if not self.comps:
-            return 0.0
-        return max(float(np.abs(v).max()) for v in self.comps.values())
+    def exterior_d(self):
+        """Full exterior derivative d = del + delbar, spectral.
 
-    # -- linear structure ---------------------------------------------------
-
-    def _require_compatible(self, other: "DifferentialForm"):
-        self.grid.require_same(other.grid)
-        if (self.p, self.q) != (other.p, other.q):
-            raise DegreeError(
-                f"bidegree mismatch ({self.p},{self.q}) vs ({other.p},{other.q})"
-            )
-
-    def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
-        self._require_compatible(other)
-        out = self.copy()
-        for key, v in other.comps.items():
-            out._accumulate(key, v)
-        return out
-
-    def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
-        return self + (other * (-1.0))
-
-    def __mul__(self, scalar) -> "DifferentialForm":
-        out = self.copy()
-        for key in out.comps:
-            out.comps[key] = out.comps[key] * scalar
-        return out
-
-    __rmul__ = __mul__
-
-    # -- derivatives --------------------------------------------------------
-
-    def _derivatives(self, holomorphic: bool, antiholomorphic: bool):
-        """Spectral del and/or delbar, sharing one transform per component.
-
-        Returns the (p+1,q) and (p,q+1) forms, None for the one not asked for.
+        Returns the (p+1,q) and (p,q+1) forms as the (del, delbar) pair.
+        Each component takes one forward transform, shared by all its
+        derivatives.
         """
         n = self.grid.n
-        d = DifferentialForm(self.grid, self.p + 1, self.q) if holomorphic else None
-        dbar = DifferentialForm(self.grid, self.p, self.q + 1) if antiholomorphic else None
+        d = DifferentialForm(self.grid, self.p + 1, self.q)
+        dbar = DifferentialForm(self.grid, self.p, self.q + 1)
         front = (-1) ** self.p  # dzbar^k passes the whole dz block
         for (J, K), v in self.comps.items():
-            requests = []
-            if holomorphic:
-                requests += [(j, False) for j in range(n) if j not in J]
-            if antiholomorphic:
-                requests += [(k, True) for k in range(n) if k not in K]
+            requests = [(j, False) for j in range(n) if j not in J]
+            requests += [(k, True) for k in range(n) if k not in K]
             for (j, barred), dv in zip(requests, self.grid.derivatives(v, requests)):
                 if dv is None:
                     continue
@@ -204,18 +146,6 @@ class DifferentialForm:
                     merged, sign = _merge_sign((j,), J)
                     d._accumulate((merged, K), sign * dv)
         return d, dbar
-
-    def del_(self) -> "DifferentialForm":
-        """Holomorphic exterior derivative (p,q) -> (p+1,q)."""
-        return self._derivatives(True, False)[0]
-
-    def delbar(self) -> "DifferentialForm":
-        """Anti-holomorphic exterior derivative (p,q) -> (p,q+1)."""
-        return self._derivatives(False, True)[1]
-
-    def exterior_d(self):
-        """Full exterior derivative, returned as the (del, delbar) pair."""
-        return self._derivatives(True, True)
 
 
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:

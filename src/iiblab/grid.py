@@ -15,8 +15,8 @@ axes.
 Two derivative discretisations are provided:
 
 * ``"spectral"``: FFT differentiation, exact for band-limited data;
-* ``"fdN"`` (N even, 2..12): centred finite differences of order N,
-  used as the independent cross-check path by the verifier.
+* ``"fd8"``: centred finite differences of eighth order, the oracle the
+  verifier checks the spectral path against.
 
 All complex derivatives go through :meth:`TorusGrid.derivatives`, which
 works on *grid-last* arrays (index axes first, grid axes last).  On the
@@ -39,18 +39,16 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridError
 
-__all__ = ["TorusGrid", "fd_weights", "SPECTRAL"]
+__all__ = ["TorusGrid", "fd_weights", "SPECTRAL", "ORACLE"]
 
 SPECTRAL = "spectral"
-
-_FD_RE = re.compile(r"^fd(\d+)$")
+ORACLE = "fd8"
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,7 +62,8 @@ def fd_weights(order: int) -> np.ndarray:
         w[k] = (-1)**(k+1) * (m!)**2 / (k * (m-k)! * (m+k)!)
 
     evaluated in exact integer arithmetic before conversion to float, so
-    there is no linear-solve round-off in the stencil itself.
+    there is no linear-solve round-off in the stencil itself.  The
+    :data:`ORACLE` scheme uses order 8.
     """
     if order < 2 or order % 2:
         raise GridError(f"finite-difference order must be even and >= 2, got {order}")
@@ -79,14 +78,11 @@ def fd_weights(order: int) -> np.ndarray:
     return w
 
 
-def _parse_scheme(scheme: str) -> int | None:
-    """Return None for spectral, otherwise the finite-difference order."""
-    if scheme == SPECTRAL:
-        return None
-    match = _FD_RE.match(scheme)
-    if not match:
+def _is_spectral(scheme: str) -> bool:
+    """True for the spectral path, False for the fd8 oracle."""
+    if scheme not in (SPECTRAL, ORACLE):
         raise GridError(f"unknown derivative scheme {scheme!r}")
-    return int(match.group(1))
+    return scheme == SPECTRAL
 
 
 @dataclass(frozen=True)
@@ -162,9 +158,7 @@ class TorusGrid:
     def _spectral_multiplier(self, array_ndim: int, pos: int) -> np.ndarray:
         N = self.resolution
         k = np.fft.fftfreq(N, d=1.0 / N)
-        if N % 2 == 0:
-            k = k.copy()
-            k[N // 2] = 0.0  # drop the Nyquist mode for odd-order derivatives
+        k[N // 2] = 0.0  # drop the Nyquist mode for odd-order derivatives
         shape = [1] * array_ndim
         shape[pos] = N
         return (2j * np.pi * k).reshape(shape)
@@ -177,16 +171,16 @@ class TorusGrid:
         ``values`` may carry trailing tensor index axes; the derivative acts
         along the grid axis only.  Returns zeros for inactive axes.
         """
+        spectral = _is_spectral(scheme)
         pos = self.axis_position(real_axis)
         if pos is None:
             return np.zeros_like(values, dtype=complex)
-        order = _parse_scheme(scheme)
-        if order is None:
+        if spectral:
             spectrum = np.fft.fft(values, axis=pos)
             spectrum *= self._spectral_multiplier(values.ndim, pos)
             return np.fft.ifft(spectrum, axis=pos)
-        w = fd_weights(order)
-        m = order // 2
+        w = fd_weights(8)
+        m = len(w) // 2
         out = np.zeros_like(values, dtype=complex)
         for k in range(1, m + 1):
             c = w[m + k] * self.resolution
@@ -237,10 +231,11 @@ class TorusGrid:
         transform; the finite-difference path composes
         :meth:`real_derivative` per direction.
         """
+        spectral = _is_spectral(scheme)
         live = [j in self.active_directions for j, _ in requests]
         if not any(live):
             return [None] * len(live)
-        if _parse_scheme(scheme) is None:
+        if spectral:
             axes = tuple(range(values.ndim - self.ndim_grid, values.ndim))
             # Derivatives ignore constants: transforming the deviation from
             # the first node keeps a large mean out of the FFT round-off.

@@ -12,10 +12,6 @@ its pointwise norm against a metric g is
 Positivity, this determinant and the inverse metric all come from one
 Cholesky factor of the metric, a :class:`MetricFactor`.
 
-A constant multiple c * Omega would only rescale time: the curvature
-terms of the flow do not change when the weighted metric is scaled, so
-the flow of |c| * w is the flow of w with time scaled by |c|.
-
 A metric is *balanced* when d(omega^{n-1}) = 0 and *conformally balanced*
 when d(norm ||Omega||_g * omega^{n-1}) = 0.  The defect of the latter is
 what the flow preserves; :func:`balanced_defect_parts` computes that

@@ -50,9 +50,8 @@ import numpy as np
 from .chern import ChernPackage, pair_endo_forms
 from .errors import ValenceError, VerificationError
 from .flow import BALANCED_GATE, FORM_WEIGHTED, Trajectory, _anchor_target
-from .grid import SPECTRAL, TorusGrid
-from .metrics import (balanced_defect_parts, conformally_balanced_defect, fourier_scalar,
-                      volume_norm_sq)
+from .grid import ORACLE, SPECTRAL, TorusGrid
+from .metrics import balanced_defect_parts, conformally_balanced_defect, fourier_scalar
 
 __all__ = [
     "ResidualReport",
@@ -70,7 +69,7 @@ __all__ = [
     "EVOLUTION_REGISTRY",
 ]
 
-ORACLE_SCHEME = "fd8"
+ORACLE_SCHEME = ORACLE
 CONNECTION_RATE_TOLERANCE = 1e-6
 
 STATUS_OK = "ok"
@@ -507,12 +506,13 @@ def verify_dilaton_evolution(
     times, states = _weighted_states(trajectory)
     grid = trajectory.grid
     phi_field = _source_field(grid, phi)
-    log_all = [0.5 * np.log(volume_norm_sq(s)) for s in states]
+    pkgs = [ChernPackage(grid, s) for s in states]
+    log_all = [p.log_norm for p in pkgs]
 
     centers = _centered_windows(times)
     res_rate, res_heat = [], []
     for c, dt in centers:
-        pkg = ChernPackage(grid, states[c])
+        pkg = pkgs[c]
         d_log = (log_all[c + 1] - log_all[c - 1]) / (2.0 * dt)
         source = 0.0
         if phi_field is not None:

@@ -11,6 +11,7 @@ from iiblab import ChernPackage, PositivityError, TorusGrid, flat_metric, random
 from iiblab.chern import pair_endo_forms
 from iiblab.errors import ValenceError
 from iiblab.metrics import kahler_from_potential
+from iiblab.verify import ORACLE_SCHEME
 
 GRID = TorusGrid(3, (0, 1), 16)
 
@@ -130,11 +131,11 @@ def _geometry_id(geometry):
 
 @pytest.fixture(scope="module", params=GEOMETRIES, ids=_geometry_id)
 def packages(request):
-    """A random metric on an R=8 grid, analyzed spectrally and with fd4."""
+    """A random metric on an R=8 grid, analyzed spectrally and with the fd8 oracle."""
     n, axes = request.param
     grid = TorusGrid(n, axes, 8)
     g = random_band_metric(grid, seed=3)
-    return [ChernPackage(grid, g, scheme) for scheme in ("spectral", "fd4")]
+    return [ChernPackage(grid, g, scheme) for scheme in ("spectral", ORACLE_SCHEME)]
 
 
 def _close(got, want):

@@ -1,7 +1,9 @@
 """Every name a module exports exists, and something uses it."""
 
 import ast
+import functools
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -65,3 +67,43 @@ def test_every_exported_name_is_reachable():
         if sym not in used and sym not in reexported
     ]
     assert not orphans, f"exported but never used in src/iiblab: {orphans}"
+
+
+# Public methods and properties that nothing in src/iiblab reads, kept on purpose.
+METHOD_ALLOWLIST = {
+    # pending ROADMAP item 3, which decides whether diagnostics records adopt it
+    "iiblab.grid.TorusGrid.top_band_fraction",
+}
+
+
+def _public_members(cls):
+    """Public methods and properties defined on the class itself."""
+    for name, member in vars(cls).items():
+        if name.startswith("_"):
+            continue
+        if inspect.isfunction(member) or isinstance(
+            member, (property, functools.cached_property, staticmethod, classmethod)
+        ):
+            yield name
+
+
+def test_every_public_method_is_reachable():
+    """A public method or property of a public class is read in the package.
+
+    Operator methods (``__mul__`` and the like) are not public names and
+    are not checked here.
+    """
+    trees = [ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))]
+    used = set().union(*(_referenced_names(t) for t in trees))
+    orphans = []
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        for sym in getattr(module, "__all__", ()):
+            cls = getattr(module, sym)
+            if not inspect.isclass(cls) or cls.__module__ != name:
+                continue
+            for member in _public_members(cls):
+                qualified = f"{name}.{sym}.{member}"
+                if member not in used and qualified not in METHOD_ALLOWLIST:
+                    orphans.append(qualified)
+    assert not orphans, f"public but never read in src/iiblab: {orphans}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from iiblab import GridError, SPECTRAL, TorusGrid
+from iiblab.grid import ORACLE
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +52,7 @@ def test_spectral_derivative_exact_on_band_limited(grid):
     assert np.abs(df - exact).max() < 1e-12
 
 
-@pytest.mark.parametrize("scheme,order", [("fd4", 4), ("fd8", 8)])
+@pytest.mark.parametrize("scheme,order", [(ORACLE, 8)])
 def test_fd_derivative_converges(scheme, order):
     errs = []
     for res in (16, 32):
@@ -62,6 +63,17 @@ def test_fd_derivative_converges(scheme, order):
         errs.append(np.abs(df - 2 * np.pi * np.cos(2 * np.pi * x)).max())
     ratio = errs[0] / errs[1]
     assert 0.5 * 2**order < ratio < 2.0 * 2**order
+
+
+@pytest.mark.parametrize("scheme", ["fd4", "fd", "fd08", "Spectral"])
+def test_unknown_scheme_raises(grid, scheme):
+    f = np.sin(2 * np.pi * grid.coordinate(0))
+    with pytest.raises(GridError):
+        grid.real_derivative(f, 0, scheme)
+    with pytest.raises(GridError):
+        grid.real_derivative(f, 2, scheme)  # inactive axis too
+    with pytest.raises(GridError):
+        grid.holomorphic_gradient(f, scheme)
 
 
 def test_holomorphic_derivative_convention(grid):

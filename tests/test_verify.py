@@ -27,6 +27,7 @@ from iiblab import (
 )
 from iiblab.errors import HermiticityError
 from iiblab.metrics import (
+    MetricFactor,
     balanced_band_metric,
     conformally_balanced_defect,
     fourier_scalar,
@@ -241,6 +242,21 @@ def test_evolution_verifier_checks_the_center_state(verifier):
     traj.snapshots[c][..., 0, 1] += 1e-6
     with pytest.raises(HermiticityError):
         verifier(traj)
+
+
+def test_dilaton_factors_each_state_once(monkeypatch):
+    traj = _short_run(GRID, _balanced(GRID, 0.05))
+    assert len(traj.snapshots) == 5
+    built = []
+    init = MetricFactor.__init__
+
+    def counting(self, g):
+        built.append(g)
+        init(self, g)
+
+    monkeypatch.setattr(MetricFactor, "__init__", counting)
+    verify_dilaton_evolution(traj)
+    assert len(built) == len(traj.snapshots)
 
 
 def test_source_enters_evolution_identities():
