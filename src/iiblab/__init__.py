@@ -39,7 +39,7 @@ from .flow import (
     run_flow,
     weighted_velocity,
 )
-from .diagnostics import DiagnosticsBaseline, DiagnosticsRecord, compute_diagnostics
+from .diagnostics import compute_diagnostics
 from .forms import DifferentialForm, wedge, wedge_power
 from .grid import SPECTRAL, TorusGrid
 from .metrics import (
@@ -55,7 +55,6 @@ from .snapshot import load_snapshot, save_snapshot, snapshot_info
 from .verify import (
     EVOLUTION_REGISTRY,
     SPATIAL_REGISTRY,
-    ResidualReport,
     verify_S_evolution,
     verify_bianchi,
     verify_commutator_convention,

@@ -280,13 +280,6 @@ class ChernPackage:
         step = self.covd(step, "L" + sig)
         return np.einsum("...pq,...pq" + _LETTERS[: len(sig)] + "->..." + _LETTERS[: len(sig)], self.ginv, step)
 
-    # -- quantities relative to a reference metric ----------------------------
-
-    def connection_difference(self, reference: "ChernPackage") -> np.ndarray:
-        """``a[..., m, a, b]``: this connection minus the reference one."""
-        self.grid.require_same(reference.grid)
-        return self.gamma - reference.gamma
-
     def endo_norm_sq(self, a: np.ndarray) -> np.ndarray:
         """Squared norm of an endomorphism-valued one-form ``a[..., m, x, y]``.
 

@@ -26,6 +26,7 @@ import os
 import sys
 
 from . import __version__
+from .chern import ChernPackage
 from .errors import ConfigError, IIBLabError
 from .flow import (
     FORM_WEIGHTED,
@@ -36,7 +37,7 @@ from .flow import (
     induced_weighted_source,
     run_flow,
 )
-from .diagnostics import DiagnosticsBaseline, compute_diagnostics
+from .diagnostics import compute_diagnostics
 from .runconfig import ResolvedConfig, load_config_file, resolve_config
 from .snapshot import save_snapshot, snapshot_info
 from .verify import EVOLUTION_REGISTRY, SPATIAL_REGISTRY
@@ -124,13 +125,13 @@ def _execute_suite(rc: ResolvedConfig) -> list:
 
 
 def _write_reports(path: str, rc: ResolvedConfig, reports: list) -> bool:
-    all_pass = all(r.passed for r in reports)
+    all_pass = all(r["pass"] for r in reports)
     doc = {
         "kind": "verification",
         "package": __version__,
         "config": rc.resolved,
         "allPass": all_pass,
-        "reports": [r.to_dict() for r in reports],
+        "reports": reports,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -189,13 +190,13 @@ def _cmd_run(args) -> int:
                 # per run from the run's own initial physical metric as the
                 # snapshot chain preserves it, so a recompute from saved files
                 # reproduces every record bit for bit.
-                baseline = DiagnosticsBaseline(rc.grid, g)
+                baseline = ChernPackage(rc.grid, g)
             if record:
                 line = {"kind": "diagnostics", "step": step}
                 line.update(compute_diagnostics(
                     rc.grid, g, baseline, trajectory.times[j],
                     test_function=rc.test_function,
-                ).to_dict())
+                ))
                 fh.write(json.dumps(line) + "\n")
             if snap:
                 name = f"{rc.output['snapshotPrefix']}-{step:08d}.snap"
@@ -245,8 +246,9 @@ def _cmd_verify(args) -> int:
     reports = _execute_suite(rc)
     all_pass = _write_reports(os.path.join(out, rc.output["reports"]), rc, reports)
     for r in reports:
-        flag = "pass" if r.passed else "FAIL"
-        print(f"{flag} {r.identity_name}: max={r.max_residual:.3e} tol={r.tolerance:.3e}")
+        flag = "pass" if r["pass"] else "FAIL"
+        print(f"{flag} {r['identityName']}:"
+              f" max={r['maxResidual']:.3e} tol={r['tolerance']:.3e}")
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 

@@ -290,11 +290,17 @@ class Trajectory:
 
 
 def _rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical Runge-Kutta step.
+
+    With y and every value of f exactly Hermitian, each stage and the
+    result are too: IEEE sums and real multiples of exactly Hermitian
+    arrays stay exactly Hermitian.
+    """
     k1 = f(y)
     k2 = f(y + 0.5 * dt * k1)
     k3 = f(y + 0.5 * dt * k2)
     k4 = f(y + dt * k3)
-    return hermitize(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def run_flow(
@@ -315,7 +321,8 @@ def run_flow(
     an anchor source is a Hermitian sigma-matrix, a weighted source a
     Hermitian matrix.  Given an anchor source, the weighted flow takes at
     every stage the anchor velocity of the current metric with that
-    source, pushed through the weight chain.
+    source, pushed through the weight chain.  g0 is hermitized once, and
+    every kept state is exactly Hermitian.
 
     A run that stops early returns its trajectory with the status and
     ``stop_detail`` set: ``STATUS_SINGULARITY`` at a loss of positivity,
@@ -338,21 +345,20 @@ def run_flow(
                 f"anchor flow needs conformally balanced initial data;"
                 f" defect {defect:.3e} exceeds {BALANCED_GATE:.1e}"
             )
-        y = np.array(g0, dtype=complex)
+        y = hermitize(np.asarray(g0, dtype=complex))
 
         def velocity(state: np.ndarray) -> np.ndarray:
-            pkg = ChernPackage(grid, hermitize(state))
-            return anchor_velocity(pkg, anchor_source)
+            return anchor_velocity(ChernPackage(grid, state), anchor_source)
 
     else:
-        y = weighted_from_metric(np.asarray(g0, dtype=complex))
+        y = hermitize(weighted_from_metric(np.asarray(g0, dtype=complex)))
 
         def velocity(state: np.ndarray) -> np.ndarray:
-            state = hermitize(state)
             if anchor_source is None:
                 return weighted_velocity(grid, state, weighted_source)
             pkg = ChernPackage(grid, metric_from_weighted(state))
-            return weighted_dot_from_metric_dot(pkg, anchor_velocity(pkg, anchor_source))
+            w_dot = weighted_dot_from_metric_dot(pkg, anchor_velocity(pkg, anchor_source))
+            return hermitize(w_dot)
 
     traj = Trajectory(grid=grid, formulation=formulation)
 
@@ -380,7 +386,7 @@ def run_flow(
             traj.stop_detail = str(err)
             break
         except (np.linalg.LinAlgError, FloatingPointError, HermiticityError) as err:
-            # a hermitized stage fails the Hermiticity test only when non-finite
+            # an exactly Hermitian stage fails the Hermiticity test only when non-finite
             traj.status = STATUS_BLOWUP
             traj.stop_detail = str(err)
             break

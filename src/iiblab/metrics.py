@@ -71,7 +71,7 @@ class MetricFactor:
     batch axes, from the lower triangle of g (Golub and Van Loan, *Matrix
     Computations*, 4.2); a pivot that is not positive and finite raises
     :class:`PositivityError`.  ``det`` is the product of the pivots,
-    ``inv_chol()`` is ``L^-1`` by forward substitution and ``ginv`` is
+    ``inv_chol`` is ``L^-1`` by forward substitution and ``ginv`` is
     ``L^-H L^-1``, exactly Hermitian, both with the index slots first.
     """
 
@@ -89,6 +89,7 @@ class MetricFactor:
             for i in range(j + 1, a.shape[0]):
                 low[i, j] = (a[i, j] - (low[i, :j] * np.conj(low[j, :j])).sum(axis=0)) / root
 
+    @functools.cached_property
     def inv_chol(self) -> np.ndarray:
         low, out = self.lower, np.zeros_like(self.lower)
         for i in range(len(low)):
@@ -99,7 +100,7 @@ class MetricFactor:
 
     @functools.cached_property
     def ginv(self) -> np.ndarray:
-        m, out = self.inv_chol(), np.empty_like(self.lower)
+        m, out = self.inv_chol, np.empty_like(self.lower)
         for p in range(len(m)):
             out[p, p] = (m[p:, p].real ** 2 + m[p:, p].imag ** 2).sum(axis=0)
             for a in range(p + 1, len(m)):

@@ -108,7 +108,7 @@ CONFIG_SCHEMA = _strict(["geometry", "initialMetric", "control"], {
         "tEnd": {"type": "number", "minimum": 0},
         "dt": {"type": "number", "exclusiveMinimum": 0},
         "cfl": {"type": "number", "exclusiveMinimum": 0},
-        "maxSteps": {"type": "integer", "minimum": 1, "default": 200_000},
+        "maxSteps": {"type": "integer", "minimum": 1, "default": StepControl.max_steps},
         "snapshotEvery": {"type": "integer", "minimum": 1},
         "diagnosticsEvery": {"type": "integer", "minimum": 1, "default": 10},
     }),
@@ -365,7 +365,7 @@ def resolve_config(
     if "dt" in ctl:
         control = StepControl(dt=ctl["dt"], max_steps=ctl["maxSteps"])
     else:
-        ctl.setdefault("cfl", 0.2)  # the one default that depends on another key
+        ctl.setdefault("cfl", StepControl.cfl)  # the one default that depends on another key
         control = StepControl(dt=None, cfl=ctl["cfl"], max_steps=ctl["maxSteps"])
 
     suite = tuple((entry["identity"], entry.get("tolerance")) for entry in cfg["verifySuite"])

@@ -1,8 +1,13 @@
 """Residual checks for every exact identity the solver relies on.
 
-Each ``verify_*`` function returns a list of :class:`ResidualReport`
-records, one per identity actually checked, so callers can iterate a
-suite without caring which function produced which line.
+Each ``verify_*`` function returns a list of reports, one per identity
+actually checked, so callers can iterate a suite without caring which
+function produced which line.  A report is the plain dict that
+``reports.json`` holds, with the keys ``identityName``, ``maxResidual``,
+``meanResidual``, ``tolerance``, ``gridSpec``, ``oracleSpec``, ``pass``,
+``status`` and ``detail``, in that order.  ``status`` is ``"ok"``, or
+``"precondition-failed"`` when the identity does not apply to the data;
+such a report has NaN residuals and does not pass.
 
 Two oracle styles are used.  Spatial identities evaluate one side with
 spectral derivatives and the other with an eighth-order centered
@@ -43,8 +48,6 @@ variable, so every tensor below is built from that variable directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
 from .chern import ChernPackage, pair_endo_forms
@@ -54,7 +57,6 @@ from .grid import ORACLE, SPECTRAL, TorusGrid
 from .metrics import balanced_defect_parts, conformally_balanced_defect, fourier_scalar
 
 __all__ = [
-    "ResidualReport",
     "verify_tau_identity",
     "verify_connection_difference",
     "verify_bianchi",
@@ -74,34 +76,6 @@ CONNECTION_RATE_TOLERANCE = 1e-6
 
 STATUS_OK = "ok"
 STATUS_PRECONDITION = "precondition-failed"
-
-
-@dataclass
-class ResidualReport:
-    """Outcome of one identity check, serializable as-is."""
-
-    identity_name: str
-    max_residual: float
-    mean_residual: float
-    tolerance: float
-    grid_spec: dict
-    oracle_spec: dict
-    passed: bool
-    status: str = STATUS_OK
-    detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "identityName": self.identity_name,
-            "maxResidual": self.max_residual,
-            "meanResidual": self.mean_residual,
-            "tolerance": self.tolerance,
-            "gridSpec": self.grid_spec,
-            "oracleSpec": self.oracle_spec,
-            "pass": self.passed,
-            "status": self.status,
-            "detail": self.detail,
-        }
 
 
 def _grid_spec(grid: TorusGrid) -> dict:
@@ -125,33 +99,24 @@ def _report(
     grid: TorusGrid,
     oracle: dict,
     detail: str = "",
-) -> ResidualReport:
-    arrays = residuals if isinstance(residuals, (list, tuple)) else [residuals]
-    mx, mean = _stats(*arrays)
-    return ResidualReport(
-        identity_name=name,
-        max_residual=mx,
-        mean_residual=mean,
-        tolerance=float(tolerance),
-        grid_spec=_grid_spec(grid),
-        oracle_spec=oracle,
-        passed=bool(mx <= tolerance),
-        detail=detail,
-    )
-
-
-def _precondition_report(name, tolerance, grid, oracle, detail) -> ResidualReport:
-    return ResidualReport(
-        identity_name=name,
-        max_residual=float("nan"),
-        mean_residual=float("nan"),
-        tolerance=float(tolerance),
-        grid_spec=_grid_spec(grid),
-        oracle_spec=oracle,
-        passed=False,
-        status=STATUS_PRECONDITION,
-        detail=detail,
-    )
+) -> dict:
+    """The report of one identity; ``residuals`` None marks a failed precondition."""
+    if residuals is None:
+        mx = mean = float("nan")
+    else:
+        arrays = residuals if isinstance(residuals, (list, tuple)) else [residuals]
+        mx, mean = _stats(*arrays)
+    return {
+        "identityName": name,
+        "maxResidual": mx,
+        "meanResidual": mean,
+        "tolerance": float(tolerance),
+        "gridSpec": _grid_spec(grid),
+        "oracleSpec": oracle,
+        "pass": bool(mx <= tolerance),
+        "status": STATUS_PRECONDITION if residuals is None else STATUS_OK,
+        "detail": detail,
+    }
 
 
 def _spatial_oracle() -> dict:
@@ -191,7 +156,7 @@ def verify_tau_identity(
     grid: TorusGrid,
     g: np.ndarray,
     tolerance: float = 1e-8,
-) -> list[ResidualReport]:
+) -> list[dict]:
     """Torsion trace against the gradient of the volume-form norm.
 
     Applies only to conformally balanced metrics; anything else gets a
@@ -201,8 +166,9 @@ def verify_tau_identity(
     defect = conformally_balanced_defect(grid, g)
     if defect > BALANCED_GATE:
         return [
-            _precondition_report(
+            _report(
                 "tau-torsion-trace",
+                None,
                 tolerance,
                 grid,
                 oracle,
@@ -220,7 +186,7 @@ def verify_connection_difference(
     grid: TorusGrid,
     g: np.ndarray,
     tolerance: float = 1e-7,
-) -> list[ResidualReport]:
+) -> list[dict]:
     """Three assemblies of the Chern connection, plus its norm.
 
     The reference metric is the flat one, as in :func:`verify_S_evolution`,
@@ -260,7 +226,7 @@ def verify_bianchi(
     grid: TorusGrid,
     g: np.ndarray,
     tolerance: float = 1e-7,
-) -> list[ResidualReport]:
+) -> list[dict]:
     """All four Bianchi-type identities of the Chern connection."""
     pkg = ChernPackage(grid, g)
     fd = ChernPackage(grid, g, ORACLE_SCHEME)
@@ -308,7 +274,7 @@ def verify_commutator_convention(
     g: np.ndarray,
     covector: np.ndarray | None = None,
     tolerance: float = 1e-7,
-) -> list[ResidualReport]:
+) -> list[dict]:
     """Mixed-derivative commutators on a covector and its conjugate."""
     pkg = ChernPackage(grid, g)
     fd = ChernPackage(grid, g, ORACLE_SCHEME)
@@ -347,7 +313,7 @@ def verify_quasilinear_ricci(
     grid: TorusGrid,
     g: np.ndarray,
     tolerance: float = 1e-7,
-) -> list[ResidualReport]:
+) -> list[dict]:
     """Second Ricci curvature against its quasilinear decomposition."""
     pkg = ChernPackage(grid, g)
     oracle = _spatial_oracle()
@@ -372,7 +338,7 @@ def verify_stationarity(
     g: np.ndarray,
     source_matrix: np.ndarray | None = None,
     tolerance: float = 1e-10,
-) -> list[ResidualReport]:
+) -> list[dict]:
     """Both defects of the stationary system.
 
     A metric is a stationary point when the weighted top-minus-one
@@ -448,7 +414,7 @@ def verify_trh_evolution(
     trajectory: Trajectory,
     phi=None,
     tolerance: float = 1e-5,
-) -> list[ResidualReport]:
+) -> list[dict]:
     """Heat-operator identity for the trace of the relative endomorphism.
 
     The endomorphism is taken relative to the first stored state.
@@ -496,7 +462,7 @@ def verify_dilaton_evolution(
     trajectory: Trajectory,
     phi=None,
     tolerance: float = 1e-5,
-) -> list[ResidualReport]:
+) -> list[dict]:
     """Both statements about the drift of the volume-form norm.
 
     The rate form equates the plain time derivative with curvature and
@@ -533,7 +499,7 @@ def verify_S_evolution(
     trajectory: Trajectory,
     phi=None,
     tolerance: float = 1e-3,
-) -> list[ResidualReport]:
+) -> list[dict]:
     """Second-order identity for the relative-connection norm, plus cross-checks.
 
     The main check is the flow-agnostic heat identity for S; its time

@@ -145,16 +145,19 @@ def test_criterion_1_spatial_identity_suite():
     worst = defaultdict(float)
     for seed in range(20):
         for rep in _spatial_suite(GRID32, random_band_metric(GRID32, seed=seed)):
-            worst[rep.identity_name] = max(worst[rep.identity_name], rep.max_residual)
+            name = rep["identityName"]
+            worst[name] = max(worst[name], rep["maxResidual"])
 
     grid64 = TorusGrid(3, (0, 1), 64)
     coarse = defaultdict(float)
     fine = defaultdict(float)
     for seed in range(3):
         for rep in _spatial_suite(GRID32, random_band_metric(GRID32, seed=seed)):
-            coarse[rep.identity_name] = max(coarse[rep.identity_name], rep.max_residual)
+            name = rep["identityName"]
+            coarse[name] = max(coarse[name], rep["maxResidual"])
         for rep in _spatial_suite(grid64, random_band_metric(grid64, seed=seed)):
-            fine[rep.identity_name] = max(fine[rep.identity_name], rep.max_residual)
+            name = rep["identityName"]
+            fine[name] = max(fine[name], rep["maxResidual"])
     elapsed = time.perf_counter() - start
 
     worst_resid = max(worst.values())
@@ -175,10 +178,10 @@ def test_criterion_2_balanced_identity():
     tau1 = ChernPackage(GRID32, g).tau[..., 0]
     closed_form = np.abs(tau1 + 2.0 * d1f).max()
 
-    ok = defect < 1e-10 and tau_rep.max_residual < 1e-8 and closed_form < 1e-8
+    ok = defect < 1e-10 and tau_rep["maxResidual"] < 1e-8 and closed_form < 1e-8
     _score(2, "balanced family identities", ok,
            f"defect={defect:.3e} (< 1e-10); tau residual="
-           f"{tau_rep.max_residual:.3e} (< 1e-8); first component vs -2 d1 f ="
+           f"{tau_rep['maxResidual']:.3e} (< 1e-8); first component vs -2 d1 f ="
            f" {closed_form:.3e} (< 1e-8)")
 
 
@@ -218,8 +221,8 @@ def test_criterion_5_evolution_identities(evolution_windows):
     resid = {}
     for dt, traj in evolution_windows.items():
         resid[dt] = (
-            verify_trh_evolution(traj)[0].max_residual,
-            verify_dilaton_evolution(traj)[0].max_residual,
+            verify_trh_evolution(traj)[0]["maxResidual"],
+            verify_dilaton_evolution(traj)[0]["maxResidual"],
         )
     coarse, fine = resid[1e-5], resid[5e-6]
     ratios = [a / b for a, b in zip(coarse, fine)]
@@ -236,13 +239,13 @@ def test_criterion_6_s_evolution_stress(s_window):
     field is the squared norm of the reference-covariant derivative of
     the evolving metric, and its growth terms enter with the same signs
     as the metric velocity itself."""
-    by_name = {r.identity_name: r for r in verify_S_evolution(s_window)}
-    rel = by_name["s-evolution"].max_residual
-    ok = rel < 1e-3 and all(r.passed for r in by_name.values())
+    by_name = {r["identityName"]: r for r in verify_S_evolution(s_window)}
+    rel = by_name["s-evolution"]["maxResidual"]
+    ok = rel < 1e-3 and all(r["pass"] for r in by_name.values())
     _score(6, "comparison-field evolution", ok,
            f"relative residual={rel:.3e} (< 1e-3); side checks:"
-           f" rate={by_name['s-evolution-connection-rate'].max_residual:.3e},"
-           f" heat={by_name['s-evolution-connection-heat'].max_residual:.3e}")
+           f" rate={by_name['s-evolution-connection-rate']['maxResidual']:.3e},"
+           f" heat={by_name['s-evolution-connection-heat']['maxResidual']:.3e}")
 
 
 def test_criterion_7_balanced_preservation(source_free_matrix):
@@ -283,10 +286,10 @@ def test_criterion_9_stationarity(flat_run):
     psi = np.zeros((3, 3), dtype=complex)
     psi[0, 0] = eps
     by_name = {
-        r.identity_name: r
+        r["identityName"]: r
         for r in verify_stationarity(GRID8, flat_metric(GRID8), source_matrix=psi)
     }
-    source_defect = by_name["stationarity-source"].max_residual
+    source_defect = by_name["stationarity-source"]["maxResidual"]
     ok = drift < 1e-12 and source_defect == eps
     _score(9, "flat stationarity", ok,
            f"drift over 100 steps: {drift:.3e} (< 1e-12);"

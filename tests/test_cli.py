@@ -100,19 +100,19 @@ def test_run_recompute_from_snapshots_matches_stream(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", config, "--out", str(out)]) == 0
 
-    from iiblab import DiagnosticsBaseline, compute_diagnostics
+    from iiblab import ChernPackage, compute_diagnostics
 
     records = [l for l in _read_jsonl(out / "diagnostics.jsonl")
                if l["kind"] == "diagnostics"]
     grid0, _, arrays0, _ = load_snapshot(out / "state-00000000.snap")
-    baseline = DiagnosticsBaseline(grid0, arrays0["metric"])
+    baseline = ChernPackage(grid0, arrays0["metric"])
     for rec in records:
         path = out / f"state-{rec['step']:08d}.snap"
         grid, t, arrays, _ = load_snapshot(path)
         redone = compute_diagnostics(
             grid, arrays["metric"], baseline, t,
             test_function=(0.02, 1.0),
-        ).to_dict()
+        )
         for key, value in redone.items():
             assert rec[key] == value, key
 

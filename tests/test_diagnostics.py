@@ -5,8 +5,7 @@ import pytest
 
 from iiblab import (
     ChernPackage,
-    DiagnosticsBaseline,
-    DiagnosticsRecord,
+    GridError,
     TorusGrid,
     compute_diagnostics,
     flat_metric,
@@ -22,56 +21,65 @@ from iiblab.metrics import (
 
 GRID = TorusGrid(3, (0, 1), 8)
 
-EXPECTED_KEYS = {
+EXPECTED_KEYS = [
     "t", "hEigMin", "hEigMax", "tauMax", "normMax", "normMin",
     "sMax", "trhMin", "trhMax", "detHMin", "balancedDefect", "torsionSqMax",
-}
+]
 
 
 def test_flat_record_values_are_exact():
     flat = flat_metric(GRID)
-    rec = compute_diagnostics(GRID, flat, DiagnosticsBaseline(GRID, flat), t=0.5)
-    assert rec.t == 0.5
-    assert rec.h_eig_min == rec.h_eig_max == 1.0
-    assert rec.tau_max == 0.0
-    assert rec.norm_max == rec.norm_min == 1.0
-    assert rec.s_max == 0.0
-    assert rec.trh_min == rec.trh_max == 3.0
-    assert rec.det_h_min == 1.0
-    assert rec.balanced_defect == 0.0
-    assert rec.torsion_sq_max == 0.0
-    assert rec.test_function_max is None
-    assert all(np.isfinite(v) for v in rec.to_dict().values())
+    rec = compute_diagnostics(GRID, flat, ChernPackage(GRID, flat), t=0.5)
+    assert rec["t"] == 0.5
+    assert rec["hEigMin"] == rec["hEigMax"] == 1.0
+    assert rec["tauMax"] == 0.0
+    assert rec["normMax"] == rec["normMin"] == 1.0
+    assert rec["sMax"] == 0.0
+    assert rec["trhMin"] == rec["trhMax"] == 3.0
+    assert rec["detHMin"] == 1.0
+    assert rec["balancedDefect"] == 0.0
+    assert rec["torsionSqMax"] == 0.0
+    assert "testFunctionMax" not in rec
+    assert all(np.isfinite(v) for v in rec.values())
 
 
 def test_constant_rescale_against_flat_baseline():
     flat = flat_metric(GRID)
-    rec = compute_diagnostics(GRID, 2.0 * flat, DiagnosticsBaseline(GRID, flat), t=0.0)
-    assert rec.h_eig_min == pytest.approx(2.0, abs=1e-13)
-    assert rec.h_eig_max == pytest.approx(2.0, abs=1e-13)
-    assert rec.trh_min == pytest.approx(6.0, abs=1e-12)
-    assert rec.det_h_min == pytest.approx(8.0, abs=1e-12)
+    rec = compute_diagnostics(GRID, 2.0 * flat, ChernPackage(GRID, flat), t=0.0)
+    assert rec["hEigMin"] == pytest.approx(2.0, abs=1e-13)
+    assert rec["hEigMax"] == pytest.approx(2.0, abs=1e-13)
+    assert rec["trhMin"] == pytest.approx(6.0, abs=1e-12)
+    assert rec["detHMin"] == pytest.approx(8.0, abs=1e-12)
     # both metrics are connection-free, so the comparison field stays zero
-    assert rec.s_max == 0.0
-    assert rec.norm_max == pytest.approx(8.0 ** -0.5, abs=1e-15)
+    assert rec["sMax"] == 0.0
+    assert rec["normMax"] == pytest.approx(8.0 ** -0.5, abs=1e-15)
 
 
 def test_balanced_family_record_shape():
     f = fourier_scalar(GRID, [[1, 1, 0.0, -0.1], [1, -1, 0.0, -0.1]])
     g = balanced_band_metric(GRID, f)
-    rec = compute_diagnostics(GRID, g, DiagnosticsBaseline(GRID, g), t=0.0)
-    assert rec.balanced_defect < 1e-10
-    assert rec.torsion_sq_max > 1e-6
-    assert rec.tau_max > 1e-4
-    assert rec.h_eig_min == pytest.approx(1.0, abs=1e-12)
-    assert rec.det_h_min == pytest.approx(1.0, abs=1e-12)
-    assert all(np.isfinite(v) for v in rec.to_dict().values())
+    rec = compute_diagnostics(GRID, g, ChernPackage(GRID, g), t=0.0)
+    assert rec["balancedDefect"] < 1e-10
+    assert rec["torsionSqMax"] > 1e-6
+    assert rec["tauMax"] > 1e-4
+    assert rec["hEigMin"] == pytest.approx(1.0, abs=1e-12)
+    assert rec["detHMin"] == pytest.approx(1.0, abs=1e-12)
+    assert all(np.isfinite(v) for v in rec.values())
 
 
 def test_dict_keys_are_camel_case():
     flat = flat_metric(GRID)
-    rec = compute_diagnostics(GRID, flat, DiagnosticsBaseline(GRID, flat), t=0.0)
-    assert set(rec.to_dict()) == EXPECTED_KEYS
+    rec = compute_diagnostics(GRID, flat, ChernPackage(GRID, flat), t=0.0)
+    assert list(rec) == EXPECTED_KEYS
+
+
+def test_baseline_on_another_grid_is_refused():
+    # same array shape, different active axes
+    other = TorusGrid(3, (0, 2), 8)
+    assert other.shape == GRID.shape
+    flat = flat_metric(GRID)
+    with pytest.raises(GridError):
+        compute_diagnostics(GRID, flat, ChernPackage(other, flat_metric(other)), t=0.0)
 
 
 def test_test_function_clamps_vanishing_s():
@@ -80,13 +88,12 @@ def test_test_function_clamps_vanishing_s():
     term on top."""
     flat = flat_metric(GRID)
     rec = compute_diagnostics(
-        GRID, flat, DiagnosticsBaseline(GRID, flat), t=0.0, test_function=(0.1, 2.0)
+        GRID, flat, ChernPackage(GRID, flat), t=0.0, test_function=(0.1, 2.0)
     )
-    assert rec.test_function_max is not None
-    assert np.isfinite(rec.test_function_max)
-    assert rec.test_function_max == pytest.approx(np.log(1e-300) + 0.3, abs=1e-9)
-    assert "testFunctionMax" in rec.to_dict()
-    assert all(np.isfinite(v) for v in rec.to_dict().values())
+    assert list(rec) == EXPECTED_KEYS + ["testFunctionMax"]
+    assert np.isfinite(rec["testFunctionMax"])
+    assert rec["testFunctionMax"] == pytest.approx(np.log(1e-300) + 0.3, abs=1e-9)
+    assert all(np.isfinite(v) for v in rec.values())
 
 
 def test_test_function_tracks_s_once_nonzero():
@@ -94,20 +101,10 @@ def test_test_function_tracks_s_once_nonzero():
     f = fourier_scalar(GRID, [[1, 1, 0.0, -0.1], [1, -1, 0.0, -0.1]])
     g = balanced_band_metric(GRID, f)
     rec = compute_diagnostics(
-        GRID, g, DiagnosticsBaseline(GRID, flat), t=0.0, test_function=(0.0, 0.0)
+        GRID, g, ChernPackage(GRID, flat), t=0.0, test_function=(0.0, 0.0)
     )
     # with epsilon = a = 0 the test function is exactly log max S
-    assert rec.test_function_max == pytest.approx(np.log(rec.s_max), rel=1e-12)
-
-
-def test_record_is_plain_dataclass():
-    rec = DiagnosticsRecord(
-        t=0.0, h_eig_min=1.0, h_eig_max=1.0, tau_max=0.0, norm_max=1.0,
-        norm_min=1.0, s_max=0.0, trh_min=3.0, trh_max=3.0, det_h_min=1.0,
-        balanced_defect=0.0, torsion_sq_max=0.0,
-    )
-    with pytest.raises(AttributeError):
-        rec.t = 1.0
+    assert rec["testFunctionMax"] == pytest.approx(np.log(rec["sMax"]), rel=1e-12)
 
 
 # -- the record against its formulas with a baseline rebuilt every time -------
@@ -164,8 +161,8 @@ def random_pair(request):
 def test_record_matches_reference_formulas(random_pair):
     grid, g, g0 = random_pair
     want = _reference_record(grid, g, g0, 0.25, (0.02, 1.0))
-    baseline = DiagnosticsBaseline(grid, g0)
-    got = compute_diagnostics(grid, g, baseline, 0.25, test_function=(0.02, 1.0)).to_dict()
+    baseline = ChernPackage(grid, g0)
+    got = compute_diagnostics(grid, g, baseline, 0.25, test_function=(0.02, 1.0))
     assert set(got) == set(want)
     for key, value in want.items():
         assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
@@ -173,9 +170,9 @@ def test_record_matches_reference_formulas(random_pair):
 
 def test_prebuilt_baseline_is_bit_exact(random_pair):
     grid, g, g0 = random_pair
-    baseline = DiagnosticsBaseline(grid, g0)
+    baseline = ChernPackage(grid, g0)
     for metric in (g, g0):
-        fresh = DiagnosticsBaseline(grid, g0)
+        fresh = ChernPackage(grid, g0)
         from_fresh = compute_diagnostics(grid, metric, fresh, 0.5, test_function=(0.02, 1.0))
         prebuilt = compute_diagnostics(grid, metric, baseline, 0.5, test_function=(0.02, 1.0))
         assert prebuilt == from_fresh

@@ -157,6 +157,16 @@ def test_trajectory_bookkeeping():
     assert g_end.shape == GRID.shape + (3, 3)
 
 
+@pytest.mark.parametrize("formulation", [FORM_ANCHOR, FORM_WEIGHTED])
+def test_states_are_exactly_hermitian(formulation):
+    # 1e-13 off Hermitian: inside the tolerance every package accepts
+    g0 = _balanced()
+    g0[..., 0, 1] += 1e-13
+    traj = run_flow(GRID, g0, formulation, 2e-5, StepControl(dt=1e-5))
+    for y in (traj.snapshots[0], traj.snapshots[-1]):
+        assert np.array_equal(y, np.conj(np.swapaxes(y, -1, -2)))
+
+
 def test_non_finite_stage_is_a_blowup():
     # a source of 1e308 overflows the second stage state to -inf
     src = np.zeros(GRID.shape + (3, 3), dtype=complex)

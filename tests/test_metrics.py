@@ -152,7 +152,7 @@ def test_factor_matches_numpy(n):
     grid = TorusGrid(n, (0, 1), 16)
     g = 2.5 * random_band_metric(grid, seed=10 + n, amplitude=0.3)
     factor = check_positive(g)
-    ginv, inv_chol = (grid.to_grid_first(x) for x in (factor.ginv, factor.inv_chol()))
+    ginv, inv_chol = (grid.to_grid_first(x) for x in (factor.ginv, factor.inv_chol))
 
     def rel(got, want):
         return np.abs(got - want).max() / np.abs(want).max()

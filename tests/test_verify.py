@@ -33,7 +33,7 @@ from iiblab.metrics import (
     fourier_scalar,
     kahler_from_potential,
 )
-from iiblab.verify import ORACLE_SCHEME, ResidualReport, band_covector
+from iiblab.verify import ORACLE_SCHEME, band_covector
 
 GRID = TorusGrid(3, (0, 1), 16)
 
@@ -62,8 +62,8 @@ def test_flat_metric_residuals_are_exact_zero():
         + verify_tau_identity(GRID, flat)
     )
     for rep in reports:
-        assert rep.max_residual == 0.0, rep.identity_name
-        assert rep.passed
+        assert rep["maxResidual"] == 0.0, rep["identityName"]
+        assert rep["pass"]
 
 
 def test_flat_commutator_with_band_probe_sits_at_roundoff():
@@ -74,14 +74,14 @@ def test_flat_commutator_with_band_probe_sits_at_roundoff():
         GRID, flat_metric(GRID), covector=band_covector(GRID)
     )
     for rep in reports:
-        assert rep.max_residual < 1e-12
-        assert rep.passed
+        assert rep["maxResidual"] < 1e-12
+        assert rep["pass"]
 
 
 def test_flat_evolution_residuals_are_exact_zero():
     traj = _short_run(GRID, flat_metric(GRID))
     for rep in verify_trh_evolution(traj) + verify_dilaton_evolution(traj):
-        assert rep.max_residual == 0.0, rep.identity_name
+        assert rep["maxResidual"] == 0.0, rep["identityName"]
 
 
 # -- oracle quality on generic data -------------------------------------------
@@ -104,8 +104,8 @@ def test_spatial_suite_on_random_metric(n, axes):
         + verify_quasilinear_ricci(grid, g)
     )
     for rep in reports:
-        assert rep.passed, (rep.identity_name, rep.max_residual)
-        schemes = {rep.oracle_spec["lhsScheme"], rep.oracle_spec["rhsScheme"]}
+        assert rep["pass"], (rep["identityName"], rep["maxResidual"])
+        schemes = {rep["oracleSpec"]["lhsScheme"], rep["oracleSpec"]["rhsScheme"]}
         assert schemes == {"spectral", ORACLE_SCHEME}
 
 
@@ -122,7 +122,7 @@ def test_kahler_one_variable_block_bianchi_tight():
     g[..., 1, 1] = 1.0
     g[..., 2, 2] = 1.0
     reports = verify_bianchi(grid, g)
-    by_name = {r.identity_name: r.max_residual for r in reports}
+    by_name = {r["identityName"]: r["maxResidual"] for r in reports}
     assert by_name["bianchi-first"] < 1e-9
     assert all(v < 1e-7 for v in by_name.values())
 
@@ -130,16 +130,16 @@ def test_kahler_one_variable_block_bianchi_tight():
 def test_tau_identity_on_balanced_family():
     grid = TorusGrid(3, (0, 1), 32)
     reports = verify_tau_identity(grid, _balanced(grid, 0.3))
-    assert reports[0].passed
-    assert reports[0].max_residual < 1e-8
+    assert reports[0]["pass"]
+    assert reports[0]["maxResidual"] < 1e-8
 
 
 def test_tau_precondition_on_kahler_data():
     x, y = GRID.coordinate(0), GRID.coordinate(1)
     g = kahler_from_potential(GRID, 0.05 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
     rep = verify_tau_identity(GRID, g)[0]
-    assert rep.status == "precondition-failed"
-    assert not rep.passed
+    assert rep["status"] == "precondition-failed"
+    assert not rep["pass"]
 
 
 def test_stationarity_source_defect_is_exactly_epsilon():
@@ -147,9 +147,9 @@ def test_stationarity_source_defect_is_exactly_epsilon():
     psi = np.zeros((3, 3), dtype=complex)
     psi[0, 0] = eps
     reports = verify_stationarity(GRID, flat_metric(GRID), source_matrix=psi)
-    by_name = {r.identity_name: r for r in reports}
-    assert by_name["stationarity-balanced"].max_residual == 0.0
-    assert by_name["stationarity-source"].max_residual == eps
+    by_name = {r["identityName"]: r for r in reports}
+    assert by_name["stationarity-balanced"]["maxResidual"] == 0.0
+    assert by_name["stationarity-source"]["maxResidual"] == eps
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -158,8 +158,8 @@ def test_stationarity_balanced_is_the_balanced_defect(n, family):
     grid = TorusGrid(n, (0, 1), 8)
     g = _balanced(grid, 0.2) if family == "balanced" else random_band_metric(grid, seed=5)
     rep = verify_stationarity(grid, g)[0]
-    assert rep.identity_name == "stationarity-balanced"
-    assert rep.max_residual == conformally_balanced_defect(grid, g)
+    assert rep["identityName"] == "stationarity-balanced"
+    assert rep["maxResidual"] == conformally_balanced_defect(grid, g)
 
 
 @pytest.mark.parametrize("n,axes", [(3, (0, 1)), (4, (0, 2, 3))], ids=["n3", "n4"])
@@ -179,7 +179,7 @@ def test_flat_reference_terms_are_exactly_the_chern_terms(n, axes):
     ref = ChernPackage(grid, flat)
     ref_fd = ChernPackage(grid, flat, ORACLE_SCHEME)
 
-    old_a1 = pkg.connection_difference(ref)
+    old_a1 = pkg.gamma - ref.gamma
     old_a2 = np.einsum("...kl,...ilj->...ikj", pkg.ginv, ref_fd.covd(pkg.g, "Ll"))
     h = np.linalg.inv(flat) @ g
     hinv = np.linalg.inv(g) @ flat
@@ -203,8 +203,8 @@ def test_trh_and_dilaton_second_order_in_dt():
     for dt in (1e-5, 5e-6):
         traj = _short_run(GRID, g0, dt=dt)
         resid[dt] = (
-            verify_trh_evolution(traj)[0].max_residual,
-            verify_dilaton_evolution(traj)[0].max_residual,
+            verify_trh_evolution(traj)[0]["maxResidual"],
+            verify_dilaton_evolution(traj)[0]["maxResidual"],
         )
     for a, b in zip(resid[1e-5], resid[5e-6]):
         assert a < 1e-5
@@ -214,11 +214,11 @@ def test_trh_and_dilaton_second_order_in_dt():
 def test_s_evolution_on_small_amplitude_family():
     g0 = _balanced(GRID, 0.05)
     traj = _short_run(GRID, g0)
-    by_name = {r.identity_name: r for r in verify_S_evolution(traj)}
-    assert by_name["s-evolution"].max_residual < 1e-6
-    assert by_name["s-evolution-connection-rate"].max_residual < 1e-7
-    assert by_name["s-evolution-connection-heat"].max_residual < 1e-5
-    assert all(r.passed for r in by_name.values())
+    by_name = {r["identityName"]: r for r in verify_S_evolution(traj)}
+    assert by_name["s-evolution"]["maxResidual"] < 1e-6
+    assert by_name["s-evolution-connection-rate"]["maxResidual"] < 1e-7
+    assert by_name["s-evolution-connection-heat"]["maxResidual"] < 1e-5
+    assert all(r["pass"] for r in by_name.values())
 
 
 def test_evolution_checks_need_weighted_trajectories():
@@ -266,9 +266,9 @@ def test_source_enters_evolution_identities():
     traj = _short_run(GRID, g0, phi=phi)
     with_src = verify_dilaton_evolution(traj, phi=phi)
     for rep in with_src:
-        assert rep.passed, (rep.identity_name, rep.max_residual)
+        assert rep["pass"], (rep["identityName"], rep["maxResidual"])
     without = verify_dilaton_evolution(traj)  # forgetting the source must fail
-    assert any(not rep.passed for rep in without)
+    assert any(not rep["pass"] for rep in without)
 
 
 # -- report contract -----------------------------------------------------------
@@ -276,11 +276,11 @@ def test_source_enters_evolution_identities():
 
 def test_report_serialization_contract():
     rep = verify_bianchi(GRID, random_band_metric(GRID, seed=16))[0]
-    # reports.json holds exactly to_dict(); it must survive a JSON round trip
-    data = json.loads(json.dumps(rep.to_dict()))
+    # reports.json holds exactly the report; it must survive a JSON round trip
+    data = json.loads(json.dumps(rep))
+    assert data == rep
     assert set(data) == {
         "identityName", "maxResidual", "meanResidual", "tolerance",
         "gridSpec", "oracleSpec", "pass", "status", "detail",
     }
     assert data["gridSpec"] == {"n": 3, "activeAxes": [0, 1], "resolution": 16}
-    assert isinstance(rep, ResidualReport)
