@@ -8,7 +8,9 @@ the weighted (n-1,n-1) anchor form
 
 where ``norm`` is the volume-form norm of g and ``source`` is an optional
 static real (n-1,n-1)-form.  The velocity of g is recovered at every
-node by solving a linear n^2 x n^2 system in the sigma basis.
+node by solving a real linear n^2 x n^2 system: the velocity and the
+target are Hermitian, so both are written in the real basis of
+Hermitian matrices that :func:`~iiblab.forms.hermitian_basis` fixes.
 
 *Weighted formulation* ("weighted"): the state is the density-weighted
 metric  w = norm * g, evolved directly by
@@ -56,16 +58,17 @@ from .errors import (
 )
 from .forms import (
     DifferentialForm,
+    hermitian_basis,
     i_del_delbar_matrix,
     matrix_to_one_one,
-    n1n1_to_matrix,
-    wedge,
     wedge_block,
     wedge_power,
 )
 from .grid import TorusGrid
 from .metrics import (
+    HERMITICITY_TOLERANCE,
     conformally_balanced_defect,
+    hermiticity_defect,
     hermitize,
     is_positive,
     min_eigenvalue,
@@ -131,36 +134,37 @@ def weighted_dot_from_metric_dot(pkg: ChernPackage, g_dot: np.ndarray) -> np.nda
 
 def _anchor_target(
     pkg: ChernPackage, source_matrix: np.ndarray | None
-) -> tuple[DifferentialForm, DifferentialForm, np.ndarray]:
-    """Returns omega^{n-2}, omega^{n-1} and the sigma matrix of the target
+) -> tuple[DifferentialForm, np.ndarray]:
+    """Returns omega^{n-2} and the sigma matrix of the target
     ``i del delbar omega^{n-2} - source`` for the anchor solve."""
     grid = pkg.grid
-    omega = matrix_to_one_one(grid, pkg.g)
-    wn2 = wedge_power(omega, grid.n - 2)
-    wn1 = wedge(wn2, omega)
+    wn2 = wedge_power(matrix_to_one_one(grid, pkg.g), grid.n - 2)
     target = i_del_delbar_matrix(wn2)
     if source_matrix is not None:
         target -= np.asarray(source_matrix, dtype=complex)
-    return wn2, wn1, target
+    return wn2, target
 
 
 def _anchor_system(
     pkg: ChernPackage, source_matrix: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The per-node system ``A x = b`` of :func:`anchor_velocity`."""
+    """The per-node real system ``A x = b`` of :func:`anchor_velocity`."""
     grid, n = pkg.grid, pkg.grid.n
-    wn2, wn1, target = _anchor_target(pkg, source_matrix)
-    b = (n - 1) * target.reshape(grid.shape + (n * n,))
+    T, T_inv = hermitian_basis(n)
+    flat = grid.shape + (n * n,)
+    wn2, target = _anchor_target(pkg, source_matrix)
+    b = (n - 1) * (target.reshape(flat) @ T_inv.T).real
 
-    A = wedge_block(wn2)
-    A *= float(n - 1)
+    A = wedge_block(wn2 * ((n - 1) * np.sqrt(pkg.norm_sq)))
 
-    # trace block: coefficient of X[k, j] in tr(g^-1 X) is ginv[j, k]
-    trace_row = np.swapaxes(pkg.ginv, -1, -2).reshape(grid.shape + (n * n,))
-    wn1_col = n1n1_to_matrix(wn1).reshape(grid.shape + (n * n, 1))
-    A -= 0.5 * wn1_col * trace_row[..., None, :]
-
-    A *= np.sqrt(pkg.norm_sq)[..., None, None]
+    # trace block: omega^{n-1} = omega ^ omega^{n-2}, so its column is the
+    # wedge block applied to g; tr(g^-1 T_m) is real
+    g_coords = (pkg.g.reshape(flat) @ T_inv.T).real
+    wn1_col = (A @ g_coords[..., None])[..., 0]
+    wn1_col *= 0.5 / (n - 1)
+    trace_row = (np.swapaxes(pkg.ginv, -1, -2).reshape(flat) @ T).real
+    for r in range(n * n):  # row by row: no (nodes, n^2, n^2) temporary
+        A[..., r, :] -= wn1_col[..., r, None] * trace_row
     return A, b
 
 
@@ -170,8 +174,8 @@ def anchor_velocity(
     """Metric velocity of the anchor flow, solved pointwise.
 
     Expanding the time derivative of ``norm * omega^{n-1}`` for an
-    unknown metric velocity X gives, in the sigma basis, a complex linear
-    system per node:
+    unknown metric velocity X gives, in the sigma basis, a linear system
+    per node:
 
         norm * [ (n-1) M_wedge(X) - 1/2 tr(g^-1 X) M(omega^{n-1}) ]
             = (n-1) M(i del delbar omega^{n-2} - source)
@@ -179,16 +183,24 @@ def anchor_velocity(
     The column of M_wedge for X[k, j] is the sigma matrix of
     ``E[k, j] ^ omega^{n-2}``, where ``E[k, j]`` is the (1,1)-form
     ``i dz^j ^ dzbar^k`` of the unit matrix (the convention of
-    :func:`matrix_to_one_one`).  Both M_wedge and the i del delbar target
-    come from one table compiled once per n from the ``forms`` sign
-    functions: M_wedge is one matrix product of the stacked components of
-    omega^{n-2} with it (:func:`~iiblab.forms.wedge_block`), and the
-    target applies its active-direction part to one stacked transform of
+    :func:`matrix_to_one_one`).  X, the target and M_wedge(X) for a
+    Hermitian X are Hermitian, so the system is real in the Hermitian
+    basis T of :func:`~iiblab.forms.hermitian_basis`: b holds the
+    coordinates of the target's Hermitian part, and X = T x is Hermitian
+    by construction.  There M_wedge is one real matrix product of the
+    stacked components of omega^{n-2} with a table compiled once per n
+    (:func:`~iiblab.forms.wedge_block`); the target applies the
+    active-direction part of the complex table to one stacked transform of
     those components (:func:`~iiblab.forms.i_del_delbar_matrix`).  The
     system is solved with a batched dense solve and the solution
     re-checked by substitution (max relative forward residual below
-    1e-10, otherwise :class:`SingularSystemError`).
+    1e-10, otherwise :class:`SingularSystemError`).  A source that is not
+    Hermitian to ``HERMITICITY_TOLERANCE`` raises :class:`ConfigError`.
     """
+    if source_matrix is not None:
+        defect = hermiticity_defect(np.asarray(source_matrix))
+        if defect > HERMITICITY_TOLERANCE:
+            raise ConfigError(f"anchor source deviates from Hermitian by {defect:.3e}")
     A, b = _anchor_system(pkg, source_matrix)
     try:
         x = np.linalg.solve(A, b[..., None])[..., 0]
@@ -196,14 +208,16 @@ def anchor_velocity(
         raise SingularSystemError(f"anchor velocity solve failed: {err}") from err
 
     residual = (A @ x[..., None])[..., 0] - b
-    scale = max(float(np.abs(b).max()), float(np.abs(A).max() * np.abs(x).max()), 1e-30)
+    a_max = max(float(A.max()), -float(A.min()))  # max |A| without an |A| temporary
+    scale = max(float(np.abs(b).max()), a_max * float(np.abs(x).max()), 1e-30)
     rel = float(np.abs(residual).max()) / scale
     if rel > SOLVE_RESIDUAL_GATE:
         raise SingularSystemError(
             f"anchor velocity solve lost accuracy: relative residual {rel:.3e}"
         )
 
-    return hermitize(x.reshape(pkg.g.shape))
+    T, _ = hermitian_basis(pkg.grid.n)
+    return (x @ T.T).reshape(pkg.g.shape)
 
 
 # -- weighted formulation ------------------------------------------------------

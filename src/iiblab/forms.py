@@ -23,12 +23,14 @@ Conventions fixed here and relied on throughout the library:
 
 The sign functions ``_merge_sign``, ``wedge_monomial`` and
 ``sigma_coefficient``, like ``_complement``, depend only on their index
-arguments and are cached.  The anchor right-hand side reads two tables
-compiled from them once per n: :func:`wedge_block` multiplies the stacked
-components of an (n-2,n-2)-form by one coefficient matrix, and
-:func:`i_del_delbar_matrix` reuses that matrix, restricted to the active
-directions, to apply i del delbar with one forward and one inverse
-transform.
+arguments and are cached.  The anchor right-hand side reads tables
+compiled from them once per n.  The complex coefficient matrix C of the
+wedge with an (n-2,n-2)-form, restricted to the active directions, lets
+:func:`i_del_delbar_matrix` apply i del delbar with one forward and one
+inverse transform.  The real table C_R is C after the change to the real
+basis of Hermitian matrices (:func:`hermitian_basis`):
+:func:`wedge_block` multiplies the real and imaginary parts of the
+stacked components by it, one real matrix product.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ __all__ = [
     "wedge_power",
     "wedge_monomial",
     "sigma_coefficient",
-    "n1n1_to_matrix",
     "matrix_to_one_one",
     "volume_coefficient",
+    "hermitian_basis",
     "wedge_block",
     "i_del_delbar_matrix",
 ]
@@ -193,23 +195,6 @@ def sigma_coefficient(n: int, j: int, k: int) -> complex:
     return volume_coefficient(n) / (1j * sign)
 
 
-def n1n1_to_matrix(theta: DifferentialForm) -> np.ndarray:
-    """Matrix encoding of an (n-1,n-1)-form in the sigma basis.
-
-    Entry ``[j, k]`` multiplies ``sigma(j,k)``; shape ``(*grid, n, n)``.
-    """
-    n = theta.grid.n
-    if (theta.p, theta.q) != (n - 1, n - 1):
-        raise DegreeError(f"need an (n-1,n-1)-form, got ({theta.p},{theta.q})")
-    out = np.zeros(theta.grid.shape + (n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            got = theta.comps.get((_complement(n, j), _complement(n, k)))
-            if got is not None:
-                out[..., j, k] = got / sigma_coefficient(n, j, k)
-    return out
-
-
 # -- (1,1) forms from Hermitian matrix fields ---------------------------------
 
 
@@ -256,6 +241,49 @@ def _wedge_table(n: int) -> tuple[tuple[Key, ...], np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
+def hermitian_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """T and T^-1 of the real basis of Hermitian n x n matrices.
+
+    Column ``j*n + k`` of T is the flattened ``E[j, j]`` (j == k),
+    ``E[j, k] + E[k, j]`` (j < k) or ``i (E[k, j] - E[j, k])`` (j > k).
+    The columns are orthogonal, so T^-1 is T^H with each row divided by 1
+    or 2, exactly.  ``Re(T_inv @ M)`` are the coordinates of the Hermitian
+    part of any M.
+    """
+    T = np.zeros((n * n, n * n), dtype=complex)
+    for j, k in itertools.product(range(n), range(n)):
+        m = j * n + k
+        if j == k:
+            T[m, m] = 1.0
+        elif j < k:
+            T[j * n + k, m] = T[k * n + j, m] = 1.0
+        else:
+            T[k * n + j, m], T[j * n + k, m] = 1j, -1j
+    T_inv = T.conj().T / (np.abs(T) ** 2).sum(axis=0)[:, None]
+    for table in (T, T_inv):
+        table.flags.writeable = False
+    return T, T_inv
+
+
+@functools.lru_cache(maxsize=None)
+def _real_wedge_table(n: int) -> np.ndarray:
+    """C_R of :func:`wedge_block`: C in the Hermitian basis, ``(2K, n**4)``.
+
+    Rows 2*kappa and 2*kappa + 1 are the real part and minus the imaginary
+    part of ``T_inv @ C[kappa] @ T`` (a row of C as its n*n by n*n block),
+    so the stacked components, read as interleaved real and imaginary
+    parts, multiply it into the real part of the block.  Entries are sums
+    of at most four terms in 0, +-1/2 and +-1, so the change is exact.
+    """
+    _, C = _wedge_table(n)
+    T, T_inv = hermitian_basis(n)
+    block = T_inv @ C.reshape(-1, n * n, n * n) @ T
+    C_R = np.stack([block.real, -block.imag], axis=1).reshape(-1, n ** 4)
+    C_R.flags.writeable = False
+    return C_R
+
+
+@functools.lru_cache(maxsize=None)
 def _i_del_delbar_table(n: int, directions: tuple[int, ...]):
     """The part of C that i del delbar reaches along the given directions.
 
@@ -290,19 +318,20 @@ def _stack(theta: DifferentialForm, keys, axis: int) -> np.ndarray:
 
 
 def wedge_block(theta: DifferentialForm) -> np.ndarray:
-    """Sigma matrices of ``E[k, j] ^ theta`` for an (n-2,n-2)-form theta.
+    """Matrix of ``X -> sigma matrix of X ^ theta`` in the Hermitian basis.
 
-    Column ``k*n + j`` of the result (shape ``(*grid, n*n, n*n)``) is the
-    flattened sigma matrix of ``E[k, j] ^ theta``, as
-    ``n1n1_to_matrix(wedge(E[k, j], theta))`` would give it: one matrix
-    product of the stacked components with the compiled table C.  Every
-    entry takes one term with a coefficient of +-1 or +-i, so it is exact.
+    Column m of the result (shape ``(*grid, n*n, n*n)``) holds the
+    :func:`hermitian_basis` coordinates of the sigma matrix of
+    ``T_m ^ theta``, with ``T_m`` as a (1,1)-form (:func:`matrix_to_one_one`):
+    one real matrix product of the stacked components with the table C_R.
+    It is the real part of ``T_inv @ M @ T`` for the complex sigma-basis
+    block M, which is real when theta is a real (n-2,n-2)-form.
     """
     _require_lower(theta)
     grid, n = theta.grid, theta.grid.n
-    keys, C = _wedge_table(n)
-    stacked = _stack(theta, keys, axis=-1).reshape(-1, len(keys))
-    return (stacked @ C).reshape(grid.shape + (n * n, n * n))
+    keys, _ = _wedge_table(n)
+    stacked = _stack(theta, keys, axis=-1).reshape(-1, len(keys)).view(np.float64)
+    return (stacked @ _real_wedge_table(n)).reshape(grid.shape + (n * n, n * n))
 
 
 def i_del_delbar_matrix(theta: DifferentialForm) -> np.ndarray:

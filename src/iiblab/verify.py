@@ -350,7 +350,7 @@ def verify_stationarity(
     parts = balanced_defect_parts(grid, g, np.sqrt(pkg.norm_sq))
     balanced = _report("stationarity-balanced", parts, tolerance, grid, oracle)
 
-    defect = _anchor_target(pkg, source_matrix)[2]
+    defect = _anchor_target(pkg, source_matrix)[1]
     source_rep = _report("stationarity-source", defect, tolerance, grid, oracle)
     return [balanced, source_rep]
 

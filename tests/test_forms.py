@@ -6,9 +6,11 @@ import pytest
 from iiblab import DifferentialForm, TorusGrid, wedge, wedge_power
 from iiblab.errors import DegreeError
 from iiblab.forms import (
+    _real_wedge_table,
+    _wedge_table,
+    hermitian_basis,
     i_del_delbar_matrix,
     matrix_to_one_one,
-    n1n1_to_matrix,
     sigma_coefficient,
     volume_coefficient,
     wedge_block,
@@ -31,6 +33,18 @@ def _one_form(seed):
     comps = {((j,), ()): rng.standard_normal(GRID.shape) + 1j * rng.standard_normal(GRID.shape)
              for j in range(3)}
     return DifferentialForm(GRID, 1, 0, comps)
+
+
+def _sigma_matrix(theta):
+    """Matrix encoding of an (n-1,n-1)-form: entry [j, k] multiplies sigma(j, k)."""
+    n = theta.grid.n
+    out = np.zeros(theta.grid.shape + (n, n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            key = tuple(m for m in range(n) if m != j), tuple(m for m in range(n) if m != k)
+            if key in theta.comps:
+                out[..., j, k] = theta.comps[key] / sigma_coefficient(n, j, k)
+    return out
 
 
 def _max_abs(form):
@@ -134,11 +148,45 @@ def test_wedge_block_equals_form_built_columns(n, axes):
     grid = theta.grid
     # column k*n + j: the sigma matrix of E[k, j] ^ theta, built by the form algebra
     columns = [
-        n1n1_to_matrix(wedge(DifferentialForm(grid, 1, 1, {((j,), (k,)): 1j}), theta))
+        _sigma_matrix(wedge(DifferentialForm(grid, 1, 1, {((j,), (k,)): 1j}), theta))
         for k in range(n) for j in range(n)
     ]
     want = np.stack(columns, axis=-1).reshape(grid.shape + (n * n, n * n))
-    assert np.array_equal(wedge_block(theta), want)
+    # in the Hermitian basis; theta is real to round-off, so T^-1 M T is too
+    T, T_inv = hermitian_basis(n)
+    want = T_inv @ want @ T
+    # worst measured over these geometries, R = 4 and 8, seeds 0-3: 8.6e-18,
+    # the imaginary residue; at n >= 4 an entry sums up to four terms
+    assert np.abs(wedge_block(theta) - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def _hermitian_basis_by_definition(n):
+    """Column j*n + k: E[j, j]; E[j, k] + E[k, j] if j < k; i (E[k, j] - E[j, k]) if j > k."""
+    T = np.zeros((n * n, n * n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            E = np.zeros((n, n), dtype=complex)
+            if j == k:
+                E[j, j] = 1.0
+            elif j < k:
+                E[j, k] = E[k, j] = 1.0
+            else:
+                E[k, j], E[j, k] = 1j, -1j
+            T[:, j * n + k] = E.ravel()
+    return T
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_real_wedge_table_is_the_basis_change_of_c(n):
+    T = _hermitian_basis_by_definition(n)
+    T_inv = np.linalg.inv(T)
+    got_T, got_T_inv = hermitian_basis(n)
+    assert np.array_equal(got_T, T) and np.array_equal(got_T_inv, T_inv)
+    _, C = _wedge_table(n)
+    changed = np.einsum("ar,krc,cb->kab", T_inv, C.reshape(-1, n * n, n * n), T)
+    # rows 2*kappa and 2*kappa + 1 multiply Re and Im of component kappa
+    want = np.stack([changed.real, -changed.imag], axis=1).reshape(-1, n ** 4)
+    assert np.array_equal(_real_wedge_table(n), want)
 
 
 @pytest.mark.parametrize("n, axes, resolution", [
@@ -146,7 +194,7 @@ def test_wedge_block_equals_form_built_columns(n, axes):
 ] + [(3, (0, 1, 2, 3, 4, 5), 4)])
 def test_i_del_delbar_matrix_equals_form_derivatives(n, axes, resolution):
     theta = _lower_power(n, axes, resolution)
-    want = n1n1_to_matrix(theta.exterior_d()[1].exterior_d()[0] * 1j)
+    want = _sigma_matrix(theta.exterior_d()[1].exterior_d()[0] * 1j)
     got = i_del_delbar_matrix(theta)
     # worst measured over these geometries, R = 4 and 8, seeds 0-3: 1.0e-15
     assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()

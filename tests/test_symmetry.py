@@ -1,0 +1,136 @@
+"""Both flows commute with the exact symmetries of the torus grid.
+
+The flow is built from the Chern connection and the volume-form norm,
+which are natural under biholomorphisms (Phong, Picard and Zhang,
+*Anomaly flows*, Comm. Anal. Geom. 2018), and under the antiholomorphic
+reflection as well.  These maps also map the Fourier grid to itself, so a
+flow run from transformed data must end at the transformed end state to
+round-off:
+
+* a translation by whole grid cells, which rolls every field;
+* the antiholomorphic reflection z -> zbar (y -> -y in every plane),
+  which mirrors the y axes and takes g to its transpose, the complex
+  conjugate of a Hermitian matrix;
+* the quarter turn z^0 -> i z^0, which rotates the (x^0, y^0) plane and
+  multiplies the components of g that carry index 0 once by -i or i.
+
+The reflection conjugates every field, so it checks that real and
+imaginary parts are treated alike.  The quarter turn multiplies the
+components of omega^{n-2} by powers of i, so it checks how the anchor
+system combines their real and imaginary parts.  Gaps are max-norm gaps
+relative to the end state, after three RK4 steps at R = 8.
+"""
+
+import numpy as np
+import pytest
+
+from iiblab import FORM_ANCHOR, FORM_WEIGHTED, StepControl, TorusGrid, run_flow
+from iiblab.flow import STATUS_COMPLETED
+from iiblab.metrics import fourier_scalar, random_band_metric
+
+STEPS, DT = 3, 1e-3
+GEOMETRIES = [(3, (0, 1)), (4, (0, 1))]
+SHIFT = (3, 5)
+# worst measured at n = 3, 4 and 5, three shifts and three weighted seeds:
+# translation 2.1e-16, quarter turn 2.1e-16, reflection exactly 0
+TOLERANCE = 1e-15
+
+
+def _balanced(grid):
+    """Conformally balanced data that is neither diagonal nor mirror-symmetric.
+
+    ``diag(exp((n-1) f), exp(f) H)``, with f varying along z^0 only and a
+    constant Hermitian H > 0, is the diagonal balanced family read in
+    linear coordinates of z^1 .. z^{n-1}.  Pulling it back by the torus
+    automorphism z^1 -> z^1 + z^0 (``L^H g L``, with L unimodular and
+    integral) couples index 0 to the others and keeps it balanced.
+    """
+    n = grid.n
+    f = fourier_scalar(grid, [[1, 1, 0.0, -0.15], [0, 1, 0.05, 0.02]])
+    H = np.eye(n - 1, dtype=complex)
+    H[0, 1], H[1, 0] = 0.2 + 0.3j, 0.2 - 0.3j
+    g = np.zeros(grid.shape + (n, n), dtype=complex)
+    g[..., 0, 0] = np.exp((n - 1) * f)
+    g[..., 1:, 1:] = np.exp(f)[..., None, None] * H
+    L = np.eye(n)
+    L[1, 0] = 1.0
+    return L.T @ g @ L
+
+
+def _initial(grid, formulation):
+    if formulation == FORM_ANCHOR:
+        return _balanced(grid)
+    return random_band_metric(grid, seed=4, amplitude=0.2)
+
+
+def _source(grid):
+    """A smooth Hermitian field psi: the anchor source, in both formulations."""
+    return 0.3 * (random_band_metric(grid, seed=9, amplitude=0.2) - np.eye(grid.n))
+
+
+def _end_state(grid, g0, formulation, source=None):
+    traj = run_flow(grid, g0, formulation, STEPS * DT, StepControl(dt=DT),
+                    anchor_source=source)
+    assert traj.status == STATUS_COMPLETED and traj.steps_taken == STEPS
+    return traj.snapshots[-1]
+
+
+def _translate(grid, a):
+    return np.roll(a, SHIFT[: grid.ndim_grid], axis=tuple(range(grid.ndim_grid)))
+
+
+def _reflect(grid, a):
+    """y -> -y on the grid (node i -> -i mod R along every y axis), then g -> g^T."""
+    for pos, axis in enumerate(grid.active_axes):
+        if axis % 2:
+            a = np.roll(np.flip(a, axis=pos), 1, axis=pos)
+    return np.swapaxes(a, -1, -2)
+
+
+def _quarter_turn(grid, a):
+    """z^0 -> i z^0: node (i0, i1) takes node (-i1, i0), and g -> D g conj(D)
+    with D = diag(-i, 1, ..., 1), the pullback by the map's differential."""
+    a = np.swapaxes(a, 0, 1)
+    a = np.roll(np.flip(a, axis=1), 1, axis=1).copy()
+    a[..., 0, 1:] *= -1j
+    a[..., 1:, 0] *= 1j
+    return a
+
+
+def _gap(a, b):
+    return np.abs(a - b).max() / np.abs(a).max()
+
+
+@pytest.mark.parametrize("n, axes", GEOMETRIES)
+@pytest.mark.parametrize("formulation", [FORM_ANCHOR, FORM_WEIGHTED])
+@pytest.mark.parametrize("with_source", [False, True])
+def test_flow_commutes_with_translation(n, axes, formulation, with_source):
+    grid = TorusGrid(n, axes, 8)
+    g0 = _initial(grid, formulation)
+    src = _source(grid) if with_source else None
+    moved_src = _translate(grid, src) if with_source else None
+    end = _end_state(grid, g0, formulation, src)
+    moved = _end_state(grid, _translate(grid, g0), formulation, moved_src)
+    assert _gap(_translate(grid, end), moved) <= TOLERANCE
+
+
+@pytest.mark.parametrize("n, axes", GEOMETRIES)
+@pytest.mark.parametrize("formulation", [FORM_ANCHOR, FORM_WEIGHTED])
+def test_flow_commutes_with_antiholomorphic_reflection(n, axes, formulation):
+    grid = TorusGrid(n, axes, 8)
+    g0 = _initial(grid, formulation)
+    mirrored = _reflect(grid, g0)
+    assert _gap(g0, mirrored) > 1e-2  # the data is not already symmetric
+    end = _end_state(grid, g0, formulation)
+    assert _gap(_reflect(grid, end), _end_state(grid, mirrored, formulation)) <= TOLERANCE
+
+
+@pytest.mark.parametrize("n, axes", GEOMETRIES)
+@pytest.mark.parametrize("formulation", [FORM_ANCHOR, FORM_WEIGHTED])
+def test_flow_commutes_with_quarter_turn(n, axes, formulation):
+    grid = TorusGrid(n, axes, 8)
+    g0 = _initial(grid, formulation)
+    turned = _quarter_turn(grid, g0)
+    assert _gap(g0, turned) > 1e-2
+    end = _end_state(grid, g0, formulation)
+    assert _gap(_quarter_turn(grid, end), _end_state(grid, turned, formulation)) <= TOLERANCE
