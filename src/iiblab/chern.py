@@ -230,38 +230,41 @@ class ChernPackage:
             raise ValenceError("tensor rank too large")
 
     def covd(self, arr: np.ndarray, sig: str) -> np.ndarray:
-        """Unbarred covariant derivative; result signature 'l' + sig."""
+        """Unbarred covariant derivative; result signature 'l' + sig.
+
+        gamma and the derivatives along an inactive direction vanish, so
+        the connection corrections touch only the active slices of the new
+        slot, in place; the other slices are the gradient's exact zeros.
+        """
         return self._covd_impl(arr, sig, barred=False)
 
     def covd_bar(self, arr: np.ndarray, sig: str) -> np.ndarray:
-        """Barred covariant derivative; result signature 'L' + sig."""
+        """Barred covariant derivative; result signature 'L' + sig (as :meth:`covd`)."""
         return self._covd_impl(arr, sig, barred=True)
 
     def _covd_impl(self, arr: np.ndarray, sig: str, barred: bool) -> np.ndarray:
         self._check_signature(arr, sig)
         arr = np.asarray(arr, dtype=complex)
         out = self.grid.holomorphic_gradient(arr, self.scheme, barred=barred)
-        gamma = np.conj(self.gamma) if barred else self.gamma
+        active = self.grid.active_directions
+        gamma = self.gamma[..., active, :, :]
+        if barred:
+            gamma = np.conj(gamma)
         touched = {"U", "L"} if barred else {"u", "l"}
         letters = _LETTERS[: len(sig)]
+        on_grid = (slice(None),) * self.grid.ndim_grid
         for slot, ch in enumerate(sig):
             if ch not in touched:
                 continue
-            upper = ch in ("u", "U")
             arr_sub = letters[:slot] + "m" + letters[slot + 1:]
-            out_sub = "p" + letters
-            if upper:
-                gamma_sub = "p" + letters[slot] + "m"
-                term = np.einsum(
-                    f"...{gamma_sub},...{arr_sub}->...{out_sub}", gamma, arr
-                )
-                out = out + term
+            if ch in ("u", "U"):
+                gamma_sub, op = "p" + letters[slot] + "m", np.add
             else:
-                gamma_sub = "pm" + letters[slot]
-                term = np.einsum(
-                    f"...{gamma_sub},...{arr_sub}->...{out_sub}", gamma, arr
-                )
-                out = out - term
+                gamma_sub, op = "pm" + letters[slot], np.subtract
+            term = np.einsum(f"...{gamma_sub},...{arr_sub}->...p{letters}", gamma, arr)
+            for i, p in enumerate(active):
+                live = out[on_grid + (p,)]
+                op(live, term[on_grid + (i,)], out=live)
         return out
 
     def scalar_laplacian(self, f: np.ndarray) -> np.ndarray:

@@ -37,9 +37,15 @@ the norm taken of the volume form Omega = dz^1 ^ ... ^ dz^n:
     dw/dt   = norm_g * ( dg/dt - 1/2 tr(g^-1 dg/dt) g )
     dg/dt   = norm_w^{2/(n-2)} * ( dw/dt - tr(w^-1 dw/dt)/(n-2) * w )
 
-A constant multiple c * Omega would only rescale time: both curvature
-terms are unchanged when w is scaled, so the flow of |c| * w is the
-flow of w with time scaled by |c|.
+Scaling law: without a source, the flow from lam * g0 (constant lam > 0)
+at time lam^{1-n/2} * t is lam times the flow from g0 at time t.  Both
+curvature terms are unchanged when w is multiplied by a constant c (the
+connection does not see c, and in each term the factors of c from the
+metric and its inverse cancel), so c * w(s / c) solves the weighted
+equation whenever w(t) does.  By the weight chain, g -> lam * g takes
+norm_g to lam^{-n/2} * norm_g, so w to c * w with c = lam^{1-n/2}, and
+c * w back to lam * g.  Likewise a constant multiple c * Omega only
+rescales time: it multiplies w by |c|.
 """
 
 from __future__ import annotations

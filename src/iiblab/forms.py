@@ -131,16 +131,14 @@ class DifferentialForm:
         Each component takes one forward transform, shared by all its
         derivatives.
         """
-        n = self.grid.n
         d = DifferentialForm(self.grid, self.p + 1, self.q)
         dbar = DifferentialForm(self.grid, self.p, self.q + 1)
         front = (-1) ** self.p  # dzbar^k passes the whole dz block
+        active = self.grid.active_directions
         for (J, K), v in self.comps.items():
-            requests = [(j, False) for j in range(n) if j not in J]
-            requests += [(k, True) for k in range(n) if k not in K]
+            requests = [(j, False) for j in active if j not in J]
+            requests += [(k, True) for k in active if k not in K]
             for (j, barred), dv in zip(requests, self.grid.derivatives(v, requests)):
-                if dv is None:
-                    continue
                 if barred:
                     merged, sign = _merge_sign((j,), K)
                     dbar._accumulate((J, merged), front * sign * dv)

@@ -23,7 +23,10 @@ works on *grid-last* arrays (index axes first, grid axes last).  On the
 spectral path it takes one forward ``fftn`` per field, multiplies by the
 precomputed symbols of the requested active directions and takes one
 inverse transform per request.  Directions with no active real axis are
-exact zeros and cost no transform on either path.  Linear combinations of
+exact zeros and cost no transform on either path.  Nor do components that
+equal their first node bit for bit at every node: their deviation from
+that node is 0, so both the spectral transform of it and the stencil's
+differences of equal values give exact zeros.  Linear combinations of
 mixed second derivatives d/dz^j d/dzbar^k of a stack of fields (the i del
 delbar of the anchor flow) go through :meth:`TorusGrid.mixed_derivatives`,
 which takes one forward transform of the stack, multiplies by the product
@@ -221,45 +224,56 @@ class TorusGrid:
 
     def derivatives(
         self, values: np.ndarray, requests, scheme: str = SPECTRAL
-    ) -> list[np.ndarray | None]:
+    ) -> np.ndarray:
         """Complex derivatives of one grid-last field.
 
         ``requests`` lists ``(j, barred)`` pairs: d/dz^j, or d/dzbar^j when
-        ``barred``.  Returns one grid-last array per request, or None for a
-        direction with no active real axis, where the derivative vanishes
-        identically.  On the spectral path all requests share one forward
-        transform; the finite-difference path composes
-        :meth:`real_derivative` per direction.
+        ``barred``.  Returns the grid-last derivatives stacked along a new
+        first axis, one per request.  Directions with no active real axis
+        and components equal to their first node at every node are left at
+        exact zeros (module docstring); only the other components are
+        transformed, or stencilled on their raw values.  On the spectral
+        path all requests share one forward transform; the
+        finite-difference path composes :meth:`real_derivative` per
+        direction.
         """
         spectral = _is_spectral(scheme)
-        live = [j in self.active_directions for j, _ in requests]
-        if not any(live):
-            return [None] * len(live)
+        out = np.zeros((len(requests),) + values.shape, dtype=complex)
+        live = [i for i, (j, _) in enumerate(requests) if j in self.active_directions]
+        if not live:
+            return out
+        g = self.ndim_grid
+        # Derivatives ignore constants: transforming the deviation from the
+        # first node keeps a large mean out of the FFT round-off, and a
+        # component whose deviation is 0 at every node is left at zero.
+        origin = values[(...,) + (slice(0, 1),) * g]
+        dev = np.subtract(values, origin, dtype=complex, order="C")
+        varies = dev.reshape(values.shape[:-g] + (-1,)).any(axis=-1)
+        count = np.count_nonzero(varies)
+        if not count:
+            return out
+        some = count < varies.size  # gather the varying components, then scatter
         if spectral:
-            axes = tuple(range(values.ndim - self.ndim_grid, values.ndim))
-            # Derivatives ignore constants: transforming the deviation from
-            # the first node keeps a large mean out of the FFT round-off.
-            origin = values[(...,) + (slice(0, 1),) * self.ndim_grid]
-            spectrum = np.subtract(values, origin, dtype=complex, order="C")
+            spectrum = dev[varies] if some else dev
+            axes = tuple(range(-g, 0))
             np.fft.fftn(spectrum, axes=axes, out=spectrum)
-
-            def one(j, barred):
-                term = spectrum * self._symbols[j, barred]
-                return np.fft.ifftn(term, axes=axes, out=term)
-
         else:
-            first = self.to_grid_first(values)
-
-            def one(j, barred):
+            first = self.to_grid_first(values[varies] if some else values)
+        for i in live:
+            j, barred = requests[i]
+            if spectral:
+                dest = None if some else out[i]
+                d = np.multiply(spectrum, self._symbols[j, barred], out=dest)
+                np.fft.ifftn(d, axes=axes, out=d)
+            else:
                 dx = self.real_derivative(first, 2 * j, scheme)
                 dy = self.real_derivative(first, 2 * j + 1, scheme)
-                d = 0.5 * (dx + 1j * dy) if barred else 0.5 * (dx - 1j * dy)
-                return self.to_grid_last(d)
-
-        return [
-            one(j, bool(barred)) if ok else None
-            for (j, barred), ok in zip(requests, live)
-        ]
+                dz = dx + 1j * dy if barred else dx - 1j * dy
+                dest = None if some else self.to_grid_first(out[i])
+                d = self.to_grid_last(np.multiply(0.5, dz, out=dest))
+            if some:
+                out[i][varies] = d
+        return out
 
     def mixed_derivatives(
         self, values: np.ndarray, pairs, mix: np.ndarray
@@ -297,13 +311,9 @@ class TorusGrid:
         view of a grid-last array; :meth:`to_grid_last` recovers the
         contiguous layout for free.
         """
-        last = self.to_grid_last(values)
-        out = np.zeros((self.n,) + last.shape, dtype=complex)
         requests = [(j, barred) for j in range(self.n)]
-        for j, d in enumerate(self.derivatives(last, requests, scheme)):
-            if d is not None:
-                out[j] = d
-        return self.to_grid_first(out)
+        last = self.to_grid_last(values)
+        return self.to_grid_first(self.derivatives(last, requests, scheme))
 
     # -- resolution hygiene ----------------------------------------------
 

@@ -187,3 +187,47 @@ def test_endo_norm_sq_matches_einsum(packages):
         diff = pkg.gamma - ref.gamma
         want = pair_endo_forms(pkg.ginv, pkg.g, pkg.ginv, diff, diff).real
         assert _close(pkg.endo_norm_sq(diff), want)
+
+
+# -- covd against the correction of every slice of the new slot ----------------
+
+COVD_GEOMETRIES = [(3, (0, 1)), (3, (0, 2)), (4, (0, 2, 3)), (5, (0, 1)), (3, (0, 1, 2, 3))]
+
+
+def _covd_full(pkg, arr, sig, barred):
+    """Gradient plus the connection terms on all n slices of the new slot."""
+    out = pkg.grid.holomorphic_gradient(arr, pkg.scheme, barred=barred)
+    gamma = np.conj(pkg.gamma) if barred else pkg.gamma
+    touched = {"U", "L"} if barred else {"u", "l"}
+    letters = "abcdefghijklnoqrstuvwxyz"[: len(sig)]
+    for slot, ch in enumerate(sig):
+        if ch not in touched:
+            continue
+        arr_sub = letters[:slot] + "m" + letters[slot + 1:]
+        if ch in ("u", "U"):
+            term = np.einsum(f"...p{letters[slot]}m,...{arr_sub}->...p{letters}", gamma, arr)
+            out = out + term
+        else:
+            term = np.einsum(f"...pm{letters[slot]},...{arr_sub}->...p{letters}", gamma, arr)
+            out = out - term
+    return out
+
+
+@pytest.mark.parametrize("geometry", COVD_GEOMETRIES, ids=_geometry_id)
+def test_covd_matches_full_einsum(geometry):
+    n, axes = geometry
+    grid = TorusGrid(n, axes, 4 if len(axes) > 2 else 8)
+    g = random_band_metric(grid, seed=3)
+    rng = np.random.default_rng(6)
+    inactive = (slice(None),) * grid.ndim_grid + (
+        [j for j in range(n) if j not in grid.active_directions],
+    )
+    for scheme in ("spectral", ORACLE_SCHEME):
+        pkg = ChernPackage(grid, g, scheme)
+        for sig in ("Llul", "Lll", "lLL", "lul", "ul"):
+            shape = grid.shape + (n,) * len(sig)
+            arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for barred, covd in ((False, pkg.covd), (True, pkg.covd_bar)):
+                got = covd(arr, sig)
+                assert np.array_equal(got, _covd_full(pkg, arr, sig, barred))
+                assert np.all(got[inactive] == 0.0)

@@ -117,20 +117,75 @@ def test_top_band_fraction_flags_rough_fields(grid):
     assert grid.top_band_fraction(rough) > 0.1
 
 
-@pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("axes", [(0, 1), (0, 2), (1, 4), (0, 1, 2, 3)])
-def test_engine_matches_per_axis_derivatives(n, axes):
-    grid = TorusGrid(n, axes, 8)
+ENGINE_GEOMETRIES = [
+    pytest.param(n, axes, 8, id=f"axes{i}-{n}")
+    for i, axes in enumerate([(0, 1), (0, 2), (1, 4), (0, 1, 2, 3)])
+    for n in (3, 4)
+] + [
+    pytest.param(5, (0, 1), 8, id="n5-axes01"),
+    pytest.param(5, (1, 4, 9), 8, id="n5-axes149"),
+    pytest.param(3, (0, 1, 2, 3, 4, 5), 4, id="n3-all-axes-r4"),
+]
+
+
+def _full_derivatives(grid, values, requests, scheme):
+    """The engine with every component differentiated: the oracle for the skip."""
+    out = np.zeros((len(requests),) + values.shape, dtype=complex)
+    axes = tuple(range(values.ndim - grid.ndim_grid, values.ndim))
+    origin = values[(...,) + (slice(0, 1),) * grid.ndim_grid]
+    spectrum = np.subtract(values, origin, dtype=complex, order="C")
+    np.fft.fftn(spectrum, axes=axes, out=spectrum)
+    first = grid.to_grid_first(values)
+    for i, (j, barred) in enumerate(requests):
+        if j not in grid.active_directions:
+            continue
+        if scheme == SPECTRAL:
+            term = spectrum * grid._symbols[j, barred]
+            out[i] = np.fft.ifftn(term, axes=axes, out=term)
+        else:
+            dx = grid.real_derivative(first, 2 * j, scheme)
+            dy = grid.real_derivative(first, 2 * j + 1, scheme)
+            d = 0.5 * (dx + 1j * dy) if barred else 0.5 * (dx - 1j * dy)
+            out[i] = grid.to_grid_last(d)
+    return out
+
+
+def _engine_fields(grid, rng):
+    """Grid-first (2, 3) fields: every component varies, some do, none do, one does.
+
+    ``wave`` varies along the first grid axis only, so it is constant on
+    the grid row where that axis's index is 0: a constancy test that looks
+    at that row alone would skip it.
+    """
+    shape = grid.shape + (2, 3)
+    rough = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    wave = np.exp(2j * np.pi * grid.coordinate(grid.active_axes[0]))
+    constant = np.zeros(shape, dtype=complex)
+    constant[...] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    constant[..., 1, 2] = 0.0
+    mixed = rough.copy()
+    mixed[..., 0, 0] = 0.0
+    mixed[..., 0, 2] = 1.5 - 0.25j
+    mixed[..., 1, 1] = 3.0 * wave
+    one = constant.copy()
+    one[..., 1, 0] = 0.3 + 2.0 * wave
+    return {"rough": rough, "mixed": mixed, "constant": constant, "one": one}
+
+
+@pytest.mark.parametrize("n, axes, resolution", ENGINE_GEOMETRIES)
+def test_engine_matches_per_axis_derivatives(n, axes, resolution):
+    grid = TorusGrid(n, axes, resolution)
     rng = np.random.default_rng(7)
-    f = rng.standard_normal(grid.shape + (2,)) + 1j * rng.standard_normal(grid.shape + (2,))
+    fields = _engine_fields(grid, rng)
+    f = fields["rough"]
     grad = grid.holomorphic_gradient(f)
     grad_bar = grid.holomorphic_gradient(f, barred=True)
     for j in range(n):
         dx = grid.real_derivative(f, 2 * j)
         dy = grid.real_derivative(f, 2 * j + 1)
         pairs = [
-            (grad[..., j, :], 0.5 * (dx - 1j * dy)),
-            (grad_bar[..., j, :], 0.5 * (dx + 1j * dy)),
+            (grad[..., j, :, :], 0.5 * (dx - 1j * dy)),
+            (grad_bar[..., j, :, :], 0.5 * (dx + 1j * dy)),
         ]
         if j in grid.active_directions:
             for got, want in pairs:
@@ -139,3 +194,20 @@ def test_engine_matches_per_axis_derivatives(n, axes):
             assert 2 * j not in axes and 2 * j + 1 not in axes
             for got, _ in pairs:
                 assert np.all(got == 0.0)
+
+    # skipping the constant components changes no bit on either scheme
+    requests = [(j, False) for j in range(n)] + [(j, True) for j in range(n)]
+    grid_axes = tuple(range(-grid.ndim_grid, 0))
+    for f in fields.values():
+        for view in (f, np.swapaxes(f, -1, -2)):  # the second is not contiguous
+            last = grid.to_grid_last(view)
+            origin = last[(...,) + (slice(0, 1),) * grid.ndim_grid]
+            constant = np.all(last == origin, axis=grid_axes)
+            for scheme in (SPECTRAL, ORACLE):
+                got = grid.derivatives(last, requests, scheme)
+                assert np.array_equal(got, _full_derivatives(grid, last, requests, scheme))
+                assert np.all(got[:, constant] == 0.0)
+                for barred in (False, True):
+                    rows = got[n:] if barred else got[:n]
+                    grad = grid.holomorphic_gradient(view, scheme, barred=barred)
+                    assert np.array_equal(grad, grid.to_grid_first(rows))

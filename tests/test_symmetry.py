@@ -19,14 +19,22 @@ imaginary parts are treated alike.  The quarter turn multiplies the
 components of omega^{n-2} by powers of i, so it checks how the anchor
 system combines their real and imaginary parts.  Gaps are max-norm gaps
 relative to the end state, after three RK4 steps at R = 8.
+
+The spatial verify reports and a diagnostics record are maxima and
+minima over the grid of pointwise fields built the same way, so they are
+invariant under translation to round-off.
 """
 
 import numpy as np
 import pytest
 
-from iiblab import FORM_ANCHOR, FORM_WEIGHTED, StepControl, TorusGrid, run_flow
+from iiblab import (
+    FORM_ANCHOR, FORM_WEIGHTED, ChernPackage, StepControl, TorusGrid, run_flow,
+)
+from iiblab.diagnostics import compute_diagnostics
 from iiblab.flow import STATUS_COMPLETED
 from iiblab.metrics import fourier_scalar, random_band_metric
+from iiblab.verify import SPATIAL_REGISTRY
 
 STEPS, DT = 3, 1e-3
 GEOMETRIES = [(3, (0, 1)), (4, (0, 1))]
@@ -34,6 +42,13 @@ SHIFT = (3, 5)
 # worst measured at n = 3, 4 and 5, three shifts and three weighted seeds:
 # translation 2.1e-16, quarter turn 2.1e-16, reflection exactly 0
 TOLERANCE = 1e-15
+# worst measured at n = 3, 4 and 5, four seeds and three shifts: 8.9e-15
+# absolute on a maxResidual (at R = 8 the residuals, 2e-4 to 3e-2, are
+# fd8 truncation errors between O(1) fields) and 8.4e-16 relative on a
+# record field
+REPORT_TOLERANCE = 5e-14
+RECORD_TOLERANCE = 5e-15
+SPATIAL_SUITE = ["connection-difference", "bianchi", "commutator", "quasilinear"]
 
 
 def _balanced(grid):
@@ -134,3 +149,47 @@ def test_flow_commutes_with_quarter_turn(n, axes, formulation):
     assert _gap(g0, turned) > 1e-2
     end = _end_state(grid, g0, formulation)
     assert _gap(_quarter_turn(grid, end), _end_state(grid, turned, formulation)) <= TOLERANCE
+
+
+@pytest.mark.parametrize("n, axes", GEOMETRIES)
+def test_spatial_reports_and_records_commute_with_translation(n, axes):
+    grid = TorusGrid(n, axes, 8)
+    g = random_band_metric(grid, seed=4, amplitude=0.2)
+    moved = _translate(grid, g)
+    assert _gap(g, moved) > 1e-2
+    for key in SPATIAL_SUITE:
+        reports = SPATIAL_REGISTRY[key](grid, g)
+        for rep, rep_moved in zip(reports, SPATIAL_REGISTRY[key](grid, moved), strict=True):
+            assert rep["identityName"] == rep_moved["identityName"]
+            assert abs(rep["maxResidual"] - rep_moved["maxResidual"]) <= REPORT_TOLERANCE
+    g0 = random_band_metric(grid, seed=9, amplitude=0.2)
+    record = compute_diagnostics(grid, g, ChernPackage(grid, g0), 0.5, (0.02, 1.0))
+    record_moved = compute_diagnostics(
+        grid, moved, ChernPackage(grid, _translate(grid, g0)), 0.5, (0.02, 1.0)
+    )
+    assert record.keys() == record_moved.keys()
+    for key, value in record.items():
+        assert abs(value - record_moved[key]) <= RECORD_TOLERANCE * abs(value), key
+
+
+@pytest.mark.parametrize("n, formulation", [(3, FORM_WEIGHTED), (4, FORM_WEIGHTED), (3, FORM_ANCHOR)])
+def test_flow_obeys_the_scaling_law(n, formulation):
+    """g -> lam g with t -> lam^(1 - n/2) t (the flow module docstring).
+
+    Measured gaps with lam = 4: 6.6e-18 (n = 3, weighted), exactly 0 (n = 4
+    weighted, n = 3 anchor).  A time exponent off by 1/2 misses by 1.1e-3
+    or more.
+    """
+    grid = TorusGrid(n, (0, 1), 8)
+    g0 = _initial(grid, formulation)
+    lam = 4.0
+    end = run_flow(grid, g0, formulation, STEPS * DT, StepControl(dt=DT)).metric_at(-1)
+    for exponent in (1 - n / 2, 0.5 - n / 2, 1.5 - n / 2):
+        c = lam**exponent
+        traj = run_flow(grid, lam * g0, formulation, STEPS * DT * c, StepControl(dt=DT * c))
+        assert traj.status == STATUS_COMPLETED and traj.steps_taken == STEPS
+        gap = _gap(lam * end, traj.metric_at(-1))
+        if exponent == 1 - n / 2:
+            assert gap <= TOLERANCE
+        else:
+            assert gap > 1e-4
