@@ -269,11 +269,11 @@ class ChernPackage:
 
     def scalar_laplacian(self, f: np.ndarray) -> np.ndarray:
         """Metric trace of the mixed Hessian of a scalar field."""
-        grad_bar = self.grid.holomorphic_gradient(
-            np.asarray(f, dtype=complex), self.scheme, barred=True
-        )
-        hess = self.grid.holomorphic_gradient(grad_bar, self.scheme)
-        return np.einsum("...pq,...pq->...", self.ginv, hess)
+        n = self.grid.n
+        requests = [(p, False, q, True) for p in range(n) for q in range(n)]
+        hess = self.grid.derivatives(np.asarray(f, dtype=complex), requests, self.scheme)
+        hess = hess.reshape((n, n) + self.grid.shape)
+        return np.einsum("pq...,pq...->...", self._ginv_last, hess)
 
     def laplacian(self, arr: np.ndarray, sig: str) -> np.ndarray:
         """Rough Laplacian: unbarred after barred derivative, traced."""

@@ -196,8 +196,9 @@ def anchor_velocity(
     by construction.  There M_wedge is one real matrix product of the
     stacked components of omega^{n-2} with a table compiled once per n
     (:func:`~iiblab.forms.wedge_block`); the target applies the
-    active-direction part of the complex table to one stacked transform of
-    those components (:func:`~iiblab.forms.i_del_delbar_matrix`).  The
+    active-direction part of the complex table to the mixed second
+    derivatives of those components, one request per direction pair to
+    the spectral engine (:func:`~iiblab.forms.i_del_delbar_matrix`).  The
     system is solved with a batched dense solve and the solution
     re-checked by substitution (max relative forward residual below
     1e-10, otherwise :class:`SingularSystemError`).  A source that is not

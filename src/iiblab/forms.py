@@ -26,11 +26,11 @@ The sign functions ``_merge_sign``, ``wedge_monomial`` and
 arguments and are cached.  The anchor right-hand side reads tables
 compiled from them once per n.  The complex coefficient matrix C of the
 wedge with an (n-2,n-2)-form, restricted to the active directions, lets
-:func:`i_del_delbar_matrix` apply i del delbar with one forward and one
-inverse transform.  The real table C_R is C after the change to the real
-basis of Hermitian matrices (:func:`hermitian_basis`):
-:func:`wedge_block` multiplies the real and imaginary parts of the
-stacked components by it, one real matrix product.
+:func:`i_del_delbar_matrix` sum the mixed second derivatives of the
+components into i del delbar with one ``tensordot``.  The real table C_R
+is C after the change to the real basis of Hermitian matrices
+(:func:`hermitian_basis`): :func:`wedge_block` multiplies the real and
+imaginary parts of the stacked components by it, one real matrix product.
 """
 
 from __future__ import annotations
@@ -338,14 +338,18 @@ def i_del_delbar_matrix(theta: DifferentialForm) -> np.ndarray:
     i del delbar of ``v dz^J ^ dzbar^K`` is the sum over (j, k) of
     ``d_j dbar_k v  E[k, j] ^ dz^J ^ dzbar^K``, so its sigma coefficients
     are the entries of C.  The components some active direction pair
-    reaches go to :meth:`TorusGrid.mixed_derivatives` together, with the
-    part of C that couples them to the sigma rows that can be non-zero:
-    one forward and one inverse transform.  Shape ``(*grid, n, n)``.
+    reaches go to :meth:`TorusGrid.derivatives` together, one mixed request
+    per pair (one forward transform; constant components cost nothing),
+    and one ``tensordot`` with the part of C that couples them to the
+    sigma rows that can be non-zero sums the result.  Shape
+    ``(*grid, n, n)``.
     """
     _require_lower(theta)
     grid, n = theta.grid, theta.grid.n
     pairs, comps, rows, D = _i_del_delbar_table(n, grid.active_directions)
-    live = grid.mixed_derivatives(_stack(theta, comps, axis=0), pairs, D)
+    mixed = grid.derivatives(
+        _stack(theta, comps, axis=0), [(j, False, k, True) for j, k in pairs]
+    )
     out = np.zeros(grid.shape + (n * n,), dtype=complex)
-    out[..., rows] = grid.to_grid_first(live)
+    out[..., rows] = grid.to_grid_first(np.tensordot(D, mixed, axes=([0, 2], [0, 1])))
     return out.reshape(grid.shape + (n, n))

@@ -19,18 +19,18 @@ Two derivative discretisations are provided:
   verifier checks the spectral path against.
 
 All complex derivatives go through :meth:`TorusGrid.derivatives`, which
-works on *grid-last* arrays (index axes first, grid axes last).  On the
-spectral path it takes one forward ``fftn`` per field, multiplies by the
-precomputed symbols of the requested active directions and takes one
-inverse transform per request.  Directions with no active real axis are
-exact zeros and cost no transform on either path.  Nor do components that
-equal their first node bit for bit at every node: their deviation from
-that node is 0, so both the spectral transform of it and the stencil's
-differences of equal values give exact zeros.  Linear combinations of
-mixed second derivatives d/dz^j d/dzbar^k of a stack of fields (the i del
-delbar of the anchor flow) go through :meth:`TorusGrid.mixed_derivatives`,
-which takes one forward transform of the stack, multiplies by the product
-symbols and takes one inverse transform of the combinations.
+works on *grid-last* arrays (index axes first, grid axes last).  A request
+is a product of complex derivatives, d/dz^j or d/dzbar^j, so first
+derivatives and mixed second derivatives d/dz^j d/dzbar^k (the i del delbar
+of the anchor flow, the Hessian of a potential, the scalar Laplacian) share
+one engine.  On the spectral path it takes one forward ``fftn`` per field,
+multiplies by the product of the precomputed symbols of each request and
+takes one inverse transform per request; on the fd8 path it applies the
+stencil factor by factor.  Requests along a direction with no active real
+axis are exact zeros and cost no transform on either path.  Nor do
+components that equal their first node bit for bit at every node: their
+deviation from that node is 0, so both the spectral transform of it and
+the stencil's differences of equal values give exact zeros.
 
 Complex derivatives follow the convention
 
@@ -222,24 +222,37 @@ class TorusGrid:
         g = self.ndim_grid
         return np.moveaxis(values, range(values.ndim - g, values.ndim), range(g))
 
+    def _stencil(self, first, j, barred, out=None) -> np.ndarray:
+        """fd8 d/dz^j (d/dzbar^j when ``barred``) of a grid-first array."""
+        dx = self.real_derivative(first, 2 * j, ORACLE)
+        dy = self.real_derivative(first, 2 * j + 1, ORACLE)
+        return np.multiply(0.5, dx + 1j * dy if barred else dx - 1j * dy, out=out)
+
     def derivatives(
         self, values: np.ndarray, requests, scheme: str = SPECTRAL
     ) -> np.ndarray:
         """Complex derivatives of one grid-last field.
 
-        ``requests`` lists ``(j, barred)`` pairs: d/dz^j, or d/dzbar^j when
-        ``barred``.  Returns the grid-last derivatives stacked along a new
-        first axis, one per request.  Directions with no active real axis
-        and components equal to their first node at every node are left at
-        exact zeros (module docstring); only the other components are
-        transformed, or stencilled on their raw values.  On the spectral
-        path all requests share one forward transform; the
-        finite-difference path composes :meth:`real_derivative` per
-        direction.
+        Each request is a flat tuple of ``(j, barred)`` factors, d/dz^j or
+        d/dzbar^j when ``barred``: ``(j, barred)`` asks for a first
+        derivative, ``(j, False, k, True)`` for d/dz^j d/dzbar^k.  Returns
+        the grid-last derivatives stacked along a new first axis, one per
+        request.  A request with a factor along a direction with no active
+        real axis, and components equal to their first node at every node,
+        are left at exact zeros (module docstring); only the other
+        components are transformed, or stencilled on their raw values.  On
+        the spectral path all requests share one forward transform, each
+        multiplied by the product of its factors' symbols; the fd8 path
+        applies :meth:`real_derivative` factor by factor, the last factor
+        of a request first.
         """
         spectral = _is_spectral(scheme)
         out = np.zeros((len(requests),) + values.shape, dtype=complex)
-        live = [i for i, (j, _) in enumerate(requests) if j in self.active_directions]
+        factors = [tuple(zip(r[::2], r[1::2])) for r in requests]
+        live = [
+            i for i, fs in enumerate(factors)
+            if all(j in self.active_directions for j, _ in fs)
+        ]
         if not live:
             return out
         g = self.ndim_grid
@@ -260,45 +273,19 @@ class TorusGrid:
         else:
             first = self.to_grid_first(values[varies] if some else values)
         for i in live:
-            j, barred = requests[i]
             if spectral:
-                dest = None if some else out[i]
-                d = np.multiply(spectrum, self._symbols[j, barred], out=dest)
+                symbol = functools.reduce(np.multiply, map(self._symbols.get, factors[i]))
+                d = np.multiply(spectrum, symbol, out=None if some else out[i])
                 np.fft.ifftn(d, axes=axes, out=d)
             else:
-                dx = self.real_derivative(first, 2 * j, scheme)
-                dy = self.real_derivative(first, 2 * j + 1, scheme)
-                dz = dx + 1j * dy if barred else dx - 1j * dy
+                d = first
+                for j, barred in reversed(factors[i][1:]):
+                    d = self._stencil(d, j, barred)
                 dest = None if some else self.to_grid_first(out[i])
-                d = self.to_grid_last(np.multiply(0.5, dz, out=dest))
+                d = self.to_grid_last(self._stencil(d, *factors[i][0], out=dest))
             if some:
                 out[i][varies] = d
         return out
-
-    def mixed_derivatives(
-        self, values: np.ndarray, pairs, mix: np.ndarray
-    ) -> np.ndarray:
-        """Linear combinations of mixed second derivatives, spectral.
-
-        ``values`` stacks L grid-last fields, shape ``(L, *grid)``;
-        ``pairs`` lists P ``(j, k)`` pairs of active directions and ``mix``
-        has shape ``(P, R, L)``.  Returns the R grid-last fields
-        ``sum_p mix[p] @ (d/dz^j d/dzbar^k values)``.  The fields share one
-        forward transform (of their deviation from the first node, as in
-        :meth:`derivatives`, so constants give exact zeros) and the outputs
-        one inverse transform.
-        """
-        axes = tuple(range(1, values.ndim))
-        origin = values[(...,) + (slice(0, 1),) * self.ndim_grid]
-        spectrum = np.subtract(values, origin, dtype=complex, order="C")
-        np.fft.fftn(spectrum, axes=axes, out=spectrum)
-        symbols = np.stack([
-            np.broadcast_to(self._symbols[j, False] * self._symbols[k, True], self.shape)
-            for j, k in pairs
-        ]).reshape(len(pairs), 1, -1)
-        out = ((mix @ spectrum.reshape(len(values), -1)) * symbols).sum(axis=0)
-        out = out.reshape((mix.shape[1],) + self.shape)
-        return np.fft.ifftn(out, axes=axes, out=out)
 
     def holomorphic_gradient(
         self, values: np.ndarray, scheme: str = SPECTRAL, barred: bool = False

@@ -192,9 +192,11 @@ def balanced_band_metric(grid: TorusGrid, f: np.ndarray, stretch: float = 1.0) -
 
 def kahler_from_potential(grid: TorusGrid, phi: np.ndarray) -> np.ndarray:
     """Metric ``g[kbar,j] = delta + d_j d_kbar phi`` from a real potential."""
-    grad_bar = grid.holomorphic_gradient(np.asarray(phi, dtype=complex), barred=True)
-    hess = grid.holomorphic_gradient(grad_bar)  # hess[..., j, k] = d_j d_kbar phi
-    return hermitize(flat_metric(grid) + np.swapaxes(hess, -1, -2))
+    n = grid.n
+    requests = [(j, False, k, True) for k in range(n) for j in range(n)]
+    hess = grid.derivatives(np.asarray(phi, dtype=complex), requests)
+    hess = grid.to_grid_first(hess.reshape((n, n) + grid.shape))
+    return hermitize(flat_metric(grid) + hess)
 
 
 def random_band_metric(

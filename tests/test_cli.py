@@ -170,6 +170,62 @@ def test_run_budget_exhaustion_is_blowup_exit(tmp_path, capsys):
     assert np.array_equal(arrays["metric"], np.broadcast_to(np.eye(3), (RES, RES, 3, 3)))
 
 
+@pytest.mark.parametrize("formulation", ["weighted", "anchor"])
+def test_run_without_dt_steps_adaptively(tmp_path, capsys, formulation):
+    cfg = _flat_cfg(
+        initialMetric={
+            "family": "balanced-family",
+            "fourierTerms": [[1, 1, 0.0, -0.15], [1, -1, 0.0, -0.15]],
+        },
+        formulation=formulation,
+    )
+    cfg["control"] = {"tEnd": 1e-3}
+    config = _write(tmp_path, "adaptive.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out),
+                 "--resolution", "16"]) == 0
+    assert "status=completed" in capsys.readouterr().out
+    lines = _read_jsonl(out / "diagnostics.jsonl")
+    assert "dt" not in lines[0]["config"]["control"]
+    assert lines[-1]["status"] == "completed" and lines[-1]["stepsTaken"] > 0
+    assert lines[-1]["tFinal"] == pytest.approx(1e-3, rel=1e-15)
+
+
+def test_run_with_a_passing_suite_writes_reports(tmp_path, capsys):
+    cfg = _flat_cfg(verifySuite=[{"identity": "bianchi"}, {"identity": "dilaton"}])
+    config = _write(tmp_path, "suite.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 0
+    assert "status=completed" in capsys.readouterr().out
+    doc = json.loads((out / "reports.json").read_text())
+    assert doc["allPass"] is True
+    assert [r["identityName"] for r in doc["reports"]] == [
+        "bianchi-first", "bianchi-first-conjugate",
+        "bianchi-second", "bianchi-second-conjugate",
+        "dilaton-evolution-rate", "dilaton-evolution-heat",
+    ]
+
+
+def test_run_with_a_failing_suite_exits_four_and_keeps_its_output(tmp_path, capsys):
+    cfg = _flat_cfg(
+        initialMetric={"family": "random", "seed": 3},
+        verifySuite=[{"identity": "quasilinear", "tolerance": 0.0}],
+    )
+    config = _write(tmp_path, "tol0.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 4
+    assert "status=completed" in capsys.readouterr().out
+    assert json.loads((out / "reports.json").read_text())["allPass"] is False
+    # the run itself completed: its records, status and final state are all there
+    lines = _read_jsonl(out / "diagnostics.jsonl")
+    assert [r["step"] for r in lines if r["kind"] == "diagnostics"] == [0, 2, 4, 6, 8, 10]
+    assert lines[-1] == {"kind": "status", "status": "completed",
+                         "stepsTaken": 10, "tFinal": lines[-2]["t"]}
+    assert [p.name for p in out.glob("state-*.snap")] == ["state-00000010.snap"]
+    _, t, _, meta = load_snapshot(out / "state-00000010.snap")
+    assert t == lines[-1]["tFinal"] and meta["status"] == "completed"
+
+
 def test_config_errors_exit_one_with_json(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "none.json")])
     assert code == 1

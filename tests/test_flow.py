@@ -19,6 +19,7 @@ from iiblab import (
 )
 from iiblab.errors import DegeneracyError
 from iiblab.flow import (
+    POSITIVITY_FLOOR,
     STATUS_BLOWUP,
     STATUS_COMPLETED,
     STATUS_SINGULARITY,
@@ -41,6 +42,7 @@ from iiblab.metrics import (
     fourier_scalar,
     hermitize,
     kahler_from_potential,
+    min_eigenvalue,
     random_band_metric,
     volume_norm_sq,
 )
@@ -200,6 +202,48 @@ def test_step_budget_counts_the_last_step():
     assert short.steps == [0, 1, 2, 3, 4]
     for a, b in zip(short.snapshots, traj.snapshots):
         assert np.array_equal(a, b)
+
+
+def test_overflowing_step_is_a_blowup():
+    # every stage is finite, but k1 + 2 k2 + 2 k3 + k4 = 6 * 6e307 overflows
+    src = np.zeros((3, 3), dtype=complex)
+    src[0, 0] = -6e307
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = run_flow(GRID, FLAT, FORM_WEIGHTED, 1e-3, StepControl(dt=1e-3),
+                        weighted_source=src)
+    assert traj.status == STATUS_BLOWUP
+    assert traj.stop_detail == "non-finite state"
+    assert traj.steps_taken == 0
+    assert traj.times == [0.0] and len(traj.snapshots) == 1
+
+
+def test_step_below_the_positivity_floor_is_refused():
+    # dw/dt = -phi on flat data: the step lands w[0, 0] at half the floor
+    phi = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    dt = 1.0 - POSITIVITY_FLOOR / 2
+    traj = run_flow(GRID, FLAT, FORM_WEIGHTED, dt, StepControl(dt=dt),
+                    weighted_source=phi)
+    assert traj.status == STATUS_SINGULARITY
+    assert traj.stop_detail == "min eigenvalue 5.000e-09 at t=1"
+    assert traj.steps_taken == 0
+    assert traj.times == [0.0] and len(traj.snapshots) == 1
+    assert np.array_equal(traj.snapshots[0], weighted_from_metric(FLAT))
+
+
+@pytest.mark.parametrize("formulation, steps", [(FORM_WEIGHTED, 7), (FORM_ANCHOR, 10)])
+def test_adaptive_step_is_the_parabolic_bound(formulation, steps):
+    """Without dt each step is cfl * h^2 * (smallest eigenvalue of the state),
+    cut to what is left of the run."""
+    grid = TorusGrid(3, (0, 1), 32)
+    control = StepControl()
+    t_final = 1e-3
+    traj = run_flow(grid, _balanced(grid), formulation, t_final, control)
+    assert traj.status == STATUS_COMPLETED
+    assert traj.steps_taken == steps and traj.steps == list(range(steps + 1))
+    for t, y, t_next in zip(traj.times, traj.snapshots, traj.times[1:]):
+        bound = control.cfl * grid.spacing ** 2 * min_eigenvalue(y)
+        assert t_next == t + min(bound, t_final - t)
+    assert traj.times[-1] == pytest.approx(t_final, rel=1e-15)
 
 
 def test_singularity_stop_keeps_last_positive_state():

@@ -259,16 +259,30 @@ def test_dilaton_factors_each_state_once(monkeypatch):
     assert len(built) == len(traj.snapshots)
 
 
+# reports whose identity holds whatever the source: S and the connection rate
+SOURCE_FREE = {"s-evolution", "s-evolution-connection-rate"}
+
+
 def test_source_enters_evolution_identities():
-    phi = np.zeros((3, 3), dtype=complex)
-    phi[1, 1] = 0.4
+    """Each report that carries the source passes with it and fails without.
+
+    Both source shapes the verifiers take: one matrix for every node, and
+    a field over the grid (the shape the CLI always passes).
+    """
+    base = np.zeros((3, 3), dtype=complex)
+    base[1, 1] = 0.4
+    wave = 1.0 + 0.25 * np.sin(2 * np.pi * GRID.coordinate(0))
     g0 = _balanced(GRID, 0.1)
-    traj = _short_run(GRID, g0, phi=phi)
-    with_src = verify_dilaton_evolution(traj, phi=phi)
-    for rep in with_src:
-        assert rep["pass"], (rep["identityName"], rep["maxResidual"])
-    without = verify_dilaton_evolution(traj)  # forgetting the source must fail
-    assert any(not rep["pass"] for rep in without)
+    for phi in (base, base * wave[..., None, None]):
+        traj = _short_run(GRID, g0, phi=phi)
+        for verifier in (verify_trh_evolution, verify_dilaton_evolution, verify_S_evolution):
+            for rep, bare in zip(verifier(traj, phi=phi), verifier(traj)):
+                name = rep["identityName"]
+                assert rep["pass"], (name, rep["maxResidual"])
+                if name in SOURCE_FREE:
+                    assert bare == rep
+                else:  # forgetting the source must fail
+                    assert not bare["pass"], (name, bare["maxResidual"])
 
 
 # -- report contract -----------------------------------------------------------
