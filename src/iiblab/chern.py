@@ -286,46 +286,42 @@ class ChernPackage:
     def endo_norm_sq(self, a: np.ndarray) -> np.ndarray:
         """Squared norm of an endomorphism-valued one-form ``a[..., m, x, y]``.
 
-        Contracts the form slot with the inverse metric and the
-        endomorphism slots with the metric pair, conjugating the second
-        factor: ``sum_m sum_{u,c} z_m[u, c] w_m[u, c]`` with
-        ``z_m = g a_m ginv`` and ``w_m = sum_k ginv[m, k] conj(a_k)``.  This
-        is the same pairing as :func:`pair_endo_forms` with
-        ``(ginv, g, ginv)``, computed grid-last over every form slot (a may
-        be non-zero along inactive directions).
+        The ``(ginv, g, ginv)`` case of :func:`pair_endo_forms`, summed over
+        every form slot (a may be non-zero along inactive directions).
         """
-        n = self.grid.n
-        g, ginv = self._g_last, self._ginv_last
-        a = np.ascontiguousarray(self.grid.to_grid_last(np.asarray(a, dtype=complex)))
-        a_bar = np.conj(a)
-        out = np.zeros_like(g)
-        for m in range(n):
-            y = np.zeros_like(g)
-            for l in range(n):
-                y += a[m, :, l, None] * ginv[l]
-            z = np.zeros_like(g)
-            for b in range(n):
-                z += g[:, b, None] * y[b]
-            w = np.zeros_like(g)
-            for k in range(n):
-                w += ginv[m, k] * a_bar[k]
-            out += z * w
-        return out.sum(axis=(0, 1)).real
+        # a grid-first view of the contiguous grid-last g spares the pairing a copy
+        g = self.grid.to_grid_first(self._g_last)
+        return pair_endo_forms(self.ginv, g, self.ginv, a, a).real
 
 
 def pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
     """Sesquilinear pairing of endomorphism-valued one-forms (conjugate on y).
 
-    ``m1`` contracts the form slots, ``m2`` the upper endomorphism slots and
-    ``m3`` the lower ones; with ``(ginv, g, ginv)`` this is the metric
-    pairing behind :meth:`ChernPackage.endo_norm_sq`.
+    ``sum m1[m, g] m2[u, b] m3[l, a] x[m, b, l] conj(y[g, u, a])``: ``m1``
+    contracts the form slots, ``m2`` the upper endomorphism slots and ``m3``
+    the lower ones.  This is the one pairing of such forms; with ``(ginv, g,
+    ginv)`` it is :meth:`ChernPackage.endo_norm_sq`.  It runs grid-last, as
+    ``sum_m sum_{u,a} z_m[u, a] w_m[u, a]`` with ``z_m = m2 x_m m3`` and
+    ``w_m = sum_g m1[m, g] conj(y_g)``.  Inputs are grid-first, with any
+    number of leading grid axes.
     """
-    return np.einsum(
-        "...mg,...ub,...la,...mbl,...gua->...",
-        m1,
-        m2,
-        m3,
-        x,
-        np.conj(y),
-        optimize=True,
-    )
+    def grid_last(arr, rank):
+        return np.ascontiguousarray(np.moveaxis(arr, range(-rank, 0), range(rank)), complex)
+
+    m1, m2, m3 = (grid_last(m, 2) for m in (m1, m2, m3))
+    x_last = grid_last(x, 3)
+    y_bar = np.conj(x_last if y is x else grid_last(y, 3))
+    n = x_last.shape[0]
+    out = np.zeros_like(m2)
+    for m in range(n):
+        xm3 = np.zeros_like(m2)
+        for l in range(n):
+            xm3 += x_last[m, :, l, None] * m3[l]
+        z = np.zeros_like(m2)
+        for b in range(n):
+            z += m2[:, b, None] * xm3[b]
+        w = np.zeros_like(m2)
+        for g in range(n):
+            w += m1[m, g] * y_bar[g]
+        out += z * w
+    return out.sum(axis=(0, 1))

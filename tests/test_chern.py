@@ -173,6 +173,13 @@ def test_tau_matches_einsum(packages):
         assert _close(pkg.tau, np.einsum("...ppi->...i", pkg.t_up))
 
 
+def _pair_einsum(m1, m2, m3, x, y):
+    """The pairing of endomorphism-valued one-forms as one plain einsum."""
+    return np.einsum(
+        "...mg,...ub,...la,...mbl,...gua->...", m1, m2, m3, x, np.conj(y), optimize=True
+    )
+
+
 def test_endo_norm_sq_matches_einsum(packages):
     rng = np.random.default_rng(5)
     for pkg in packages:
@@ -181,12 +188,30 @@ def test_endo_norm_sq_matches_einsum(packages):
         # non-zero on their slots, which the pairing must not skip
         shape = pkg.grid.shape + (n, n, n)
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        want = pair_endo_forms(pkg.ginv, pkg.g, pkg.ginv, a, a).real
+        want = _pair_einsum(pkg.ginv, pkg.g, pkg.ginv, a, a).real
         assert _close(pkg.endo_norm_sq(a), want)
         ref = ChernPackage(pkg.grid, random_band_metric(pkg.grid, seed=4), pkg.scheme)
         diff = pkg.gamma - ref.gamma
-        want = pair_endo_forms(pkg.ginv, pkg.g, pkg.ginv, diff, diff).real
+        want = _pair_einsum(pkg.ginv, pkg.g, pkg.ginv, diff, diff).real
         assert _close(pkg.endo_norm_sq(diff), want)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_pair_endo_forms_matches_einsum(n):
+    """Three distinct contracting matrices, two distinct forms, and form
+    slots that are non-zero along the inactive directions too."""
+    grid = TorusGrid(n, (0, 1), 8)
+    rng = np.random.default_rng(n)
+
+    def field(rank):
+        shape = grid.shape + (n,) * rank
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    m1, m2, m3, x, y = field(2), field(2), field(2), field(3), field(3)
+    assert np.abs(x[..., 1:, :, :]).min() > 0.0  # direction 0 is the only active one
+    for first, second in ((x, y), (y, x), (x, x)):
+        want = _pair_einsum(m1, m2, m3, first, second)
+        assert _close(pair_endo_forms(m1, m2, m3, first, second), want)
 
 
 # -- covd against the correction of every slice of the new slot ----------------

@@ -11,7 +11,6 @@ from iiblab import (
     flat_metric,
     random_band_metric,
 )
-from iiblab.chern import pair_endo_forms
 from iiblab.metrics import (
     balanced_band_metric,
     conformally_balanced_defect,
@@ -127,7 +126,10 @@ def _reference_record(grid, g, g_initial, t, test_function):
 
     norm = volume_norm(pkg.g)
     a = pkg.gamma - ref.gamma
-    s_field = pair_endo_forms(pkg.ginv, pkg.g, pkg.ginv, a, a).real
+    s_field = np.einsum(
+        "...mg,...ub,...la,...mbl,...gua->...", pkg.ginv, pkg.g, pkg.ginv, a, np.conj(a),
+        optimize=True,
+    ).real
     eps, weight = test_function
     blended = np.log(np.maximum(s_field, 1e-300)) + eps * trh - weight * np.log(norm)
     return {

@@ -12,7 +12,10 @@ round-off:
   which mirrors the y axes and takes g to its transpose, the complex
   conjugate of a Hermitian matrix;
 * the quarter turn z^0 -> i z^0, which rotates the (x^0, y^0) plane and
-  multiplies the components of g that carry index 0 once by -i or i.
+  multiplies the components of g that carry index 0 once by -i or i;
+* the swap z^0 <-> z^1, which moves grid axes (0, 1) to (2, 3) (or
+  transposes the grid on axes (0, 1, 2, 3)) and swaps matrix indices 0
+  and 1.
 
 The reflection conjugates every field, so it checks that real and
 imaginary parts are treated alike.  The quarter turn multiplies the
@@ -22,7 +25,10 @@ relative to the end state, after three RK4 steps at R = 8.
 
 The spatial verify reports and a diagnostics record are maxima and
 minima over the grid of pointwise fields built the same way, so they are
-invariant under translation to round-off.
+invariant under translation and under the swap to round-off.  On axes
+(0, 1) the swap moves the only active direction from 0 to 1, so it also
+checks that the Bianchi residuals are formed on the active slots, not on
+a fixed one.
 """
 
 import numpy as np
@@ -40,14 +46,18 @@ STEPS, DT = 3, 1e-3
 GEOMETRIES = [(3, (0, 1)), (4, (0, 1))]
 SHIFT = (3, 5)
 # worst measured at n = 3, 4 and 5, three shifts and three weighted seeds:
-# translation 2.1e-16, quarter turn 2.1e-16, reflection exactly 0
+# translation 2.1e-16, quarter turn 2.1e-16, reflection exactly 0; the
+# swap, at n = 3, 4 and 5 with and without a source: 4.2e-16
 TOLERANCE = 1e-15
 # worst measured at n = 3, 4 and 5, four seeds and three shifts: 8.9e-15
 # absolute on a maxResidual (at R = 8 the residuals, 2e-4 to 3e-2, are
 # fd8 truncation errors between O(1) fields) and 8.4e-16 relative on a
-# record field
+# record field; the swap, at n = 3, 4 and 5 on axes (0, 1) and (0, 1, 2,
+# 3) and three seeds: 4.6e-15 absolute and 1.7e-15 relative
 REPORT_TOLERANCE = 5e-14
 RECORD_TOLERANCE = 5e-15
+# real axes of z^0 and z^1 exchanged by the swap
+SWAP_AXES = {0: 2, 1: 3, 2: 0, 3: 1}
 SPATIAL_SUITE = ["connection-difference", "bianchi", "commutator", "quasilinear"]
 
 
@@ -112,6 +122,23 @@ def _quarter_turn(grid, a):
     return a
 
 
+def _swapped_grid(grid):
+    axes = tuple(sorted(SWAP_AXES.get(a, a) for a in grid.active_axes))
+    return TorusGrid(grid.n, axes, grid.resolution)
+
+
+def _swap(grid, a, rank=2):
+    """z^0 <-> z^1: each grid axis follows its real axis, and each of the
+    last ``rank`` index axes swaps 0 and 1."""
+    axes = _swapped_grid(grid).active_axes
+    dest = [axes.index(SWAP_AXES.get(x, x)) for x in grid.active_axes]
+    a = np.moveaxis(a, range(grid.ndim_grid), dest)
+    perm = [1, 0] + list(range(2, grid.n))
+    for axis in range(-rank, 0):
+        a = np.take(a, perm, axis=axis)
+    return a
+
+
 def _gap(a, b):
     return np.abs(a - b).max() / np.abs(a).max()
 
@@ -152,24 +179,66 @@ def test_flow_commutes_with_quarter_turn(n, axes, formulation):
 
 
 @pytest.mark.parametrize("n, axes", GEOMETRIES)
+@pytest.mark.parametrize("formulation", [FORM_ANCHOR, FORM_WEIGHTED])
+def test_flow_commutes_with_coordinate_swap(n, axes, formulation):
+    grid = TorusGrid(n, axes, 8)
+    g0 = _initial(grid, formulation)
+    swapped = _swap(grid, g0)
+    assert _gap(g0, swapped) > 1e-2
+    end = _end_state(grid, g0, formulation)
+    moved = _end_state(_swapped_grid(grid), swapped, formulation)
+    assert _gap(_swap(grid, end), moved) <= TOLERANCE
+
+
+def _spatial_outputs(grid, g, g0, probe):
+    """The maxResidual of every spatial report, and one diagnostics record."""
+    residuals = {}
+    for key in SPATIAL_SUITE:
+        kwargs = {"covector": probe} if key == "commutator" else {}
+        for rep in SPATIAL_REGISTRY[key](grid, g, **kwargs):
+            residuals[rep["identityName"]] = rep["maxResidual"]
+    record = compute_diagnostics(grid, g, ChernPackage(grid, g0), 0.5, (0.02, 1.0))
+    return residuals, record
+
+
+def _assert_same_outputs(want, got):
+    for value, moved in zip(want, got, strict=True):
+        assert value.keys() == moved.keys()
+    (residuals, record), (residuals_moved, record_moved) = want, got
+    for name, value in residuals.items():
+        assert abs(value - residuals_moved[name]) <= REPORT_TOLERANCE, name
+    for key, value in record.items():
+        assert abs(value - record_moved[key]) <= RECORD_TOLERANCE * abs(value), key
+
+
+def _probe(grid):
+    """The commutator check's constant default probe."""
+    return np.ones(grid.shape + (grid.n,), dtype=complex) + 0.5j * np.arange(grid.n)
+
+
+@pytest.mark.parametrize("n, axes", GEOMETRIES)
 def test_spatial_reports_and_records_commute_with_translation(n, axes):
     grid = TorusGrid(n, axes, 8)
     g = random_band_metric(grid, seed=4, amplitude=0.2)
+    g0 = random_band_metric(grid, seed=9, amplitude=0.2)
     moved = _translate(grid, g)
     assert _gap(g, moved) > 1e-2
-    for key in SPATIAL_SUITE:
-        reports = SPATIAL_REGISTRY[key](grid, g)
-        for rep, rep_moved in zip(reports, SPATIAL_REGISTRY[key](grid, moved), strict=True):
-            assert rep["identityName"] == rep_moved["identityName"]
-            assert abs(rep["maxResidual"] - rep_moved["maxResidual"]) <= REPORT_TOLERANCE
+    want = _spatial_outputs(grid, g, g0, _probe(grid))
+    got = _spatial_outputs(grid, moved, _translate(grid, g0), _probe(grid))
+    _assert_same_outputs(want, got)
+
+
+@pytest.mark.parametrize("n, axes", GEOMETRIES + [(5, (0, 1)), (3, (0, 1, 2, 3))])
+def test_spatial_reports_and_records_commute_with_coordinate_swap(n, axes):
+    grid = TorusGrid(n, axes, 8 if len(axes) == 2 else 4)
+    g = random_band_metric(grid, seed=4, amplitude=0.2)
     g0 = random_band_metric(grid, seed=9, amplitude=0.2)
-    record = compute_diagnostics(grid, g, ChernPackage(grid, g0), 0.5, (0.02, 1.0))
-    record_moved = compute_diagnostics(
-        grid, moved, ChernPackage(grid, _translate(grid, g0)), 0.5, (0.02, 1.0)
-    )
-    assert record.keys() == record_moved.keys()
-    for key, value in record.items():
-        assert abs(value - record_moved[key]) <= RECORD_TOLERANCE * abs(value), key
+    moved = _swap(grid, g)
+    assert _gap(g, moved) > 1e-2
+    want = _spatial_outputs(grid, g, g0, _probe(grid))
+    swapped = _swapped_grid(grid)
+    got = _spatial_outputs(swapped, moved, _swap(grid, g0), _swap(grid, _probe(grid), rank=1))
+    _assert_same_outputs(want, got)
 
 
 @pytest.mark.parametrize("n, formulation", [(3, FORM_WEIGHTED), (4, FORM_WEIGHTED), (3, FORM_ANCHOR)])

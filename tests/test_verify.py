@@ -127,6 +127,73 @@ def test_kahler_one_variable_block_bianchi_tight():
     assert all(v < 1e-7 for v in by_name.values())
 
 
+def _bianchi_full(grid, g):
+    """The four Bianchi residuals formed on the full tensors, every
+    structural zero included: the reference for the live-slot verifier."""
+    pkg = ChernPackage(grid, g)
+    fd = ChernPackage(grid, g, ORACLE_SCHEME)
+    low = np.einsum("...ka,...lmaj->...lmkj", pkg.g, pkg.curvature)
+    low_fd = np.einsum("...ka,...lmaj->...lmkj", fd.g, fd.curvature)
+    nb_t = fd.covd_bar(fd.t_low, "Lll")
+    rhs1 = np.swapaxes(low_fd, -3, -1) + np.moveaxis(nb_t, (-4, -3, -2, -1), (-4, -2, -1, -3))
+    n_tbar = fd.covd(np.conj(fd.t_low), "lLL")
+    rhs2 = np.swapaxes(low_fd, -4, -2) + np.moveaxis(n_tbar, (-4, -3, -2, -1), (-3, -1, -2, -4))
+    n_r = pkg.covd(pkg.curvature, "Llul")
+    rhs3 = np.swapaxes(fd.covd(fd.curvature, "Llul"), -5, -3) + np.einsum(
+        "...rjm,...krab->...mkjab", fd.t_up, fd.curvature
+    )
+    nb_r = pkg.covd_bar(pkg.curvature, "Llul")
+    rhs4 = np.swapaxes(fd.covd_bar(fd.curvature, "Llul"), -5, -4) + np.einsum(
+        "...rkm,...rjab->...mkjab", np.conj(fd.t_up), fd.curvature
+    )
+    return {
+        "bianchi-first": low - rhs1,
+        "bianchi-first-conjugate": low - rhs2,
+        "bianchi-second": n_r - rhs3,
+        "bianchi-second-conjugate": nb_r - rhs4,
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("axes", [(0, 1), (0, 2), (0, 1, 2, 3)], ids="axes{}".format)
+def test_bianchi_live_slots_match_full_tensors(n, axes):
+    """Skipping the structural zeros leaves every maximum bit-identical; the
+    mean, still taken over the full tensor, moves only by summation order."""
+    grid = TorusGrid(n, axes, 8 if len(axes) == 2 or n == 3 else 4)
+    g = random_band_metric(grid, seed=7, amplitude=0.2)
+    full = _bianchi_full(grid, g)
+    reports = verify_bianchi(grid, g)
+    assert [r["identityName"] for r in reports] == list(full)
+    for rep in reports:
+        res = np.abs(full[rep["identityName"]])
+        assert rep["maxResidual"] == res.max() > 0.0, rep["identityName"]
+        assert rep["meanResidual"] == pytest.approx(res.mean(), rel=1e-15, abs=0.0)
+        assert rep["detail"] == ""
+
+
+@pytest.mark.parametrize("scheme", ["spectral", ORACLE_SCHEME])
+def test_bianchi_fails_on_curvature_off_the_active_blocks(monkeypatch, scheme):
+    """The live-slot residuals assume the skipped curvature blocks are exact
+    zeros; one stray entry in either package must fail all four reports,
+    here on flat data whose residuals are all exactly zero."""
+    built = ChernPackage.__dict__["curvature"].func
+
+    def stray(pkg):
+        curv = built(pkg)
+        if pkg.scheme == scheme:
+            curv = curv.copy()
+            curv[0, 0, 2, 1, 1, 1] = 1e-30  # a block no residual reads
+        return curv
+
+    monkeypatch.setattr(ChernPackage, "curvature", property(stray))
+    reports = verify_bianchi(GRID, flat_metric(GRID))
+    assert len(reports) == 4
+    for rep in reports:
+        assert not rep["pass"], rep["identityName"]
+        assert rep["maxResidual"] == 0.0
+        assert f"{scheme} curvature block (k, j) = (2, 1)" in rep["detail"]
+
+
 def test_tau_identity_on_balanced_family():
     grid = TorusGrid(3, (0, 1), 32)
     reports = verify_tau_identity(grid, _balanced(grid, 0.3))
