@@ -1,6 +1,17 @@
 """Connection, curvature, and torsion of a Hermitian metric field.
 
-All tensors are ndarrays with grid axes first and index axes last.  The
+Tensors are ndarrays with grid axes first and index axes last, except
+the three stored on the active directions only.  Fields vary only along
+the active directions (those with an active real axis), so the metric
+derivative ``dg`` and the connection ``gamma`` are exact zeros along the
+others, and the curvature is zero unless both of its form slots are
+active.  ``active_dg``, ``active_gamma`` and ``active_curvature`` hold
+the live entries as contiguous grid-last stacks, shape (|A|, n, n, *grid)
+and (|A|, |A|, n, n, *grid) for |A| active directions; the second Ricci
+form, the torsion square and trace, the torsion and ``covd`` read them.
+The full-shape grid-first ``dg``, ``gamma`` and ``curvature`` are
+scattered from the stacks by one helper, and built only when asked for
+(the verifiers ask for them; the weighted right-hand side does not).  The
 index layout of every cached tensor is documented on its property.  A
 *signature string* describes the index axes of an array, one character
 per trailing axis:
@@ -63,11 +74,14 @@ class ChernPackage:
 
     # -- first layer: derivatives of the metric ------------------------------
     #
-    # The hot contractions below run in the grid-last layout (index axes
-    # first, grid axes last): each is a short loop of broadcast products of
-    # contiguous grid arrays, summed over the active directions only, since
-    # dg and gamma vanish along every inactive direction j.  The public
-    # properties stay grid-first; those built here are views.
+    # Fields vary only along the active directions, so dg and gamma vanish
+    # along every inactive direction, and the curvature unless both of its
+    # form slots are active.  These three are stored only on the active
+    # directions, as grid-last stacks (index axes first, grid axes last,
+    # contiguous); every contraction below reads the stacks and is a short
+    # loop of broadcast products of contiguous grid arrays.  The full-shape
+    # grid-first dg, gamma and curvature are scattered from the stacks only
+    # when asked for.
 
     @functools.cached_property
     def ginv(self) -> np.ndarray:
@@ -82,36 +96,62 @@ class ChernPackage:
     def _ginv_last(self) -> np.ndarray:
         return np.ascontiguousarray(self.grid.to_grid_last(self.ginv))
 
-    @functools.cached_property
-    def dg(self) -> np.ndarray:
-        """``dg[..., j, a, b]``: holomorphic derivative along j of g."""
-        return self.grid.holomorphic_gradient(self.g, self.scheme)
+    def _full(self, stack: np.ndarray, slots: int) -> np.ndarray:
+        """A stack over the active directions scattered into a grid-first full shape.
 
-    @functools.cached_property
-    def gamma(self) -> np.ndarray:
-        """Connection ``gamma[..., m, a, b]`` (upper a, lowers m and b).
-
-        ``gamma[m, p, q] = sum_a ginv[p, a] dg[m, a, q]``.
+        The first ``slots`` index axes of ``stack`` run over the active
+        directions; the other entries of those axes are exact zeros.
         """
-        ginv, dg = self._ginv_last, self.grid.to_grid_last(self.dg)
-        out = np.zeros_like(dg)
-        for m in self.grid.active_directions:
-            for a in range(self.grid.n):
-                out[m] += ginv[:, a, None] * dg[m, a]
+        act = self.grid.active_directions
+        out = np.zeros((self.grid.n,) * slots + stack.shape[slots:], dtype=complex)
+        out[np.ix_(*[act] * slots)] = stack
         return self.grid.to_grid_first(out)
 
     @functools.cached_property
+    def active_dg(self) -> np.ndarray:
+        """Grid-last ``dg[i, a, b]``: holomorphic derivative of g along the
+        i-th active direction."""
+        requests = [(j, False) for j in self.grid.active_directions]
+        return self.grid.derivatives(self.grid.to_grid_last(self.g), requests, self.scheme)
+
+    @functools.cached_property
+    def dg(self) -> np.ndarray:
+        """``dg[..., j, a, b]``: holomorphic derivative along j of g, full shape."""
+        return self._full(self.active_dg, 1)
+
+    @functools.cached_property
+    def active_gamma(self) -> np.ndarray:
+        """Grid-last connection ``gamma[i, p, q]`` along the i-th active direction.
+
+        ``gamma[i, p, q] = sum_a ginv[p, a] dg[i, a, q]`` (upper p, lower q).
+        """
+        ginv, dg = self._ginv_last, self.active_dg
+        out = np.zeros_like(dg)
+        for i in range(len(dg)):
+            for a in range(self.grid.n):
+                out[i] += ginv[:, a, None] * dg[i, a]
+        return out
+
+    @functools.cached_property
+    def gamma(self) -> np.ndarray:
+        """Connection ``gamma[..., m, a, b]`` (upper a, lowers m and b), full shape."""
+        return self._full(self.active_gamma, 1)
+
+    @functools.cached_property
+    def active_curvature(self) -> np.ndarray:
+        """Grid-last ``curv[k, j, a, b]`` on the active (k, j): minus the barred
+        derivative along the k-th active direction of the j-th active gamma."""
+        grid, gamma = self.grid, self.active_gamma
+        out = np.empty((len(gamma),) + gamma.shape, dtype=complex)
+        requests = [(k, True) for k in grid.active_directions]
+        for j, gamma_j in enumerate(gamma):
+            np.negative(grid.derivatives(gamma_j, requests, self.scheme), out=out[:, j])
+        return out
+
+    @functools.cached_property
     def curvature(self) -> np.ndarray:
-        """``curv[..., k, j, a, b]``: minus the barred k-derivative of gamma."""
-        grid = self.grid
-        gamma = grid.to_grid_last(self.gamma)
-        out = np.zeros((grid.n,) + gamma.shape, dtype=complex)
-        active = grid.active_directions
-        requests = [(k, True) for k in active]
-        for j in active:
-            for k, d in zip(active, grid.derivatives(gamma[j], requests, self.scheme)):
-                np.negative(d, out=out[k, j])
-        return grid.to_grid_first(out)
+        """``curv[..., k, j, a, b]``: minus the barred k-derivative of gamma, full shape."""
+        return self._full(self.active_curvature, 2)
 
     @functools.cached_property
     def second_ricci(self) -> np.ndarray:
@@ -119,11 +159,12 @@ class ChernPackage:
 
         ``out[p, q] = sum g[p, l] ginv[j, k] curv[k, j, l, q]``.
         """
-        ginv, curv = self._ginv_last, self.grid.to_grid_last(self.curvature)
+        ginv, curv = self._ginv_last, self.active_curvature
+        active = self.grid.active_directions
         traced = np.zeros_like(ginv)
-        for j in self.grid.active_directions:
-            for k in self.grid.active_directions:
-                traced += ginv[j, k] * curv[k, j]
+        for j_at, j in enumerate(active):
+            for k_at, k in enumerate(active):
+                traced += ginv[j, k] * curv[k_at, j_at]
         g = self._g_last
         out = np.zeros_like(ginv)
         for l in range(self.grid.n):
@@ -133,11 +174,11 @@ class ChernPackage:
     @functools.cached_property
     def t_low(self) -> np.ndarray:
         """Torsion ``t_low[..., k, j, m] = dg[..., j, k, m] - dg[..., m, k, j]``."""
-        dg = self.grid.to_grid_last(self.dg)
-        out = np.zeros_like(dg)
-        for a in self.grid.active_directions:
-            out[:, a] += dg[a]
-            out[:, :, a] -= dg[a]
+        dg = self.active_dg
+        out = np.zeros((self.grid.n,) + dg.shape[1:], dtype=complex)
+        for i, a in enumerate(self.grid.active_directions):
+            out[:, a] += dg[i]
+            out[:, :, a] -= dg[i]
         return self.grid.to_grid_first(out)
 
     @functools.cached_property
@@ -156,13 +197,13 @@ class ChernPackage:
         index is active, so the first term sums over active p and the second
         is non-zero only on the active i.
         """
-        ginv, dg = self._ginv_last, self.grid.to_grid_last(self.dg)
+        ginv, dg = self._ginv_last, self.active_dg
         ginv_t = np.swapaxes(ginv, 0, 1)
         out = np.zeros_like(ginv[0])
-        for p in self.grid.active_directions:
+        for i, p in enumerate(self.grid.active_directions):
             for q in range(self.grid.n):
-                out += ginv[p, q] * dg[p, q]
-            out[p] -= (ginv_t * dg[p]).sum(axis=(0, 1))
+                out += ginv[p, q] * dg[i, q]
+            out[p] -= (ginv_t * dg[i]).sum(axis=(0, 1))
         return self.grid.to_grid_first(out)
 
     @functools.cached_property
@@ -178,20 +219,19 @@ class ChernPackage:
         the first index of dg (p and a) runs over the active directions only.
         """
         n = self.grid.n
-        ginv, dg = self._ginv_last, self.grid.to_grid_last(self.dg)
+        ginv, dg = self._ginv_last, self.active_dg
         active = self.grid.active_directions
-        r = {}
-        for p in active:
-            r[p] = np.zeros_like(ginv)
+        r = [np.zeros_like(ginv) for _ in active]
+        for r_p, dg_p in zip(r, dg):
             for q in range(n):
-                r[p] += dg[p, :, q, None] * ginv[q]
+                r_p += dg_p[:, q, None] * ginv[q]
         out = np.zeros_like(ginv)
-        for a in active:
+        for a_at, a in enumerate(active):
             u = np.zeros_like(ginv)
-            for p in active:
-                u += ginv[p, a] * r[p]
-                u -= r[p][:, a, None] * ginv[p]
-            dg_bar = np.conj(dg[a])
+            for r_p, p in zip(r, active):
+                u += ginv[p, a] * r_p
+                u -= r_p[:, a, None] * ginv[p]
+            dg_bar = np.conj(dg[a_at])
             for b in range(n):
                 out += u[:, b, None] * dg_bar[:, b]
         out *= 2.0
@@ -247,7 +287,7 @@ class ChernPackage:
         arr = np.asarray(arr, dtype=complex)
         out = self.grid.holomorphic_gradient(arr, self.scheme, barred=barred)
         active = self.grid.active_directions
-        gamma = self.gamma[..., active, :, :]
+        gamma = self.grid.to_grid_first(self.active_gamma)
         if barred:
             gamma = np.conj(gamma)
         touched = {"U", "L"} if barred else {"u", "l"}
@@ -303,7 +343,9 @@ def pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
     ginv)`` it is :meth:`ChernPackage.endo_norm_sq`.  It runs grid-last, as
     ``sum_m sum_{u,a} z_m[u, a] w_m[u, a]`` with ``z_m = m2 x_m m3`` and
     ``w_m = sum_g m1[m, g] conj(y_g)``.  Inputs are grid-first, with any
-    number of leading grid axes.
+    number of leading grid axes.  The form slots may be fewer than the
+    endomorphism slots (the active directions only, with ``m1`` restricted
+    to them): their count comes from ``x``, the endomorphism size from ``m2``.
     """
     def grid_last(arr, rank):
         return np.ascontiguousarray(np.moveaxis(arr, range(-rank, 0), range(rank)), complex)
@@ -311,17 +353,17 @@ def pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
     m1, m2, m3 = (grid_last(m, 2) for m in (m1, m2, m3))
     x_last = grid_last(x, 3)
     y_bar = np.conj(x_last if y is x else grid_last(y, 3))
-    n = x_last.shape[0]
+    forms, size = x_last.shape[0], m2.shape[0]
     out = np.zeros_like(m2)
-    for m in range(n):
+    for m in range(forms):
         xm3 = np.zeros_like(m2)
-        for l in range(n):
+        for l in range(size):
             xm3 += x_last[m, :, l, None] * m3[l]
         z = np.zeros_like(m2)
-        for b in range(n):
+        for b in range(size):
             z += m2[:, b, None] * xm3[b]
         w = np.zeros_like(m2)
-        for g in range(n):
+        for g in range(forms):
             w += m1[m, g] * y_bar[g]
         out += z * w
     return out.sum(axis=(0, 1))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chern import ChernPackage
+from .chern import ChernPackage, pair_endo_forms
 from .grid import TorusGrid
 from .metrics import conformally_balanced_defect
 
@@ -72,7 +72,11 @@ def compute_diagnostics(
     tau_sq = np.einsum("...jk,...j,...k->...", pkg.ginv, tau, np.conj(tau)).real
 
     norm = np.sqrt(pkg.norm_sq)
-    s_field = pkg.endo_norm_sq(pkg.gamma - baseline.gamma)
+    # gamma vanishes along the inactive directions: pair the active form slots only
+    act = grid.active_directions
+    a = grid.to_grid_first(pkg.active_gamma - baseline.active_gamma)
+    form_ginv = pkg.ginv[..., act, :][..., :, act]
+    s_field = pair_endo_forms(form_ginv, pkg.g, pkg.ginv, a, a).real
 
     record = {
         "t": float(t),

@@ -602,9 +602,11 @@ def verify_S_evolution(
         _time_oracle(dt, 1),
     )
 
+    # the curvature is non-zero only on its active (q, r) blocks
+    act = grid.active_directions
     w2 = np.einsum(
-        "...pq,...rmp,...qrab->...mab", pkg.ginv, pkg.t_up, pkg.curvature,
-        optimize=True,
+        "...pq,...rmp,...qrab->...mab", pkg.ginv[..., act], pkg.t_up[..., act, :, :],
+        grid.to_grid_first(pkg.active_curvature), optimize=True,
     )
     q_endo = -0.5 * np.einsum("...ag,...gb->...ab", pkg.ginv, pkg.ttbar)
     heat_rhs = w2 + pkg.covd(q_endo, "ul")

@@ -7,8 +7,10 @@ whose connection is diagonal: Gamma^p_{jq} = 2 (d_j f) delta_{pq}.
 import numpy as np
 import pytest
 
-from iiblab import ChernPackage, PositivityError, TorusGrid, flat_metric, random_band_metric
+from iiblab import ChernPackage, PositivityError, TorusGrid, diagnostics, flat_metric, random_band_metric
 from iiblab.chern import pair_endo_forms
+from iiblab.diagnostics import compute_diagnostics
+from iiblab.flow import hermitize, weighted_velocity
 from iiblab.errors import ValenceError
 from iiblab.metrics import kahler_from_potential
 from iiblab.verify import ORACLE_SCHEME
@@ -213,6 +215,15 @@ def test_pair_endo_forms_matches_einsum(n):
         want = _pair_einsum(m1, m2, m3, first, second)
         assert _close(pair_endo_forms(m1, m2, m3, first, second), want)
 
+    # form stacks over fewer slots than n, as over the active directions only
+    for forms in (1, 2):
+        shape = grid.shape + (forms, n, n)
+        x, y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "xy")
+        m1 = field(2)[..., :forms, :forms]
+        for first, second in ((x, y), (x, x)):
+            want = _pair_einsum(m1, m2, m3, first, second)
+            assert _close(pair_endo_forms(m1, m2, m3, first, second), want)
+
 
 # -- covd against the correction of every slice of the new slot ----------------
 
@@ -256,3 +267,85 @@ def test_covd_matches_full_einsum(geometry):
                 got = covd(arr, sig)
                 assert np.array_equal(got, _covd_full(pkg, arr, sig, barred))
                 assert np.all(got[inactive] == 0.0)
+
+
+# -- the active stacks against the full-tensor loops they replaced -------------
+
+STACK_GEOMETRIES = [(n, axes) for n in (3, 4, 5) for axes in ((0, 1), (0, 2), (0, 1, 2, 3))]
+
+
+def _full_tensor_loops(pkg):
+    """Grid-first dg, gamma, curvature, second Ricci form, torsion, its trace
+    and its square, from the full-shape grid-last loops the stacks replaced."""
+    grid, n, act = pkg.grid, pkg.grid.n, pkg.grid.active_directions
+    g = np.ascontiguousarray(grid.to_grid_last(pkg.g))
+    ginv = np.ascontiguousarray(grid.to_grid_last(pkg.ginv))
+    dg = grid.derivatives(grid.to_grid_last(pkg.g), [(j, False) for j in range(n)], pkg.scheme)
+    gamma = np.zeros_like(dg)
+    for m in act:
+        for a in range(n):
+            gamma[m] += ginv[:, a, None] * dg[m, a]
+    curv = np.zeros((n,) + gamma.shape, dtype=complex)
+    for j in act:
+        for k, d in zip(act, grid.derivatives(gamma[j], [(k, True) for k in act], pkg.scheme)):
+            np.negative(d, out=curv[k, j])
+    traced = np.zeros_like(ginv)
+    for j in act:
+        for k in act:
+            traced += ginv[j, k] * curv[k, j]
+    ricci = np.zeros_like(ginv)
+    for l in range(n):
+        ricci += g[:, l, None] * traced[l]
+    t_low = np.zeros_like(dg)
+    for a in act:
+        t_low[:, a] += dg[a]
+        t_low[:, :, a] -= dg[a]
+    tau = np.zeros_like(ginv[0])
+    for p in act:
+        for q in range(n):
+            tau += ginv[p, q] * dg[p, q]
+        tau[p] -= (np.swapaxes(ginv, 0, 1) * dg[p]).sum(axis=(0, 1))
+    r = {}
+    for p in act:
+        r[p] = np.zeros_like(ginv)
+        for q in range(n):
+            r[p] += dg[p, :, q, None] * ginv[q]
+    ttbar = np.zeros_like(ginv)
+    for a in act:
+        u = np.zeros_like(ginv)
+        for p in act:
+            u += ginv[p, a] * r[p]
+            u -= r[p][:, a, None] * ginv[p]
+        dg_bar = np.conj(dg[a])
+        for b in range(n):
+            ttbar += u[:, b, None] * dg_bar[:, b]
+    ttbar *= 2.0
+    out = dict(dg=dg, gamma=gamma, curvature=curv, second_ricci=ricci,
+               t_low=t_low, tau=tau, ttbar=ttbar)
+    return {key: grid.to_grid_first(value) for key, value in out.items()}
+
+
+@pytest.mark.parametrize("geometry", STACK_GEOMETRIES, ids=_geometry_id)
+def test_active_stacks_are_bit_identical_to_full_tensors(geometry, monkeypatch):
+    n, axes = geometry
+    grid = TorusGrid(n, axes, 8 if len(axes) > 2 else 16)
+    act = list(grid.active_directions)
+    g0, g = (random_band_metric(grid, seed=s) for s in (1, 2))
+    for scheme in ("spectral", ORACLE_SCHEME):
+        pkg = ChernPackage(grid, g, scheme)
+        want = _full_tensor_loops(pkg)
+        assert np.array_equal(grid.to_grid_first(pkg.active_dg), want["dg"][..., act, :, :])
+        for name in ("dg", "gamma", "curvature", "second_ricci", "t_low", "tau", "ttbar"):
+            assert np.array_equal(getattr(pkg, name), want[name]), name
+
+    want = _full_tensor_loops(ChernPackage(grid, g))
+    velocity = hermitize(-want["second_ricci"] - 0.5 * want["ttbar"])
+    assert np.array_equal(weighted_velocity(grid, g), velocity)
+
+    # the record with S paired over every form slot of the full connections
+    baseline = ChernPackage(grid, g0)
+    record = compute_diagnostics(grid, g, baseline, 0.5, test_function=(0.02, 1.0))
+    a = want["gamma"] - _full_tensor_loops(baseline)["gamma"]
+    s_field = ChernPackage(grid, g).endo_norm_sq(a)
+    monkeypatch.setattr(diagnostics, "pair_endo_forms", lambda *args: s_field)
+    assert record == compute_diagnostics(grid, g, baseline, 0.5, test_function=(0.02, 1.0))
