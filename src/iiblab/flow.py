@@ -8,9 +8,10 @@ the weighted (n-1,n-1) anchor form
 
 where ``norm`` is the volume-form norm of g and ``source`` is an optional
 static real (n-1,n-1)-form.  The velocity of g is recovered at every
-node by solving a real linear n^2 x n^2 system: the velocity and the
-target are Hermitian, so both are written in the real basis of
-Hermitian matrices that :func:`~iiblab.forms.hermitian_basis` fixes.
+node from a real linear n^2 x n^2 system whose matrix factors as
+A = s W P: a wedge block W, LU-solved, times the trace block
+P = I - g v^T / (2(n-1)), which Sherman-Morrison inverts exactly,
+P^-1 = I + g v^T / (n-2) (derived in :func:`anchor_velocity`).
 
 *Weighted formulation* ("weighted"): the state is the density-weighted
 metric  w = norm * g, evolved directly by
@@ -154,24 +155,21 @@ def _anchor_target(
 def _anchor_system(
     pkg: ChernPackage, source_matrix: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The per-node real system ``A x = b`` of :func:`anchor_velocity`."""
-    grid, n = pkg.grid, pkg.grid.n
-    T, T_inv = hermitian_basis(n)
-    flat = grid.shape + (n * n,)
+    """The per-node real wedge system ``W z = b`` of :func:`anchor_velocity`."""
+    n = pkg.grid.n
+    _, T_inv = hermitian_basis(n)
     wn2, target = _anchor_target(pkg, source_matrix)
-    b = (n - 1) * (target.reshape(flat) @ T_inv.T).real
+    b = (target.reshape(pkg.grid.shape + (n * n,)) @ T_inv.T).real
+    b /= np.sqrt(pkg.norm_sq)[..., None]
+    return wedge_block(wn2), b
 
-    A = wedge_block(wn2 * ((n - 1) * np.sqrt(pkg.norm_sq)))
 
-    # trace block: omega^{n-1} = omega ^ omega^{n-2}, so its column is the
-    # wedge block applied to g; tr(g^-1 T_m) is real
-    g_coords = (pkg.g.reshape(flat) @ T_inv.T).real
-    wn1_col = (A @ g_coords[..., None])[..., 0]
-    wn1_col *= 0.5 / (n - 1)
-    trace_row = (np.swapaxes(pkg.ginv, -1, -2).reshape(flat) @ T).real
-    for r in range(n * n):  # row by row: no (nodes, n^2, n^2) temporary
-        A[..., r, :] -= wn1_col[..., r, None] * trace_row
-    return A, b
+def _trace_correction(pkg: ChernPackage, z: np.ndarray) -> np.ndarray:
+    """``P^-1 Z = Z + tr(g^-1 Z)/(n-2) g`` for the trace block P of
+    :func:`anchor_velocity`."""
+    n = pkg.grid.n
+    trace = np.einsum("...pa,...ap->...", pkg.ginv, z).real
+    return z + (trace / (n - 2))[..., None, None] * pkg.g
 
 
 def anchor_velocity(
@@ -179,44 +177,47 @@ def anchor_velocity(
 ) -> np.ndarray:
     """Metric velocity of the anchor flow, solved pointwise.
 
-    Expanding the time derivative of ``norm * omega^{n-1}`` for an
-    unknown metric velocity X gives, in the sigma basis, a linear system
-    per node:
+    In the sigma basis the time derivative of ``norm * omega^{n-1}`` for
+    an unknown metric velocity X gives at each node
 
         norm * [ (n-1) M_wedge(X) - 1/2 tr(g^-1 X) M(omega^{n-1}) ]
             = (n-1) M(i del delbar omega^{n-2} - source)
 
-    The column of M_wedge for X[k, j] is the sigma matrix of
-    ``E[k, j] ^ omega^{n-2}``, where ``E[k, j]`` is the (1,1)-form
-    ``i dz^j ^ dzbar^k`` of the unit matrix (the convention of
-    :func:`matrix_to_one_one`).  X, the target and M_wedge(X) for a
-    Hermitian X are Hermitian, so the system is real in the Hermitian
-    basis T of :func:`~iiblab.forms.hermitian_basis`: b holds the
-    coordinates of the target's Hermitian part, and X = T x is Hermitian
-    by construction.  There M_wedge is one real matrix product of the
-    stacked components of omega^{n-2} with a table compiled once per n
-    (:func:`~iiblab.forms.wedge_block`); the target applies the
-    active-direction part of the complex table to the mixed second
-    derivatives of those components, one request per direction pair to
-    the spectral engine (:func:`~iiblab.forms.i_del_delbar_matrix`).  The
-    system is solved with a batched dense solve and the solution
-    re-checked by substitution (max relative forward residual below
-    1e-10, otherwise :class:`SingularSystemError`).  A source that is not
-    Hermitian to ``HERMITICITY_TOLERANCE`` raises :class:`ConfigError`.
+    where the column of M_wedge for X[k, j] is the sigma matrix of
+    ``E[k, j] ^ omega^{n-2}``, ``E[k, j] = i dz^j ^ dzbar^k`` (the
+    convention of :func:`matrix_to_one_one`).  As omega^{n-1} =
+    omega ^ omega^{n-2}, M(omega^{n-1}) = M_wedge(g), so the matrix is
+    A = s W P with s = (n-1) norm, W = M_wedge and
+    P = I - g v^T / (2(n-1)), where v . X = tr(g^-1 X).  Because
+    v . g = tr(g^-1 g) = n, Sherman-Morrison (Ann. Math. Stat. 1950)
+    inverts P exactly: P^-1 = I + g v^T / (n-2), finite for n >= 3.  So
+    only ``W Z = M(i del delbar omega^{n-2} - source) / norm`` is solved,
+    and ``X = Z + tr(g^-1 Z)/(n-2) g``.
+
+    Z, the target and W Z are Hermitian, so the wedge system is real in
+    the Hermitian basis T of :func:`~iiblab.forms.hermitian_basis`: b
+    holds the coordinates of the target's Hermitian part, and Z = T z is
+    Hermitian by construction.  W is :func:`~iiblab.forms.wedge_block`
+    of omega^{n-2}, the target :func:`~iiblab.forms.i_del_delbar_matrix`
+    of it.  The system is solved with a batched dense LU solve and the
+    solution re-checked by substitution (max relative forward residual
+    below 1e-10, otherwise :class:`SingularSystemError`).  A source that
+    is not Hermitian to ``HERMITICITY_TOLERANCE`` raises
+    :class:`ConfigError`.
     """
     if source_matrix is not None:
         defect = hermiticity_defect(np.asarray(source_matrix))
         if defect > HERMITICITY_TOLERANCE:
             raise ConfigError(f"anchor source deviates from Hermitian by {defect:.3e}")
-    A, b = _anchor_system(pkg, source_matrix)
+    W, b = _anchor_system(pkg, source_matrix)
     try:
-        x = np.linalg.solve(A, b[..., None])[..., 0]
+        z = np.linalg.solve(W, b[..., None])[..., 0]
     except np.linalg.LinAlgError as err:
         raise SingularSystemError(f"anchor velocity solve failed: {err}") from err
 
-    residual = (A @ x[..., None])[..., 0] - b
-    a_max = max(float(A.max()), -float(A.min()))  # max |A| without an |A| temporary
-    scale = max(float(np.abs(b).max()), a_max * float(np.abs(x).max()), 1e-30)
+    residual = (W @ z[..., None])[..., 0] - b
+    w_max = max(float(W.max()), -float(W.min()))  # max |W| without a |W| temporary
+    scale = max(float(np.abs(b).max()), w_max * float(np.abs(z).max()), 1e-30)
     rel = float(np.abs(residual).max()) / scale
     if rel > SOLVE_RESIDUAL_GATE:
         raise SingularSystemError(
@@ -224,7 +225,7 @@ def anchor_velocity(
         )
 
     T, _ = hermitian_basis(pkg.grid.n)
-    return (x @ T.T).reshape(pkg.g.shape)
+    return _trace_correction(pkg, (z @ T.T).reshape(pkg.g.shape))
 
 
 # -- weighted formulation ------------------------------------------------------

@@ -30,8 +30,8 @@ Fields vary only along the active directions, so ``curvature[k, j]`` is
 an exact zero unless k and j are both active.  Each Bianchi residual is
 therefore formed only where one curvature slot is active, and the rest of
 it is exactly zero; ``meanResidual`` still averages over the full tensor.
-A guard fails all four reports if either package's curvature is non-zero
-outside the active blocks.
+Both packages store the curvature only on the active blocks
+(``ChernPackage.active_curvature``), and the live slots are read from there.
 
 Sign and pairing conventions fixed here (the verified identities pin
 them; flipping any one makes the small-amplitude checks fail by orders
@@ -219,19 +219,15 @@ def verify_connection_difference(
     return [rep_a, rep_s]
 
 
-def _stray_curvature(*pkgs: ChernPackage) -> str:
-    """Names the first non-zero curvature block off the active directions."""
-    for pkg in pkgs:
-        n, act = pkg.grid.n, list(pkg.grid.active_directions)
-        live = pkg.grid.to_grid_last(pkg.curvature).reshape(n, n, -1).any(axis=-1)
-        live[np.ix_(act, act)] = False
-        if live.any():
-            k, j = np.argwhere(live)[0]
-            return (
-                f"{pkg.scheme} curvature block (k, j) = ({k}, {j}) is non-zero"
-                " off the active directions"
-            )
-    return ""
+def _live_curvature(pkg: ChernPackage, slot: int) -> np.ndarray:
+    """``curvature[..., act, :, :, :]`` (slot 0, k active) or
+    ``curvature[..., :, act, :, :]`` (slot 1, j active), scattered from the
+    active stack in the memory order of that slice of the full tensor."""
+    act = list(pkg.grid.active_directions)
+    stack = pkg.active_curvature if slot == 0 else np.swapaxes(pkg.active_curvature, 0, 1)
+    out = np.zeros((len(act), pkg.grid.n) + stack.shape[2:], dtype=complex)
+    out[:, act] = stack
+    return pkg.grid.to_grid_first(out if slot == 0 else np.swapaxes(out, 0, 1))
 
 
 def verify_bianchi(
@@ -244,6 +240,7 @@ def verify_bianchi(
     pkg = ChernPackage(grid, g)
     fd = ChernPackage(grid, g, ORACLE_SCHEME)
     act = list(grid.active_directions)
+    fd_k, fd_j = _live_curvature(fd, 0), _live_curvature(fd, 1)
 
     def lowered(p, curv):  # low[l, m, k, j] = g[k, a] curv[l, m, a, j]
         return np.einsum("...ka,...lmaj->...lmkj", p.g, curv)
@@ -251,43 +248,38 @@ def verify_bianchi(
     # first: exchanging the two unbarred slots costs a barred derivative
     # of the torsion; on the active slots l
     nb_t = fd.covd_bar(fd.t_low, "Lll")[..., act, :, :, :]
-    rhs = np.swapaxes(lowered(fd, fd.curvature[..., act, :, :, :]), -3, -1) + np.moveaxis(
+    rhs = np.swapaxes(lowered(fd, fd_k), -3, -1) + np.moveaxis(
         nb_t, (-4, -3, -2, -1), (-4, -2, -1, -3)
     )
-    residuals = {"bianchi-first": lowered(pkg, pkg.curvature[..., act, :, :, :]) - rhs}
+    residuals = {"bianchi-first": lowered(pkg, _live_curvature(pkg, 0)) - rhs}
 
     # first, conjugated: exchanging the barred slots costs an unbarred
     # derivative of the conjugate torsion; on the active slots m
     n_tbar = fd.covd(np.conj(fd.t_low), "lLL")[..., act, :, :, :]
-    rhs = np.swapaxes(lowered(fd, fd.curvature[..., :, act, :, :]), -4, -2) + np.moveaxis(
+    rhs = np.swapaxes(lowered(fd, fd_j), -4, -2) + np.moveaxis(
         n_tbar, (-4, -3, -2, -1), (-3, -1, -2, -4)
     )
-    residuals["bianchi-first-conjugate"] = lowered(pkg, pkg.curvature[..., :, act, :, :]) - rhs
+    residuals["bianchi-first-conjugate"] = lowered(pkg, _live_curvature(pkg, 1)) - rhs
 
     # second: derivative slot exchanged with the unbarred curvature slot;
     # on the active barred slots k, which the unbarred derivative leaves alone
-    curv = fd.curvature[..., act, :, :, :]
-    rhs = np.swapaxes(fd.covd(curv, "Llul"), -5, -3) + np.einsum(
-        "...rjm,...krab->...mkjab", fd.t_up[..., act, :, :], curv[..., act, :, :]
+    rhs = np.swapaxes(fd.covd(fd_k, "Llul"), -5, -3) + np.einsum(
+        "...rjm,...krab->...mkjab", fd.t_up[..., act, :, :], fd_k[..., act, :, :]
     )
-    residuals["bianchi-second"] = pkg.covd(pkg.curvature[..., act, :, :, :], "Llul") - rhs
+    residuals["bianchi-second"] = pkg.covd(_live_curvature(pkg, 0), "Llul") - rhs
 
     # second, conjugated: barred derivative against the barred slot; on
     # the active unbarred slots j
-    curv = fd.curvature[..., :, act, :, :]
-    rhs = np.swapaxes(fd.covd_bar(curv, "Llul"), -5, -4) + np.einsum(
-        "...rkm,...rjab->...mkjab", np.conj(fd.t_up[..., act, :, :]), curv[..., act, :, :, :]
+    rhs = np.swapaxes(fd.covd_bar(fd_j, "Llul"), -5, -4) + np.einsum(
+        "...rkm,...rjab->...mkjab", np.conj(fd.t_up[..., act, :, :]), fd_j[..., act, :, :, :]
     )
-    nb_r = pkg.covd_bar(pkg.curvature[..., :, act, :, :], "Llul")
+    nb_r = pkg.covd_bar(_live_curvature(pkg, 1), "Llul")
     residuals["bianchi-second-conjugate"] = nb_r - rhs
 
-    stray = _stray_curvature(pkg, fd)
     reports = []
     for name, res in residuals.items():
         entries = grid.n ** (res.ndim - grid.ndim_grid) * grid.resolution**grid.ndim_grid
-        rep = _report(name, res, tolerance, grid, _spatial_oracle(), stray, entries)
-        rep["pass"] &= not stray
-        reports.append(rep)
+        reports.append(_report(name, res, tolerance, grid, _spatial_oracle(), entries=entries))
     return reports
 
 

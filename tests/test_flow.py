@@ -17,7 +17,8 @@ from iiblab import (
     run_flow,
     weighted_velocity,
 )
-from iiblab.errors import DegeneracyError
+from iiblab import flow
+from iiblab.errors import DegeneracyError, SingularSystemError
 from iiblab.flow import (
     POSITIVITY_FLOOR,
     STATUS_BLOWUP,
@@ -25,6 +26,7 @@ from iiblab.flow import (
     STATUS_SINGULARITY,
     _anchor_system,
     _anchor_target,
+    _trace_correction,
     induced_weighted_source,
     metric_from_weighted,
     weighted_dot_from_metric_dot,
@@ -35,6 +37,7 @@ from iiblab.forms import (
     matrix_to_one_one,
     sigma_coefficient,
     wedge,
+    wedge_block,
     wedge_monomial,
 )
 from iiblab.metrics import (
@@ -356,9 +359,81 @@ def _structure_constant_matrix(pkg):
 def test_anchor_matrix_equals_structure_constant_assembly(n, axes):
     grid = TorusGrid(n, axes, 4)
     pkg = ChernPackage(grid, random_band_metric(grid, seed=7, amplitude=0.2))
-    A, _ = _anchor_system(pkg, None)
-    # the reference in the Hermitian basis: T^-1 A_ref T, real to round-off
+    W, _ = _anchor_system(pkg, None)
+    # A = s W P from the pieces the flow solves with: s = (n-1) norm and the
+    # trace block P = I - g v^T / (2(n-1)), with v . x = tr(g^-1 T x)
     T, T_inv = hermitian_basis(n)
+    flat = grid.shape + (n * n,)
+    g_coords = (pkg.g.reshape(flat) @ T_inv.T).real
+    v = (np.swapaxes(pkg.ginv, -1, -2).reshape(flat) @ T).real
+    P = np.eye(n * n) - g_coords[..., :, None] * v[..., None, :] / (2 * (n - 1))
+    A = ((n - 1) * np.sqrt(pkg.norm_sq))[..., None, None] * (W @ P)
+    # the reference in the Hermitian basis: T^-1 A_ref T, real to round-off
     want = T_inv @ _structure_constant_matrix(pkg) @ T
-    # worst measured over these cases, R = 4 and 8, seeds 0-3: 5.1e-16
+    # worst measured over these cases, R = 4 and 8, seeds 0-3 and 7: 1.0e-15
     assert np.abs(A - want).max() <= 2e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_trace_correction_inverts_the_trace_block(n):
+    """X = Z + tr(g^-1 Z)/(n-2) g solves P X = X - tr(g^-1 X)/(2(n-1)) g = Z."""
+    grid = TorusGrid(n, (0, 1), 8)
+    pkg = ChernPackage(grid, 2.5 * random_band_metric(grid, seed=n, amplitude=0.2))
+    rng = np.random.default_rng(n)
+    z = hermitize(rng.standard_normal(pkg.g.shape) + 1j * rng.standard_normal(pkg.g.shape))
+    x = _trace_correction(pkg, z)
+    trace = np.einsum("...pa,...ap->...", np.linalg.inv(pkg.g), x)
+    back = x - (trace / (2 * (n - 1)))[..., None, None] * pkg.g
+    # worst measured over n = 3, 4, 5 and seeds 0-3: 4.4e-16
+    assert np.abs(back - z).max() <= 1e-15 * np.abs(z).max()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_anchor_velocity_solves_only_the_wedge_block(monkeypatch, n):
+    """One batched LU solve per velocity, of the wedge block read off the
+    form algebra (up to a per-node scale), and no closed-form inverse."""
+    grid = TorusGrid(n, (0, 1), 8)
+    g = random_band_metric(grid, seed=1, amplitude=0.2)
+    solve, solved, inverted = np.linalg.solve, [], []
+
+    def spy_solve(a, b):
+        solved.append(np.array(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    monkeypatch.setattr(np.linalg, "inv", lambda *args: inverted.append(args))
+    pkg = ChernPackage(grid, g)
+    anchor_velocity(pkg, None)
+    assert len(solved) == 1 and not inverted
+    W = wedge_block(_anchor_target(pkg, None)[0])
+    assert solved[0].shape == grid.shape + (n * n, n * n)
+    scale = (solved[0] * W).sum(axis=(-1, -2)) / (W * W).sum(axis=(-1, -2))
+    assert np.abs(solved[0] - scale[..., None, None] * W).max() <= 1e-15 * np.abs(W).max()
+
+    # one RK4 step of the flow takes four velocities, so four solves
+    run_flow(grid, _balanced(grid), FORM_ANCHOR, 1e-5, StepControl(dt=1e-5))
+    assert len(solved) == 5 and not inverted
+
+
+def test_singular_wedge_block_fails_the_solve(monkeypatch):
+    def singular(theta):
+        W = wedge_block(theta)
+        W[..., :, 0] = 0.0
+        return W
+
+    monkeypatch.setattr(flow, "wedge_block", singular)
+    with pytest.raises(SingularSystemError, match="anchor velocity solve failed"):
+        anchor_velocity(ChernPackage(GRID, _balanced()))
+    traj = run_flow(GRID, _balanced(), FORM_ANCHOR, 2e-5, StepControl(dt=1e-5))
+    assert traj.status == STATUS_SINGULARITY and traj.steps_taken == 0
+    assert traj.stop_detail.startswith("anchor velocity solve failed")
+
+
+def test_inaccurate_solution_fails_the_residual_gate(monkeypatch):
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-8))
+    with pytest.raises(SingularSystemError, match="anchor velocity solve lost accuracy"):
+        anchor_velocity(ChernPackage(GRID, _balanced()))
+    traj = run_flow(GRID, _balanced(), FORM_ANCHOR, 2e-5, StepControl(dt=1e-5))
+    assert traj.status == STATUS_SINGULARITY and traj.steps_taken == 0
+    assert traj.stop_detail.startswith("anchor velocity solve lost accuracy")
