@@ -49,6 +49,7 @@ from .flow import (
     StepControl,
     induced_weighted_source,
     run_flow,
+    weighted_from_metric,
 )
 from .diagnostics import compute_diagnostics
 from .runconfig import ResolvedConfig, load_config_file, resolve_config
@@ -104,9 +105,9 @@ def _execute_suite(rc: ResolvedConfig) -> list:
     Spatial identities are checked directly on the initial metric; the
     stationarity check also receives the run's anchor source.  Evolution
     identities share one short fixed-step trajectory of the weighted
-    formulation, five snapshots wide.  A sigma-basis source is frozen to
-    its induced matrix field at t = 0 so the window is an exact solution
-    of the equation the identities describe.
+    formulation, five snapshots wide.  A sigma-basis source psi is frozen
+    to its induced matrix field ``-w0 psi w0 / (n-2)!`` at t = 0, so the
+    window is an exact solution of the equation the identities describe.
     """
     grid, g0 = rc.grid, rc.initial_metric
     reports = []
@@ -121,7 +122,7 @@ def _execute_suite(rc: ResolvedConfig) -> list:
         if window is None:
             window_phi = rc.weighted_source
             if rc.anchor_source is not None:
-                window_phi = induced_weighted_source(grid, g0, rc.anchor_source)
+                window_phi = induced_weighted_source(weighted_from_metric(g0), rc.anchor_source)
             dt = rc.control.dt
             window = run_flow(
                 grid,

@@ -7,7 +7,7 @@ the weighted (n-1,n-1) anchor form
     d/dt ( norm * omega^{n-1} ) = (n-1) * ( i del delbar omega^{n-2} - source )
 
 where ``norm`` is the volume-form norm of g and ``source`` is an optional
-static real (n-1,n-1)-form.  The velocity of g is recovered at every
+static real (n-1,n-1)-form psi.  The velocity of g is recovered at every
 node from a real linear n^2 x n^2 system whose matrix factors as
 A = s W P: a wedge block W, LU-solved, times the trace block
 P = I - g v^T / (2(n-1)), which Sherman-Morrison inverts exactly,
@@ -16,10 +16,17 @@ P^-1 = I + g v^T / (n-2) (derived in :func:`anchor_velocity`).
 *Weighted formulation* ("weighted"): the state is the density-weighted
 metric  w = norm * g, evolved directly by
 
-    d/dt w = - ricci2(w) - 1/2 * torsionsq(w) - source
+    d/dt w = - ricci2(w) - 1/2 * torsionsq(w) + w psi w / (n-2)! - phi
 
-where both curvature terms are computed treating w itself as the metric
-and ``source`` is an optional static Hermitian matrix field.
+with both curvature terms taken of w itself as the metric, psi the sigma
+matrix M(psi) of the anchor source and phi an optional static Hermitian
+matrix field.  The psi term is the anchor source pushed through the
+weight chain below.  Its metric velocity X solves W P X = -M(psi)/norm;
+Y = (dw/dt)/norm = X - 1/2 tr(g^-1 X) g gives P X = Y - tr(g^-1 Y) g/(n-1).
+For real (1,1)-forms *alpha = Lambda(alpha) omega^{n-1}/(n-1)!
+- alpha ^ omega^{n-2}/(n-2)! (Huybrechts, *Complex Geometry*, 1.2), so
+for the form alpha of Y, W P X = -(n-2)! M(*alpha) = -M(psi)/norm.  As
+M(*alpha) = det(g) g^-1 Y g^-1 and det g = norm^-2, dw/dt = w psi w / (n-2)!.
 
 Clock normalization: the two equations as written in their most common
 normalizations differ by a constant factor of (n-1) in time.  This
@@ -51,6 +58,7 @@ rescales time: it multiplies w by |c|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -93,7 +101,6 @@ __all__ = [
     "Trajectory",
     "weighted_from_metric",
     "metric_from_weighted",
-    "weighted_dot_from_metric_dot",
     "anchor_velocity",
     "weighted_velocity",
     "induced_weighted_source",
@@ -129,14 +136,13 @@ def metric_from_weighted(w: np.ndarray) -> np.ndarray:
     return factor[..., None, None] * w
 
 
-def weighted_dot_from_metric_dot(pkg: ChernPackage, g_dot: np.ndarray) -> np.ndarray:
-    """Velocity of ``w = norm * g`` from the velocity of the metric of ``pkg``."""
-    u = np.sqrt(pkg.norm_sq)
-    trace = np.einsum("...pa,...ap->...", pkg.ginv, g_dot)
-    return u[..., None, None] * (g_dot - 0.5 * trace[..., None, None] * pkg.g)
-
-
 # -- anchor formulation --------------------------------------------------------
+
+
+def _check_anchor_source(source_matrix: np.ndarray | None) -> None:
+    defect = 0.0 if source_matrix is None else hermiticity_defect(np.asarray(source_matrix))
+    if defect > HERMITICITY_TOLERANCE:
+        raise ConfigError(f"anchor source deviates from Hermitian by {defect:.3e}")
 
 
 def _anchor_target(
@@ -205,10 +211,7 @@ def anchor_velocity(
     is not Hermitian to ``HERMITICITY_TOLERANCE`` raises
     :class:`ConfigError`.
     """
-    if source_matrix is not None:
-        defect = hermiticity_defect(np.asarray(source_matrix))
-        if defect > HERMITICITY_TOLERANCE:
-            raise ConfigError(f"anchor source deviates from Hermitian by {defect:.3e}")
+    _check_anchor_source(source_matrix)
     W, b = _anchor_system(pkg, source_matrix)
     try:
         z = np.linalg.solve(W, b[..., None])[..., 0]
@@ -242,23 +245,10 @@ def weighted_velocity(
     return hermitize(out)
 
 
-def induced_weighted_source(
-    grid: TorusGrid, g: np.ndarray, anchor_source_matrix: np.ndarray
-) -> np.ndarray:
-    """Matrix source for the weighted flow equivalent to an anchor source.
-
-    Defined operationally: run the anchor velocity with the source, push
-    it through the weight chain, and subtract the sourceless weighted
-    velocity.  With a zero anchor source this returns (discretization
-    level) zero, which is precisely the statement that the two
-    formulations agree.
-    """
-    pkg = ChernPackage(grid, g)
-    g_dot = anchor_velocity(pkg, anchor_source_matrix)
-    w_dot = weighted_dot_from_metric_dot(pkg, g_dot)
-    w = weighted_from_metric(g)
-    free = weighted_velocity(grid, w)
-    return hermitize(free - w_dot)
+def induced_weighted_source(w: np.ndarray, anchor_source: np.ndarray) -> np.ndarray:
+    """The weighted source ``-w psi w / (n-2)!`` equivalent at the state w
+    to the anchor source psi (derived in the module docstring)."""
+    return (w @ np.asarray(anchor_source, dtype=complex) @ w) / -math.factorial(w.shape[-1] - 2)
 
 
 # -- time stepping -------------------------------------------------------------
@@ -342,12 +332,13 @@ def run_flow(
     formulation accepts any positive metric.  Sources are static fields:
     an anchor source is a Hermitian sigma-matrix, a weighted source a
     Hermitian matrix.  Given an anchor source, the weighted flow takes at
-    every stage the anchor velocity of the current metric with that
-    source, pushed through the weight chain.  g0 is hermitized once, and
-    every kept state is exactly Hermitian.
+    every stage the source :func:`induced_weighted_source` of the current
+    state.  g0 is hermitized once, and every kept state is exactly
+    Hermitian.
 
     A run that stops early returns its trajectory with the status and
-    ``stop_detail`` set: ``STATUS_SINGULARITY`` at a loss of positivity,
+    ``stop_detail`` set: ``STATUS_SINGULARITY`` when a step takes the
+    state, or the metric of a weighted state, below ``POSITIVITY_FLOOR``;
     ``STATUS_BLOWUP`` on a non-finite state or when ``control.max_steps``
     steps did not reach ``t_final``.
     """
@@ -359,6 +350,7 @@ def run_flow(
         raise ConfigError("the anchor flow takes only an anchor source")
     if anchor_source is not None and weighted_source is not None:
         raise ConfigError("give at most one source")
+    _check_anchor_source(anchor_source)
 
     if formulation == FORM_ANCHOR:
         defect = conformally_balanced_defect(grid, g0)
@@ -376,11 +368,10 @@ def run_flow(
         y = hermitize(weighted_from_metric(np.asarray(g0, dtype=complex)))
 
         def velocity(state: np.ndarray) -> np.ndarray:
-            if anchor_source is None:
-                return weighted_velocity(grid, state, weighted_source)
-            pkg = ChernPackage(grid, metric_from_weighted(state))
-            w_dot = weighted_dot_from_metric_dot(pkg, anchor_velocity(pkg, anchor_source))
-            return hermitize(w_dot)
+            phi = weighted_source
+            if anchor_source is not None:
+                phi = induced_weighted_source(state, anchor_source)
+            return weighted_velocity(grid, state, phi)
 
     traj = Trajectory(grid=grid, formulation=formulation)
 
@@ -423,6 +414,13 @@ def run_flow(
                 f"min eigenvalue {min_eigenvalue(y_next):.3e} at t={t + dt:.6g}"
             )
             break
+        if formulation == FORM_WEIGHTED:
+            g_next = metric_from_weighted(y_next)
+            if not is_positive(g_next, POSITIVITY_FLOOR):
+                traj.status = STATUS_SINGULARITY
+                traj.stop_detail = (f"metric min eigenvalue {min_eigenvalue(g_next):.3e}"
+                                    f" at t={t + dt:.6g}")
+                break
 
         y = y_next
         t += dt

@@ -11,6 +11,7 @@ import pytest
 import iiblab
 from iiblab import TorusGrid, cli, load_snapshot, save_snapshot
 from iiblab.cli import main
+from iiblab.flow import POSITIVITY_FLOOR
 from iiblab.metrics import min_eigenvalue
 from iiblab.runconfig import IDENTITY_NAMES
 
@@ -140,6 +141,33 @@ def test_run_singularity_exit_and_last_state(tmp_path, capsys):
     _, _, arrays, meta = load_snapshot(final)
     assert meta["status"] == "singularity-stop"
     assert min_eigenvalue(arrays["metric"]) > 0.0
+
+
+def test_weighted_run_with_an_anchor_source_stops_at_the_singular_time(tmp_path, capsys):
+    # the anchor source of the test above, in the weighted formulation: w stays
+    # above the floor while its metric degenerates, so the metric's gate stops it
+    dt = 0.01
+    cfg = _flat_cfg(
+        formulation="weighted",
+        source={"kind": "psi-constant",
+                "matrix": [[[1.0 if i == j == 0 else 0.0, 0.0] for j in range(3)]
+                           for i in range(3)]},
+    )
+    cfg["control"] = {"tEnd": 2.0, "dt": dt}
+    config = _write(tmp_path, "wsing.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 2
+    assert "singularity-stop" in capsys.readouterr().out
+
+    status = _read_jsonl(out / "diagnostics.jsonl")[-1]
+    assert status["status"] == "singularity-stop"
+    assert status["detail"].startswith("metric min eigenvalue")
+    assert status["tFinal"] <= 1.0 + dt
+
+    final = sorted(out.glob("state-*.snap"))[-1]
+    _, t, arrays, meta = load_snapshot(final)
+    assert meta["status"] == "singularity-stop" and t == status["tFinal"]
+    assert min_eigenvalue(arrays["metric"]) >= POSITIVITY_FLOOR
 
 
 def test_run_budget_exhaustion_is_blowup_exit(tmp_path, capsys):

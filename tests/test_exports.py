@@ -71,7 +71,7 @@ def test_every_exported_name_is_reachable():
 
 # Public methods and properties that nothing in src/iiblab reads, kept on purpose.
 METHOD_ALLOWLIST = {
-    # pending ROADMAP item 3, which decides whether diagnostics records adopt it
+    # pending ROADMAP item 5, which decides whether diagnostics records adopt it
     "iiblab.grid.TorusGrid.top_band_fraction",
     # the full-shape scatter of ChernPackage.active_dg (the package reads the
     # stack); perfbench/spans.py traces this name

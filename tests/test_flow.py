@@ -29,7 +29,6 @@ from iiblab.flow import (
     _trace_correction,
     induced_weighted_source,
     metric_from_weighted,
-    weighted_dot_from_metric_dot,
     weighted_from_metric,
 )
 from iiblab.forms import (
@@ -59,6 +58,15 @@ def _balanced(grid=GRID, amp=0.15):
     return balanced_band_metric(grid, f)
 
 
+def weighted_dot_from_metric_dot(pkg, g_dot):
+    """The weight chain's velocity of ``w = norm * g`` from the velocity of
+    the metric of ``pkg``, dw/dt = norm (dg/dt - 1/2 tr(g^-1 dg/dt) g); the
+    reference the weighted flow's closed-form anchor source is held to."""
+    u = np.sqrt(pkg.norm_sq)
+    trace = np.einsum("...pa,...ap->...", pkg.ginv, g_dot)
+    return u[..., None, None] * (g_dot - 0.5 * trace[..., None, None] * pkg.g)
+
+
 def test_flat_is_a_fixed_point_of_both_velocities():
     pkg = ChernPackage(GRID, FLAT)
     assert np.all(anchor_velocity(pkg, None) == 0.0)
@@ -86,13 +94,37 @@ def test_induced_weighted_source_frozen_at_flat():
     eps = 0.25
     psi = np.zeros((3, 3), dtype=complex)
     psi[0, 0] = eps
-    phi = induced_weighted_source(GRID, FLAT, psi)
+    w = weighted_from_metric(FLAT)
+    phi = induced_weighted_source(w, psi)
     want = np.zeros((3, 3), dtype=complex)
     want[0, 0] = -eps
     assert np.abs(phi - want).max() < 1e-13
-    # and a zero source induces (discretization-level) zero
-    free = induced_weighted_source(GRID, FLAT, np.zeros((3, 3)))
-    assert np.abs(free).max() < 1e-13
+    # and a zero source induces exactly zero
+    assert np.all(induced_weighted_source(w, np.zeros((3, 3))) == 0.0)
+
+
+# worst relative gaps measured over axes (0, 1) and (0, 2), seeds 0-3:
+# 9.4e-16 (n = 3), 6.7e-15 (n = 4), 7.0e-14 (n = 5), all from the LU solve
+CLOSED_FORM_BOUND = {3: 2e-15, 4: 1e-14, 5: 1e-13}
+
+
+@pytest.mark.parametrize("n, axes", [
+    (3, (0, 1)), (3, (0, 2)), (4, (0, 1)), (4, (0, 2)), (5, (0, 1)), (5, (0, 2)),
+])
+def test_induced_weighted_source_is_the_pushed_anchor_source(n, axes):
+    """-w psi w / (n-2)! is the source term of the anchor velocity, LU-solved
+    and pushed through the weight chain, node by node, for a psi that
+    varies over the grid."""
+    grid = TorusGrid(n, axes, 8)
+    # scaled away from det g = 1, so a wrong power of the norm cannot hide
+    g = 2.5 * random_band_metric(grid, seed=n, amplitude=0.2)
+    rng = np.random.default_rng(n)
+    psi = hermitize(rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    pkg = ChernPackage(grid, g)
+    pushed = weighted_dot_from_metric_dot(
+        pkg, anchor_velocity(pkg, psi) - anchor_velocity(pkg, None))
+    got = -induced_weighted_source(weighted_from_metric(g), psi)
+    assert np.abs(got - pushed).max() <= CLOSED_FORM_BOUND[n] * np.abs(pushed).max()
 
 
 def test_weight_chain_roundtrip():
@@ -260,6 +292,28 @@ def test_singularity_stop_keeps_last_positive_state():
     assert traj.times[-1] < 2.0
 
 
+@pytest.mark.parametrize("formulation", [FORM_WEIGHTED, FORM_ANCHOR])
+@pytest.mark.parametrize("axis", [0, 2])
+@pytest.mark.parametrize("dt", [0.01, 0.003])
+def test_singularity_stop_keeps_a_metric_above_the_floor(formulation, axis, dt):
+    """psi = E[axis, axis] on flat data shrinks the other two directions of
+    the metric as 1 - t, so the flow ends at T = 1.  Both formulations stop
+    there with a kept metric above the floor; the weighted state w has its
+    smallest eigenvalue at 1 throughout, so its gate is the metric's."""
+    grid = TorusGrid(3, (0, 1), 4)  # the flow is constant in space
+    psi = np.zeros((3, 3), dtype=complex)
+    psi[axis, axis] = 1.0
+    traj = run_flow(grid, flat_metric(grid), formulation, 2.0, StepControl(dt=dt),
+                    anchor_source=psi)
+    assert traj.status == STATUS_SINGULARITY
+    assert min_eigenvalue(traj.metric_at(len(traj.times) - 1)) >= POSITIVITY_FLOOR
+    # not every kept t is <= 1: at dt = 0.003 the weighted run keeps t = 1.002
+    assert traj.times[-1] <= 1.0 + dt
+    if formulation == FORM_WEIGHTED:
+        assert traj.stop_detail.startswith("metric min eigenvalue")
+        assert traj.stop_detail.endswith(f"at t={traj.times[-1] + dt:.6g}")
+
+
 def test_formulations_agree_over_short_horizon():
     # agreement is limited by spatial truncation, not dt, so use the
     # resolution where the family's exponentials are fully resolved
@@ -290,16 +344,61 @@ def test_formulations_agree_beyond_three_dimensions(n):
     assert _final_gap(grid, _balanced(grid), 5e-5) <= 1e-12
 
 
-def _anchor_source():
-    psi = np.zeros((3, 3), dtype=complex)
+def _anchor_source(n=3):
+    psi = np.zeros((n, n), dtype=complex)
     psi[0, 0], psi[1, 1] = 0.2, -0.1
     psi[0, 1], psi[1, 0] = 0.05 + 0.03j, 0.05 - 0.03j
     return psi
 
 
 def test_formulations_agree_with_an_anchor_source():
+    """The weight chain carries an anchor source: the anchor velocity pushed
+    through it and integrated as w, with the steps of the anchor run, ends
+    at the anchor run's metric."""
     grid = TorusGrid(3, (0, 1), 16)
-    assert _final_gap(grid, _balanced(grid), 5e-5, anchor_source=_anchor_source()) <= 1e-12
+    g0, psi = _balanced(grid), _anchor_source()
+    a = run_flow(grid, g0, FORM_ANCHOR, 5e-5, StepControl(dt=1e-5), anchor_source=psi)
+    assert a.status == STATUS_COMPLETED
+
+    def pushed(w):
+        pkg = ChernPackage(grid, metric_from_weighted(w))
+        return hermitize(weighted_dot_from_metric_dot(pkg, anchor_velocity(pkg, psi)))
+
+    w = hermitize(weighted_from_metric(g0))
+    for dt in np.diff(a.times):
+        w = flow._rk4_step(pushed, w, dt)
+    ga = a.metric_at(len(a.times) - 1)
+    # measured 4.9e-16; the source-free gap between the formulations here is 1.2e-12
+    assert np.abs(ga - metric_from_weighted(w)).max() / np.abs(ga).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_formulations_agree_with_an_anchor_source_in_closed_form(n):
+    # measured 4.9e-16 (n = 3) and 4.5e-16 (n = 4); without the source
+    # 6.1e-16 and 4.5e-16
+    grid = TorusGrid(n, (0, 1), 32)
+    assert _final_gap(grid, _balanced(grid), 5e-5, anchor_source=_anchor_source(n)) <= 1e-12
+
+
+def test_weighted_stages_take_no_anchor_solve(monkeypatch):
+    """With an anchor source the weighted stages neither solve the anchor
+    system nor rebuild the metric: the only metric built is the stop gate's,
+    one per accepted step."""
+    built = []
+
+    def no_solve(*args):
+        raise AssertionError("weighted stage called anchor_velocity")
+
+    def counted(w):
+        built.append(w)
+        return metric_from_weighted(w)
+
+    monkeypatch.setattr(flow, "anchor_velocity", no_solve)
+    monkeypatch.setattr(flow, "metric_from_weighted", counted)
+    traj = run_flow(GRID, _balanced(), FORM_WEIGHTED, 2e-5, StepControl(dt=1e-5),
+                    anchor_source=_anchor_source())
+    assert traj.status == STATUS_COMPLETED and traj.steps_taken == 2
+    assert len(built) == 2
 
 
 def test_non_hermitian_anchor_source_is_rejected():
