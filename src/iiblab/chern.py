@@ -9,8 +9,8 @@ active.  ``active_dg``, ``active_gamma`` and ``active_curvature`` hold
 the live entries as contiguous grid-last stacks, shape (|A|, n, n, *grid)
 and (|A|, |A|, n, n, *grid) for |A| active directions; the second Ricci
 form, the torsion square and trace, the torsion and ``covd`` read them.
-The full-shape grid-first ``dg``, ``gamma`` and ``curvature`` are
-scattered from the stacks by one helper, and built only when asked for
+Only ``gamma`` and ``curvature`` are also scattered from the stacks into
+the full grid-first shape, by one helper, and built only when asked for
 (the verifiers ask for them; the weighted right-hand side does not).  The
 index layout of every cached tensor is documented on its property.  A
 *signature string* describes the index axes of an array, one character
@@ -80,8 +80,8 @@ class ChernPackage:
     # directions, as grid-last stacks (index axes first, grid axes last,
     # contiguous); every contraction below reads the stacks and is a short
     # loop of broadcast products of contiguous grid arrays.  The full-shape
-    # grid-first dg, gamma and curvature are scattered from the stacks only
-    # when asked for.
+    # grid-first gamma and curvature are scattered from the stacks only when
+    # asked for.
 
     @functools.cached_property
     def ginv(self) -> np.ndarray:
@@ -113,11 +113,6 @@ class ChernPackage:
         i-th active direction."""
         requests = [(j, False) for j in self.grid.active_directions]
         return self.grid.derivatives(self.grid.to_grid_last(self.g), requests, self.scheme)
-
-    @functools.cached_property
-    def dg(self) -> np.ndarray:
-        """``dg[..., j, a, b]``: holomorphic derivative along j of g, full shape."""
-        return self._full(self.active_dg, 1)
 
     @functools.cached_property
     def active_gamma(self) -> np.ndarray:
@@ -252,11 +247,6 @@ class ChernPackage:
         """Dilaton: half the log of :attr:`norm_sq`."""
         return 0.5 * np.log(self.norm_sq)
 
-    @functools.cached_property
-    def chern_scalar(self) -> np.ndarray:
-        """Scalar curvature as the metric trace of the log-volume Hessian."""
-        return 2.0 * self.scalar_laplacian(self.log_norm.astype(complex)).real
-
     # -- covariant derivatives ------------------------------------------------
 
     def _check_signature(self, arr: np.ndarray, sig: str):
@@ -314,14 +304,6 @@ class ChernPackage:
         hess = self.grid.derivatives(np.asarray(f, dtype=complex), requests, self.scheme)
         hess = hess.reshape((n, n) + self.grid.shape)
         return np.einsum("pq...,pq...->...", self._ginv_last, hess)
-
-    def laplacian(self, arr: np.ndarray, sig: str) -> np.ndarray:
-        """Rough Laplacian: unbarred after barred derivative, traced."""
-        if not sig:
-            return self.scalar_laplacian(arr)
-        step = self.covd_bar(arr, sig)
-        step = self.covd(step, "L" + sig)
-        return np.einsum("...pq,...pq" + _LETTERS[: len(sig)] + "->..." + _LETTERS[: len(sig)], self.ginv, step)
 
     def endo_norm_sq(self, a: np.ndarray) -> np.ndarray:
         """Squared norm of an endomorphism-valued one-form ``a[..., m, x, y]``.

@@ -4,7 +4,9 @@ Exit codes:
 
 * 0  clean completion (and, for ``verify``, every report passed)
 * 1  configuration or input error
-* 2  the flow stopped itself at a loss of positivity
+* 2  the flow stopped itself: a step would leave the state below the
+     positivity floor, a stage's metric is not positive definite, or the
+     anchor velocity solve failed or lost accuracy
 * 3  the flow blew up (non-finite state or step budget exhausted)
 * 4  at least one verification report failed
 
@@ -266,8 +268,8 @@ def _cmd_verify(args) -> int:
     all_pass = _write_reports(os.path.join(out, rc.output["reports"]), rc, reports)
     for r in reports:
         flag = "pass" if r["pass"] else "FAIL"
-        print(f"{flag} {r['identityName']}:"
-              f" max={r['maxResidual']:.3e} tol={r['tolerance']:.3e}")
+        result = r["status"] if r["maxResidual"] is None else f"max={r['maxResidual']:.3e}"
+        print(f"{flag} {r['identityName']}: {result} tol={r['tolerance']:.3e}")
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 

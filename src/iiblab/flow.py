@@ -338,9 +338,11 @@ def run_flow(
 
     A run that stops early returns its trajectory with the status and
     ``stop_detail`` set: ``STATUS_SINGULARITY`` when a step takes the
-    state, or the metric of a weighted state, below ``POSITIVITY_FLOOR``;
-    ``STATUS_BLOWUP`` on a non-finite state or when ``control.max_steps``
-    steps did not reach ``t_final``.
+    state, or the metric of a weighted state, below ``POSITIVITY_FLOOR``,
+    when a stage's metric is not positive definite, or when the anchor
+    velocity solve fails or loses accuracy; ``STATUS_BLOWUP`` on a
+    non-finite state or when ``control.max_steps`` steps did not reach
+    ``t_final``.
     """
     if formulation not in (FORM_ANCHOR, FORM_WEIGHTED):
         raise ConfigError(f"unknown formulation '{formulation}'")

@@ -12,8 +12,8 @@ from iiblab.chern import pair_endo_forms
 from iiblab.diagnostics import compute_diagnostics
 from iiblab.flow import hermitize, weighted_velocity
 from iiblab.errors import ValenceError
+from iiblab.grid import ORACLE
 from iiblab.metrics import kahler_from_potential
-from iiblab.verify import ORACLE_SCHEME
 
 GRID = TorusGrid(3, (0, 1), 16)
 
@@ -37,7 +37,7 @@ def test_flat_package_is_exactly_trivial():
     assert np.all(pkg.curvature == 0.0)
     assert np.all(pkg.t_low == 0.0)
     assert np.all(pkg.tau == 0.0)
-    assert np.all(pkg.chern_scalar == 0.0)
+    assert np.all(pkg.scalar_laplacian(pkg.log_norm) == 0.0)
 
 
 def test_validation_rejects_bad_input():
@@ -102,12 +102,10 @@ def test_ttbar_hermitian_and_trace_positive(random_pkg):
     assert random_pkg.t_norm_sq.min() >= -1e-13
 
 
-def test_chern_scalar_is_laplacian_of_log_norm(random_pkg):
+def test_log_norm_is_minus_half_log_det(random_pkg):
+    # the dilaton from the Cholesky factor against a LAPACK determinant
     log_sq = np.log(np.abs(np.linalg.det(random_pkg.g)))
-    # scalar curvature of the Chern connection on a torus: Laplacian of
-    # the dilaton squared-log, with the volume form constant here
-    lap = 2.0 * random_pkg.scalar_laplacian((-0.5 * log_sq).astype(complex)).real
-    assert np.abs(random_pkg.chern_scalar - lap).max() < 1e-10
+    assert np.abs(random_pkg.log_norm + 0.5 * log_sq).max() < 1e-10
 
 
 def test_scalar_laplacian_flat_symbol():
@@ -137,7 +135,7 @@ def packages(request):
     n, axes = request.param
     grid = TorusGrid(n, axes, 8)
     g = random_band_metric(grid, seed=3)
-    return [ChernPackage(grid, g, scheme) for scheme in ("spectral", ORACLE_SCHEME)]
+    return [ChernPackage(grid, g, scheme) for scheme in ("spectral", ORACLE)]
 
 
 def _close(got, want):
@@ -258,7 +256,7 @@ def test_covd_matches_full_einsum(geometry):
     inactive = (slice(None),) * grid.ndim_grid + (
         [j for j in range(n) if j not in grid.active_directions],
     )
-    for scheme in ("spectral", ORACLE_SCHEME):
+    for scheme in ("spectral", ORACLE):
         pkg = ChernPackage(grid, g, scheme)
         for sig in ("Llul", "Lll", "lLL", "lul", "ul"):
             shape = grid.shape + (n,) * len(sig)
@@ -331,11 +329,11 @@ def test_active_stacks_are_bit_identical_to_full_tensors(geometry, monkeypatch):
     grid = TorusGrid(n, axes, 8 if len(axes) > 2 else 16)
     act = list(grid.active_directions)
     g0, g = (random_band_metric(grid, seed=s) for s in (1, 2))
-    for scheme in ("spectral", ORACLE_SCHEME):
+    for scheme in ("spectral", ORACLE):
         pkg = ChernPackage(grid, g, scheme)
         want = _full_tensor_loops(pkg)
         assert np.array_equal(grid.to_grid_first(pkg.active_dg), want["dg"][..., act, :, :])
-        for name in ("dg", "gamma", "curvature", "second_ricci", "t_low", "tau", "ttbar"):
+        for name in ("gamma", "curvature", "second_ricci", "t_low", "tau", "ttbar"):
             assert np.array_equal(getattr(pkg, name), want[name]), name
 
     want = _full_tensor_loops(ChernPackage(grid, g))

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import iiblab
-from iiblab import TorusGrid, cli, load_snapshot, save_snapshot
+from iiblab import TorusGrid, cli, flow, load_snapshot, save_snapshot
 from iiblab.cli import main
 from iiblab.flow import POSITIVITY_FLOOR
+from iiblab.forms import wedge_block
 from iiblab.metrics import min_eigenvalue
-from iiblab.runconfig import IDENTITY_NAMES
+from iiblab.runconfig import IDENTITY_NAMES, resolve_config
 
 RES = 8
 
@@ -168,6 +169,34 @@ def test_weighted_run_with_an_anchor_source_stops_at_the_singular_time(tmp_path,
     _, t, arrays, meta = load_snapshot(final)
     assert meta["status"] == "singularity-stop" and t == status["tFinal"]
     assert min_eigenvalue(arrays["metric"]) >= POSITIVITY_FLOOR
+
+
+def test_anchor_run_with_a_failed_solve_exits_two(tmp_path, capsys, monkeypatch):
+    def singular(theta):
+        W = wedge_block(theta)
+        W[..., :, 0] = 0.0
+        return W
+
+    monkeypatch.setattr(flow, "wedge_block", singular)
+    cfg = _flat_cfg(
+        formulation="anchor",
+        initialMetric={"family": "balanced-family",
+                       "fourierTerms": [[1, 1, 0.0, -0.05], [1, -1, 0.0, -0.05]]},
+    )
+    cfg["control"] = {"tEnd": 2e-5, "dt": 1e-5}
+    config = _write(tmp_path, "solve.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--out", str(out)]) == 2
+    assert "singularity-stop" in capsys.readouterr().out
+
+    status = _read_jsonl(out / "diagnostics.jsonl")[-1]
+    assert status["status"] == "singularity-stop" and status["stepsTaken"] == 0
+    assert status["detail"].startswith("anchor velocity solve failed")
+    final = sorted(out.glob("state-*.snap"))[-1]
+    _, t, arrays, meta = load_snapshot(final)
+    assert meta["status"] == "singularity-stop" and t == 0.0
+    initial = resolve_config(json.loads((tmp_path / "solve.json").read_text())).initial_metric
+    assert np.array_equal(arrays["metric"], initial)
 
 
 def test_run_budget_exhaustion_is_blowup_exit(tmp_path, capsys):
@@ -461,6 +490,35 @@ def test_verify_stationarity_receives_the_anchor_source(tmp_path):
     reports = json.loads((out / "reports.json").read_text())["reports"]
     by_name = {r["identityName"]: r for r in reports}
     assert by_name["stationarity-source"]["maxResidual"] == 0.125
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def test_failed_precondition_report_is_strict_json(tmp_path, capsys):
+    # the random family is not conformally balanced, so tau does not apply
+    suite = ["connection-difference", "bianchi", "commutator", "quasilinear",
+             "trh", "dilaton", "s-evolution", "tau"]
+    cfg = {
+        "geometry": {"n": 3, "activeAxes": [0, 1], "resolution": 32},
+        "initialMetric": {"family": "random", "seed": 0},
+        "formulation": "weighted",
+        "control": {"tEnd": 4e-5, "dt": 1e-5},
+        "verifySuite": [{"identity": name} for name in suite],
+    }
+    config = _write(tmp_path, "tau.json", cfg)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", config, "--out", str(out)]) == 4
+    printed = capsys.readouterr().out.splitlines()
+
+    doc = json.loads((out / "reports.json").read_text(), parse_constant=_refuse_constant)
+    *others, tau = doc["reports"]
+    assert all(r["pass"] for r in others)
+    assert tau["identityName"] == "tau-torsion-trace"
+    assert tau["maxResidual"] is None and tau["meanResidual"] is None
+    assert tau["pass"] is False and tau["status"] == "precondition-failed"
+    assert printed[-1] == "FAIL tau-torsion-trace: precondition-failed tol=1.000e-08"
 
 
 def test_verify_requires_suite(tmp_path, capsys):

@@ -17,6 +17,11 @@ round-off:
   transposes the grid on axes (0, 1, 2, 3)) and swaps matrix indices 0
   and 1.
 
+A source psi moves with the map too.  Its sigma matrix is pulled back
+with ``forms.wedge`` and ``sigma_coefficient``, not by a law written
+here, and the quarter turn of the flow with it catches a source read
+with its indices transposed.
+
 The reflection conjugates every field, so it checks that real and
 imaginary parts are treated alike.  The quarter turn multiplies the
 components of omega^{n-2} by powers of i, so it checks how the anchor
@@ -31,6 +36,8 @@ checks that the Bianchi residuals are formed on the active slots, not on
 a fixed one.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -39,6 +46,7 @@ from iiblab import (
 )
 from iiblab.diagnostics import compute_diagnostics
 from iiblab.flow import STATUS_COMPLETED
+from iiblab.forms import DifferentialForm, sigma_coefficient, wedge
 from iiblab.metrics import fourier_scalar, random_band_metric
 from iiblab.verify import SPATIAL_REGISTRY
 
@@ -47,7 +55,9 @@ GEOMETRIES = [(3, (0, 1)), (4, (0, 1))]
 SHIFT = (3, 5)
 # worst measured at n = 3, 4 and 5, three shifts and three weighted seeds:
 # translation 2.1e-16, quarter turn 2.1e-16, reflection exactly 0; the
-# swap, at n = 3, 4 and 5 with and without a source: 4.2e-16
+# swap, at n = 3, 4 and 5 with and without a source: 4.2e-16; with a
+# source, at n = 3, 4 and 5 and three sources, both formulations: quarter
+# turn 2.1e-16, swap 4.2e-16 (an untransformed source misses by 7e-6 or more)
 TOLERANCE = 1e-15
 # worst measured at n = 3, 4 and 5, four seeds and three shifts: 8.9e-15
 # absolute on a maxResidual (at R = 8 the residuals, 2e-4 to 3e-2, are
@@ -112,11 +122,15 @@ def _reflect(grid, a):
     return np.swapaxes(a, -1, -2)
 
 
+def _turn_nodes(a):
+    """Node (i0, i1) takes node (-i1, i0): the nodes under z^0 -> i z^0."""
+    return np.roll(np.flip(np.swapaxes(a, 0, 1), axis=1), 1, axis=1)
+
+
 def _quarter_turn(grid, a):
-    """z^0 -> i z^0: node (i0, i1) takes node (-i1, i0), and g -> D g conj(D)
-    with D = diag(-i, 1, ..., 1), the pullback by the map's differential."""
-    a = np.swapaxes(a, 0, 1)
-    a = np.roll(np.flip(a, axis=1), 1, axis=1).copy()
+    """z^0 -> i z^0: the nodes turned, and g -> D g conj(D) with
+    D = diag(-i, 1, ..., 1), the pullback by the map's differential."""
+    a = _turn_nodes(a)
     a[..., 0, 1:] *= -1j
     a[..., 1:, 0] *= 1j
     return a
@@ -137,6 +151,47 @@ def _swap(grid, a, rank=2):
     for axis in range(-rank, 0):
         a = np.take(a, perm, axis=axis)
     return a
+
+
+def _sigma_pullback(grid, dz):
+    """``T[a, b, c, d]``, the coefficient of sigma(c, d) in F^* sigma(a, b), for
+    the linear map F with F^* dz^j = sum_m dz[j, m] dz^m.
+
+    sigma(a, b) is ``sigma_coefficient(n, a, b)`` times dz^J ^ dzbar^K, with J
+    and K the complements of a and b.  Its pullback is the wedge of the
+    pulled-back one-forms (constant coefficients), read back in the sigma basis.
+    """
+    n = grid.n
+    dz_forms = [DifferentialForm(grid, 1, 0, {((m,), ()): dz[j, m] for m in range(n)})
+                for j in range(n)]
+    dzbar_forms = [DifferentialForm(grid, 0, 1, {((), (m,)): np.conj(dz[k, m]) for m in range(n)})
+                   for k in range(n)]
+    T = np.zeros((n,) * 4, dtype=complex)
+    for a, b in itertools.product(range(n), repeat=2):
+        form = DifferentialForm(grid, 0, 0, {((), ()): sigma_coefficient(n, a, b)})
+        for factor in dz_forms[:a] + dz_forms[a + 1:] + dzbar_forms[:b] + dzbar_forms[b + 1:]:
+            form = wedge(form, factor)
+        for (J, K), coeff in form.comps.items():
+            (c,), (d,) = set(range(n)) - set(J), set(range(n)) - set(K)
+            T[a, b, c, d] += coeff / sigma_coefficient(n, c, d)
+    return T
+
+
+def _pull_source(grid, psi, dz):
+    """The sigma matrix ``psi[..., a, b]`` (the coefficient of sigma(a, b)) of
+    an anchor source, pulled back node by node."""
+    return np.einsum("...ab,abcd->...cd", psi, _sigma_pullback(grid, dz))
+
+
+# Derived, the laws come out as those of g: the quarter turn multiplies the
+# entries [0, 1:] by -i and [1:, 0] by i, and the swap exchanges indices 0
+# and 1, with no sign.
+def _turn_source(grid, psi):
+    return _pull_source(grid, _turn_nodes(psi), np.diag([1j] + [1.0] * (grid.n - 1)))
+
+
+def _swap_source(grid, psi):
+    return _pull_source(grid, _swap(grid, psi, rank=0), np.eye(grid.n)[[1, 0] + list(range(2, grid.n))])
 
 
 def _gap(a, b):
@@ -187,6 +242,26 @@ def test_flow_commutes_with_coordinate_swap(n, axes, formulation):
     assert _gap(g0, swapped) > 1e-2
     end = _end_state(grid, g0, formulation)
     moved = _end_state(_swapped_grid(grid), swapped, formulation)
+    assert _gap(_swap(grid, end), moved) <= TOLERANCE
+
+
+@pytest.mark.parametrize("n, axes", GEOMETRIES)
+@pytest.mark.parametrize("formulation", [FORM_ANCHOR, FORM_WEIGHTED])
+def test_flow_with_a_source_commutes_with_quarter_turn(n, axes, formulation):
+    grid = TorusGrid(n, axes, 8)
+    g0, src = _initial(grid, formulation), _source(grid)
+    end = _end_state(grid, g0, formulation, src)
+    turned = _end_state(grid, _quarter_turn(grid, g0), formulation, _turn_source(grid, src))
+    assert _gap(_quarter_turn(grid, end), turned) <= TOLERANCE
+
+
+@pytest.mark.parametrize("n, axes", GEOMETRIES)
+@pytest.mark.parametrize("formulation", [FORM_ANCHOR, FORM_WEIGHTED])
+def test_flow_with_a_source_commutes_with_coordinate_swap(n, axes, formulation):
+    grid = TorusGrid(n, axes, 8)
+    g0, src = _initial(grid, formulation), _source(grid)
+    end = _end_state(grid, g0, formulation, src)
+    moved = _end_state(_swapped_grid(grid), _swap(grid, g0), formulation, _swap_source(grid, src))
     assert _gap(_swap(grid, end), moved) <= TOLERANCE
 
 

@@ -15,6 +15,7 @@ from iiblab import (
     flat_metric,
     random_band_metric,
     run_flow,
+    verify,
     verify_S_evolution,
     verify_bianchi,
     verify_commutator_convention,
@@ -26,6 +27,7 @@ from iiblab import (
     verify_trh_evolution,
 )
 from iiblab.errors import HermiticityError
+from iiblab.grid import ORACLE
 from iiblab.metrics import (
     MetricFactor,
     balanced_band_metric,
@@ -33,7 +35,7 @@ from iiblab.metrics import (
     fourier_scalar,
     kahler_from_potential,
 )
-from iiblab.verify import ORACLE_SCHEME, band_covector
+from iiblab.verify import band_covector
 
 GRID = TorusGrid(3, (0, 1), 16)
 
@@ -106,7 +108,7 @@ def test_spatial_suite_on_random_metric(n, axes):
     for rep in reports:
         assert rep["pass"], (rep["identityName"], rep["maxResidual"])
         schemes = {rep["oracleSpec"]["lhsScheme"], rep["oracleSpec"]["rhsScheme"]}
-        assert schemes == {"spectral", ORACLE_SCHEME}
+        assert schemes == {"spectral", ORACLE}
 
 
 def test_kahler_one_variable_block_bianchi_tight():
@@ -131,7 +133,7 @@ def _bianchi_full(grid, g):
     """The four Bianchi residuals formed on the full tensors, every
     structural zero included: the reference for the live-slot verifier."""
     pkg = ChernPackage(grid, g)
-    fd = ChernPackage(grid, g, ORACLE_SCHEME)
+    fd = ChernPackage(grid, g, ORACLE)
     low = np.einsum("...ka,...lmaj->...lmkj", pkg.g, pkg.curvature)
     low_fd = np.einsum("...ka,...lmaj->...lmkj", fd.g, fd.curvature)
     nb_t = fd.covd_bar(fd.t_low, "Lll")
@@ -233,7 +235,7 @@ def test_flat_reference_terms_are_exactly_the_chern_terms(n, axes):
     flat = flat_metric(grid)
     pkg = ChernPackage(grid, g)
     ref = ChernPackage(grid, flat)
-    ref_fd = ChernPackage(grid, flat, ORACLE_SCHEME)
+    ref_fd = ChernPackage(grid, flat, ORACLE)
 
     old_a1 = pkg.gamma - ref.gamma
     old_a2 = np.einsum("...kl,...ilj->...ikj", pkg.ginv, ref_fd.covd(pkg.g, "Ll"))
@@ -241,7 +243,7 @@ def test_flat_reference_terms_are_exactly_the_chern_terms(n, axes):
     hinv = np.linalg.inv(g) @ flat
     old_a3 = np.einsum("...ag,...igb->...iab", hinv, ref_fd.covd(h, "ul"))
 
-    dg_fd = grid.holomorphic_gradient(pkg.g, ORACLE_SCHEME)
+    dg_fd = grid.holomorphic_gradient(pkg.g, ORACLE)
     assert np.array_equal(old_a1, pkg.gamma)
     assert np.array_equal(old_a2, np.einsum("...kl,...ilj->...ikj", pkg.ginv, dg_fd))
     assert np.array_equal(
@@ -313,6 +315,40 @@ def test_dilaton_factors_each_state_once(monkeypatch):
     monkeypatch.setattr(MetricFactor, "__init__", counting)
     verify_dilaton_evolution(traj)
     assert len(built) == len(traj.snapshots)
+
+
+def _spy(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call's arguments are recorded."""
+    calls = []
+    wrapped = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_s_evolution_takes_the_barred_derivative_of_a_once(monkeypatch):
+    traj = _short_run(GRID, _balanced(GRID, 0.05))
+    calls = _spy(monkeypatch, ChernPackage, "covd_bar")
+    verify_S_evolution(traj)
+    assert len(calls) == 1
+
+
+def test_dilaton_takes_one_laplacian_per_center(monkeypatch):
+    traj = _short_run(GRID, _balanced(GRID, 0.05))
+    calls = _spy(monkeypatch, ChernPackage, "scalar_laplacian")
+    verify_dilaton_evolution(traj)
+    assert len(calls) == len(traj.snapshots) - 2
+
+
+def test_bianchi_scatters_each_live_curvature_once(monkeypatch):
+    calls = _spy(monkeypatch, verify, "_live_curvature")
+    verify_bianchi(GRID, random_band_metric(GRID, seed=1, amplitude=0.1))
+    scattered = sorted((pkg.scheme, slot) for pkg, slot in calls)
+    assert scattered == sorted((scheme, slot) for scheme in ("spectral", ORACLE) for slot in (0, 1))
 
 
 # reports whose identity holds whatever the source: S and the connection rate
