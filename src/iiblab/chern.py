@@ -8,13 +8,13 @@ others, and the curvature is zero unless both of its form slots are
 active.  ``active_dg``, ``active_gamma`` and ``active_curvature`` hold
 the live entries as contiguous grid-last stacks, shape (|A|, n, n, *grid)
 and (|A|, |A|, n, n, *grid) for |A| active directions; the second Ricci
-form, the torsion square and trace, the torsion and ``covd`` read them.
-Only ``gamma`` and ``curvature`` are also scattered from the stacks into
-the full grid-first shape, by one helper, and built only when asked for
-(the verifiers ask for them; the weighted right-hand side does not).  The
-index layout of every cached tensor is documented on its property.  A
-*signature string* describes the index axes of an array, one character
-per trailing axis:
+form, the torsion square and trace, the torsion and ``covd`` read them,
+and so do the verifiers.  Only ``gamma`` is also scattered into the full
+grid-first shape, and only when asked for (the verifiers ask for it; the
+weighted right-hand side does not); the curvature exists only as its
+stack.  The index layout of every cached tensor is documented on its
+property.  A *signature string* describes the index axes of an array, one
+character per trailing axis:
 
     'u'  upper unbarred   (gains  +Gamma under the unbarred derivative)
     'l'  lower unbarred   (gains  -Gamma)
@@ -25,7 +25,10 @@ The unbarred covariant derivative corrects only 'u'/'l' slots and the
 barred one only 'U'/'L' slots, which is the defining property of the
 connection used here (the unique metric connection whose barred
 derivative of any holomorphic frame vanishes).  New derivative indices
-are prepended as the FIRST index axis, with signature 'l' or 'L'.
+are prepended as the FIRST index axis, with signature 'l' or 'L'.  A slot
+that a derivative does not correct is never mixed with its neighbours, so
+it may hold only some directions (the live ones): the derivative of that
+slice is the same slice of the full derivative, bit for bit.
 
 Index-first-barred convention: the metric array ``g[..., k, j]`` holds
 the component with barred row k and unbarred column j, and the inverse
@@ -80,8 +83,7 @@ class ChernPackage:
     # directions, as grid-last stacks (index axes first, grid axes last,
     # contiguous); every contraction below reads the stacks and is a short
     # loop of broadcast products of contiguous grid arrays.  The full-shape
-    # grid-first gamma and curvature are scattered from the stacks only when
-    # asked for.
+    # grid-first gamma is scattered from its stack only when asked for.
 
     @functools.cached_property
     def ginv(self) -> np.ndarray:
@@ -95,17 +97,6 @@ class ChernPackage:
     @functools.cached_property
     def _ginv_last(self) -> np.ndarray:
         return np.ascontiguousarray(self.grid.to_grid_last(self.ginv))
-
-    def _full(self, stack: np.ndarray, slots: int) -> np.ndarray:
-        """A stack over the active directions scattered into a grid-first full shape.
-
-        The first ``slots`` index axes of ``stack`` run over the active
-        directions; the other entries of those axes are exact zeros.
-        """
-        act = self.grid.active_directions
-        out = np.zeros((self.grid.n,) * slots + stack.shape[slots:], dtype=complex)
-        out[np.ix_(*[act] * slots)] = stack
-        return self.grid.to_grid_first(out)
 
     @functools.cached_property
     def active_dg(self) -> np.ndarray:
@@ -129,8 +120,13 @@ class ChernPackage:
 
     @functools.cached_property
     def gamma(self) -> np.ndarray:
-        """Connection ``gamma[..., m, a, b]`` (upper a, lowers m and b), full shape."""
-        return self._full(self.active_gamma, 1)
+        """Connection ``gamma[..., m, a, b]`` (upper a, lowers m and b), full shape.
+
+        Scattered from :attr:`active_gamma`; the inactive m are exact zeros.
+        """
+        out = np.zeros((self.grid.n,) + self.active_gamma.shape[1:], dtype=complex)
+        out[list(self.grid.active_directions)] = self.active_gamma
+        return self.grid.to_grid_first(out)
 
     @functools.cached_property
     def active_curvature(self) -> np.ndarray:
@@ -142,11 +138,6 @@ class ChernPackage:
         for j, gamma_j in enumerate(gamma):
             np.negative(grid.derivatives(gamma_j, requests, self.scheme), out=out[:, j])
         return out
-
-    @functools.cached_property
-    def curvature(self) -> np.ndarray:
-        """``curv[..., k, j, a, b]``: minus the barred k-derivative of gamma, full shape."""
-        return self._full(self.active_curvature, 2)
 
     @functools.cached_property
     def second_ricci(self) -> np.ndarray:
@@ -265,11 +256,15 @@ class ChernPackage:
         gamma and the derivatives along an inactive direction vanish, so
         the connection corrections touch only the active slices of the new
         slot, in place; the other slices are the gradient's exact zeros.
+        A 'U'/'L' slot, which this derivative does not correct, may hold
+        only the live directions (module docstring): ``covd(x[..., act, :],
+        "Ll")`` is ``covd(x, "Ll")[..., :, act, :]`` bit for bit.
         """
         return self._covd_impl(arr, sig, barred=False)
 
     def covd_bar(self, arr: np.ndarray, sig: str) -> np.ndarray:
-        """Barred covariant derivative; result signature 'L' + sig (as :meth:`covd`)."""
+        """Barred covariant derivative; result signature 'L' + sig (as :meth:`covd`,
+        with the 'u'/'l' slots the ones that may hold only the live directions)."""
         return self._covd_impl(arr, sig, barred=True)
 
     def _covd_impl(self, arr: np.ndarray, sig: str, barred: bool) -> np.ndarray:
@@ -326,8 +321,9 @@ def pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
     ``sum_m sum_{u,a} z_m[u, a] w_m[u, a]`` with ``z_m = m2 x_m m3`` and
     ``w_m = sum_g m1[m, g] conj(y_g)``.  Inputs are grid-first, with any
     number of leading grid axes.  The form slots may be fewer than the
-    endomorphism slots (the active directions only, with ``m1`` restricted
-    to them): their count comes from ``x``, the endomorphism size from ``m2``.
+    endomorphism slots (the active directions only), and x and y may hold
+    different numbers of them: ``m1`` is forms(x) x forms(y), restricted
+    to the slots each one holds, and the endomorphism size comes from ``m2``.
     """
     def grid_last(arr, rank):
         return np.ascontiguousarray(np.moveaxis(arr, range(-rank, 0), range(rank)), complex)
@@ -335,9 +331,9 @@ def pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
     m1, m2, m3 = (grid_last(m, 2) for m in (m1, m2, m3))
     x_last = grid_last(x, 3)
     y_bar = np.conj(x_last if y is x else grid_last(y, 3))
-    forms, size = x_last.shape[0], m2.shape[0]
+    size = m2.shape[0]
     out = np.zeros_like(m2)
-    for m in range(forms):
+    for m in range(len(x_last)):
         xm3 = np.zeros_like(m2)
         for l in range(size):
             xm3 += x_last[m, :, l, None] * m3[l]
@@ -345,7 +341,7 @@ def pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
         for b in range(size):
             z += m2[:, b, None] * xm3[b]
         w = np.zeros_like(m2)
-        for g in range(forms):
+        for g in range(len(y_bar)):
             w += m1[m, g] * y_bar[g]
         out += z * w
     return out.sum(axis=(0, 1))

@@ -82,6 +82,7 @@ from .forms import (
 from .grid import TorusGrid
 from .metrics import (
     HERMITICITY_TOLERANCE,
+    MetricFactor,
     conformally_balanced_defect,
     hermiticity_defect,
     hermitize,
@@ -315,6 +316,30 @@ def _rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _below_floor(y: np.ndarray, formulation: str) -> str | None:
+    """Why a step's state falls below ``POSITIVITY_FLOOR``, or None if it does not.
+
+    A weighted state w and its metric g = det(w)^(-1/(n-2)) w must both
+    stay above the floor.  g - floor I is a positive multiple of
+    w - floor det(w)^(1/(n-2)) I, so one factor of w, for det w, and one of
+    w - floor max(1, det(w)^(1/(n-2))) I decide both floors; a w with no
+    factor is below the first.  Eigenvalues are computed only on a stop,
+    for the message.
+    """
+    floor = POSITIVITY_FLOOR
+    if formulation == FORM_WEIGHTED:
+        try:
+            det = MetricFactor(y).det
+        except PositivityError:
+            return f"min eigenvalue {min_eigenvalue(y):.3e}"
+        floor = floor * np.maximum(1.0, det ** (1.0 / (y.shape[-1] - 2)))[..., None, None]
+    if is_positive(y, floor):
+        return None
+    if formulation == FORM_ANCHOR or not is_positive(y, POSITIVITY_FLOOR):
+        return f"min eigenvalue {min_eigenvalue(y):.3e}"
+    return f"metric min eigenvalue {min_eigenvalue(metric_from_weighted(y)):.3e}"
+
+
 def run_flow(
     grid: TorusGrid,
     g0: np.ndarray,
@@ -410,19 +435,11 @@ def run_flow(
             traj.status = STATUS_BLOWUP
             traj.stop_detail = "non-finite state"
             break
-        if not is_positive(y_next, POSITIVITY_FLOOR):
+        below = _below_floor(y_next, formulation)
+        if below is not None:
             traj.status = STATUS_SINGULARITY
-            traj.stop_detail = (
-                f"min eigenvalue {min_eigenvalue(y_next):.3e} at t={t + dt:.6g}"
-            )
+            traj.stop_detail = f"{below} at t={t + dt:.6g}"
             break
-        if formulation == FORM_WEIGHTED:
-            g_next = metric_from_weighted(y_next)
-            if not is_positive(g_next, POSITIVITY_FLOOR):
-                traj.status = STATUS_SINGULARITY
-                traj.stop_detail = (f"metric min eigenvalue {min_eigenvalue(g_next):.3e}"
-                                    f" at t={t + dt:.6g}")
-                break
 
         y = y_next
         t += dt

@@ -109,8 +109,11 @@ class MetricFactor:
         return out
 
 
-def is_positive(g: np.ndarray, floor: float = 0.0) -> bool:
-    """Whether every matrix of ``g - floor * I`` is finite and has a Cholesky factor."""
+def is_positive(g: np.ndarray, floor: float | np.ndarray = 0.0) -> bool:
+    """Whether every matrix of ``g - floor * I`` is finite and has a Cholesky factor.
+
+    ``floor`` is one number, or one per node with two trailing unit axes.
+    """
     try:
         MetricFactor(g - floor * np.eye(g.shape[-1]))
     except PositivityError:

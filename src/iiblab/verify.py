@@ -26,12 +26,21 @@ dominates instead: at dt = 1e-5 a 1e-16 relative change of the stored
 states moves ``trh-evolution`` by up to 1e-2 relative, so there these
 residuals say little about truncation error.
 
-Fields vary only along the active directions, so ``curvature[k, j]`` is
-an exact zero unless k and j are both active.  Each Bianchi residual is
-therefore formed only where one curvature slot is active, and the rest of
-it is exactly zero; ``meanResidual`` still averages over the full tensor.
-Both packages store the curvature only on the active blocks
-(``ChernPackage.active_curvature``), and the live slots are read from there.
+Fields vary only along the active directions, so a derivative slot, the
+form slot of the connection and both form slots of the curvature are
+exact zeros off the active directions (the *live* slots are the others).
+The spatial identities and the S, tr h evolution checks contract and pair
+only live slots, and read the curvature from its active stack
+(``ChernPackage.active_curvature``; no full curvature is built).  A slot
+is dropped only where the derivative engine leaves it at an exact zero,
+and sliced before a further derivative only when that derivative does
+not correct it (the ``chern`` module docstring); a slot that the
+connection mixes stays full.  Each Bianchi residual is formed only where
+one curvature slot is active, and each commutator residual on the active
+derivative slots; the rest of them is exactly zero, and ``meanResidual``
+still averages over the full tensor.  The ``connection-difference``
+check compares the full tensors, and so also checks that the fd8 oracle
+leaves the inactive slots at zero.
 
 Sign and pairing conventions fixed here (the verified identities pin
 them; flipping any one makes the small-amplitude checks fail by orders
@@ -120,6 +129,16 @@ def _report(
 
 def _spatial_oracle() -> dict:
     return {"lhsScheme": SPECTRAL, "rhsScheme": ORACLE}
+
+
+def _full_count(grid: TorusGrid, rank: int) -> int:
+    """Entries of a full tensor with ``rank`` index slots, over the whole grid."""
+    return grid.n**rank * grid.resolution**grid.ndim_grid
+
+
+def _active_block(m: np.ndarray, act: list[int]) -> np.ndarray:
+    """``m[..., p, q]`` for p and q both active."""
+    return m[..., act, :][..., act]
 
 
 # -- deterministic auxiliary field ---------------------------------------------
@@ -274,11 +293,11 @@ def verify_bianchi(
     )
     residuals["bianchi-second-conjugate"] = pkg.covd_bar(pkg_j, "Llul") - rhs
 
-    reports = []
-    for name, res in residuals.items():
-        entries = grid.n ** (res.ndim - grid.ndim_grid) * grid.resolution**grid.ndim_grid
-        reports.append(_report(name, res, tolerance, grid, _spatial_oracle(), entries=entries))
-    return reports
+    return [
+        _report(name, res, tolerance, grid, _spatial_oracle(),
+                entries=_full_count(grid, res.ndim - grid.ndim_grid))
+        for name, res in residuals.items()
+    ]
 
 
 def verify_commutator_convention(
@@ -287,7 +306,12 @@ def verify_commutator_convention(
     covector: np.ndarray | None = None,
     tolerance: float = 1e-7,
 ) -> list[dict]:
-    """Mixed-derivative commutators on a covector and its conjugate."""
+    """Mixed-derivative commutators on a covector and its conjugate.
+
+    Formed on the active derivative slots only, the rest of each residual
+    being exactly zero (module docstring); the mean is still taken over
+    the full (n, n, n) tensor.
+    """
     pkg = ChernPackage(grid, g)
     fd = ChernPackage(grid, g, ORACLE)
     oracle = _spatial_oracle()
@@ -303,20 +327,29 @@ def verify_commutator_convention(
     if w.shape != grid.shape + (grid.n,):
         raise ValenceError(f"covector shape {w.shape} does not fit the grid")
 
-    first = pkg.covd(pkg.covd_bar(w, "l"), "Ll")
-    second = np.swapaxes(pkg.covd_bar(pkg.covd(w, "l"), "ll"), -3, -2)
-    rhs = -np.einsum("...kjpi,...p->...jki", fd.curvature, w)
+    act = list(grid.active_directions)
+    entries = _full_count(grid, 3)
+    curv = grid.to_grid_first(fd.active_curvature)
+
+    # each inner derivative slot is sliced to the live directions before
+    # the outer derivative, which does not correct it; the outer slot is
+    # sliced after
+    first = pkg.covd(pkg.covd_bar(w, "l")[..., act, :], "Ll")[..., act, :, :]
+    second = np.swapaxes(pkg.covd_bar(pkg.covd(w, "l")[..., act, :], "ll"), -3, -2)
+    rhs = -np.einsum("...kjpi,...p->...jki", curv, w)
     rep_low = _report(
-        "commutator-covector", (first - second) - rhs, tolerance, grid, oracle
+        "commutator-covector", (first - second[..., act, :]) - rhs, tolerance, grid,
+        oracle, entries=entries,
     )
 
     v = np.conj(w)
-    first_b = pkg.covd(pkg.covd_bar(v, "L"), "LL")
-    second_b = np.swapaxes(pkg.covd_bar(pkg.covd(v, "L"), "lL"), -3, -2)
-    rhs_b = np.einsum("...jkpi,...p->...jki", np.conj(fd.curvature), v)
-    lhs_b = first_b - second_b
+    first_b = pkg.covd(pkg.covd_bar(v, "L")[..., act, :], "LL")[..., act, :, :]
+    second_b = np.swapaxes(pkg.covd_bar(pkg.covd(v, "L")[..., act, :], "lL"), -3, -2)
+    rhs_b = np.einsum("...jkpi,...p->...jki", np.conj(curv), v)
+    lhs_b = first_b - second_b[..., act, :]
     rep_bar = _report(
-        "commutator-covector-barred", lhs_b - rhs_b, tolerance, grid, oracle
+        "commutator-covector-barred", lhs_b - rhs_b, tolerance, grid, oracle,
+        entries=entries,
     )
     return [rep_low, rep_bar]
 
@@ -329,13 +362,16 @@ def verify_quasilinear_ricci(
     """Second Ricci curvature against its quasilinear decomposition."""
     pkg = ChernPackage(grid, g)
     oracle = _spatial_oracle()
-    dg_u = grid.holomorphic_gradient(pkg.g, ORACLE)
-    ddg = grid.holomorphic_gradient(dg_u, ORACLE, barred=True)
-    dg_b = grid.holomorphic_gradient(pkg.g, ORACLE, barred=True)
-    term1 = -np.einsum("...qp,...pqkj->...kj", pkg.ginv, ddg)
+    # every derivative slot holds the live directions only
+    act = list(grid.active_directions)
+    ginv_live = _active_block(pkg.ginv, act)
+    dg_u = grid.holomorphic_gradient(pkg.g, ORACLE)[..., act, :, :]
+    ddg = grid.holomorphic_gradient(dg_u, ORACLE, barred=True)[..., act, :, :, :]
+    dg_b = grid.holomorphic_gradient(pkg.g, ORACLE, barred=True)[..., act, :, :]
+    term1 = -np.einsum("...qp,...pqkj->...kj", ginv_live, ddg)
     term2 = np.einsum(
         "...qp,...nl,...pkn,...qlj->...kj",
-        pkg.ginv,
+        ginv_live,
         pkg.ginv,
         dg_b,
         dg_u,
@@ -429,11 +465,15 @@ def verify_trh_evolution(
 ) -> list[dict]:
     """Heat-operator identity for the trace of the relative endomorphism.
 
-    The endomorphism is taken relative to the first stored state.
+    The endomorphism is taken relative to the first stored state.  The
+    curvature and the derivative slots are read on the active directions
+    only.
     """
     times, states = _weighted_states(trajectory)
     grid = trajectory.grid
+    act = list(grid.active_directions)
     ref = ChernPackage(grid, states[0])
+    curv = grid.to_grid_first(ref.active_curvature)
     phi_field = _source_field(grid, phi)
     ref_phi = 0.0 if phi_field is None else _lambda_trace(ref.ginv, phi_field)
 
@@ -444,22 +484,23 @@ def verify_trh_evolution(
     residuals = []
     for c, dt in centers:
         pkg = ChernPackage(grid, states[c])
+        ginv_live = _active_block(pkg.ginv, act)
         d_trh = (trh_all[c + 1] - trh_all[c - 1]) / (2.0 * dt)
         lap = pkg.scalar_laplacian(trh_all[c])
         h = h_all[c]
         hinv = np.linalg.inv(h)
-        n_h = ref.covd(h, "ul")
-        nb_h = ref.covd_bar(h, "ul")
+        n_h = ref.covd(h, "ul")[..., act, :, :]
+        nb_h = ref.covd_bar(h, "ul")[..., act, :, :]
         term_grad = -np.einsum(
             "...qp,...gu,...quj,...pjg->...",
-            pkg.ginv,
+            ginv_live,
             hinv,
             n_h,
             nb_h,
             optimize=True,
         )
         term_curv = -np.einsum(
-            "...qp,...pqaj,...ja->...", pkg.ginv, ref.curvature, h, optimize=True
+            "...qp,...pqaj,...ja->...", ginv_live, curv, h, optimize=True
         )
         term_tors = -0.5 * np.einsum("...jk,...kj->...", ref.ginv, pkg.ttbar)
         rhs = term_grad + term_curv + term_tors - ref_phi
@@ -539,43 +580,57 @@ def verify_S_evolution(
     if dt is None:
         raise VerificationError("snapshot spacing around the center is not uniform")
 
+    act = list(grid.active_directions)
     pkgs = {t: ChernPackage(grid, states[t]) for t in (c - 1, c, c + 1)}
-    a_all = {t: pkgs[t].gamma for t in pkgs}
-    s_all = {t: pkgs[t].endo_norm_sq(a_all[t]) for t in pkgs}
+    # the connection, paired over its live form slots only
+    live = {t: grid.to_grid_first(p.active_gamma) for t, p in pkgs.items()}
+    s_all = {
+        t: pair_endo_forms(_active_block(p.ginv, act), p.g, p.ginv, live[t], live[t]).real
+        for t, p in pkgs.items()
+    }
     pkg = pkgs[c]
-    a = a_all[c]
+    a, a_live = pkg.gamma, live[c]
+    ginv_live = _active_block(pkg.ginv, act)
 
     d_s = (s_all[c + 1] - s_all[c - 1]) / (2.0 * dt)
     lap_s = pkg.scalar_laplacian(s_all[c].astype(complex))
     lhs = d_s - lap_s
 
-    d_a = (a_all[c + 1] - a_all[c - 1]) / (2.0 * dt)
-    # rough Laplacian: the unbarred after the barred derivative, traced
+    d_a = (pkgs[c + 1].gamma - pkgs[c - 1].gamma) / (2.0 * dt)
+    # rough Laplacian: the unbarred after the barred derivative, traced on
+    # the active derivative slots; the barred slot is sliced first, since
+    # the unbarred derivative does not correct it.  The unbarred derivative
+    # mixes the form slot through gamma, so lap_a and heat_a are full.
     nb_a = pkg.covd_bar(a, "lul")
-    lap_a = np.einsum("...pq,...pqabc->...abc", pkg.ginv, pkg.covd(nb_a, "Llul"))
+    lap_a = np.einsum(
+        "...pq,...pqabc->...abc", ginv_live,
+        pkg.covd(nb_a[..., act, :, :, :], "Llul")[..., act, :, :, :, :],
+    )
     heat_a = d_a - lap_a
 
-    metric = (pkg.ginv, pkg.g, pkg.ginv)
-
-    def slot_norm(da, ginv):
+    def slot_norm(da, ginv, forms):
         # sum ginv[p, q] <da[p], da[q]>; only the active derivative slots are non-zero
-        act = grid.active_directions
         return sum(
-            ginv[..., p, q] * pair_endo_forms(*metric, da[..., p, :, :, :], da[..., q, :, :, :])
+            ginv[..., p, q]
+            * pair_endo_forms(forms, pkg.g, pkg.ginv, da[..., p, :, :, :], da[..., q, :, :, :])
             for p in act for q in act
         ).real
 
-    norm_bar = slot_norm(nb_a, np.swapaxes(pkg.ginv, -1, -2))
-    norm_unb = slot_norm(pkg.covd(a, "lul"), pkg.ginv)
-    pair_block = pair_endo_forms(*metric, heat_a, a) + pair_endo_forms(*metric, a, heat_a)
+    # the barred derivative leaves the form slot of a alone, the unbarred one does not
+    norm_bar = slot_norm(nb_a[..., act, :, :], np.swapaxes(pkg.ginv, -1, -2), ginv_live)
+    norm_unb = slot_norm(pkg.covd(a, "lul"), pkg.ginv, pkg.ginv)
+    pair_block = (
+        pair_endo_forms(pkg.ginv[..., act], pkg.g, pkg.ginv, heat_a, a_live)
+        + pair_endo_forms(pkg.ginv[..., act, :], pkg.g, pkg.ginv, a_live, heat_a)
+    )
 
     g_dot = (states[c + 1] - states[c - 1]) / (2.0 * dt)
     d_low = g_dot + pkg.second_ricci
     d_up = np.einsum("...mk,...kj,...jg->...mg", pkg.ginv, d_low, pkg.ginv)
     corr = (
-        pair_endo_forms(d_up, pkg.g, pkg.ginv, a, a)
-        - pair_endo_forms(pkg.ginv, d_low, pkg.ginv, a, a)
-        + pair_endo_forms(pkg.ginv, pkg.g, d_up, a, a)
+        pair_endo_forms(_active_block(d_up, act), pkg.g, pkg.ginv, a_live, a_live)
+        - pair_endo_forms(ginv_live, d_low, pkg.ginv, a_live, a_live)
+        + pair_endo_forms(ginv_live, pkg.g, d_up, a_live, a_live)
     )
 
     rhs = -norm_bar - norm_unb + pair_block - corr
@@ -595,7 +650,6 @@ def verify_S_evolution(
     )
 
     # the curvature is non-zero only on its active (q, r) blocks
-    act = grid.active_directions
     w2 = np.einsum(
         "...pq,...rmp,...qrab->...mab", pkg.ginv[..., act], pkg.t_up[..., act, :, :],
         grid.to_grid_first(pkg.active_curvature), optimize=True,

@@ -31,10 +31,18 @@ def random_pkg():
     return ChernPackage(GRID, random_band_metric(GRID, seed=21))
 
 
+def _full_curvature(pkg):
+    """``curv[..., k, j, a, b]`` scattered from the active stack, full shape."""
+    act = pkg.grid.active_directions
+    out = np.zeros((pkg.grid.n,) * 2 + pkg.active_curvature.shape[2:], dtype=complex)
+    out[np.ix_(act, act)] = pkg.active_curvature
+    return pkg.grid.to_grid_first(out)
+
+
 def test_flat_package_is_exactly_trivial():
     pkg = ChernPackage(GRID, flat_metric(GRID))
     assert np.all(pkg.gamma == 0.0)
-    assert np.all(pkg.curvature == 0.0)
+    assert np.all(pkg.active_curvature == 0.0)
     assert np.all(pkg.t_low == 0.0)
     assert np.all(pkg.tau == 0.0)
     assert np.all(pkg.scalar_laplacian(pkg.log_norm) == 0.0)
@@ -61,7 +69,7 @@ def test_conformal_curvature_closed_form(conformal):
     df = GRID.holomorphic_gradient(f.astype(complex))
     ddf = GRID.holomorphic_gradient(df, barred=True)
     want = -2.0 * ddf[..., :, :, None, None] * np.eye(3)
-    assert np.abs(pkg.curvature - want).max() < 1e-10
+    assert np.abs(_full_curvature(pkg) - want).max() < 1e-10
 
 
 def test_conformal_torsion_trace_closed_form(conformal):
@@ -87,7 +95,7 @@ def test_curvature_is_derivative_of_connection_difference(random_pkg):
     ref = ChernPackage(GRID, kahler_from_potential(GRID, 0.02 * np.sin(2 * np.pi * x)))
     a = random_pkg.gamma - ref.gamma
     dbar_a = GRID.holomorphic_gradient(a, barred=True)
-    diff = random_pkg.curvature - ref.curvature
+    diff = _full_curvature(random_pkg) - _full_curvature(ref)
     assert np.abs(diff + dbar_a).max() < 1e-10
 
 
@@ -151,7 +159,7 @@ def test_gamma_matches_einsum(packages):
 def test_second_ricci_matches_einsum(packages):
     for pkg in packages:
         curv = -pkg.grid.holomorphic_gradient(pkg.gamma, pkg.scheme, barred=True)
-        assert _close(pkg.curvature, curv)
+        assert _close(_full_curvature(pkg), curv)
         want = np.einsum("...pl,...jk,...kjlq->...pq", pkg.g, pkg.ginv, curv)
         assert _close(pkg.second_ricci, want)
 
@@ -213,14 +221,19 @@ def test_pair_endo_forms_matches_einsum(n):
         want = _pair_einsum(m1, m2, m3, first, second)
         assert _close(pair_endo_forms(m1, m2, m3, first, second), want)
 
-    # form stacks over fewer slots than n, as over the active directions only
-    for forms in (1, 2):
-        shape = grid.shape + (forms, n, n)
-        x, y = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in "xy")
-        m1 = field(2)[..., :forms, :forms]
-        for first, second in ((x, y), (x, x)):
-            want = _pair_einsum(m1, m2, m3, first, second)
-            assert _close(pair_endo_forms(m1, m2, m3, first, second), want)
+    # form stacks over fewer slots than n, as over the active directions
+    # only, and x and y over different numbers of them
+    for forms_x, forms_y in ((1, 1), (2, 2), (1, 3), (3, 1), (2, 3)):
+        x, y = (
+            rng.standard_normal(grid.shape + (forms, n, n))
+            + 1j * rng.standard_normal(grid.shape + (forms, n, n))
+            for forms in (forms_x, forms_y)
+        )
+        m1 = field(2)[..., :forms_x, :forms_y]
+        want = _pair_einsum(m1, m2, m3, x, y)
+        assert _close(pair_endo_forms(m1, m2, m3, x, y), want)
+        if forms_x == forms_y:
+            assert _close(pair_endo_forms(m1, m2, m3, x, x), _pair_einsum(m1, m2, m3, x, x))
 
 
 # -- covd against the correction of every slice of the new slot ----------------
@@ -267,9 +280,36 @@ def test_covd_matches_full_einsum(geometry):
                 assert np.all(got[inactive] == 0.0)
 
 
-# -- the active stacks against the full-tensor loops they replaced -------------
+# n = 3, 4, 5, each with one and with two active directions
+LIVE_GEOMETRIES = [(n, axes) for n in (3, 4, 5) for axes in ((0, 1), (0, 2), (0, 1, 2, 3))]
 
-STACK_GEOMETRIES = [(n, axes) for n in (3, 4, 5) for axes in ((0, 1), (0, 2), (0, 1, 2, 3))]
+
+@pytest.mark.parametrize("geometry", LIVE_GEOMETRIES, ids=_geometry_id)
+def test_covd_of_a_live_slice_is_the_slice_of_covd(geometry):
+    """A slot the derivative does not correct may hold only the live
+    directions: the derivative of that slice is the same slice of the full
+    derivative, bit for bit (the new derivative slot shifts it by one)."""
+    n, axes = geometry
+    grid = TorusGrid(n, axes, 4 if len(axes) > 2 else 8)
+    act = list(grid.active_directions)
+    g = random_band_metric(grid, seed=3)
+    rng = np.random.default_rng(8)
+    for scheme in ("spectral", ORACLE):
+        pkg = ChernPackage(grid, g, scheme)
+        for sig in ("Llul", "lLL", "lul", "L", "l"):
+            shape = grid.shape + (n,) * len(sig)
+            arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for untouched, covd in (("UL", pkg.covd), ("ul", pkg.covd_bar)):
+                full = covd(arr, sig)
+                for slot, ch in enumerate(sig):
+                    if ch not in untouched:
+                        continue
+                    axis = grid.ndim_grid + slot
+                    got = covd(np.take(arr, act, axis=axis), sig)
+                    assert np.array_equal(got, np.take(full, act, axis=axis + 1)), (sig, slot)
+
+
+# -- the active stacks against the full-tensor loops they replaced -------------
 
 
 def _full_tensor_loops(pkg):
@@ -323,7 +363,7 @@ def _full_tensor_loops(pkg):
     return {key: grid.to_grid_first(value) for key, value in out.items()}
 
 
-@pytest.mark.parametrize("geometry", STACK_GEOMETRIES, ids=_geometry_id)
+@pytest.mark.parametrize("geometry", LIVE_GEOMETRIES, ids=_geometry_id)
 def test_active_stacks_are_bit_identical_to_full_tensors(geometry, monkeypatch):
     n, axes = geometry
     grid = TorusGrid(n, axes, 8 if len(axes) > 2 else 16)
@@ -333,7 +373,11 @@ def test_active_stacks_are_bit_identical_to_full_tensors(geometry, monkeypatch):
         pkg = ChernPackage(grid, g, scheme)
         want = _full_tensor_loops(pkg)
         assert np.array_equal(grid.to_grid_first(pkg.active_dg), want["dg"][..., act, :, :])
-        for name in ("gamma", "curvature", "second_ricci", "t_low", "tau", "ttbar"):
+        assert np.array_equal(
+            grid.to_grid_first(pkg.active_curvature),
+            want["curvature"][..., act, :, :, :][..., act, :, :],
+        )
+        for name in ("gamma", "second_ricci", "t_low", "tau", "ttbar"):
             assert np.array_equal(getattr(pkg, name), want[name]), name
 
     want = _full_tensor_loops(ChernPackage(grid, g))

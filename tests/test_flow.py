@@ -265,6 +265,22 @@ def test_step_below_the_positivity_floor_is_refused():
     assert np.array_equal(traj.snapshots[0], weighted_from_metric(FLAT))
 
 
+def test_step_to_an_indefinite_weighted_state_is_refused(monkeypatch):
+    """A step whose w has no Cholesky factor (so no det w) stops at the
+    state's floor, and the last kept state is the one before it."""
+    def indefinite_step(f, y, dt):
+        out = y.copy()
+        out[..., 0, 0] = -0.5
+        return out
+
+    monkeypatch.setattr(flow, "_rk4_step", indefinite_step)
+    traj = run_flow(GRID, FLAT, FORM_WEIGHTED, 1e-3, StepControl(dt=1e-3))
+    assert traj.status == STATUS_SINGULARITY
+    assert traj.stop_detail == "min eigenvalue -5.000e-01 at t=0.001"
+    assert traj.steps_taken == 0
+    assert traj.times == [0.0] and len(traj.snapshots) == 1
+
+
 @pytest.mark.parametrize("formulation, steps", [(FORM_WEIGHTED, 7), (FORM_ANCHOR, 10)])
 def test_adaptive_step_is_the_parabolic_bound(formulation, steps):
     """Without dt each step is cfl * h^2 * (smallest eigenvalue of the state),
@@ -382,8 +398,8 @@ def test_formulations_agree_with_an_anchor_source_in_closed_form(n):
 
 def test_weighted_stages_take_no_anchor_solve(monkeypatch):
     """With an anchor source the weighted stages neither solve the anchor
-    system nor rebuild the metric: the only metric built is the stop gate's,
-    one per accepted step."""
+    system nor rebuild the metric, and the stop gate of an accepted step
+    decides the metric's floor from w alone."""
     built = []
 
     def no_solve(*args):
@@ -398,7 +414,7 @@ def test_weighted_stages_take_no_anchor_solve(monkeypatch):
     traj = run_flow(GRID, _balanced(), FORM_WEIGHTED, 2e-5, StepControl(dt=1e-5),
                     anchor_source=_anchor_source())
     assert traj.status == STATUS_COMPLETED and traj.steps_taken == 2
-    assert len(built) == 2
+    assert built == []
 
 
 def test_non_hermitian_anchor_source_is_rejected():

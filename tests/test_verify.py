@@ -7,6 +7,7 @@ import pytest
 
 from iiblab import (
     ChernPackage,
+    cli,
     FORM_ANCHOR,
     FORM_WEIGHTED,
     StepControl,
@@ -35,6 +36,7 @@ from iiblab.metrics import (
     fourier_scalar,
     kahler_from_potential,
 )
+from iiblab.chern import pair_endo_forms
 from iiblab.verify import band_covector
 
 GRID = TorusGrid(3, (0, 1), 16)
@@ -48,6 +50,23 @@ def _balanced(grid, amp):
 def _short_run(grid, g0, n_steps=4, dt=1e-5, phi=None):
     return run_flow(grid, g0, FORM_WEIGHTED, n_steps * dt, StepControl(dt=dt),
                     weighted_source=phi, snapshot_every=1)
+
+
+def _full_curvature(pkg):
+    """``curv[..., k, j, a, b]`` scattered from the active stack, full shape."""
+    act = pkg.grid.active_directions
+    out = np.zeros((pkg.grid.n,) * 2 + pkg.active_curvature.shape[2:], dtype=complex)
+    out[np.ix_(act, act)] = pkg.active_curvature
+    return pkg.grid.to_grid_first(out)
+
+
+def _refuse_full_curvature(monkeypatch):
+    """Make any read of a full ``ChernPackage.curvature`` fail the test."""
+
+    def refuse(pkg):
+        raise AssertionError(f"{pkg.scheme} full curvature built")
+
+    monkeypatch.setattr(ChernPackage, "curvature", property(refuse), raising=False)
 
 
 # -- trivial data must give exact zeros --------------------------------------
@@ -134,19 +153,20 @@ def _bianchi_full(grid, g):
     structural zero included: the reference for the live-slot verifier."""
     pkg = ChernPackage(grid, g)
     fd = ChernPackage(grid, g, ORACLE)
-    low = np.einsum("...ka,...lmaj->...lmkj", pkg.g, pkg.curvature)
-    low_fd = np.einsum("...ka,...lmaj->...lmkj", fd.g, fd.curvature)
+    curv, curv_fd = _full_curvature(pkg), _full_curvature(fd)
+    low = np.einsum("...ka,...lmaj->...lmkj", pkg.g, curv)
+    low_fd = np.einsum("...ka,...lmaj->...lmkj", fd.g, curv_fd)
     nb_t = fd.covd_bar(fd.t_low, "Lll")
     rhs1 = np.swapaxes(low_fd, -3, -1) + np.moveaxis(nb_t, (-4, -3, -2, -1), (-4, -2, -1, -3))
     n_tbar = fd.covd(np.conj(fd.t_low), "lLL")
     rhs2 = np.swapaxes(low_fd, -4, -2) + np.moveaxis(n_tbar, (-4, -3, -2, -1), (-3, -1, -2, -4))
-    n_r = pkg.covd(pkg.curvature, "Llul")
-    rhs3 = np.swapaxes(fd.covd(fd.curvature, "Llul"), -5, -3) + np.einsum(
-        "...rjm,...krab->...mkjab", fd.t_up, fd.curvature
+    n_r = pkg.covd(curv, "Llul")
+    rhs3 = np.swapaxes(fd.covd(curv_fd, "Llul"), -5, -3) + np.einsum(
+        "...rjm,...krab->...mkjab", fd.t_up, curv_fd
     )
-    nb_r = pkg.covd_bar(pkg.curvature, "Llul")
-    rhs4 = np.swapaxes(fd.covd_bar(fd.curvature, "Llul"), -5, -4) + np.einsum(
-        "...rkm,...rjab->...mkjab", np.conj(fd.t_up), fd.curvature
+    nb_r = pkg.covd_bar(curv, "Llul")
+    rhs4 = np.swapaxes(fd.covd_bar(curv_fd, "Llul"), -5, -4) + np.einsum(
+        "...rkm,...rjab->...mkjab", np.conj(fd.t_up), curv_fd
     )
     return {
         "bianchi-first": low - rhs1,
@@ -176,13 +196,68 @@ def test_bianchi_live_slots_match_full_tensors(n, axes):
 def test_bianchi_builds_no_full_curvature(monkeypatch):
     """The live slots are read from the active stacks; neither package
     scatters its full (n, n, n, n) curvature."""
-
-    def refuse(pkg):
-        raise AssertionError(f"{pkg.scheme} full curvature built")
-
-    monkeypatch.setattr(ChernPackage, "curvature", property(refuse))
+    _refuse_full_curvature(monkeypatch)
     reports = verify_bianchi(GRID, random_band_metric(GRID, seed=1, amplitude=0.1))
     assert len(reports) == 4
+
+
+def test_identity_suite_builds_no_full_curvature(monkeypatch, tmp_path):
+    """One verify-r32 suite (random family, R = 32, the seven identities that
+    pass on it) reads the curvature only from the active stacks."""
+    _refuse_full_curvature(monkeypatch)
+    suite = ["connection-difference", "bianchi", "commutator", "quasilinear",
+             "trh", "dilaton", "s-evolution"]
+    config = {
+        "geometry": {"n": 3, "activeAxes": [0, 1], "resolution": 32},
+        "initialMetric": {"family": "random", "seed": 0},
+        "formulation": "weighted",
+        "source": {"kind": "none"},
+        "control": {"tEnd": 4e-5, "dt": 1e-5},
+        "verifySuite": [{"identity": name} for name in suite],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", str(path), "--out", str(out), "--seed", "0"]) == 0
+    reports = json.loads((out / "reports.json").read_text())["reports"]
+    assert len(reports) == 15
+
+
+def _commutator_full(grid, g, w):
+    """Both commutator residuals formed on the full tensors, every structural
+    zero included: the reference for the live-slot verifier."""
+    pkg = ChernPackage(grid, g)
+    curv = _full_curvature(ChernPackage(grid, g, ORACLE))
+    first = pkg.covd(pkg.covd_bar(w, "l"), "Ll")
+    second = np.swapaxes(pkg.covd_bar(pkg.covd(w, "l"), "ll"), -3, -2)
+    rhs = -np.einsum("...kjpi,...p->...jki", curv, w)
+    v = np.conj(w)
+    first_b = pkg.covd(pkg.covd_bar(v, "L"), "LL")
+    second_b = np.swapaxes(pkg.covd_bar(pkg.covd(v, "L"), "lL"), -3, -2)
+    rhs_b = np.einsum("...jkpi,...p->...jki", np.conj(curv), v)
+    return {
+        "commutator-covector": (first - second) - rhs,
+        "commutator-covector-barred": (first_b - second_b) - rhs_b,
+    }
+
+
+@pytest.mark.parametrize(
+    "n,axes", [(3, (0, 1)), (3, (0, 2)), (4, (0, 1, 2, 3)), (5, (0, 1))],
+    ids=["n3-axes01", "n3-axes02", "n4-axes0123", "n5-axes01"],
+)
+def test_commutator_live_slots_match_full_tensors(n, axes):
+    """As for Bianchi: every maximum bit-identical, the mean over the full
+    (n, n, n) tensor moved only by summation order."""
+    grid = TorusGrid(n, axes, 8 if len(axes) == 2 else 4)
+    g = random_band_metric(grid, seed=7, amplitude=0.2)
+    w = band_covector(grid)
+    full = _commutator_full(grid, g, w)
+    reports = verify_commutator_convention(grid, g, covector=w)
+    assert [r["identityName"] for r in reports] == list(full)
+    for rep in reports:
+        res = np.abs(full[rep["identityName"]])
+        assert rep["maxResidual"] == res.max() > 0.0, rep["identityName"]
+        assert rep["meanResidual"] == pytest.approx(res.mean(), rel=1e-15, abs=0.0)
 
 
 def test_tau_identity_on_balanced_family():
@@ -249,7 +324,7 @@ def test_flat_reference_terms_are_exactly_the_chern_terms(n, axes):
     assert np.array_equal(
         old_a3, np.einsum("...ag,...igb->...iab", np.linalg.inv(pkg.g), dg_fd)
     )
-    assert not np.any(pkg.covd(ref.curvature, "Llul"))
+    assert not np.any(pkg.covd(_full_curvature(ref), "Llul"))
 
 
 # -- evolution identities ------------------------------------------------------
@@ -277,6 +352,69 @@ def test_s_evolution_on_small_amplitude_family():
     assert by_name["s-evolution-connection-rate"]["maxResidual"] < 1e-7
     assert by_name["s-evolution-connection-heat"]["maxResidual"] < 1e-5
     assert all(r["pass"] for r in by_name.values())
+
+
+def _s_evolution_full(traj):
+    """The s-evolution and connection-heat residuals with every form and
+    derivative slot paired and traced, structural zeros included: the
+    reference for the live-slot verifier."""
+    grid, states = traj.grid, traj.snapshots
+    c = len(states) // 2
+    dt = dict(verify._centered_windows(np.asarray(traj.times)))[c]
+    pkgs = [ChernPackage(grid, states[t]) for t in (c - 1, c, c + 1)]
+    s_all = [p.endo_norm_sq(p.gamma) for p in pkgs]
+    pkg, a = pkgs[1], pkgs[1].gamma
+    metric = (pkg.ginv, pkg.g, pkg.ginv)
+    d_s = (s_all[2] - s_all[0]) / (2.0 * dt)
+    lap_s = pkg.scalar_laplacian(s_all[1].astype(complex))
+    d_a = (pkgs[2].gamma - pkgs[0].gamma) / (2.0 * dt)
+    nb_a = pkg.covd_bar(a, "lul")
+    heat_a = d_a - np.einsum("...pq,...pqabc->...abc", pkg.ginv, pkg.covd(nb_a, "Llul"))
+
+    def slot_norm(da, ginv):
+        n = grid.n
+        return sum(
+            ginv[..., p, q] * pair_endo_forms(*metric, da[..., p, :, :, :], da[..., q, :, :, :])
+            for p in range(n) for q in range(n)
+        ).real
+
+    norm_bar = slot_norm(nb_a, np.swapaxes(pkg.ginv, -1, -2))
+    norm_unb = slot_norm(pkg.covd(a, "lul"), pkg.ginv)
+    pair_block = pair_endo_forms(*metric, heat_a, a) + pair_endo_forms(*metric, a, heat_a)
+    g_dot = (states[c + 1] - states[c - 1]) / (2.0 * dt)
+    d_low = g_dot + pkg.second_ricci
+    d_up = np.einsum("...mk,...kj,...jg->...mg", pkg.ginv, d_low, pkg.ginv)
+    corr = (
+        pair_endo_forms(d_up, pkg.g, pkg.ginv, a, a)
+        - pair_endo_forms(pkg.ginv, d_low, pkg.ginv, a, a)
+        + pair_endo_forms(pkg.ginv, pkg.g, d_up, a, a)
+    )
+    rhs = -norm_bar - norm_unb + pair_block - corr
+    blocks = [norm_bar, norm_unb, pair_block, corr, d_s, lap_s]
+    main = np.abs(d_s - lap_s - rhs) / max(float(np.abs(b).max()) for b in blocks)
+
+    act = grid.active_directions
+    w2 = np.einsum(
+        "...pq,...rmp,...qrab->...mab", pkg.ginv[..., act], pkg.t_up[..., act, :, :],
+        grid.to_grid_first(pkg.active_curvature), optimize=True,
+    )
+    q_endo = -0.5 * np.einsum("...ag,...gb->...ab", pkg.ginv, pkg.ttbar)
+    heat_rhs = w2 + pkg.covd(q_endo, "ul")
+    heat_scale = max(float(np.abs(b).max()) for b in (heat_a, w2, heat_rhs))
+    return {"s-evolution": main, "s-evolution-connection-heat": np.abs(heat_a - heat_rhs) / heat_scale}
+
+
+@pytest.mark.parametrize("n,axes", [(3, (0, 1)), (4, (0, 2, 3))], ids=["n3", "n4"])
+def test_s_evolution_live_slots_match_full_tensors(n, axes):
+    """Pairing and tracing only the live slots leaves both normalized
+    residuals bit-identical to the full-slot formulas."""
+    grid = TorusGrid(n, axes, 16 if len(axes) == 2 else 8)
+    traj = _short_run(grid, random_band_metric(grid, seed=5, amplitude=0.2))
+    full = _s_evolution_full(traj)
+    by_name = {r["identityName"]: r for r in verify_S_evolution(traj)}
+    for name, res in full.items():
+        assert by_name[name]["maxResidual"] == res.max() > 0.0, name
+        assert by_name[name]["meanResidual"] == res.mean(), name
 
 
 def test_evolution_checks_need_weighted_trajectories():
