@@ -18,19 +18,22 @@ Two derivative discretisations are provided:
 * ``"fd8"``: centred finite differences of eighth order, the oracle the
   verifier checks the spectral path against.
 
-All complex derivatives go through :meth:`TorusGrid.derivatives`, which
-works on *grid-last* arrays (index axes first, grid axes last).  A request
-is a product of complex derivatives, d/dz^j or d/dzbar^j, so first
-derivatives and mixed second derivatives d/dz^j d/dzbar^k (the i del delbar
-of the anchor flow, the Hessian of a potential, the scalar Laplacian) share
-one engine.  On the spectral path it takes one forward ``fftn`` per field,
-multiplies by the product of the precomputed symbols of each request and
-takes one inverse transform per request; on the fd8 path it applies the
-stencil factor by factor.  Requests along a direction with no active real
-axis are exact zeros and cost no transform on either path.  Nor do
-components that equal their first node bit for bit at every node: their
-deviation from that node is 0, so both the spectral transform of it and
-the stencil's differences of equal values give exact zeros.
+:meth:`TorusGrid.derivatives` is the one derivative engine: every
+derivative the package takes, on either scheme, is one of its requests,
+and it is the only place that takes a Fourier transform or applies the
+stencil.  It works on *grid-last* arrays (index axes first, grid axes
+last).  A request is a product of complex derivatives, d/dz^j or
+d/dzbar^j, so first derivatives and mixed second derivatives d/dz^j
+d/dzbar^k (the i del delbar of the anchor flow, the Hessian of a
+potential, the scalar Laplacian) share one engine.  On the spectral path
+it takes one forward ``fftn`` per field, multiplies by the product of the
+precomputed symbols of each request and takes one inverse transform per
+request; on the fd8 path it applies the stencil factor by factor, rolling
+the grid-last array along its grid axes.  Requests along a direction with
+no active real axis are exact zeros and cost no transform on either path.
+Nor do components that equal their first node bit for bit at every node:
+their deviation from that node is 0, so both the spectral transform of it
+and the stencil's differences of equal values give exact zeros.
 
 Complex derivatives follow the convention
 
@@ -48,37 +51,21 @@ import numpy as np
 
 from .errors import GridError
 
-__all__ = ["TorusGrid", "fd_weights", "SPECTRAL", "ORACLE"]
+__all__ = ["TorusGrid", "SPECTRAL", "ORACLE"]
 
 SPECTRAL = "spectral"
 ORACLE = "fd8"
 
-
-@functools.lru_cache(maxsize=None)
-def fd_weights(order: int) -> np.ndarray:
-    """Centred first-derivative weights of the given even order.
-
-    Returns the full antisymmetric stencil ``w[-m..m]`` (length 2m+1,
-    m = order/2) such that ``f'(x) ~ sum_k w[k] f(x + k h) / h``.  The
-    weights come from the closed form
-
-        w[k] = (-1)**(k+1) * (m!)**2 / (k * (m-k)! * (m+k)!)
-
-    evaluated in exact integer arithmetic before conversion to float, so
-    there is no linear-solve round-off in the stencil itself.  The
-    :data:`ORACLE` scheme uses order 8.
-    """
-    if order < 2 or order % 2:
-        raise GridError(f"finite-difference order must be even and >= 2, got {order}")
-    m = order // 2
-    w = np.zeros(2 * m + 1)
-    for k in range(1, m + 1):
-        num = math.factorial(m) ** 2
-        den = k * math.factorial(m - k) * math.factorial(m + k)
-        c = ((-1) ** (k + 1)) * num / den
-        w[m + k] = c
-        w[m - k] = -c
-    return w
+# Centred first-derivative weights of the fd8 stencil, w[k] for k = 1..4:
+# f'(x) ~ sum_k w[k] (f(x + k h) - f(x - k h)) / h.  The closed form with
+# m = 4,  w[k] = (-1)**(k+1) (m!)**2 / (k (m-k)! (m+k)!),  is evaluated in
+# exact integer arithmetic and rounded once, so there is no linear-solve
+# round-off in the stencil itself.
+_FD8_WEIGHTS = tuple(
+    (-1) ** (k + 1) * math.factorial(4) ** 2
+    / (k * math.factorial(4 - k) * math.factorial(4 + k))
+    for k in range(1, 5)
+)
 
 
 def _is_spectral(scheme: str) -> bool:
@@ -158,38 +145,6 @@ class TorusGrid:
 
     # -- derivatives ----------------------------------------------------
 
-    def _spectral_multiplier(self, array_ndim: int, pos: int) -> np.ndarray:
-        N = self.resolution
-        k = np.fft.fftfreq(N, d=1.0 / N)
-        k[N // 2] = 0.0  # drop the Nyquist mode for odd-order derivatives
-        shape = [1] * array_ndim
-        shape[pos] = N
-        return (2j * np.pi * k).reshape(shape)
-
-    def real_derivative(
-        self, values: np.ndarray, real_axis: int, scheme: str = SPECTRAL
-    ) -> np.ndarray:
-        """d/d(real coordinate) of a sampled field.
-
-        ``values`` may carry trailing tensor index axes; the derivative acts
-        along the grid axis only.  Returns zeros for inactive axes.
-        """
-        spectral = _is_spectral(scheme)
-        pos = self.axis_position(real_axis)
-        if pos is None:
-            return np.zeros_like(values, dtype=complex)
-        if spectral:
-            spectrum = np.fft.fft(values, axis=pos)
-            spectrum *= self._spectral_multiplier(values.ndim, pos)
-            return np.fft.ifft(spectrum, axis=pos)
-        w = fd_weights(8)
-        m = len(w) // 2
-        out = np.zeros_like(values, dtype=complex)
-        for k in range(1, m + 1):
-            c = w[m + k] * self.resolution
-            out += c * (np.roll(values, -k, axis=pos) - np.roll(values, k, axis=pos))
-        return out
-
     @functools.cached_property
     def active_directions(self) -> tuple[int, ...]:
         """Complex directions (zero-based) with at least one active real axis."""
@@ -201,9 +156,17 @@ class TorusGrid:
 
         Keyed by ``(j, barred)`` for the active directions only.
         """
+        N = self.resolution
+        k = np.fft.fftfreq(N, d=1.0 / N)
+        k[N // 2] = 0.0  # drop the Nyquist mode for odd-order derivatives
+
         def axis_symbol(real_axis):
             pos = self.axis_position(real_axis)
-            return 0.0 if pos is None else self._spectral_multiplier(self.ndim_grid, pos)
+            if pos is None:
+                return 0.0
+            shape = [1] * self.ndim_grid
+            shape[pos] = N
+            return (2j * np.pi * k).reshape(shape)
 
         out = {}
         for j in self.active_directions:
@@ -222,10 +185,17 @@ class TorusGrid:
         g = self.ndim_grid
         return np.moveaxis(values, range(values.ndim - g, values.ndim), range(g))
 
-    def _stencil(self, first, j, barred, out=None) -> np.ndarray:
-        """fd8 d/dz^j (d/dzbar^j when ``barred``) of a grid-first array."""
-        dx = self.real_derivative(first, 2 * j, ORACLE)
-        dy = self.real_derivative(first, 2 * j + 1, ORACLE)
+    def _stencil(self, last, j, barred, out=None) -> np.ndarray:
+        """fd8 d/dz^j (d/dzbar^j when ``barred``) of a grid-last array."""
+        dx, dy = (np.zeros_like(last, dtype=complex) for _ in range(2))
+        for d, real_axis in ((dx, 2 * j), (dy, 2 * j + 1)):
+            pos = self.axis_position(real_axis)
+            if pos is None:
+                continue
+            axis = pos - self.ndim_grid
+            for k, w in enumerate(_FD8_WEIGHTS, start=1):
+                c = w * self.resolution
+                d += c * (np.roll(last, -k, axis=axis) - np.roll(last, k, axis=axis))
         return np.multiply(0.5, dx + 1j * dy if barred else dx - 1j * dy, out=out)
 
     def derivatives(
@@ -243,8 +213,8 @@ class TorusGrid:
         components are transformed, or stencilled on their raw values.  On
         the spectral path all requests share one forward transform, each
         multiplied by the product of its factors' symbols; the fd8 path
-        applies :meth:`real_derivative` factor by factor, the last factor
-        of a request first.
+        applies the stencil factor by factor, the last factor of a request
+        first.  No other method differentiates or transforms a field.
         """
         spectral = _is_spectral(scheme)
         out = np.zeros((len(requests),) + values.shape, dtype=complex)
@@ -271,18 +241,17 @@ class TorusGrid:
             axes = tuple(range(-g, 0))
             np.fft.fftn(spectrum, axes=axes, out=spectrum)
         else:
-            first = self.to_grid_first(values[varies] if some else values)
+            raw = values[varies] if some else values
         for i in live:
             if spectral:
                 symbol = functools.reduce(np.multiply, map(self._symbols.get, factors[i]))
                 d = np.multiply(spectrum, symbol, out=None if some else out[i])
                 np.fft.ifftn(d, axes=axes, out=d)
             else:
-                d = first
+                d = raw
                 for j, barred in reversed(factors[i][1:]):
                     d = self._stencil(d, j, barred)
-                dest = None if some else self.to_grid_first(out[i])
-                d = self.to_grid_last(self._stencil(d, *factors[i][0], out=dest))
+                d = self._stencil(d, *factors[i][0], out=None if some else out[i])
             if some:
                 out[i][varies] = d
         return out
@@ -301,29 +270,3 @@ class TorusGrid:
         requests = [(j, barred) for j in range(self.n)]
         last = self.to_grid_last(values)
         return self.to_grid_first(self.derivatives(last, requests, scheme))
-
-    # -- resolution hygiene ----------------------------------------------
-
-    def top_band_fraction(self, values: np.ndarray) -> float:
-        """Fraction of spectral energy above two thirds of the Nyquist band.
-
-        A proxy for aliasing risk: smooth well-resolved fields put
-        essentially nothing there.
-        """
-        axes = tuple(range(self.ndim_grid))
-        spectrum = np.fft.fftn(values, axes=axes)
-        power = np.abs(spectrum) ** 2
-        total = power.sum()
-        if total == 0:
-            return 0.0
-        N = self.resolution
-        k = np.abs(np.fft.fftfreq(N, d=1.0 / N))
-        cut = N / 3.0
-        mask = np.zeros(self.shape, dtype=bool)
-        for pos in range(self.ndim_grid):
-            shape = [1] * self.ndim_grid
-            shape[pos] = N
-            mask |= (k.reshape(shape) > cut)
-        extra = tuple(range(self.ndim_grid, values.ndim))
-        band = power[mask].sum() if not extra else power.sum(axis=extra)[mask].sum()
-        return float(band / total)

@@ -72,7 +72,7 @@ from .chern import ChernPackage, pair_endo_forms
 from .errors import ValenceError, VerificationError
 from .flow import BALANCED_GATE, FORM_WEIGHTED, Trajectory, _anchor_target
 from .grid import ORACLE, SPECTRAL, TorusGrid
-from .metrics import balanced_defect_parts, conformally_balanced_defect, fourier_scalar
+from .metrics import balanced_defect_parts, conformally_balanced_defect
 
 __all__ = [
     "verify_tau_identity",
@@ -139,32 +139,6 @@ def _full_count(grid: TorusGrid, rank: int) -> int:
 def _active_block(m: np.ndarray, act: list[int]) -> np.ndarray:
     """``m[..., p, q]`` for p and q both active."""
     return m[..., act, :][..., act]
-
-
-# -- deterministic auxiliary field ---------------------------------------------
-
-
-def band_covector(grid: TorusGrid) -> np.ndarray:
-    """Fixed band-limited covector field for probing the commutator check.
-
-    Deterministic on purpose: the commutator residual should be
-    reproducible from the grid alone.  This is the probe to pass when the
-    derivative path itself should be exercised; the check's default probe
-    is constant so that flat data stays bit-exactly zero.
-    """
-    m = grid.ndim_grid
-    amplitude = 0.25
-    comps = []
-    for i in range(grid.n):
-        axis = i % m
-        lead = [1 if a == axis else 0 for a in range(m)]
-        mixed = [1] * m
-        terms = [
-            lead + [amplitude, -0.4 * amplitude],
-            mixed + [0.3 * amplitude, 0.2 * amplitude * (i + 1)],
-        ]
-        comps.append(fourier_scalar(grid, terms).astype(complex))
-    return np.stack(comps, axis=-1)
 
 
 # -- spatial identities ---------------------------------------------------------
@@ -318,8 +292,9 @@ def verify_commutator_convention(
     if covector is None:
         # Constant default probe: on the flat metric every term of the
         # residual is then identically zero, so the trivial case is
-        # bit-exact.  A nonconstant probe (see band_covector) would leave
-        # the two mixed-derivative orderings differing at FFT roundoff.
+        # bit-exact.  A nonconstant probe (``band_covector`` in
+        # ``tests/probes.py``) would leave the two mixed-derivative
+        # orderings differing at FFT roundoff.
         w = np.ones(grid.shape + (grid.n,), dtype=complex)
         w += 0.5j * np.arange(grid.n)
     else:
@@ -488,7 +463,7 @@ def verify_trh_evolution(
         d_trh = (trh_all[c + 1] - trh_all[c - 1]) / (2.0 * dt)
         lap = pkg.scalar_laplacian(trh_all[c])
         h = h_all[c]
-        hinv = np.linalg.inv(h)
+        hinv = pkg.ginv @ ref.g  # (g_ref^-1 g_c)^-1 = g_c^-1 g_ref
         n_h = ref.covd(h, "ul")[..., act, :, :]
         nb_h = ref.covd_bar(h, "ul")[..., act, :, :]
         term_grad = -np.einsum(

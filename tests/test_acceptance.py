@@ -43,7 +43,7 @@ from iiblab.metrics import (
     random_band_metric,
     volume_norm,
 )
-from iiblab.verify import band_covector
+from probes import band_covector
 
 GRID8 = TorusGrid(3, (0, 1), 8)
 GRID16 = TorusGrid(3, (0, 1), 16)

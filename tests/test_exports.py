@@ -45,12 +45,8 @@ def _referenced_names(tree: ast.Module) -> set[str]:
     return used
 
 
-def test_every_exported_name_is_reachable():
-    """A submodule export is used somewhere in the package or re-exported.
-
-    Imports alone do not count as a use, except the package's own
-    re-exports in ``__init__``: those are the public interface.
-    """
+def _package():
+    """Parsed modules, the names ``__init__`` re-exports, and every name read."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     reexported = {
         alias.name
@@ -59,6 +55,16 @@ def test_every_exported_name_is_reachable():
         for alias in node.names
     }
     used = set().union(*(_referenced_names(t) for t in trees.values()))
+    return trees, reexported, used
+
+
+def test_every_exported_name_is_reachable():
+    """A submodule export is used somewhere in the package or re-exported.
+
+    Imports alone do not count as a use, except the package's own
+    re-exports in ``__init__``: those are the public interface.
+    """
+    trees, reexported, used = _package()
     orphans = [
         f"iiblab.{mod}.{sym}"
         for mod, tree in trees.items()
@@ -69,11 +75,22 @@ def test_every_exported_name_is_reachable():
     assert not orphans, f"exported but never used in src/iiblab: {orphans}"
 
 
-# Public methods and properties that nothing in src/iiblab reads, kept on purpose.
-METHOD_ALLOWLIST = {
-    # pending ROADMAP item 5, which decides whether diagnostics records adopt it
-    "iiblab.grid.TorusGrid.top_band_fraction",
-}
+def test_every_public_definition_is_reachable():
+    """A public module-level function or class outside ``__all__`` is read
+    in the package or re-exported: a helper that only tests call belongs
+    under ``tests/``."""
+    trees, reexported, used = _package()
+    orphans = [
+        f"iiblab.{mod}.{node.name}"
+        for mod, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in _dunder_all(tree)
+        and node.name not in used
+        and node.name not in reexported
+    ]
+    assert not orphans, f"public but never read in src/iiblab: {orphans}"
 
 
 def _public_members(cls):
@@ -103,7 +120,6 @@ def test_every_public_method_is_reachable():
             if not inspect.isclass(cls) or cls.__module__ != name:
                 continue
             for member in _public_members(cls):
-                qualified = f"{name}.{sym}.{member}"
-                if member not in used and qualified not in METHOD_ALLOWLIST:
-                    orphans.append(qualified)
+                if member not in used:
+                    orphans.append(f"{name}.{sym}.{member}")
     assert not orphans, f"public but never read in src/iiblab: {orphans}"

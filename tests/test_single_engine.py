@@ -1,10 +1,10 @@
-"""The package has one spectral-derivative engine.
+"""The package has one derivative engine.
 
-Every FFT in ``src/iiblab`` is taken in a method allowed to transform:
-the engine :meth:`TorusGrid.derivatives`, the per-axis oracle
-:meth:`TorusGrid.real_derivative`, and :meth:`TorusGrid.top_band_fraction`,
-kept until the diagnostics records decide whether to adopt it.  A second
-engine shows up here as a transform anywhere else.
+Every FFT in ``src/iiblab`` is taken in :meth:`TorusGrid.derivatives`, and
+every ``np.roll`` in its fd8 stencil helper, ``TorusGrid._stencil``: the
+engine is the only place that differentiates or transforms a field.  A
+second engine, or a per-axis derivative beside it, shows up here as a
+transform or a roll anywhere else.
 """
 
 import ast
@@ -15,16 +15,15 @@ import iiblab
 SRC = pathlib.Path(iiblab.__file__).parent
 
 ALLOWED = {
-    "fftn": {"TorusGrid.derivatives", "TorusGrid.top_band_fraction"},
-    "ifftn": {"TorusGrid.derivatives"},
-    "fft": {"TorusGrid.real_derivative"},
-    "ifft": {"TorusGrid.real_derivative"},
+    "fft.fftn": {"TorusGrid.derivatives"},
+    "fft.ifftn": {"TorusGrid.derivatives"},
+    "roll": {"TorusGrid._stencil"},
 }
 HELPERS = {"fftfreq", "rfftfreq", "fftshift", "ifftshift"}  # they transform nothing
 
 
-def _transforms(tree: ast.Module) -> list[tuple[str, str, int]]:
-    """``(name, enclosing class.function, line)`` of every ``*.fft.<name>``."""
+def _sites(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """``(name, enclosing class.function, line)`` of every ``*.fft.<name>`` and ``*.roll``."""
     found = []
 
     def visit(node, scope):
@@ -32,13 +31,15 @@ def _transforms(tree: ast.Module) -> list[tuple[str, str, int]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if (
-                isinstance(child, ast.Attribute)
-                and isinstance(child.value, ast.Attribute)
-                and child.value.attr == "fft"
-                and child.attr not in HELPERS
-            ):
-                found.append((child.attr, ".".join(scope), child.lineno))
+            if isinstance(child, ast.Attribute):
+                if (
+                    isinstance(child.value, ast.Attribute)
+                    and child.value.attr == "fft"
+                    and child.attr not in HELPERS
+                ):
+                    found.append((f"fft.{child.attr}", ".".join(scope), child.lineno))
+                elif child.attr == "roll":
+                    found.append(("roll", ".".join(scope), child.lineno))
             visit(child, scope)
 
     visit(tree, ())
@@ -52,17 +53,17 @@ def _trees():
 def test_transforms_only_in_the_engine():
     sites, stray = set(), []
     for name, tree in _trees().items():
-        for fn, scope, line in _transforms(tree):
+        for fn, scope, line in _sites(tree):
             sites.add((fn, scope))
             if scope not in ALLOWED.get(fn, ()):
-                stray.append(f"{name}:{line} np.fft.{fn} in {scope or '<module>'}")
-    assert not stray, f"FFT outside the derivative engine: {stray}"
+                stray.append(f"{name}:{line} np.{fn} in {scope or '<module>'}")
+    assert not stray, f"derivative outside the engine: {stray}"
     # the guard sees the engine itself, so it is not vacuous
-    assert {("fftn", "TorusGrid.derivatives"), ("ifftn", "TorusGrid.derivatives")} <= sites
+    assert {(fn, scope) for fn, scopes in ALLOWED.items() for scope in scopes} <= sites
 
 
 def test_fft_is_reached_only_through_numpy_fft():
-    """No module imports a transform under another name the walk above misses."""
+    """No module imports a transform or ``roll`` under a name the walk above misses."""
     imports = []
     for name, tree in _trees().items():
         for node in ast.walk(tree):
@@ -72,6 +73,6 @@ def test_fft_is_reached_only_through_numpy_fft():
                 modules = [a.name for a in node.names]
             else:
                 continue
-            if any("fft" in m for m in modules):
+            if any("fft" in m or m == "roll" for m in modules):
                 imports.append(f"{name}:{node.lineno}")
-    assert not imports, f"direct FFT imports: {imports}"
+    assert not imports, f"direct FFT or roll imports: {imports}"

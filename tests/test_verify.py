@@ -37,7 +37,7 @@ from iiblab.metrics import (
     kahler_from_potential,
 )
 from iiblab.chern import pair_endo_forms
-from iiblab.verify import band_covector
+from probes import band_covector
 
 GRID = TorusGrid(3, (0, 1), 16)
 
@@ -343,6 +343,19 @@ def test_trh_and_dilaton_second_order_in_dt():
         assert a < 1e-5
         assert 2.5 < a / b < 6.5
 
+
+
+def test_trh_evolution_inverts_no_matrix(monkeypatch):
+    """h^-1 = g_c^-1 g_ref is read off the center package's ginv."""
+    traj = _short_run(GRID, random_band_metric(GRID, seed=3, amplitude=0.2))
+    want = verify_trh_evolution(traj)
+    assert want[0]["status"] == "ok"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    assert verify_trh_evolution(traj) == want
 
 def test_s_evolution_on_small_amplitude_family():
     g0 = _balanced(GRID, 0.05)
