@@ -46,7 +46,6 @@ from .metrics import (
     balanced_band_metric,
     conformally_balanced_defect,
     flat_metric,
-    kahler_from_potential,
     random_band_metric,
     volume_norm,
 )

@@ -95,10 +95,6 @@ class ChernPackage:
         return np.ascontiguousarray(self.grid.to_grid_last(self.g))
 
     @functools.cached_property
-    def _ginv_last(self) -> np.ndarray:
-        return np.ascontiguousarray(self.grid.to_grid_last(self.ginv))
-
-    @functools.cached_property
     def active_dg(self) -> np.ndarray:
         """Grid-last ``dg[i, a, b]``: holomorphic derivative of g along the
         i-th active direction."""
@@ -111,7 +107,7 @@ class ChernPackage:
 
         ``gamma[i, p, q] = sum_a ginv[p, a] dg[i, a, q]`` (upper p, lower q).
         """
-        ginv, dg = self._ginv_last, self.active_dg
+        ginv, dg = self.factor.ginv, self.active_dg
         out = np.zeros_like(dg)
         for i in range(len(dg)):
             for a in range(self.grid.n):
@@ -145,7 +141,7 @@ class ChernPackage:
 
         ``out[p, q] = sum g[p, l] ginv[j, k] curv[k, j, l, q]``.
         """
-        ginv, curv = self._ginv_last, self.active_curvature
+        ginv, curv = self.factor.ginv, self.active_curvature
         active = self.grid.active_directions
         traced = np.zeros_like(ginv)
         for j_at, j in enumerate(active):
@@ -183,7 +179,7 @@ class ChernPackage:
         index is active, so the first term sums over active p and the second
         is non-zero only on the active i.
         """
-        ginv, dg = self._ginv_last, self.active_dg
+        ginv, dg = self.factor.ginv, self.active_dg
         ginv_t = np.swapaxes(ginv, 0, 1)
         out = np.zeros_like(ginv[0])
         for i, p in enumerate(self.grid.active_directions):
@@ -205,7 +201,7 @@ class ChernPackage:
         the first index of dg (p and a) runs over the active directions only.
         """
         n = self.grid.n
-        ginv, dg = self._ginv_last, self.active_dg
+        ginv, dg = self.factor.ginv, self.active_dg
         active = self.grid.active_directions
         r = [np.zeros_like(ginv) for _ in active]
         for r_p, dg_p in zip(r, dg):
@@ -298,17 +294,7 @@ class ChernPackage:
         requests = [(p, False, q, True) for p in range(n) for q in range(n)]
         hess = self.grid.derivatives(np.asarray(f, dtype=complex), requests, self.scheme)
         hess = hess.reshape((n, n) + self.grid.shape)
-        return np.einsum("pq...,pq...->...", self._ginv_last, hess)
-
-    def endo_norm_sq(self, a: np.ndarray) -> np.ndarray:
-        """Squared norm of an endomorphism-valued one-form ``a[..., m, x, y]``.
-
-        The ``(ginv, g, ginv)`` case of :func:`pair_endo_forms`, summed over
-        every form slot (a may be non-zero along inactive directions).
-        """
-        # a grid-first view of the contiguous grid-last g spares the pairing a copy
-        g = self.grid.to_grid_first(self._g_last)
-        return pair_endo_forms(self.ginv, g, self.ginv, a, a).real
+        return np.einsum("pq...,pq...->...", self.factor.ginv, hess)
 
 
 def pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
@@ -316,8 +302,9 @@ def pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
 
     ``sum m1[m, g] m2[u, b] m3[l, a] x[m, b, l] conj(y[g, u, a])``: ``m1``
     contracts the form slots, ``m2`` the upper endomorphism slots and ``m3``
-    the lower ones.  This is the one pairing of such forms; with ``(ginv, g,
-    ginv)`` it is :meth:`ChernPackage.endo_norm_sq`.  It runs grid-last, as
+    the lower ones.  This is the one pairing of such forms; its ``(ginv, g,
+    ginv)`` case, with x = y over every form slot, is the squared norm of
+    x.  It runs grid-last, as
     ``sum_m sum_{u,a} z_m[u, a] w_m[u, a]`` with ``z_m = m2 x_m m3`` and
     ``w_m = sum_g m1[m, g] conj(y_g)``.  Inputs are grid-first, with any
     number of leading grid axes.  The form slots may be fewer than the

@@ -215,8 +215,7 @@ def _cmd_run(args) -> int:
             if record:
                 line = {"kind": "diagnostics", "step": step}
                 line.update(compute_diagnostics(
-                    rc.grid, g, baseline, trajectory.times[j],
-                    test_function=rc.test_function,
+                    g, baseline, trajectory.times[j], test_function=rc.test_function,
                 ))
                 fh.write(json.dumps(line) + "\n")
             if snap:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import numpy as np
 
 from .chern import ChernPackage, pair_endo_forms
-from .grid import TorusGrid
 from .metrics import conformally_balanced_defect
 
 __all__ = ["compute_diagnostics"]
@@ -43,7 +42,6 @@ _LOG_FLOOR = 1e-300
 
 
 def compute_diagnostics(
-    grid: TorusGrid,
     g: np.ndarray,
     baseline: ChernPackage,
     t: float,
@@ -51,12 +49,12 @@ def compute_diagnostics(
 ) -> dict:
     """Build the record of the physical metric ``g`` at time ``t``.
 
-    ``baseline`` is the :class:`ChernPackage` of the run's initial metric,
-    on the same grid; it fixes both the endomorphism baseline and the
-    reference connection for S.  ``test_function`` is an optional
-    ``(epsilon, a)`` pair.
+    ``baseline`` is the :class:`ChernPackage` of the run's initial metric;
+    it fixes the grid, the endomorphism baseline and the reference
+    connection for S.  ``test_function`` is an optional ``(epsilon, a)``
+    pair.
     """
-    grid.require_same(baseline.grid)
+    grid = baseline.grid
     pkg = ChernPackage(grid, g)
 
     # h = L^-1 g L^-H is Hermitian and similar to g0^-1 g (g0 the baseline metric):

@@ -38,7 +38,6 @@ __all__ = [
     "min_eigenvalue",
     "flat_metric",
     "balanced_band_metric",
-    "kahler_from_potential",
     "random_band_metric",
     "fourier_scalar",
     "volume_norm_sq",
@@ -191,15 +190,6 @@ def balanced_band_metric(grid: TorusGrid, f: np.ndarray, stretch: float = 1.0) -
     for j in range(1, n):
         g[..., j, j] = np.exp(f)
     return g
-
-
-def kahler_from_potential(grid: TorusGrid, phi: np.ndarray) -> np.ndarray:
-    """Metric ``g[kbar,j] = delta + d_j d_kbar phi`` from a real potential."""
-    n = grid.n
-    requests = [(j, False, k, True) for k in range(n) for j in range(n)]
-    hess = grid.derivatives(np.asarray(phi, dtype=complex), requests)
-    hess = grid.to_grid_first(hess.reshape((n, n) + grid.shape))
-    return hermitize(flat_metric(grid) + hess)
 
 
 def random_band_metric(

@@ -374,6 +374,12 @@ def resolve_config(
             "evolution identities use centered time differencing over a"
             " uniform window; give control.dt (fixed step) to schedule them"
         )
+    if weighted_source is not None and any(n == "stationarity" for n, _ in suite):
+        raise ConfigError(
+            "the stationarity identity checks the anchor equation, which takes"
+            " only a psi-constant source; a phi-field source has no static"
+            " anchor form"
+        )
 
     tf = None
     if "testFunction" in cfg:

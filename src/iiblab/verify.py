@@ -39,15 +39,17 @@ connection mixes stays full.  Each Bianchi residual is formed only where
 one curvature slot is active, and each commutator residual on the active
 derivative slots; the rest of them is exactly zero, and ``meanResidual``
 still averages over the full tensor.  The ``connection-difference``
-check compares the full tensors, and so also checks that the fd8 oracle
-leaves the inactive slots at zero.
+check compares the full tensors; their inactive slots are structural
+zeros of the derivative engine, which never computes a derivative along
+a direction with no active axis (``tests/test_grid.py::
+test_inactive_axis_derivative_is_zero`` pins them).
 
 Sign and pairing conventions fixed here (the verified identities pin
 them; flipping any one makes the small-amplitude checks fail by orders
 of magnitude):
 
 * the endomorphism-valued pairing, ``pair_endo_forms`` (the one pairing;
-  ``ChernPackage.endo_norm_sq`` is its ``(ginv, g, ginv)`` case),
+  the squared norm of a connection is its ``(ginv, g, ginv)`` case),
   conjugates its second slot and contracts the form slot against the
   inverse metric;
 * the rough Laplacian applies the barred derivative first and traces
@@ -101,19 +103,22 @@ def _report(
     grid: TorusGrid,
     oracle: dict,
     detail: str = "",
-    entries: int | None = None,
 ) -> dict:
     """The report of one identity; ``residuals`` None marks a failed precondition.
 
-    The mean divides by ``entries`` when given: the size of the full tensor
-    of which ``residuals`` is the part that can be non-zero.
+    The mean divides by the size of the full tensor, n entries per index
+    slot over the whole grid, also where a residual holds only the live
+    directions of a slot (the rest being exact zeros).
     """
     mx = mean = None
     if residuals is not None:
         arrays = residuals if isinstance(residuals, (list, tuple)) else [residuals]
-        flats = [np.abs(np.asarray(r)).ravel() for r in arrays]
+        arrays = [np.asarray(r) for r in arrays]
+        flats = [np.abs(r).ravel() for r in arrays]
         joined = np.concatenate(flats) if len(flats) > 1 else flats[0]
-        mx, mean = float(joined.max()), float(joined.sum() / (entries or joined.size))
+        slots = sum(grid.n ** (r.ndim - grid.ndim_grid) for r in arrays)
+        full = slots * grid.resolution**grid.ndim_grid
+        mx, mean = float(joined.max()), float(joined.sum() / full)
     return {
         "identityName": name,
         "maxResidual": mx,
@@ -129,11 +134,6 @@ def _report(
 
 def _spatial_oracle() -> dict:
     return {"lhsScheme": SPECTRAL, "rhsScheme": ORACLE}
-
-
-def _full_count(grid: TorusGrid, rank: int) -> int:
-    """Entries of a full tensor with ``rank`` index slots, over the whole grid."""
-    return grid.n**rank * grid.resolution**grid.ndim_grid
 
 
 def _active_block(m: np.ndarray, act: list[int]) -> np.ndarray:
@@ -204,7 +204,7 @@ def verify_connection_difference(
         detail="both alternate assemblies compared against the direct difference",
     )
 
-    s_direct = pkg.endo_norm_sq(a1)
+    s_direct = pair_endo_forms(pkg.ginv, pkg.g, pkg.ginv, a1, a1).real
     s_from_dg = pair_endo_forms(pkg.ginv, pkg.ginv, pkg.ginv, dg_fd, dg_fd).real
     rep_s = _report("s-two-path", s_direct - s_from_dg, tolerance, grid, oracle)
     return [rep_a, rep_s]
@@ -268,8 +268,7 @@ def verify_bianchi(
     residuals["bianchi-second-conjugate"] = pkg.covd_bar(pkg_j, "Llul") - rhs
 
     return [
-        _report(name, res, tolerance, grid, _spatial_oracle(),
-                entries=_full_count(grid, res.ndim - grid.ndim_grid))
+        _report(name, res, tolerance, grid, _spatial_oracle())
         for name, res in residuals.items()
     ]
 
@@ -303,7 +302,6 @@ def verify_commutator_convention(
         raise ValenceError(f"covector shape {w.shape} does not fit the grid")
 
     act = list(grid.active_directions)
-    entries = _full_count(grid, 3)
     curv = grid.to_grid_first(fd.active_curvature)
 
     # each inner derivative slot is sliced to the live directions before
@@ -313,8 +311,7 @@ def verify_commutator_convention(
     second = np.swapaxes(pkg.covd_bar(pkg.covd(w, "l")[..., act, :], "ll"), -3, -2)
     rhs = -np.einsum("...kjpi,...p->...jki", curv, w)
     rep_low = _report(
-        "commutator-covector", (first - second[..., act, :]) - rhs, tolerance, grid,
-        oracle, entries=entries,
+        "commutator-covector", (first - second[..., act, :]) - rhs, tolerance, grid, oracle,
     )
 
     v = np.conj(w)
@@ -322,10 +319,7 @@ def verify_commutator_convention(
     second_b = np.swapaxes(pkg.covd_bar(pkg.covd(v, "L")[..., act, :], "lL"), -3, -2)
     rhs_b = np.einsum("...jkpi,...p->...jki", np.conj(curv), v)
     lhs_b = first_b - second_b[..., act, :]
-    rep_bar = _report(
-        "commutator-covector-barred", lhs_b - rhs_b, tolerance, grid, oracle,
-        entries=entries,
-    )
+    rep_bar = _report("commutator-covector-barred", lhs_b - rhs_b, tolerance, grid, oracle)
     return [rep_low, rep_bar]
 
 
@@ -477,7 +471,7 @@ def verify_trh_evolution(
         term_curv = -np.einsum(
             "...qp,...pqaj,...ja->...", ginv_live, curv, h, optimize=True
         )
-        term_tors = -0.5 * np.einsum("...jk,...kj->...", ref.ginv, pkg.ttbar)
+        term_tors = -0.5 * _lambda_trace(ref.ginv, pkg.ttbar)
         rhs = term_grad + term_curv + term_tors - ref_phi
         residuals.append(d_trh - lap - rhs)
 

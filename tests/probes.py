@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from iiblab.metrics import fourier_scalar
+from iiblab.metrics import flat_metric, fourier_scalar, hermitize
 
 
 def band_covector(grid) -> np.ndarray:
@@ -26,3 +26,12 @@ def band_covector(grid) -> np.ndarray:
         ]
         comps.append(fourier_scalar(grid, terms).astype(complex))
     return np.stack(comps, axis=-1)
+
+
+def kahler_from_potential(grid, phi: np.ndarray) -> np.ndarray:
+    """Metric ``g[kbar,j] = delta + d_j d_kbar phi`` from a real potential."""
+    n = grid.n
+    requests = [(j, False, k, True) for k in range(n) for j in range(n)]
+    hess = grid.derivatives(np.asarray(phi, dtype=complex), requests)
+    hess = grid.to_grid_first(hess.reshape((n, n) + grid.shape))
+    return hermitize(flat_metric(grid) + hess)

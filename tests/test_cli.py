@@ -110,11 +110,8 @@ def test_run_recompute_from_snapshots_matches_stream(tmp_path):
     baseline = ChernPackage(grid0, arrays0["metric"])
     for rec in records:
         path = out / f"state-{rec['step']:08d}.snap"
-        grid, t, arrays, _ = load_snapshot(path)
-        redone = compute_diagnostics(
-            grid, arrays["metric"], baseline, t,
-            test_function=(0.02, 1.0),
-        )
+        _, t, arrays, _ = load_snapshot(path)
+        redone = compute_diagnostics(arrays["metric"], baseline, t, test_function=(0.02, 1.0))
         for key, value in redone.items():
             assert rec[key] == value, key
 
@@ -490,6 +487,18 @@ def test_verify_stationarity_receives_the_anchor_source(tmp_path):
     reports = json.loads((out / "reports.json").read_text())["reports"]
     by_name = {r["identityName"]: r for r in reports}
     assert by_name["stationarity-source"]["maxResidual"] == 0.125
+
+
+def test_verify_stationarity_with_a_phi_field_exits_one(tmp_path, capsys):
+    grid = TorusGrid(3, (0, 1), RES)
+    phi = np.zeros(grid.shape + (3, 3), dtype=complex)
+    phi[..., 1, 1] = 5.0
+    save_snapshot(tmp_path / "phi.snap", grid, 0.0, {"phi": phi})
+    cfg = _flat_cfg(source={"kind": "phi-field", "path": "phi.snap"},
+                    verifySuite=[{"identity": "stationarity"}])
+    config = _write(tmp_path, "phi.json", cfg)
+    message = _config_error(capsys, ["verify", "--config", config, "--out", str(tmp_path / "o")])
+    assert "stationarity" in message and "phi-field" in message
 
 
 def _refuse_constant(token):

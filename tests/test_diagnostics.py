@@ -5,7 +5,6 @@ import pytest
 
 from iiblab import (
     ChernPackage,
-    GridError,
     TorusGrid,
     compute_diagnostics,
     flat_metric,
@@ -28,7 +27,7 @@ EXPECTED_KEYS = [
 
 def test_flat_record_values_are_exact():
     flat = flat_metric(GRID)
-    rec = compute_diagnostics(GRID, flat, ChernPackage(GRID, flat), t=0.5)
+    rec = compute_diagnostics(flat, ChernPackage(GRID, flat), t=0.5)
     assert rec["t"] == 0.5
     assert rec["hEigMin"] == rec["hEigMax"] == 1.0
     assert rec["tauMax"] == 0.0
@@ -44,7 +43,7 @@ def test_flat_record_values_are_exact():
 
 def test_constant_rescale_against_flat_baseline():
     flat = flat_metric(GRID)
-    rec = compute_diagnostics(GRID, 2.0 * flat, ChernPackage(GRID, flat), t=0.0)
+    rec = compute_diagnostics(2.0 * flat, ChernPackage(GRID, flat), t=0.0)
     assert rec["hEigMin"] == pytest.approx(2.0, abs=1e-13)
     assert rec["hEigMax"] == pytest.approx(2.0, abs=1e-13)
     assert rec["trhMin"] == pytest.approx(6.0, abs=1e-12)
@@ -57,7 +56,7 @@ def test_constant_rescale_against_flat_baseline():
 def test_balanced_family_record_shape():
     f = fourier_scalar(GRID, [[1, 1, 0.0, -0.1], [1, -1, 0.0, -0.1]])
     g = balanced_band_metric(GRID, f)
-    rec = compute_diagnostics(GRID, g, ChernPackage(GRID, g), t=0.0)
+    rec = compute_diagnostics(g, ChernPackage(GRID, g), t=0.0)
     assert rec["balancedDefect"] < 1e-10
     assert rec["torsionSqMax"] > 1e-6
     assert rec["tauMax"] > 1e-4
@@ -68,17 +67,8 @@ def test_balanced_family_record_shape():
 
 def test_dict_keys_are_camel_case():
     flat = flat_metric(GRID)
-    rec = compute_diagnostics(GRID, flat, ChernPackage(GRID, flat), t=0.0)
+    rec = compute_diagnostics(flat, ChernPackage(GRID, flat), t=0.0)
     assert list(rec) == EXPECTED_KEYS
-
-
-def test_baseline_on_another_grid_is_refused():
-    # same array shape, different active axes
-    other = TorusGrid(3, (0, 2), 8)
-    assert other.shape == GRID.shape
-    flat = flat_metric(GRID)
-    with pytest.raises(GridError):
-        compute_diagnostics(GRID, flat, ChernPackage(other, flat_metric(other)), t=0.0)
 
 
 def test_test_function_clamps_vanishing_s():
@@ -87,7 +77,7 @@ def test_test_function_clamps_vanishing_s():
     term on top."""
     flat = flat_metric(GRID)
     rec = compute_diagnostics(
-        GRID, flat, ChernPackage(GRID, flat), t=0.0, test_function=(0.1, 2.0)
+        flat, ChernPackage(GRID, flat), t=0.0, test_function=(0.1, 2.0)
     )
     assert list(rec) == EXPECTED_KEYS + ["testFunctionMax"]
     assert np.isfinite(rec["testFunctionMax"])
@@ -100,7 +90,7 @@ def test_test_function_tracks_s_once_nonzero():
     f = fourier_scalar(GRID, [[1, 1, 0.0, -0.1], [1, -1, 0.0, -0.1]])
     g = balanced_band_metric(GRID, f)
     rec = compute_diagnostics(
-        GRID, g, ChernPackage(GRID, flat), t=0.0, test_function=(0.0, 0.0)
+        g, ChernPackage(GRID, flat), t=0.0, test_function=(0.0, 0.0)
     )
     # with epsilon = a = 0 the test function is exactly log max S
     assert rec["testFunctionMax"] == pytest.approx(np.log(rec["sMax"]), rel=1e-12)
@@ -164,7 +154,7 @@ def test_record_matches_reference_formulas(random_pair):
     grid, g, g0 = random_pair
     want = _reference_record(grid, g, g0, 0.25, (0.02, 1.0))
     baseline = ChernPackage(grid, g0)
-    got = compute_diagnostics(grid, g, baseline, 0.25, test_function=(0.02, 1.0))
+    got = compute_diagnostics(g, baseline, 0.25, test_function=(0.02, 1.0))
     assert set(got) == set(want)
     for key, value in want.items():
         assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
@@ -175,6 +165,6 @@ def test_prebuilt_baseline_is_bit_exact(random_pair):
     baseline = ChernPackage(grid, g0)
     for metric in (g, g0):
         fresh = ChernPackage(grid, g0)
-        from_fresh = compute_diagnostics(grid, metric, fresh, 0.5, test_function=(0.02, 1.0))
-        prebuilt = compute_diagnostics(grid, metric, baseline, 0.5, test_function=(0.02, 1.0))
+        from_fresh = compute_diagnostics(metric, fresh, 0.5, test_function=(0.02, 1.0))
+        prebuilt = compute_diagnostics(metric, baseline, 0.5, test_function=(0.02, 1.0))
         assert prebuilt == from_fresh

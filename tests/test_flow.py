@@ -43,11 +43,11 @@ from iiblab.metrics import (
     balanced_band_metric,
     fourier_scalar,
     hermitize,
-    kahler_from_potential,
     min_eigenvalue,
     random_band_metric,
     volume_norm_sq,
 )
+from probes import kahler_from_potential
 
 GRID = TorusGrid(3, (0, 1), 8)
 FLAT = flat_metric(GRID)

@@ -10,7 +10,6 @@ from iiblab import (
     balanced_band_metric,
     conformally_balanced_defect,
     flat_metric,
-    kahler_from_potential,
     random_band_metric,
     volume_norm,
 )
@@ -21,6 +20,7 @@ from iiblab.metrics import (
     hermiticity_defect,
     is_positive,
 )
+from probes import kahler_from_potential
 
 GRID = TorusGrid(3, (0, 1), 16)
 

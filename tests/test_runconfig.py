@@ -309,6 +309,14 @@ def test_phi_field_source_round_trip(tmp_path):
             base_dir=str(tmp_path),
         )
 
+    # stationarity checks the anchor equation, where a phi field has no form
+    with pytest.raises(ConfigError, match="stationarity.*phi-field"):
+        resolve_config(
+            _base(source={"kind": "phi-field", "path": "phi.snap"},
+                  verifySuite=[{"identity": "tau"}, {"identity": "stationarity"}]),
+            base_dir=str(tmp_path),
+        )
+
 
 def test_phi_field_requires_named_hermitian_array(tmp_path):
     grid = TorusGrid(3, (0, 1), 8)

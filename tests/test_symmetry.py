@@ -302,7 +302,7 @@ def _spatial_outputs(grid, g, g0, probe):
         kwargs = {"covector": probe} if key == "commutator" else {}
         for rep in SPATIAL_REGISTRY[key](grid, g, **kwargs):
             residuals[rep["identityName"]] = rep["maxResidual"]
-    record = compute_diagnostics(grid, g, ChernPackage(grid, g0), 0.5, (0.02, 1.0))
+    record = compute_diagnostics(g, ChernPackage(grid, g0), 0.5, (0.02, 1.0))
     return residuals, record
 
 

@@ -34,10 +34,9 @@ from iiblab.metrics import (
     balanced_band_metric,
     conformally_balanced_defect,
     fourier_scalar,
-    kahler_from_potential,
 )
 from iiblab.chern import pair_endo_forms
-from probes import band_covector
+from probes import band_covector, kahler_from_potential
 
 GRID = TorusGrid(3, (0, 1), 16)
 
@@ -375,7 +374,7 @@ def _s_evolution_full(traj):
     c = len(states) // 2
     dt = dict(verify._centered_windows(np.asarray(traj.times)))[c]
     pkgs = [ChernPackage(grid, states[t]) for t in (c - 1, c, c + 1)]
-    s_all = [p.endo_norm_sq(p.gamma) for p in pkgs]
+    s_all = [pair_endo_forms(p.ginv, p.g, p.ginv, p.gamma, p.gamma).real for p in pkgs]
     pkg, a = pkgs[1], pkgs[1].gamma
     metric = (pkg.ginv, pkg.g, pkg.ginv)
     d_s = (s_all[2] - s_all[0]) / (2.0 * dt)
@@ -541,3 +540,21 @@ def test_report_serialization_contract():
         "gridSpec", "oracleSpec", "pass", "status", "detail",
     }
     assert data["gridSpec"] == {"n": 3, "activeAxes": [0, 1], "resolution": 16}
+
+
+def test_report_mean_is_over_the_full_tensor():
+    """A residual that holds only the live directions of one slot averages
+    over the zero-padded full tensor; a full residual over its own size."""
+    rng = np.random.default_rng(11)
+    act = list(GRID.active_directions)
+    assert len(act) < GRID.n
+    shape = GRID.shape + (len(act), GRID.n)
+    live = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    full = np.zeros(GRID.shape + (GRID.n, GRID.n), dtype=complex)
+    full[..., act, :] = live
+    oracle = {"scheme": "test"}
+    from_live = verify._report("live", live, 1.0, GRID, oracle)
+    from_full = verify._report("full", full, 1.0, GRID, oracle)
+    assert from_full["meanResidual"] == float(np.abs(full).ravel().sum() / full.size)
+    assert from_live["meanResidual"] == pytest.approx(np.abs(full).mean(), rel=1e-14, abs=0.0)
+    assert from_live["maxResidual"] == from_full["maxResidual"]
