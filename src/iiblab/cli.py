@@ -104,22 +104,26 @@ def _out_dir(args, rc: ResolvedConfig) -> str:
 def _execute_suite(rc: ResolvedConfig) -> list:
     """Run the configured identity suite on the configured initial data.
 
-    Spatial identities are checked directly on the initial metric; the
-    stationarity check also receives the run's anchor source.  Evolution
-    identities share one short fixed-step trajectory of the weighted
-    formulation, five snapshots wide.  A sigma-basis source psi is frozen
-    to its induced matrix field ``-w0 psi w0 / (n-2)!`` at t = 0, so the
-    window is an exact solution of the equation the identities describe.
+    Spatial identities share one spectral package of the initial metric,
+    built when the first of them runs; the stationarity check also
+    receives the run's anchor source.  Evolution identities share one
+    short fixed-step trajectory of the weighted formulation, five
+    snapshots wide, and the packages of its states that the trajectory
+    keeps.  A sigma-basis source psi is frozen to its induced matrix field
+    ``-w0 psi w0 / (n-2)!`` at t = 0, so the window is an exact solution
+    of the equation the identities describe.
     """
     grid, g0 = rc.grid, rc.initial_metric
     reports = []
-    window = window_phi = None
+    pkg0 = window = window_phi = None
     for name, tol in rc.verify_suite:
         kw = {} if tol is None else {"tolerance": tol}
         if name in SPATIAL_REGISTRY:
             if name == "stationarity":
                 kw["source_matrix"] = rc.anchor_source
-            reports += SPATIAL_REGISTRY[name](grid, g0, **kw)
+            if pkg0 is None:
+                pkg0 = ChernPackage(grid, g0)
+            reports += SPATIAL_REGISTRY[name](pkg0, **kw)
             continue
         if window is None:
             window_phi = rc.weighted_source

@@ -34,10 +34,6 @@ class HermiticityError(IIBLabError):
 class PositivityError(IIBLabError):
     """A metric lost positive definiteness (smallest eigenvalue at fault)."""
 
-    def __init__(self, message: str, min_eigenvalue: float | None = None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
-
 
 class DegeneracyError(IIBLabError):
     """Operation undefined at this complex dimension (the n = 2 corner)."""

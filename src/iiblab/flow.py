@@ -58,6 +58,7 @@ rescales time: it multiplies w by |c|.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -282,7 +283,10 @@ class Trajectory:
     """Recorded flow run: native snapshots plus conversion helpers.
 
     ``times[i]``, ``steps[i]`` and ``snapshots[i]`` are the time, the step
-    number and the state of the i-th kept state.
+    number and the state of the i-th kept state, and ``packages[i]`` is the
+    spectral :class:`ChernPackage` of that native state, built on first read
+    and kept with the trajectory.  :func:`run_flow` appends no state after
+    it returns, so the packages never fall behind the snapshots.
     """
 
     grid: TorusGrid
@@ -293,6 +297,10 @@ class Trajectory:
     status: str = STATUS_COMPLETED
     steps_taken: int = 0
     stop_detail: str = ""
+
+    @functools.cached_property
+    def packages(self) -> list[ChernPackage]:
+        return [ChernPackage(self.grid, s) for s in self.snapshots]
 
     def metric_at(self, index: int) -> np.ndarray:
         """Snapshot as a plain metric, whatever the native variable is."""

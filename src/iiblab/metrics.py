@@ -133,9 +133,7 @@ def check_positive(g: np.ndarray) -> MetricFactor:
         return MetricFactor(g)
     except PositivityError:
         low = min_eigenvalue(g)
-    raise PositivityError(
-        f"metric loses positivity: min eigenvalue {low:.3e}", min_eigenvalue=low
-    )
+    raise PositivityError(f"metric loses positivity: min eigenvalue {low:.3e}")
 
 
 # -- constructors -------------------------------------------------------------
@@ -146,6 +144,14 @@ def flat_metric(grid: TorusGrid) -> np.ndarray:
     for j in range(grid.n):
         g[..., j, j] = 1.0
     return g
+
+
+def _phase(grid: TorusGrid, ks) -> np.ndarray:
+    """``2 pi k.u`` over the active coordinates u, one wave number per active axis."""
+    phase = np.zeros(grid.shape, dtype=float)
+    for k_int, axis in zip(ks, grid.active_axes):
+        phase = phase + 2.0 * np.pi * float(k_int) * grid.coordinate(axis)
+    return phase
 
 
 def fourier_scalar(grid: TorusGrid, terms) -> np.ndarray:
@@ -164,12 +170,8 @@ def fourier_scalar(grid: TorusGrid, terms) -> np.ndarray:
                 f"fourier term needs {m} wave numbers + 2 coefficient parts: {term}"
             )
         ks, (re, im) = term[:m], term[m:]
-        phase = np.zeros(grid.shape, dtype=float)
-        for k_int, axis in zip(ks, grid.active_axes):
-            coord = grid.coordinate(axis)
-            phase = phase + 2.0 * np.pi * float(k_int) * coord
         a = complex(re, im)
-        out = out + (a * np.exp(1j * phase)).real
+        out = out + (a * np.exp(1j * _phase(grid, ks))).real
     return out
 
 
@@ -229,9 +231,7 @@ def random_band_metric(
 
     bound = 0.0
     for kvec in waves:
-        phase = np.zeros(grid.shape, dtype=float)
-        for k_int, axis in zip(kvec, grid.active_axes):
-            phase = phase + 2.0 * np.pi * k_int * grid.coordinate(axis)
+        phase = _phase(grid, kvec)
         pair_norms = []
         for osc in (np.cos(phase), np.sin(phase)):
             raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

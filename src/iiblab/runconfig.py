@@ -287,11 +287,7 @@ def _load_phi(path, grid: TorusGrid) -> np.ndarray:
         field_grid, _, arrays, _ = load_snapshot(path)
     except (OSError, SnapshotFormatError) as err:
         raise ConfigError(f"source.path {path}: {err}")
-    if (field_grid.n, field_grid.active_axes, field_grid.resolution) != (
-        grid.n,
-        grid.active_axes,
-        grid.resolution,
-    ):
+    if field_grid != grid:
         raise ConfigError(
             f"source field geometry {field_grid.n}/{field_grid.active_axes}/"
             f"{field_grid.resolution} does not match the run geometry"

@@ -26,6 +26,13 @@ dominates instead: at dt = 1e-5 a 1e-16 relative change of the stored
 states moves ``trh-evolution`` by up to 1e-2 relative, so there these
 residuals say little about truncation error.
 
+A spatial verifier takes the spectral ``ChernPackage`` it checks and reads
+the grid and the metric from it; a package of any other scheme is refused.
+Bianchi and the commutator build their own fd8 package of that metric, the
+only packages this module builds.  Evolution verifiers read the packages
+their trajectory keeps (``Trajectory.packages``), so the three of them on
+one trajectory build one package per stored state.
+
 Fields vary only along the active directions, so a derivative slot, the
 form slot of the connection and both form slots of the curvature are
 exact zeros off the active directions (the *live* slots are the others).
@@ -136,6 +143,17 @@ def _spatial_oracle() -> dict:
     return {"lhsScheme": SPECTRAL, "rhsScheme": ORACLE}
 
 
+def _spectral_grid(pkg: ChernPackage) -> TorusGrid:
+    """The grid of ``pkg``, which a spatial identity checks only when spectral.
+
+    Its reports name the spectral scheme for the package side, and an fd8
+    package held against the fd8 oracle would certify nothing.
+    """
+    if pkg.scheme != SPECTRAL:
+        raise ValenceError(f"spatial identities check a spectral package, got {pkg.scheme}")
+    return pkg.grid
+
+
 def _active_block(m: np.ndarray, act: list[int]) -> np.ndarray:
     """``m[..., p, q]`` for p and q both active."""
     return m[..., act, :][..., act]
@@ -144,18 +162,14 @@ def _active_block(m: np.ndarray, act: list[int]) -> np.ndarray:
 # -- spatial identities ---------------------------------------------------------
 
 
-def verify_tau_identity(
-    grid: TorusGrid,
-    g: np.ndarray,
-    tolerance: float = 1e-8,
-) -> list[dict]:
+def verify_tau_identity(pkg: ChernPackage, tolerance: float = 1e-8) -> list[dict]:
     """Torsion trace against the gradient of the volume-form norm.
 
     Applies only to conformally balanced metrics; anything else gets a
     precondition-failed report carrying the measured defect.
     """
-    oracle = _spatial_oracle()
-    defect = conformally_balanced_defect(grid, g)
+    grid, oracle = _spectral_grid(pkg), _spatial_oracle()
+    defect = conformally_balanced_defect(grid, pkg.g, np.sqrt(pkg.norm_sq))
     if defect > BALANCED_GATE:
         return [
             _report(
@@ -168,17 +182,11 @@ def verify_tau_identity(
                 " the identity does not apply",
             )
         ]
-    pkg = ChernPackage(grid, g)
-    log_sq = np.log(pkg.norm_sq).astype(complex)
-    dlog = 0.5 * grid.holomorphic_gradient(log_sq, ORACLE)
+    dlog = grid.holomorphic_gradient(pkg.log_norm.astype(complex), ORACLE)
     return [_report("tau-torsion-trace", pkg.tau - dlog, tolerance, grid, oracle)]
 
 
-def verify_connection_difference(
-    grid: TorusGrid,
-    g: np.ndarray,
-    tolerance: float = 1e-7,
-) -> list[dict]:
+def verify_connection_difference(pkg: ChernPackage, tolerance: float = 1e-7) -> list[dict]:
     """Three assemblies of the Chern connection, plus its norm.
 
     The reference metric is the flat one, as in :func:`verify_S_evolution`,
@@ -188,13 +196,12 @@ def verify_connection_difference(
     the LAPACK inverse ``inv(g)``; the squared norm of ``gamma`` must
     match the direct contraction of that gradient.
     """
-    pkg = ChernPackage(grid, g)
+    grid, oracle = _spectral_grid(pkg), _spatial_oracle()
     a1 = pkg.gamma
     dg_fd = grid.holomorphic_gradient(pkg.g, ORACLE)
     a2 = np.einsum("...kl,...ilj->...ikj", pkg.ginv, dg_fd)
     a3 = np.einsum("...ag,...igb->...iab", np.linalg.inv(pkg.g), dg_fd)
 
-    oracle = _spatial_oracle()
     rep_a = _report(
         "connection-difference",
         [a1 - a2, a1 - a3],
@@ -221,15 +228,11 @@ def _live_curvature(pkg: ChernPackage, slot: int) -> np.ndarray:
     return pkg.grid.to_grid_first(out if slot == 0 else np.swapaxes(out, 0, 1))
 
 
-def verify_bianchi(
-    grid: TorusGrid,
-    g: np.ndarray,
-    tolerance: float = 1e-7,
-) -> list[dict]:
+def verify_bianchi(pkg: ChernPackage, tolerance: float = 1e-7) -> list[dict]:
     """All four Bianchi-type identities of the Chern connection, each formed
     on the active values of one curvature slot (module docstring)."""
-    pkg = ChernPackage(grid, g)
-    fd = ChernPackage(grid, g, ORACLE)
+    grid, oracle = _spectral_grid(pkg), _spatial_oracle()
+    fd = ChernPackage(grid, pkg.g, ORACLE)
     act = list(grid.active_directions)
     fd_k, fd_j = _live_curvature(fd, 0), _live_curvature(fd, 1)
     pkg_k, pkg_j = _live_curvature(pkg, 0), _live_curvature(pkg, 1)
@@ -268,14 +271,13 @@ def verify_bianchi(
     residuals["bianchi-second-conjugate"] = pkg.covd_bar(pkg_j, "Llul") - rhs
 
     return [
-        _report(name, res, tolerance, grid, _spatial_oracle())
+        _report(name, res, tolerance, grid, oracle)
         for name, res in residuals.items()
     ]
 
 
 def verify_commutator_convention(
-    grid: TorusGrid,
-    g: np.ndarray,
+    pkg: ChernPackage,
     covector: np.ndarray | None = None,
     tolerance: float = 1e-7,
 ) -> list[dict]:
@@ -285,9 +287,8 @@ def verify_commutator_convention(
     being exactly zero (module docstring); the mean is still taken over
     the full (n, n, n) tensor.
     """
-    pkg = ChernPackage(grid, g)
-    fd = ChernPackage(grid, g, ORACLE)
-    oracle = _spatial_oracle()
+    grid, oracle = _spectral_grid(pkg), _spatial_oracle()
+    fd = ChernPackage(grid, pkg.g, ORACLE)
     if covector is None:
         # Constant default probe: on the flat metric every term of the
         # residual is then identically zero, so the trivial case is
@@ -323,14 +324,9 @@ def verify_commutator_convention(
     return [rep_low, rep_bar]
 
 
-def verify_quasilinear_ricci(
-    grid: TorusGrid,
-    g: np.ndarray,
-    tolerance: float = 1e-7,
-) -> list[dict]:
+def verify_quasilinear_ricci(pkg: ChernPackage, tolerance: float = 1e-7) -> list[dict]:
     """Second Ricci curvature against its quasilinear decomposition."""
-    pkg = ChernPackage(grid, g)
-    oracle = _spatial_oracle()
+    grid, oracle = _spectral_grid(pkg), _spatial_oracle()
     # every derivative slot holds the live directions only
     act = list(grid.active_directions)
     ginv_live = _active_block(pkg.ginv, act)
@@ -351,8 +347,7 @@ def verify_quasilinear_ricci(
 
 
 def verify_stationarity(
-    grid: TorusGrid,
-    g: np.ndarray,
+    pkg: ChernPackage,
     source_matrix: np.ndarray | None = None,
     tolerance: float = 1e-10,
 ) -> list[dict]:
@@ -362,9 +357,8 @@ def verify_stationarity(
     power is closed and the curvature-form target matches the source;
     the two reports carry one defect each.
     """
-    pkg = ChernPackage(grid, g)
-    oracle = {"scheme": SPECTRAL}
-    parts = balanced_defect_parts(grid, g, np.sqrt(pkg.norm_sq))
+    grid, oracle = _spectral_grid(pkg), {"scheme": SPECTRAL}
+    parts = balanced_defect_parts(grid, pkg.g, np.sqrt(pkg.norm_sq))
     balanced = _report("stationarity-balanced", parts, tolerance, grid, oracle)
 
     defect = _anchor_target(pkg, source_matrix)[1]
@@ -375,7 +369,8 @@ def verify_stationarity(
 # -- evolution identities --------------------------------------------------------
 
 
-def _weighted_states(trajectory: Trajectory) -> tuple[np.ndarray, list[np.ndarray]]:
+def _weighted_states(trajectory: Trajectory) -> tuple[np.ndarray, list[ChernPackage]]:
+    """The times of a weighted trajectory and the packages of its kept states."""
     if trajectory.formulation != FORM_WEIGHTED:
         raise VerificationError(
             "evolution identities are statements about the weighted flow"
@@ -386,7 +381,7 @@ def _weighted_states(trajectory: Trajectory) -> tuple[np.ndarray, list[np.ndarra
             f"need at least 3 stored snapshots for a centered time"
             f" derivative, got {len(trajectory.snapshots)}"
         )
-    return np.asarray(trajectory.times, dtype=float), trajectory.snapshots
+    return np.asarray(trajectory.times, dtype=float), trajectory.packages
 
 
 def _centered_windows(times: np.ndarray) -> list[tuple[int, float]]:
@@ -438,21 +433,21 @@ def verify_trh_evolution(
     curvature and the derivative slots are read on the active directions
     only.
     """
-    times, states = _weighted_states(trajectory)
+    times, pkgs = _weighted_states(trajectory)
     grid = trajectory.grid
     act = list(grid.active_directions)
-    ref = ChernPackage(grid, states[0])
+    ref = pkgs[0]
     curv = grid.to_grid_first(ref.active_curvature)
     phi_field = _source_field(grid, phi)
     ref_phi = 0.0 if phi_field is None else _lambda_trace(ref.ginv, phi_field)
 
-    h_all = [np.einsum("...ma,...an->...mn", ref.ginv, s) for s in states]
+    h_all = [np.einsum("...ma,...an->...mn", ref.ginv, p.g) for p in pkgs]
     trh_all = [np.einsum("...mm->...", h) for h in h_all]
 
     centers = _centered_windows(times)
     residuals = []
     for c, dt in centers:
-        pkg = ChernPackage(grid, states[c])
+        pkg = pkgs[c]
         ginv_live = _active_block(pkg.ginv, act)
         d_trh = (trh_all[c + 1] - trh_all[c - 1]) / (2.0 * dt)
         lap = pkg.scalar_laplacian(trh_all[c])
@@ -491,10 +486,8 @@ def verify_dilaton_evolution(
     side, absorbing the curvature term entirely.  Both read one Laplacian
     per center: half the Chern scalar curvature is Re Delta log|Omega|.
     """
-    times, states = _weighted_states(trajectory)
-    grid = trajectory.grid
-    phi_field = _source_field(grid, phi)
-    pkgs = [ChernPackage(grid, s) for s in states]
+    times, pkgs = _weighted_states(trajectory)
+    phi_field = _source_field(trajectory.grid, phi)
     log_all = [p.log_norm for p in pkgs]
 
     centers = _centered_windows(times)
@@ -540,7 +533,7 @@ def verify_S_evolution(
     ``CONNECTION_RATE_TOLERANCE``), and the flow-specific heat equation
     for gamma (relative tolerance, needs the source when one acted).
     """
-    times, states = _weighted_states(trajectory)
+    times, pkgs = _weighted_states(trajectory)
     grid = trajectory.grid
     phi_field = _source_field(grid, phi)
 
@@ -550,12 +543,12 @@ def verify_S_evolution(
         raise VerificationError("snapshot spacing around the center is not uniform")
 
     act = list(grid.active_directions)
-    pkgs = {t: ChernPackage(grid, states[t]) for t in (c - 1, c, c + 1)}
+    window = {t: pkgs[t] for t in (c - 1, c, c + 1)}
     # the connection, paired over its live form slots only
-    live = {t: grid.to_grid_first(p.active_gamma) for t, p in pkgs.items()}
+    live = {t: grid.to_grid_first(p.active_gamma) for t, p in window.items()}
     s_all = {
         t: pair_endo_forms(_active_block(p.ginv, act), p.g, p.ginv, live[t], live[t]).real
-        for t, p in pkgs.items()
+        for t, p in window.items()
     }
     pkg = pkgs[c]
     a, a_live = pkg.gamma, live[c]
@@ -593,7 +586,7 @@ def verify_S_evolution(
         + pair_endo_forms(pkg.ginv[..., act, :], pkg.g, pkg.ginv, a_live, heat_a)
     )
 
-    g_dot = (states[c + 1] - states[c - 1]) / (2.0 * dt)
+    g_dot = (pkgs[c + 1].g - pkgs[c - 1].g) / (2.0 * dt)
     d_low = g_dot + pkg.second_ricci
     d_up = np.einsum("...mk,...kj,...jg->...mg", pkg.ginv, d_low, pkg.ginv)
     corr = (

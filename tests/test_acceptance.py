@@ -133,10 +133,10 @@ def source_free_matrix(formulation_pair, evolution_windows, s_window,
 
 def _spatial_suite(grid, g):
     return (
-        verify_connection_difference(grid, g)
-        + verify_bianchi(grid, g)
-        + verify_commutator_convention(grid, g, covector=band_covector(grid))
-        + verify_quasilinear_ricci(grid, g)
+        verify_connection_difference(ChernPackage(grid, g))
+        + verify_bianchi(ChernPackage(grid, g))
+        + verify_commutator_convention(ChernPackage(grid, g), covector=band_covector(grid))
+        + verify_quasilinear_ricci(ChernPackage(grid, g))
     )
 
 
@@ -171,7 +171,7 @@ def test_criterion_1_spatial_identity_suite():
 def test_criterion_2_balanced_identity():
     g = _family(GRID32, stretch=1.3)
     defect = conformally_balanced_defect(GRID32, g)
-    tau_rep = verify_tau_identity(GRID32, g)[0]
+    tau_rep = verify_tau_identity(ChernPackage(GRID32, g))[0]
 
     f = fourier_scalar(GRID32, FAMILY_TERMS).astype(complex)
     d1f = GRID32.holomorphic_gradient(f)[..., 0]
@@ -285,10 +285,8 @@ def test_criterion_9_stationarity(flat_run):
     eps = 0.25
     psi = np.zeros((3, 3), dtype=complex)
     psi[0, 0] = eps
-    by_name = {
-        r["identityName"]: r
-        for r in verify_stationarity(GRID8, flat_metric(GRID8), source_matrix=psi)
-    }
+    reports = verify_stationarity(ChernPackage(GRID8, flat_metric(GRID8)), source_matrix=psi)
+    by_name = {r["identityName"]: r for r in reports}
     source_defect = by_name["stationarity-source"]["maxResidual"]
     ok = drift < 1e-12 and source_defect == eps
     _score(9, "flat stationarity", ok,

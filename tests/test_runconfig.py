@@ -301,6 +301,14 @@ def test_phi_field_source_round_trip(tmp_path):
             base_dir=str(tmp_path),
         )
 
+    # geometry mismatch at equal resolution and array shape: other active axes
+    save_snapshot(tmp_path / "phi02.snap", TorusGrid(3, (0, 2), 8), 0.0, {"phi": phi})
+    with pytest.raises(ConfigError, match=r"geometry 3/\(0, 2\)/8 does not match"):
+        resolve_config(
+            _base(source={"kind": "phi-field", "path": "phi02.snap"}),
+            base_dir=str(tmp_path),
+        )
+
     # the anchor formulation has no slot for a direct matrix field
     with pytest.raises(ConfigError, match="anchor"):
         resolve_config(

@@ -297,10 +297,10 @@ def test_flow_with_a_source_commutes_with_coordinate_swap(n, axes, formulation):
 
 def _spatial_outputs(grid, g, g0, probe):
     """The maxResidual of every spatial report, and one diagnostics record."""
-    residuals = {}
+    residuals, pkg = {}, ChernPackage(grid, g)
     for key in SPATIAL_SUITE:
         kwargs = {"covector": probe} if key == "commutator" else {}
-        for rep in SPATIAL_REGISTRY[key](grid, g, **kwargs):
+        for rep in SPATIAL_REGISTRY[key](pkg, **kwargs):
             residuals[rep["identityName"]] = rep["maxResidual"]
     record = compute_diagnostics(g, ChernPackage(grid, g0), 0.5, (0.02, 1.0))
     return residuals, record

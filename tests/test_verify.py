@@ -27,7 +27,8 @@ from iiblab import (
     verify_tau_identity,
     verify_trh_evolution,
 )
-from iiblab.errors import HermiticityError
+from iiblab import flow
+from iiblab.errors import HermiticityError, ValenceError
 from iiblab.grid import ORACLE
 from iiblab.metrics import (
     MetricFactor,
@@ -36,6 +37,7 @@ from iiblab.metrics import (
     fourier_scalar,
 )
 from iiblab.chern import pair_endo_forms
+from iiblab.runconfig import resolve_config
 from probes import band_covector, kahler_from_potential
 
 GRID = TorusGrid(3, (0, 1), 16)
@@ -74,12 +76,12 @@ def _refuse_full_curvature(monkeypatch):
 def test_flat_metric_residuals_are_exact_zero():
     flat = flat_metric(GRID)
     reports = (
-        verify_connection_difference(GRID, flat)
-        + verify_bianchi(GRID, flat)
-        + verify_commutator_convention(GRID, flat)
-        + verify_quasilinear_ricci(GRID, flat)
-        + verify_stationarity(GRID, flat)
-        + verify_tau_identity(GRID, flat)
+        verify_connection_difference(ChernPackage(GRID, flat))
+        + verify_bianchi(ChernPackage(GRID, flat))
+        + verify_commutator_convention(ChernPackage(GRID, flat))
+        + verify_quasilinear_ricci(ChernPackage(GRID, flat))
+        + verify_stationarity(ChernPackage(GRID, flat))
+        + verify_tau_identity(ChernPackage(GRID, flat))
     )
     for rep in reports:
         assert rep["maxResidual"] == 0.0, rep["identityName"]
@@ -91,7 +93,7 @@ def test_flat_commutator_with_band_probe_sits_at_roundoff():
     a band-limited probe leaves the two mixed-derivative orderings apart
     by FFT roundoff."""
     reports = verify_commutator_convention(
-        GRID, flat_metric(GRID), covector=band_covector(GRID)
+        ChernPackage(GRID, flat_metric(GRID)), covector=band_covector(GRID)
     )
     for rep in reports:
         assert rep["maxResidual"] < 1e-12
@@ -118,10 +120,10 @@ def test_spatial_suite_on_random_metric(n, axes):
     grid = TorusGrid(n, axes, 32)
     g = random_band_metric(grid, seed=14)
     reports = (
-        verify_connection_difference(grid, g)
-        + verify_bianchi(grid, g)
-        + verify_commutator_convention(grid, g, covector=band_covector(grid))
-        + verify_quasilinear_ricci(grid, g)
+        verify_connection_difference(ChernPackage(grid, g))
+        + verify_bianchi(ChernPackage(grid, g))
+        + verify_commutator_convention(ChernPackage(grid, g), covector=band_covector(grid))
+        + verify_quasilinear_ricci(ChernPackage(grid, g))
     )
     for rep in reports:
         assert rep["pass"], (rep["identityName"], rep["maxResidual"])
@@ -141,7 +143,7 @@ def test_kahler_one_variable_block_bianchi_tight():
     g[..., 0, 0] = 1.0 + 0.02 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
     g[..., 1, 1] = 1.0
     g[..., 2, 2] = 1.0
-    reports = verify_bianchi(grid, g)
+    reports = verify_bianchi(ChernPackage(grid, g))
     by_name = {r["identityName"]: r["maxResidual"] for r in reports}
     assert by_name["bianchi-first"] < 1e-9
     assert all(v < 1e-7 for v in by_name.values())
@@ -183,7 +185,7 @@ def test_bianchi_live_slots_match_full_tensors(n, axes):
     grid = TorusGrid(n, axes, 8 if len(axes) == 2 or n == 3 else 4)
     g = random_band_metric(grid, seed=7, amplitude=0.2)
     full = _bianchi_full(grid, g)
-    reports = verify_bianchi(grid, g)
+    reports = verify_bianchi(ChernPackage(grid, g))
     assert [r["identityName"] for r in reports] == list(full)
     for rep in reports:
         res = np.abs(full[rep["identityName"]])
@@ -196,30 +198,72 @@ def test_bianchi_builds_no_full_curvature(monkeypatch):
     """The live slots are read from the active stacks; neither package
     scatters its full (n, n, n, n) curvature."""
     _refuse_full_curvature(monkeypatch)
-    reports = verify_bianchi(GRID, random_band_metric(GRID, seed=1, amplitude=0.1))
+    reports = verify_bianchi(ChernPackage(GRID, random_band_metric(GRID, seed=1, amplitude=0.1)))
     assert len(reports) == 4
 
 
-def test_identity_suite_builds_no_full_curvature(monkeypatch, tmp_path):
-    """One verify-r32 suite (random family, R = 32, the seven identities that
-    pass on it) reads the curvature only from the active stacks."""
-    _refuse_full_curvature(monkeypatch)
+def _seven_identity_config(resolution):
+    """The verify-r32 suite: random family, the seven identities that pass on it."""
     suite = ["connection-difference", "bianchi", "commutator", "quasilinear",
              "trh", "dilaton", "s-evolution"]
-    config = {
-        "geometry": {"n": 3, "activeAxes": [0, 1], "resolution": 32},
+    return {
+        "geometry": {"n": 3, "activeAxes": [0, 1], "resolution": resolution},
         "initialMetric": {"family": "random", "seed": 0},
         "formulation": "weighted",
         "source": {"kind": "none"},
         "control": {"tEnd": 4e-5, "dt": 1e-5},
         "verifySuite": [{"identity": name} for name in suite],
     }
+
+
+def test_identity_suite_builds_no_full_curvature(monkeypatch, tmp_path):
+    """One verify-r32 suite (R = 32) reads the curvature only from the
+    active stacks."""
+    _refuse_full_curvature(monkeypatch)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(_seven_identity_config(32)))
     out = tmp_path / "out"
     assert cli.main(["verify", "--config", str(path), "--out", str(out), "--seed", "0"]) == 0
     reports = json.loads((out / "reports.json").read_text())["reports"]
     assert len(reports) == 15
+
+
+def test_identity_suite_builds_each_package_once(monkeypatch, tmp_path):
+    """One verify suite of the seven identities builds one spectral package
+    of the initial metric, the fd8 packages of Bianchi and the commutator,
+    and one package per window state; the rest are right-side stages."""
+    config = _seven_identity_config(8)
+    g0 = resolve_config(config).initial_metric
+    built, stage = [], []
+    init, velocity = ChernPackage.__init__, flow.weighted_velocity
+
+    def counting(self, grid, g, *args):
+        init(self, grid, g, *args)
+        if not stage:
+            built.append((self.scheme, np.array_equal(g, g0)))
+
+    def in_stage(*args):
+        stage.append(None)
+        try:
+            return velocity(*args)
+        finally:
+            stage.pop()
+
+    monkeypatch.setattr(ChernPackage, "__init__", counting)
+    monkeypatch.setattr(flow, "weighted_velocity", in_stage)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert sorted(built) == sorted(
+        [("spectral", True)] + [(ORACLE, True)] * 2 + [("spectral", False)] * 5
+    )
+
+
+@pytest.mark.parametrize("key", sorted(verify.SPATIAL_REGISTRY))
+def test_spatial_verifier_refuses_an_fd8_package(key):
+    """An fd8 package against the fd8 oracle would certify nothing."""
+    with pytest.raises(ValenceError, match="spectral"):
+        verify.SPATIAL_REGISTRY[key](ChernPackage(GRID, flat_metric(GRID), ORACLE))
 
 
 def _commutator_full(grid, g, w):
@@ -251,7 +295,7 @@ def test_commutator_live_slots_match_full_tensors(n, axes):
     g = random_band_metric(grid, seed=7, amplitude=0.2)
     w = band_covector(grid)
     full = _commutator_full(grid, g, w)
-    reports = verify_commutator_convention(grid, g, covector=w)
+    reports = verify_commutator_convention(ChernPackage(grid, g), covector=w)
     assert [r["identityName"] for r in reports] == list(full)
     for rep in reports:
         res = np.abs(full[rep["identityName"]])
@@ -261,7 +305,7 @@ def test_commutator_live_slots_match_full_tensors(n, axes):
 
 def test_tau_identity_on_balanced_family():
     grid = TorusGrid(3, (0, 1), 32)
-    reports = verify_tau_identity(grid, _balanced(grid, 0.3))
+    reports = verify_tau_identity(ChernPackage(grid, _balanced(grid, 0.3)))
     assert reports[0]["pass"]
     assert reports[0]["maxResidual"] < 1e-8
 
@@ -269,7 +313,7 @@ def test_tau_identity_on_balanced_family():
 def test_tau_precondition_on_kahler_data():
     x, y = GRID.coordinate(0), GRID.coordinate(1)
     g = kahler_from_potential(GRID, 0.05 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
-    rep = verify_tau_identity(GRID, g)[0]
+    rep = verify_tau_identity(ChernPackage(GRID, g))[0]
     assert rep["status"] == "precondition-failed"
     assert not rep["pass"]
 
@@ -278,7 +322,7 @@ def test_stationarity_source_defect_is_exactly_epsilon():
     eps = 0.125
     psi = np.zeros((3, 3), dtype=complex)
     psi[0, 0] = eps
-    reports = verify_stationarity(GRID, flat_metric(GRID), source_matrix=psi)
+    reports = verify_stationarity(ChernPackage(GRID, flat_metric(GRID)), source_matrix=psi)
     by_name = {r["identityName"]: r for r in reports}
     assert by_name["stationarity-balanced"]["maxResidual"] == 0.0
     assert by_name["stationarity-source"]["maxResidual"] == eps
@@ -289,7 +333,7 @@ def test_stationarity_source_defect_is_exactly_epsilon():
 def test_stationarity_balanced_is_the_balanced_defect(n, family):
     grid = TorusGrid(n, (0, 1), 8)
     g = _balanced(grid, 0.2) if family == "balanced" else random_band_metric(grid, seed=5)
-    rep = verify_stationarity(grid, g)[0]
+    rep = verify_stationarity(ChernPackage(grid, g))[0]
     assert rep["identityName"] == "stationarity-balanced"
     assert rep["maxResidual"] == conformally_balanced_defect(grid, g)
 
@@ -465,6 +509,10 @@ def test_dilaton_factors_each_state_once(monkeypatch):
     monkeypatch.setattr(MetricFactor, "__init__", counting)
     verify_dilaton_evolution(traj)
     assert len(built) == len(traj.snapshots)
+    # the other two evolution checks read the packages the trajectory keeps
+    verify_trh_evolution(traj)
+    verify_S_evolution(traj)
+    assert len(built) == len(traj.snapshots)
 
 
 def _spy(monkeypatch, owner, name):
@@ -496,7 +544,7 @@ def test_dilaton_takes_one_laplacian_per_center(monkeypatch):
 
 def test_bianchi_scatters_each_live_curvature_once(monkeypatch):
     calls = _spy(monkeypatch, verify, "_live_curvature")
-    verify_bianchi(GRID, random_band_metric(GRID, seed=1, amplitude=0.1))
+    verify_bianchi(ChernPackage(GRID, random_band_metric(GRID, seed=1, amplitude=0.1)))
     scattered = sorted((pkg.scheme, slot) for pkg, slot in calls)
     assert scattered == sorted((scheme, slot) for scheme in ("spectral", ORACLE) for slot in (0, 1))
 
@@ -531,7 +579,7 @@ def test_source_enters_evolution_identities():
 
 
 def test_report_serialization_contract():
-    rep = verify_bianchi(GRID, random_band_metric(GRID, seed=16))[0]
+    rep = verify_bianchi(ChernPackage(GRID, random_band_metric(GRID, seed=16)))[0]
     # reports.json holds exactly the report; it must survive a JSON round trip
     data = json.loads(json.dumps(rep))
     assert data == rep
