@@ -9,7 +9,8 @@ the weighted (n-1,n-1) anchor form
 where ``norm`` is the volume-form norm of g and ``source`` is an optional
 static real (n-1,n-1)-form psi.  The velocity of g is recovered at every
 node from a real linear n^2 x n^2 system whose matrix factors as
-A = s W P: a wedge block W, LU-solved, times the trace block
+A = s W P: a wedge block W, LU-solved block by block along its exact
+zeros (``forms._wedge_blocks``), times the trace block
 P = I - g v^T / (2(n-1)), which Sherman-Morrison inverts exactly,
 P^-1 = I + g v^T / (n-2) (derived in :func:`anchor_velocity`).
 
@@ -78,6 +79,7 @@ from .forms import (
     i_del_delbar_matrix,
     matrix_to_one_one,
     wedge_block,
+    _wedge_blocks,
     wedge_power,
 )
 from .grid import TorusGrid
@@ -160,16 +162,14 @@ def _anchor_target(
     return wn2, target
 
 
-def _anchor_system(
-    pkg: ChernPackage, source_matrix: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The per-node real wedge system ``W z = b`` of :func:`anchor_velocity`."""
+def _anchor_system(pkg: ChernPackage, source_matrix: np.ndarray | None):
+    """The per-node real wedge system ``W z = b`` of :func:`anchor_velocity`, and W's blocks."""
     n = pkg.grid.n
     _, T_inv = hermitian_basis(n)
     wn2, target = _anchor_target(pkg, source_matrix)
     b = (target.reshape(pkg.grid.shape + (n * n,)) @ T_inv.T).real
     b /= np.sqrt(pkg.norm_sq)[..., None]
-    return wedge_block(wn2), b
+    return wedge_block(wn2), b, _wedge_blocks(wn2)
 
 
 def _trace_correction(pkg: ChernPackage, z: np.ndarray) -> np.ndarray:
@@ -207,16 +207,26 @@ def anchor_velocity(
     holds the coordinates of the target's Hermitian part, and Z = T z is
     Hermitian by construction.  W is :func:`~iiblab.forms.wedge_block`
     of omega^{n-2}, the target :func:`~iiblab.forms.i_del_delbar_matrix`
-    of it.  The system is solved with a batched dense LU solve and the
-    solution re-checked by substitution (max relative forward residual
-    below 1e-10, otherwise :class:`SingularSystemError`).  A source that
+    of it.  W splits into blocks along the exact zeros of omega^{n-2}
+    (``forms._wedge_blocks``): each coupled block takes one
+    batched LU solve of its principal submatrix, the 1 x 1 blocks one
+    division, and a zero pivot raises :class:`SingularSystemError`.  The
+    solution is re-checked by substitution in the full W (max relative
+    forward residual below 1e-10, otherwise the same error).  A source that
     is not Hermitian to ``HERMITICITY_TOLERANCE`` raises
     :class:`ConfigError`.
     """
     _check_anchor_source(source_matrix)
-    W, b = _anchor_system(pkg, source_matrix)
+    W, b, (coupled, singles) = _anchor_system(pkg, source_matrix)
     try:
-        z = np.linalg.solve(W, b[..., None])[..., 0]
+        z = np.empty_like(b)
+        for block in coupled:
+            sub = W[..., block[:, None], block]
+            z[..., block] = np.linalg.solve(sub, b[..., block, None])[..., 0]
+        pivots = W[..., singles, singles]
+        if not pivots.all():  # where LAPACK would stop on a singular 1 x 1 LU
+            raise np.linalg.LinAlgError("Singular matrix")
+        z[..., singles] = b[..., singles] / pivots
     except np.linalg.LinAlgError as err:
         raise SingularSystemError(f"anchor velocity solve failed: {err}") from err
 

@@ -332,6 +332,33 @@ def wedge_block(theta: DifferentialForm) -> np.ndarray:
     return (stacked @ _real_wedge_table(n)).reshape(grid.shape + (n * n, n * n))
 
 
+@functools.lru_cache(maxsize=None)
+def _blocks(n: int, live: tuple[bool, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """:func:`_wedge_blocks` for the components flagged in ``live``."""
+    reach = (_real_wedge_table(n)[np.repeat(live, 2)] != 0).any(axis=0).reshape(n * n, n * n)
+    reach = reach | reach.T | np.eye(n * n, dtype=bool)
+    while not np.array_equal(wider := (reach.astype(int) @ reach) > 0, reach):
+        reach = wider  # until every chain of entries joins its two ends
+    blocks = [np.array(block) for block in sorted({tuple(np.flatnonzero(r)) for r in reach})]
+    singles = np.array([block[0] for block in blocks if block.size == 1], dtype=int)
+    for table in blocks + [singles]:
+        table.flags.writeable = False
+    return tuple(block for block in blocks if block.size > 1), singles
+
+
+def _wedge_blocks(theta: DifferentialForm) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The coupled blocks of :func:`wedge_block` (two or more sorted indices
+    each) and one array of its 1 x 1 blocks.  An entry of W is zero at
+    every node unless a row of C_R of a component of theta that is not
+    all zero reaches it; the connected components of that pattern are the
+    blocks (Duff, Erisman and Reid, *Direct Methods for Sparse Matrices*,
+    1986, ch. 6).  Cached per n and live set: a call never reads W."""
+    _require_lower(theta)
+    keys, _ = _wedge_table(theta.grid.n)
+    live = tuple(bool(np.any(theta.comps.get(key, 0.0))) for key in keys)
+    return _blocks(theta.grid.n, live)
+
+
 def i_del_delbar_matrix(theta: DifferentialForm) -> np.ndarray:
     """Sigma matrix of ``i del delbar theta`` for an (n-2,n-2)-form theta.
 

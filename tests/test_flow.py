@@ -1,6 +1,8 @@
 """Flow velocities, the weight chain, sources, and the integrator."""
 
 import itertools
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from iiblab.forms import (
     sigma_coefficient,
     wedge,
     wedge_block,
+    _wedge_blocks,
     wedge_monomial,
 )
 from iiblab.metrics import (
@@ -49,12 +52,21 @@ from iiblab.metrics import (
 )
 from probes import kahler_from_potential
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAS_HYPOTHESIS = True
+except ImportError:
+    HAS_HYPOTHESIS = False
+
 GRID = TorusGrid(3, (0, 1), 8)
 FLAT = flat_metric(GRID)
 
 
 def _balanced(grid=GRID, amp=0.15):
-    f = fourier_scalar(grid, [[1, 1, 0.0, -amp], [1, -1, 0.0, -amp]])
+    extra = [1] * (len(grid.active_axes) - 2)  # any further active axes vary too
+    f = fourier_scalar(grid, [[1, 1, *extra, 0.0, -amp], [1, -1, *extra, 0.0, -amp]])
     return balanced_band_metric(grid, f)
 
 
@@ -474,7 +486,7 @@ def _structure_constant_matrix(pkg):
 def test_anchor_matrix_equals_structure_constant_assembly(n, axes):
     grid = TorusGrid(n, axes, 4)
     pkg = ChernPackage(grid, random_band_metric(grid, seed=7, amplitude=0.2))
-    W, _ = _anchor_system(pkg, None)
+    W, _, _ = _anchor_system(pkg, None)
     # A = s W P from the pieces the flow solves with: s = (n-1) norm and the
     # trace block P = I - g v^T / (2(n-1)), with v . x = tr(g^-1 T x)
     T, T_inv = hermitian_basis(n)
@@ -503,12 +515,27 @@ def test_trace_correction_inverts_the_trace_block(n):
     assert np.abs(back - z).max() <= 1e-15 * np.abs(z).max()
 
 
+def _one_live_pair(grid, j=0, k=1):
+    """The balanced family's diagonal metric with one off-diagonal pair
+    (j, k), (k, j) taken from a random metric: W splits into several
+    coupled blocks, and into 1 x 1 blocks as well from n = 4."""
+    g, r = _balanced(grid), random_band_metric(grid, seed=2, amplitude=0.2)
+    g[..., j, k], g[..., k, j] = r[..., j, k], r[..., k, j]
+    return g
+
+
+def _wedge_of(pkg):
+    """W and its blocks, as :func:`anchor_velocity` reads them."""
+    wn2, _ = _anchor_target(pkg, None)
+    return wedge_block(wn2), _wedge_blocks(wn2)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_anchor_velocity_solves_only_the_wedge_block(monkeypatch, n):
-    """One batched LU solve per velocity, of the wedge block read off the
-    form algebra (up to a per-node scale), and no closed-form inverse."""
+    """One batched LU solve per coupled block of W, on its principal
+    submatrix (up to a per-node scale), and no closed-form inverse: the
+    whole W on a random metric, which couples every coordinate."""
     grid = TorusGrid(n, (0, 1), 8)
-    g = random_band_metric(grid, seed=1, amplitude=0.2)
     solve, solved, inverted = np.linalg.solve, [], []
 
     def spy_solve(a, b):
@@ -517,17 +544,72 @@ def test_anchor_velocity_solves_only_the_wedge_block(monkeypatch, n):
 
     monkeypatch.setattr(np.linalg, "solve", spy_solve)
     monkeypatch.setattr(np.linalg, "inv", lambda *args: inverted.append(args))
-    pkg = ChernPackage(grid, g)
-    anchor_velocity(pkg, None)
-    assert len(solved) == 1 and not inverted
-    W = wedge_block(_anchor_target(pkg, None)[0])
-    assert solved[0].shape == grid.shape + (n * n, n * n)
-    scale = (solved[0] * W).sum(axis=(-1, -2)) / (W * W).sum(axis=(-1, -2))
-    assert np.abs(solved[0] - scale[..., None, None] * W).max() <= 1e-15 * np.abs(W).max()
+    random = random_band_metric(grid, seed=1, amplitude=0.2)
+    for g in (random, _balanced(grid), _one_live_pair(grid)):
+        pkg = ChernPackage(grid, g)
+        solved.clear()
+        anchor_velocity(pkg, None)
+        W, (coupled, singles) = _wedge_of(pkg)
+        assert len(solved) == len(coupled) and not inverted
+        if g is random:  # one block: the one solve of the whole W
+            assert solved[0].shape == grid.shape + (n * n, n * n) and not singles.size
+        for sub, block in zip(solved, coupled):
+            want = W[..., block[:, None], block].reshape(grid.shape + (-1,))
+            assert sub.shape == grid.shape + (len(block), len(block))
+            # the scale at a node is the ratio at its largest entry, which is
+            # exactly 1 for W itself; a least-squares fit rounds at n = 4
+            pivot = np.abs(want).argmax(axis=-1)[..., None]
+            sub = sub.reshape(want.shape)
+            scale = np.take_along_axis(sub, pivot, -1) / np.take_along_axis(want, pivot, -1)
+            assert np.abs(sub - scale * want).max() <= 1e-15 * np.abs(want).max()
 
-    # one RK4 step of the flow takes four velocities, so four solves
+    # one RK4 step of the flow takes four velocities; the balanced family's
+    # W has one coupled n x n block, so four solves
+    solved.clear()
     run_flow(grid, _balanced(grid), FORM_ANCHOR, 1e-5, StepControl(dt=1e-5))
-    assert len(solved) == 5 and not inverted
+    assert [a.shape[-1] for a in solved] == [n] * 4 and not inverted
+
+
+def _block_and_dense(pkg):
+    """Z = T z from the block solve of :func:`anchor_velocity`, and from one
+    dense ``np.linalg.solve`` of the full W.  Each entry of T z is one
+    coordinate of z or two of them as real and imaginary part, so Z is
+    exact in z."""
+    seen = []
+    with mock.patch.object(flow, "_trace_correction", lambda pkg, z: seen.append(z) or z):
+        anchor_velocity(pkg, None)
+    W, b, _ = _anchor_system(pkg, None)
+    T, _ = hermitian_basis(pkg.grid.n)
+    return seen[0], (np.linalg.solve(W, b[..., None])[..., 0] @ T.T).reshape(pkg.g.shape)
+
+
+@pytest.mark.parametrize("axes", [(0, 1), (0, 2), (0, 1, 2, 3)])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_block_solve_matches_the_dense_solve_on_the_balanced_family(n, axes):
+    grid = TorusGrid(n, axes, 4)
+    pkg = ChernPackage(grid, _balanced(grid))
+    _, (coupled, singles) = _wedge_of(pkg)
+    # the diagonal of g couples the diagonal coordinates; the rest stand alone
+    assert [list(block) for block in coupled] == [[j * n + j for j in range(n)]]
+    assert singles.size == n * n - n
+    got, want = _block_and_dense(pkg)
+    if n == 3:  # measured bit-identical at R = 4 and 8, amplitudes 0.05-0.3
+        assert np.array_equal(got, want)
+    # worst measured at R = 4 and 8, amplitudes 0.05-0.3: 2.0e-16 (n = 5, axes (0, 1, 2, 3))
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_block_solve_matches_the_dense_solve_with_one_live_pair(n):
+    grid = TorusGrid(n, (0, 1), 4)
+    pkg = ChernPackage(grid, _one_live_pair(grid))
+    _, (coupled, singles) = _wedge_of(pkg)
+    assert len(coupled) == n - 1 and singles.size == (n - 2) * (n - 3)
+    got, want = _block_and_dense(pkg)
+    if n == 3:  # measured bit-identical at R = 4 and 8, pairs (0, 1), (1, 2), (0, 2)
+        assert np.array_equal(got, want)
+    # worst measured over those cases: 1.6e-18 (n = 4)
+    assert np.abs(got - want).max() <= 1e-16 * np.abs(want).max()
 
 
 def test_singular_wedge_block_fails_the_solve(monkeypatch):
@@ -540,6 +622,52 @@ def test_singular_wedge_block_fails_the_solve(monkeypatch):
     with pytest.raises(SingularSystemError, match="anchor velocity solve failed"):
         anchor_velocity(ChernPackage(GRID, _balanced()))
     traj = run_flow(GRID, _balanced(), FORM_ANCHOR, 2e-5, StepControl(dt=1e-5))
+    assert traj.status == STATUS_SINGULARITY and traj.steps_taken == 0
+    assert traj.stop_detail.startswith("anchor velocity solve failed")
+
+
+if HAS_HYPOTHESIS:
+
+    @given(st.integers(min_value=3, max_value=5), st.integers(min_value=0, max_value=3), st.data())
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_blocks_follow_the_zero_pattern_of_the_metric(n, seed, data):
+        """Zero a random set of off-diagonal pairs of a random metric: the
+        blocks partition the coordinates, no entry of W couples two blocks
+        at any node, and the block solve matches the dense one."""
+        pairs = list(itertools.combinations(range(n), 2))
+        grid = TorusGrid(n, (0, 1), 4)
+        g = random_band_metric(grid, seed=seed, amplitude=0.2)
+        for j, k in data.draw(st.lists(st.sampled_from(pairs), unique=True)):
+            g[..., j, k] = g[..., k, j] = 0.0
+        pkg = ChernPackage(grid, g)
+        W, (coupled, singles) = _wedge_of(pkg)
+        blocks = coupled + tuple(singles[:, None])
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n * n))
+        label = np.empty(n * n, dtype=int)
+        for i, block in enumerate(blocks):
+            label[block] = i
+        assert np.all(W[..., label[:, None] != label] == 0.0)
+        got, want = _block_and_dense(pkg)
+        # worst measured over 400 such patterns, seeds 0-3: 9.9e-16 (n = 5)
+        assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
+
+
+def test_singular_one_by_one_block_fails_the_solve(monkeypatch):
+    """A zero pivot of a 1 x 1 block stops the solve, as LAPACK stops on a
+    coupled block, and divides by nothing: no RuntimeWarning."""
+    _, (_, singles) = _wedge_of(ChernPackage(GRID, _balanced()))
+
+    def singular(theta):
+        W = wedge_block(theta)
+        W[..., singles[0], singles[0]] = 0.0
+        return W
+
+    monkeypatch.setattr(flow, "wedge_block", singular)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError, match="anchor velocity solve failed"):
+            anchor_velocity(ChernPackage(GRID, _balanced()))
+        traj = run_flow(GRID, _balanced(), FORM_ANCHOR, 2e-5, StepControl(dt=1e-5))
     assert traj.status == STATUS_SINGULARITY and traj.steps_taken == 0
     assert traj.stop_detail.startswith("anchor velocity solve failed")
 
