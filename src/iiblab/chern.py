@@ -221,8 +221,10 @@ class ChernPackage:
 
     @functools.cached_property
     def t_norm_sq(self) -> np.ndarray:
-        """Pointwise squared torsion norm (all free slots contracted)."""
-        return np.einsum("...jk,...kj->...", self.ginv, self.ttbar).real
+        """Pointwise squared torsion norm (all free slots contracted):
+        ``sum ginv[j, k] ttbar[k, j]``, grid-last."""
+        ttbar = self.grid.to_grid_last(self.ttbar)
+        return (self.factor.ginv * np.swapaxes(ttbar, 0, 1)).real.sum(axis=(0, 1))
 
     @functools.cached_property
     def norm_sq(self) -> np.ndarray:

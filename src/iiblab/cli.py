@@ -214,7 +214,8 @@ def _cmd_run(args) -> int:
                 # Baseline for the relative-endomorphism diagnostics, built once
                 # per run from the run's own initial physical metric as the
                 # snapshot chain preserves it, so a recompute from saved files
-                # reproduces every record bit for bit.
+                # reproduces every record bit for bit.  Its metric array is g
+                # (complex already), so the step-0 record reuses it.
                 baseline = ChernPackage(rc.grid, g)
             if record:
                 line = {"kind": "diagnostics", "step": step}

@@ -16,7 +16,7 @@ The baseline is the :class:`ChernPackage` of the run's initial metric,
 built once per run; it caches the inverse metric, the connection, the
 volume norm and the inverse Cholesky factor that whitens each metric
 against it, so a record costs one :class:`ChernPackage` of the current
-metric.
+metric, and none when the current metric is the baseline's own array.
 
 S, and so ``sMax``, is the norm of a difference of two O(1) connections
 that differ little early in a run, so there it carries only about 1e-10
@@ -51,23 +51,28 @@ def compute_diagnostics(
 
     ``baseline`` is the :class:`ChernPackage` of the run's initial metric;
     it fixes the grid, the endomorphism baseline and the reference
-    connection for S.  ``test_function`` is an optional ``(epsilon, a)``
+    connection for S, and when ``g`` is its own metric array it is also
+    the package of ``g``.  ``test_function`` is an optional ``(epsilon, a)``
     pair.
     """
-    grid = baseline.grid
-    pkg = ChernPackage(grid, g)
+    grid, n = baseline.grid, baseline.grid.n
+    pkg = baseline if g is baseline.g else ChernPackage(grid, g)
 
     # h = L^-1 g L^-H is Hermitian and similar to g0^-1 g (g0 the baseline metric):
-    # same eigenvalues and trace
-    inv_chol = grid.to_grid_first(baseline.factor.inv_chol)
-    half = np.einsum("...ab,...bc->...ac", inv_chol, pkg.g)
-    h = np.einsum("...ac,...dc->...ad", half, np.conj(inv_chol))
-    eigs = np.linalg.eigvalsh(h)
-    trh = np.einsum("...jj->...", h).real
+    # same eigenvalues and trace.  Grid-last, over the lower triangles of L^-1
+    # and h, which is all eigvalsh reads (UPLO='L')
+    inv_chol, g_last = baseline.factor.inv_chol, pkg._g_last
+    half = [sum(inv_chol[a, b] * g_last[b] for b in range(a + 1)) for a in range(n)]
+    bar, h = np.conj(inv_chol), np.zeros_like(inv_chol)
+    for a in range(n):
+        for d in range(a + 1):
+            h[a, d] = sum(half[a][c] * bar[d, c] for c in range(d + 1))
+    eigs = np.linalg.eigvalsh(grid.to_grid_first(h))
+    trh = sum(h[j, j].real for j in range(n))
     det_h = baseline.norm_sq / pkg.norm_sq
 
-    tau = pkg.tau
-    tau_sq = np.einsum("...jk,...j,...k->...", pkg.ginv, tau, np.conj(tau)).real
+    tau = grid.to_grid_last(pkg.tau)
+    tau_sq = (pkg.factor.ginv * tau[:, None] * np.conj(tau)).real.sum(axis=(0, 1))
 
     norm = np.sqrt(pkg.norm_sq)
     # gamma vanishes along the inactive directions: pair the active form slots only

@@ -9,10 +9,11 @@ the weighted (n-1,n-1) anchor form
 where ``norm`` is the volume-form norm of g and ``source`` is an optional
 static real (n-1,n-1)-form psi.  The velocity of g is recovered at every
 node from a real linear n^2 x n^2 system whose matrix factors as
-A = s W P: a wedge block W, LU-solved block by block along its exact
-zeros (``forms._wedge_blocks``), times the trace block
-P = I - g v^T / (2(n-1)), which Sherman-Morrison inverts exactly,
-P^-1 = I + g v^T / (n-2) (derived in :func:`anchor_velocity`).
+A = s W P: a wedge block W, kept only as its blocks along its exact zeros
+(``forms.wedge_block``), each LU-solved and residual-gated, times the trace
+block P = I - g v^T / (2(n-1)), which Sherman-Morrison inverts exactly,
+P^-1 = I + g v^T / (n-2), with v . Z = tr(g^-1 Z) read from W Z and det g,
+not from an inverse metric (derived in :func:`anchor_velocity`).
 
 *Weighted formulation* ("weighted"): the state is the density-weighted
 metric  w = norm * g, evolved directly by
@@ -79,7 +80,6 @@ from .forms import (
     i_del_delbar_matrix,
     matrix_to_one_one,
     wedge_block,
-    _wedge_blocks,
     wedge_power,
 )
 from .grid import TorusGrid
@@ -163,21 +163,38 @@ def _anchor_target(
 
 
 def _anchor_system(pkg: ChernPackage, source_matrix: np.ndarray | None):
-    """The per-node real wedge system ``W z = b`` of :func:`anchor_velocity`, and W's blocks."""
+    """W's blocks and the right-hand side b of the per-node real wedge system
+    ``W z = b`` of :func:`anchor_velocity`."""
     n = pkg.grid.n
     _, T_inv = hermitian_basis(n)
     wn2, target = _anchor_target(pkg, source_matrix)
     b = (target.reshape(pkg.grid.shape + (n * n,)) @ T_inv.T).real
     b /= np.sqrt(pkg.norm_sq)[..., None]
-    return wedge_block(wn2), b, _wedge_blocks(wn2)
+    return wedge_block(wn2), b
 
 
-def _trace_correction(pkg: ChernPackage, z: np.ndarray) -> np.ndarray:
-    """``P^-1 Z = Z + tr(g^-1 Z)/(n-2) g`` for the trace block P of
-    :func:`anchor_velocity`."""
+def _relative_residual(system, b: np.ndarray, z: np.ndarray) -> float:
+    """``max |W z - b| / max(max |b|, max |W| max |z|)``, block by block:
+    every entry of W outside its blocks is a structural zero, so this is
+    the value of the full W."""
+    coupled, (singles, pivots) = system
+    parts = [(np.einsum("...rc,...c->...r", sub, z[..., block]) - b[..., block], sub)
+             for block, sub in coupled] + [(pivots * z[..., singles] - b[..., singles], pivots)]
+    residual = np.max([np.abs(r).max(initial=0.0) for r, _ in parts])
+    w_max = np.max([max(w.max(initial=0.0), -w.min(initial=0.0)) for _, w in parts])  # no |W| copy
+    return float(residual / max(float(np.abs(b).max()), w_max * float(np.abs(z).max()), 1e-30))
+
+
+def _trace_correction(pkg: ChernPackage, z: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``P^-1 Z = Z + tr(g^-1 Z)/(n-2) g`` for ``Z = T z`` and the trace block P of
+    :func:`anchor_velocity`, with ``tr(g^-1 Z) = tr(M(b) g) / ((n-1)! det g)``, b = W z."""
     n = pkg.grid.n
-    trace = np.einsum("...pa,...ap->...", pkg.ginv, z).real
-    return z + (trace / (n - 2))[..., None, None] * pkg.g
+    T_real = np.ascontiguousarray(hermitian_basis(n)[0].T).view(np.float64)  # x @ T_real: T x
+    # tr(M(b) g) = Re tr(M(b) g^H), the dot of the two matrices' (Re, Im) pairs
+    g_real = np.ascontiguousarray(pkg.g).view(np.float64).reshape(b.shape[:-1] + (2 * n * n,))
+    trace = np.einsum("...i,...i->...", b @ T_real, g_real)
+    trace /= math.factorial(n - 1) * (n - 2) * pkg.factor.det
+    return (z @ T_real).view(complex).reshape(pkg.g.shape) + trace[..., None, None] * pkg.g
 
 
 def anchor_velocity(
@@ -205,42 +222,43 @@ def anchor_velocity(
     Z, the target and W Z are Hermitian, so the wedge system is real in
     the Hermitian basis T of :func:`~iiblab.forms.hermitian_basis`: b
     holds the coordinates of the target's Hermitian part, and Z = T z is
-    Hermitian by construction.  W is :func:`~iiblab.forms.wedge_block`
-    of omega^{n-2}, the target :func:`~iiblab.forms.i_del_delbar_matrix`
-    of it.  W splits into blocks along the exact zeros of omega^{n-2}
-    (``forms._wedge_blocks``): each coupled block takes one
-    batched LU solve of its principal submatrix, the 1 x 1 blocks one
-    division, and a zero pivot raises :class:`SingularSystemError`.  The
-    solution is re-checked by substitution in the full W (max relative
-    forward residual below 1e-10, otherwise the same error).  A source that
-    is not Hermitian to ``HERMITICITY_TOLERANCE`` raises
-    :class:`ConfigError`.
+    Hermitian by construction.  W, of omega^{n-2}, exists only as the
+    blocks of :func:`~iiblab.forms.wedge_block`, the target is
+    :func:`~iiblab.forms.i_del_delbar_matrix` of it.  Each coupled block
+    takes one batched LU solve, the 1 x 1 blocks one division, and a
+    singular block or a zero pivot raises :class:`SingularSystemError`.
+    The solution is re-checked by substitution, block by block; the
+    entries outside the blocks are structural zeros, so the gate reads the
+    full W's max relative forward residual, which must stay below
+    ``SOLVE_RESIDUAL_GATE`` (otherwise the same error).  A source that is
+    not Hermitian to ``HERMITICITY_TOLERANCE`` raises :class:`ConfigError`.
+
+    The trace needs no inverse metric.  A (1,1)-form alpha with matrix Z
+    has alpha ^ omega^{n-1} = tr(g^-1 Z)/n omega^n, and omega^n =
+    n! det(g) V (Huybrechts, *Complex Geometry*, 1.2).  By the definition
+    of sigma, sigma(a, b) ^ E[b, a] = V and sigma(a, b) ^ E[k, j] = 0
+    otherwise, so an (n-1,n-1)-form beta has beta ^ omega = tr(M(beta) g) V.
+    With beta = alpha ^ omega^{n-2}, whose sigma matrix is W Z = M(b):
+    tr(g^-1 Z) = tr(M(b) g) / ((n-1)! det g).
     """
     _check_anchor_source(source_matrix)
-    W, b, (coupled, singles) = _anchor_system(pkg, source_matrix)
+    system, b = _anchor_system(pkg, source_matrix)
+    (coupled, (singles, pivots)), z = system, np.empty_like(b)
     try:
-        z = np.empty_like(b)
-        for block in coupled:
-            sub = W[..., block[:, None], block]
+        for block, sub in coupled:
             z[..., block] = np.linalg.solve(sub, b[..., block, None])[..., 0]
-        pivots = W[..., singles, singles]
         if not pivots.all():  # where LAPACK would stop on a singular 1 x 1 LU
             raise np.linalg.LinAlgError("Singular matrix")
-        z[..., singles] = b[..., singles] / pivots
     except np.linalg.LinAlgError as err:
         raise SingularSystemError(f"anchor velocity solve failed: {err}") from err
+    z[..., singles] = b[..., singles] / pivots
 
-    residual = (W @ z[..., None])[..., 0] - b
-    w_max = max(float(W.max()), -float(W.min()))  # max |W| without a |W| temporary
-    scale = max(float(np.abs(b).max()), w_max * float(np.abs(z).max()), 1e-30)
-    rel = float(np.abs(residual).max()) / scale
+    rel = _relative_residual(system, b, z)
     if rel > SOLVE_RESIDUAL_GATE:
         raise SingularSystemError(
             f"anchor velocity solve lost accuracy: relative residual {rel:.3e}"
         )
-
-    T, _ = hermitian_basis(pkg.grid.n)
-    return _trace_correction(pkg, (z @ T.T).reshape(pkg.g.shape))
+    return _trace_correction(pkg, z, b)
 
 
 # -- weighted formulation ------------------------------------------------------

@@ -29,8 +29,11 @@ wedge with an (n-2,n-2)-form, restricted to the active directions, lets
 :func:`i_del_delbar_matrix` sum the mixed second derivatives of the
 components into i del delbar with one ``tensordot``.  The real table C_R
 is C after the change to the real basis of Hermitian matrices
-(:func:`hermitian_basis`): :func:`wedge_block` multiplies the real and
-imaginary parts of the stacked components by it, one real matrix product.
+(:func:`hermitian_basis`); column ``r * n**2 + c`` of it gives entry
+``[r, c]`` of the wedge matrix W.  :func:`wedge_block` never forms W: per
+set of live components it caches the columns of W's blocks and of its
+1 x 1 pivots, and multiplies the real and imaginary parts of the stacked
+live components by each, one real matrix product per block.
 """
 
 from __future__ import annotations
@@ -315,48 +318,54 @@ def _stack(theta: DifferentialForm, keys, axis: int) -> np.ndarray:
     )
 
 
-def wedge_block(theta: DifferentialForm) -> np.ndarray:
-    """Matrix of ``X -> sigma matrix of X ^ theta`` in the Hermitian basis.
-
-    Column m of the result (shape ``(*grid, n*n, n*n)``) holds the
-    :func:`hermitian_basis` coordinates of the sigma matrix of
-    ``T_m ^ theta``, with ``T_m`` as a (1,1)-form (:func:`matrix_to_one_one`):
-    one real matrix product of the stacked components with the table C_R.
-    It is the real part of ``T_inv @ M @ T`` for the complex sigma-basis
-    block M, which is real when theta is a real (n-2,n-2)-form.
-    """
-    _require_lower(theta)
-    grid, n = theta.grid, theta.grid.n
-    keys, _ = _wedge_table(n)
-    stacked = _stack(theta, keys, axis=-1).reshape(-1, len(keys)).view(np.float64)
-    return (stacked @ _real_wedge_table(n)).reshape(grid.shape + (n * n, n * n))
-
-
 @functools.lru_cache(maxsize=None)
-def _blocks(n: int, live: tuple[bool, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """:func:`_wedge_blocks` for the components flagged in ``live``."""
-    reach = (_real_wedge_table(n)[np.repeat(live, 2)] != 0).any(axis=0).reshape(n * n, n * n)
+def _blocks(n: int, live: tuple[bool, ...]):
+    """The coupled blocks of :func:`wedge_block` for the components flagged
+    in ``live``, the C_R columns of each block's entries, the 1 x 1 blocks
+    and the C_R columns of their pivots, on the rows of the live components."""
+    C_R = _real_wedge_table(n)[np.repeat(live, 2)]
+    reach = (C_R != 0).any(axis=0).reshape(n * n, n * n)
     reach = reach | reach.T | np.eye(n * n, dtype=bool)
     while not np.array_equal(wider := (reach.astype(int) @ reach) > 0, reach):
         reach = wider  # until every chain of entries joins its two ends
     blocks = [np.array(block) for block in sorted({tuple(np.flatnonzero(r)) for r in reach})]
+    coupled = tuple(block for block in blocks if block.size > 1)
     singles = np.array([block[0] for block in blocks if block.size == 1], dtype=int)
-    for table in blocks + [singles]:
+    tables = tuple(C_R[:, (block[:, None] * n * n + block).ravel()] for block in coupled)
+    pivot_table = C_R[:, singles * (n * n + 1)]
+    for table in (*coupled, *tables, singles, pivot_table):
         table.flags.writeable = False
-    return tuple(block for block in blocks if block.size > 1), singles
+    return coupled, tables, singles, pivot_table
 
 
-def _wedge_blocks(theta: DifferentialForm) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The coupled blocks of :func:`wedge_block` (two or more sorted indices
-    each) and one array of its 1 x 1 blocks.  An entry of W is zero at
-    every node unless a row of C_R of a component of theta that is not
-    all zero reaches it; the connected components of that pattern are the
-    blocks (Duff, Erisman and Reid, *Direct Methods for Sparse Matrices*,
-    1986, ch. 6).  Cached per n and live set: a call never reads W."""
+def wedge_block(theta: DifferentialForm):
+    """Matrix W of ``X -> sigma matrix of X ^ theta`` in the Hermitian basis, as its blocks.
+
+    Entry ``[r, m]`` of W holds the :func:`hermitian_basis` coordinate r of
+    the sigma matrix of ``T_m ^ theta``, with ``T_m`` as a (1,1)-form
+    (:func:`matrix_to_one_one`): the real part of ``T_inv @ M @ T`` for the
+    complex sigma-basis block M, which is real when theta is a real
+    (n-2,n-2)-form.  An entry of W is zero at every node unless a row of
+    C_R of a live component (one non-zero at some node) reaches it; the
+    connected components of that pattern are the blocks (Duff, Erisman and
+    Reid, *Direct Methods for Sparse Matrices*, 1986, ch. 6).  Returns
+    ``(coupled, (singles, pivots))``: each coupled block's sorted indices
+    (two or more) and principal submatrix, shape ``(*grid, m, m)``, then the
+    indices of the 1 x 1 blocks and their entries, shape ``(*grid, s)``.
+    Every other entry of W is a structural zero, and W is never formed.
+    """
     _require_lower(theta)
-    keys, _ = _wedge_table(theta.grid.n)
+    grid, n = theta.grid, theta.grid.n
+    keys, _ = _wedge_table(n)
     live = tuple(bool(np.any(theta.comps.get(key, 0.0))) for key in keys)
-    return _blocks(theta.grid.n, live)
+    coupled, tables, singles, pivot_table = _blocks(n, live)
+    comps = [key for key, on in zip(keys, live) if on]
+    stacked = _stack(theta, comps, axis=-1).reshape(-1, len(comps)).view(np.float64)
+    blocks = tuple(
+        (block, (stacked @ table).reshape(grid.shape + (block.size, block.size)))
+        for block, table in zip(coupled, tables)
+    )
+    return blocks, (singles, (stacked @ pivot_table).reshape(grid.shape + (singles.size,)))
 
 
 def i_del_delbar_matrix(theta: DifferentialForm) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from iiblab.forms import _real_wedge_table, _wedge_table
 from iiblab.metrics import flat_metric, fourier_scalar, hermitize
 
 
@@ -35,3 +36,36 @@ def kahler_from_potential(grid, phi: np.ndarray) -> np.ndarray:
     hess = grid.derivatives(np.asarray(phi, dtype=complex), requests)
     hess = grid.to_grid_first(hess.reshape((n, n) + grid.shape))
     return hermitize(flat_metric(grid) + hess)
+
+
+def full_wedge(theta) -> np.ndarray:
+    """The whole matrix W of :func:`iiblab.forms.wedge_block`, shape
+    ``(*grid, n*n, n*n)``: every component of theta, live or not, times the
+    whole table C_R.  The oracle the blocks are held to."""
+    grid, n = theta.grid, theta.grid.n
+    keys, _ = _wedge_table(n)
+    stacked = np.stack(
+        [np.broadcast_to(theta.comps.get(key, 0.0), grid.shape) for key in keys],
+        axis=-1, dtype=complex,
+    )
+    W = stacked.reshape(-1, len(keys)).view(np.float64) @ _real_wedge_table(n)
+    return W.reshape(grid.shape + (n * n, n * n))
+
+
+def scatter_blocks(system) -> np.ndarray:
+    """W rebuilt from the ``(coupled, (singles, pivots))`` of
+    :func:`iiblab.forms.wedge_block`, zero outside the blocks."""
+    coupled, (singles, pivots) = system
+    size = singles.size + sum(block.size for block, _ in coupled)
+    W = np.zeros(pivots.shape[:-1] + (size, size))
+    for block, sub in coupled:
+        W[..., block[:, None], block] = sub
+    W[..., singles, singles] = pivots
+    return W
+
+
+def full_relative_residual(W, b, z) -> float:
+    """The anchor solve's gate value on the whole W: max |W z - b| over
+    max(max |b|, max |W| max |z|)."""
+    residual = np.abs((W @ z[..., None])[..., 0] - b).max()
+    return residual / max(np.abs(b).max(), np.abs(W).max() * np.abs(z).max(), 1e-30)

@@ -116,6 +116,33 @@ def test_run_recompute_from_snapshots_matches_stream(tmp_path):
             assert rec[key] == value, key
 
 
+def test_step_zero_record_reuses_the_baseline_package(tmp_path, monkeypatch):
+    """The step-0 record reads the baseline package instead of building a
+    second one of the same metric: one ChernPackage fewer per run, and
+    diagnostics.jsonl byte for byte that of a run that builds it."""
+    cfg = _flat_cfg(initialMetric={"family": "random", "seed": 6},
+                    testFunction={"epsilon": 0.02, "a": 1.0})
+    config = _write(tmp_path, "reuse.json", cfg)
+    builds = []
+    init = iiblab.ChernPackage.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(iiblab.ChernPackage, "__init__", counting)
+    assert main(["run", "--config", config, "--out", str(tmp_path / "reused")]) == 0
+    reused = len(builds)
+    builds.clear()
+    record = cli.compute_diagnostics
+    monkeypatch.setattr(cli, "compute_diagnostics",
+                        lambda g, *args, **kwargs: record(g.copy(), *args, **kwargs))
+    assert main(["run", "--config", config, "--out", str(tmp_path / "built")]) == 0
+    assert reused == len(builds) - 1
+    stream = "diagnostics.jsonl"
+    assert (tmp_path / "reused" / stream).read_bytes() == (tmp_path / "built" / stream).read_bytes()
+
+
 def test_run_singularity_exit_and_last_state(tmp_path, capsys):
     cfg = _flat_cfg(
         formulation="anchor",
@@ -170,9 +197,9 @@ def test_weighted_run_with_an_anchor_source_stops_at_the_singular_time(tmp_path,
 
 def test_anchor_run_with_a_failed_solve_exits_two(tmp_path, capsys, monkeypatch):
     def singular(theta):
-        W = wedge_block(theta)
-        W[..., :, 0] = 0.0
-        return W
+        coupled, pivots = wedge_block(theta)
+        coupled[0][1][..., :, 0] = 0.0  # a zero column in the first coupled block
+        return coupled, pivots
 
     monkeypatch.setattr(flow, "wedge_block", singular)
     cfg = _flat_cfg(

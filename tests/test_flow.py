@@ -28,6 +28,7 @@ from iiblab.flow import (
     STATUS_SINGULARITY,
     _anchor_system,
     _anchor_target,
+    _relative_residual,
     _trace_correction,
     induced_weighted_source,
     metric_from_weighted,
@@ -39,18 +40,18 @@ from iiblab.forms import (
     sigma_coefficient,
     wedge,
     wedge_block,
-    _wedge_blocks,
     wedge_monomial,
 )
 from iiblab.metrics import (
     balanced_band_metric,
     fourier_scalar,
     hermitize,
+    MetricFactor,
     min_eigenvalue,
     random_band_metric,
     volume_norm_sq,
 )
-from probes import kahler_from_potential
+from probes import full_relative_residual, full_wedge, kahler_from_potential, scatter_blocks
 
 try:
     from hypothesis import given, settings
@@ -486,7 +487,7 @@ def _structure_constant_matrix(pkg):
 def test_anchor_matrix_equals_structure_constant_assembly(n, axes):
     grid = TorusGrid(n, axes, 4)
     pkg = ChernPackage(grid, random_band_metric(grid, seed=7, amplitude=0.2))
-    W, _, _ = _anchor_system(pkg, None)
+    W = scatter_blocks(_anchor_system(pkg, None)[0])
     # A = s W P from the pieces the flow solves with: s = (n-1) norm and the
     # trace block P = I - g v^T / (2(n-1)), with v . x = tr(g^-1 T x)
     T, T_inv = hermitian_basis(n)
@@ -503,16 +504,21 @@ def test_anchor_matrix_equals_structure_constant_assembly(n, axes):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_trace_correction_inverts_the_trace_block(n):
-    """X = Z + tr(g^-1 Z)/(n-2) g solves P X = X - tr(g^-1 X)/(2(n-1)) g = Z."""
+    """X = Z + tr(g^-1 Z)/(n-2) g solves P X = X - tr(g^-1 X)/(2(n-1)) g = Z,
+    with the trace read from b = W z as tr(M(b) g) / ((n-1)! det g)."""
     grid = TorusGrid(n, (0, 1), 8)
     pkg = ChernPackage(grid, 2.5 * random_band_metric(grid, seed=n, amplitude=0.2))
+    wn2, _ = _anchor_target(pkg, None)
     rng = np.random.default_rng(n)
-    z = hermitize(rng.standard_normal(pkg.g.shape) + 1j * rng.standard_normal(pkg.g.shape))
-    x = _trace_correction(pkg, z)
+    z = rng.standard_normal(grid.shape + (n * n,))
+    b = (full_wedge(wn2) @ z[..., None])[..., 0]
+    x = _trace_correction(pkg, z, b)
+    T, _ = hermitian_basis(n)
+    Z = (z @ T.T).reshape(pkg.g.shape)
     trace = np.einsum("...pa,...ap->...", np.linalg.inv(pkg.g), x)
     back = x - (trace / (2 * (n - 1)))[..., None, None] * pkg.g
-    # worst measured over n = 3, 4, 5 and seeds 0-3: 4.4e-16
-    assert np.abs(back - z).max() <= 1e-15 * np.abs(z).max()
+    # worst measured over n = 3, 4, 5 and seeds n to n + 3: 2.7e-16
+    assert np.abs(back - Z).max() <= 1e-15 * np.abs(Z).max()
 
 
 def _one_live_pair(grid, j=0, k=1):
@@ -525,9 +531,10 @@ def _one_live_pair(grid, j=0, k=1):
 
 
 def _wedge_of(pkg):
-    """W and its blocks, as :func:`anchor_velocity` reads them."""
+    """The whole W, as the oracle, and its blocks as :func:`anchor_velocity`
+    reads them."""
     wn2, _ = _anchor_target(pkg, None)
-    return wedge_block(wn2), _wedge_blocks(wn2)
+    return full_wedge(wn2), wedge_block(wn2)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -549,11 +556,11 @@ def test_anchor_velocity_solves_only_the_wedge_block(monkeypatch, n):
         pkg = ChernPackage(grid, g)
         solved.clear()
         anchor_velocity(pkg, None)
-        W, (coupled, singles) = _wedge_of(pkg)
+        W, (coupled, (singles, _)) = _wedge_of(pkg)
         assert len(solved) == len(coupled) and not inverted
         if g is random:  # one block: the one solve of the whole W
             assert solved[0].shape == grid.shape + (n * n, n * n) and not singles.size
-        for sub, block in zip(solved, coupled):
+        for sub, (block, _) in zip(solved, coupled):
             want = W[..., block[:, None], block].reshape(grid.shape + (-1,))
             assert sub.shape == grid.shape + (len(block), len(block))
             # the scale at a node is the ratio at its largest entry, which is
@@ -572,15 +579,17 @@ def test_anchor_velocity_solves_only_the_wedge_block(monkeypatch, n):
 
 def _block_and_dense(pkg):
     """Z = T z from the block solve of :func:`anchor_velocity`, and from one
-    dense ``np.linalg.solve`` of the full W.  Each entry of T z is one
+    dense ``np.linalg.solve`` of the whole W.  Each entry of T z is one
     coordinate of z or two of them as real and imaginary part, so Z is
     exact in z."""
     seen = []
-    with mock.patch.object(flow, "_trace_correction", lambda pkg, z: seen.append(z) or z):
+    with mock.patch.object(flow, "_trace_correction", lambda pkg, z, b: seen.append(z) or z):
         anchor_velocity(pkg, None)
-    W, b, _ = _anchor_system(pkg, None)
+    W, _ = _wedge_of(pkg)
+    _, b = _anchor_system(pkg, None)
     T, _ = hermitian_basis(pkg.grid.n)
-    return seen[0], (np.linalg.solve(W, b[..., None])[..., 0] @ T.T).reshape(pkg.g.shape)
+    return ((seen[0] @ T.T).reshape(pkg.g.shape),
+            (np.linalg.solve(W, b[..., None])[..., 0] @ T.T).reshape(pkg.g.shape))
 
 
 @pytest.mark.parametrize("axes", [(0, 1), (0, 2), (0, 1, 2, 3)])
@@ -588,9 +597,9 @@ def _block_and_dense(pkg):
 def test_block_solve_matches_the_dense_solve_on_the_balanced_family(n, axes):
     grid = TorusGrid(n, axes, 4)
     pkg = ChernPackage(grid, _balanced(grid))
-    _, (coupled, singles) = _wedge_of(pkg)
+    _, (coupled, (singles, _)) = _wedge_of(pkg)
     # the diagonal of g couples the diagonal coordinates; the rest stand alone
-    assert [list(block) for block in coupled] == [[j * n + j for j in range(n)]]
+    assert [list(block) for block, _ in coupled] == [[j * n + j for j in range(n)]]
     assert singles.size == n * n - n
     got, want = _block_and_dense(pkg)
     if n == 3:  # measured bit-identical at R = 4 and 8, amplitudes 0.05-0.3
@@ -603,7 +612,7 @@ def test_block_solve_matches_the_dense_solve_on_the_balanced_family(n, axes):
 def test_block_solve_matches_the_dense_solve_with_one_live_pair(n):
     grid = TorusGrid(n, (0, 1), 4)
     pkg = ChernPackage(grid, _one_live_pair(grid))
-    _, (coupled, singles) = _wedge_of(pkg)
+    _, (coupled, (singles, _)) = _wedge_of(pkg)
     assert len(coupled) == n - 1 and singles.size == (n - 2) * (n - 3)
     got, want = _block_and_dense(pkg)
     if n == 3:  # measured bit-identical at R = 4 and 8, pairs (0, 1), (1, 2), (0, 2)
@@ -612,11 +621,79 @@ def test_block_solve_matches_the_dense_solve_with_one_live_pair(n):
     assert np.abs(got - want).max() <= 1e-16 * np.abs(want).max()
 
 
+def _singular_block(theta):
+    """wedge_block with a zero column in its first coupled block."""
+    coupled, pivots = wedge_block(theta)
+    coupled[0][1][..., :, 0] = 0.0
+    return coupled, pivots
+
+
+def _assert_gate_is_the_full_residual(pkg):
+    """The block-by-block gate value equals the whole W's, both relative to
+    the same scale max(max |b|, max |W| max |z|): on the solution, and on it
+    moved by 1e-6 max |z| in one coordinate of a coupled block or of a 1 x 1
+    block, which then holds the largest residual."""
+    W, system = _wedge_of(pkg)
+    _, b = _anchor_system(pkg, None)
+    z = np.linalg.solve(W, b[..., None])[..., 0]
+    coupled, (singles, _) = system
+    for at in [None, coupled[0][0][-1]] + ([singles[-1]] if singles.size else []):
+        trial = z.copy()
+        if at is not None:
+            trial[..., at] += 1e-6 * np.abs(z).max()
+        want = full_relative_residual(W, b, trial)
+        assert at is None or want > 1e-8
+        # worst measured, n = 3-5: 9.6e-35 on the balanced family and one live
+        # pair at R = 4 and 8, 4.0e-16 over 400 zero patterns as below
+        assert abs(_relative_residual(system, b, trial) - want) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("family", ["balanced", "one live pair"])
+def test_block_gate_equals_the_full_w_residual(n, family):
+    grid = TorusGrid(n, (0, 1), 4)
+    g = _balanced(grid) if family == "balanced" else _one_live_pair(grid)
+    _assert_gate_is_the_full_residual(ChernPackage(grid, g))
+
+
+def test_anchor_run_computes_no_inverse_metric(monkeypatch):
+    """The anchor right-hand side reads tr(g^-1 Z) from b and det g, so an
+    anchor run never builds MetricFactor.ginv."""
+    built = []
+    ginv = MetricFactor.ginv
+
+    def spy(factor):
+        built.append(factor)
+        return ginv.func(factor)
+
+    monkeypatch.setattr(MetricFactor, "ginv", property(spy))
+    traj = run_flow(GRID, _balanced(), FORM_ANCHOR, 2e-5, StepControl(dt=1e-5))
+    assert traj.status == STATUS_COMPLETED and traj.steps_taken == 2 and not built
+    run_flow(GRID, _balanced(), FORM_WEIGHTED, 1e-5, StepControl(dt=1e-5))
+    assert built  # the spy sees the weighted right-hand side's inverse
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_anchor_velocity_allocates_no_full_wedge_matrix(n):
+    """On the balanced family the peak memory that anchor_velocity traces
+    stays below one float (*grid, n^2, n^2) array, so it builds none: W
+    exists only as its blocks.  Measured at R = 16: 0.71 (n = 4) and 0.76
+    (n = 5) of that size, against 1.83 and 1.82 with the whole W built."""
+    tracemalloc = pytest.importorskip("tracemalloc")
+    grid = TorusGrid(n, (0, 1), 16)
+    pkg = ChernPackage(grid, _balanced(grid))
+    anchor_velocity(pkg)  # the package's own caches and the tables, once
+    tracemalloc.start()
+    try:
+        anchor_velocity(pkg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < np.prod(grid.shape) * n ** 4 * np.dtype(float).itemsize
+
+
 def test_singular_wedge_block_fails_the_solve(monkeypatch):
-    def singular(theta):
-        W = wedge_block(theta)
-        W[..., :, 0] = 0.0
-        return W
+    singular = _singular_block
 
     monkeypatch.setattr(flow, "wedge_block", singular)
     with pytest.raises(SingularSystemError, match="anchor velocity solve failed"):
@@ -633,34 +710,37 @@ if HAS_HYPOTHESIS:
     def test_blocks_follow_the_zero_pattern_of_the_metric(n, seed, data):
         """Zero a random set of off-diagonal pairs of a random metric: the
         blocks partition the coordinates, no entry of W couples two blocks
-        at any node, and the block solve matches the dense one."""
+        at any node, the blocks and pivots are W's entries, the block solve
+        matches the dense one and the gate reads the whole W's value."""
         pairs = list(itertools.combinations(range(n), 2))
         grid = TorusGrid(n, (0, 1), 4)
         g = random_band_metric(grid, seed=seed, amplitude=0.2)
         for j, k in data.draw(st.lists(st.sampled_from(pairs), unique=True)):
             g[..., j, k] = g[..., k, j] = 0.0
         pkg = ChernPackage(grid, g)
-        W, (coupled, singles) = _wedge_of(pkg)
-        blocks = coupled + tuple(singles[:, None])
+        W, system = _wedge_of(pkg)
+        coupled, (singles, _) = system
+        blocks = tuple(block for block, _ in coupled) + tuple(singles[:, None])
         assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n * n))
         label = np.empty(n * n, dtype=int)
         for i, block in enumerate(blocks):
             label[block] = i
         assert np.all(W[..., label[:, None] != label] == 0.0)
+        # the blocks multiply only the live rows of C_R: the same sums, less zeros
+        assert np.abs(scatter_blocks(system) - W).max() <= 1e-15 * np.abs(W).max()
         got, want = _block_and_dense(pkg)
         # worst measured over 400 such patterns, seeds 0-3: 9.9e-16 (n = 5)
         assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
+        _assert_gate_is_the_full_residual(pkg)
 
 
 def test_singular_one_by_one_block_fails_the_solve(monkeypatch):
     """A zero pivot of a 1 x 1 block stops the solve, as LAPACK stops on a
     coupled block, and divides by nothing: no RuntimeWarning."""
-    _, (_, singles) = _wedge_of(ChernPackage(GRID, _balanced()))
-
     def singular(theta):
-        W = wedge_block(theta)
-        W[..., singles[0], singles[0]] = 0.0
-        return W
+        coupled, (singles, pivots) = wedge_block(theta)
+        pivots[..., 0] = 0.0
+        return coupled, (singles, pivots)
 
     monkeypatch.setattr(flow, "wedge_block", singular)
     with warnings.catch_warnings():

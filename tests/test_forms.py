@@ -16,6 +16,7 @@ from iiblab.forms import (
     wedge_block,
 )
 from iiblab.metrics import random_band_metric
+from probes import full_wedge, scatter_blocks
 
 try:
     from hypothesis import given, settings
@@ -157,7 +158,12 @@ def test_wedge_block_equals_form_built_columns(n, axes):
     want = T_inv @ want @ T
     # worst measured over these geometries, R = 4 and 8, seeds 0-3: 8.6e-18,
     # the imaginary residue; at n >= 4 an entry sums up to four terms
-    assert np.abs(wedge_block(theta) - want).max() <= 1e-15 * np.abs(want).max()
+    assert np.abs(full_wedge(theta) - want).max() <= 1e-15 * np.abs(want).max()
+    # a random metric couples every coordinate: one block, the whole W
+    coupled, (singles, pivots) = system = wedge_block(theta)
+    assert [list(block) for block, _ in coupled] == [list(range(n * n))] and not singles.size
+    assert pivots.shape == grid.shape + (0,)
+    assert np.abs(scatter_blocks(system) - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def _hermitian_basis_by_definition(n):
