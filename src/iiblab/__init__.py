@@ -5,7 +5,7 @@ and verifies the exact identities the construction relies on against
 independent finite-difference oracles.  Entry points:
 
 * :mod:`iiblab.grid`     flat torus grids, spectral and FD derivatives;
-* :mod:`iiblab.forms`    (p,q)-forms, wedge algebra, the sigma basis;
+* :mod:`iiblab.forms`    forms as stacks of components: powers of omega, d, the sigma basis;
 * :mod:`iiblab.metrics`  metric constructors and volume data;
 * :mod:`iiblab.chern`    connection, curvature, torsion, covariant calculus;
 * :mod:`iiblab.flow`     both flow formulations and the integrator;
@@ -20,7 +20,6 @@ from .chern import ChernPackage
 from .errors import (
     ConfigError,
     DegeneracyError,
-    DegreeError,
     GridError,
     HermiticityError,
     IIBLabError,
@@ -40,7 +39,6 @@ from .flow import (
     weighted_velocity,
 )
 from .diagnostics import compute_diagnostics
-from .forms import DifferentialForm, wedge, wedge_power
 from .grid import SPECTRAL, TorusGrid
 from .metrics import (
     balanced_band_metric,

@@ -19,10 +19,6 @@ class GridError(IIBLabError):
     """Invalid torus grid construction or mismatched grids in a binary op."""
 
 
-class DegreeError(IIBLabError):
-    """Form bidegree out of range (negative or above the complex dimension)."""
-
-
 class ValenceError(IIBLabError):
     """Tensor index signature does not match the array that carries it."""
 

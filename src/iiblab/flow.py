@@ -74,14 +74,7 @@ from .errors import (
     PositivityError,
     SingularSystemError,
 )
-from .forms import (
-    DifferentialForm,
-    hermitian_basis,
-    i_del_delbar_matrix,
-    matrix_to_one_one,
-    wedge_block,
-    wedge_power,
-)
+from .forms import hermitian_basis, i_del_delbar_matrix, omega_power, wedge_block
 from .grid import TorusGrid
 from .metrics import (
     HERMITICITY_TOLERANCE,
@@ -151,12 +144,12 @@ def _check_anchor_source(source_matrix: np.ndarray | None) -> None:
 
 def _anchor_target(
     pkg: ChernPackage, source_matrix: np.ndarray | None
-) -> tuple[DifferentialForm, np.ndarray]:
-    """Returns omega^{n-2} and the sigma matrix of the target
+) -> tuple[np.ndarray, np.ndarray]:
+    """Returns the stack of omega^{n-2} and the sigma matrix of the target
     ``i del delbar omega^{n-2} - source`` for the anchor solve."""
     grid = pkg.grid
-    wn2 = wedge_power(matrix_to_one_one(grid, pkg.g), grid.n - 2)
-    target = i_del_delbar_matrix(wn2)
+    wn2 = omega_power(pkg.g, grid.n - 2)
+    target = i_del_delbar_matrix(grid, wn2)
     if source_matrix is not None:
         target -= np.asarray(source_matrix, dtype=complex)
     return wn2, target
@@ -170,7 +163,7 @@ def _anchor_system(pkg: ChernPackage, source_matrix: np.ndarray | None):
     wn2, target = _anchor_target(pkg, source_matrix)
     b = (target.reshape(pkg.grid.shape + (n * n,)) @ T_inv.T).real
     b /= np.sqrt(pkg.norm_sq)[..., None]
-    return wedge_block(wn2), b
+    return wedge_block(pkg.grid, wn2), b
 
 
 def _relative_residual(system, b: np.ndarray, z: np.ndarray) -> float:
@@ -209,8 +202,8 @@ def anchor_velocity(
             = (n-1) M(i del delbar omega^{n-2} - source)
 
     where the column of M_wedge for X[k, j] is the sigma matrix of
-    ``E[k, j] ^ omega^{n-2}``, ``E[k, j] = i dz^j ^ dzbar^k`` (the
-    convention of :func:`matrix_to_one_one`).  As omega^{n-1} =
+    ``E[k, j] ^ omega^{n-2}``, ``E[k, j] = i dz^j ^ dzbar^k`` (so that
+    omega = sum g[k, j] E[k, j]).  As omega^{n-1} =
     omega ^ omega^{n-2}, M(omega^{n-1}) = M_wedge(g), so the matrix is
     A = s W P with s = (n-1) norm, W = M_wedge and
     P = I - g v^T / (2(n-1)), where v . X = tr(g^-1 X).  Because
@@ -222,7 +215,8 @@ def anchor_velocity(
     Z, the target and W Z are Hermitian, so the wedge system is real in
     the Hermitian basis T of :func:`~iiblab.forms.hermitian_basis`: b
     holds the coordinates of the target's Hermitian part, and Z = T z is
-    Hermitian by construction.  W, of omega^{n-2}, exists only as the
+    Hermitian by construction.  omega^{n-2} is the stack of minors of g
+    of :func:`~iiblab.forms.omega_power`; W of it exists only as the
     blocks of :func:`~iiblab.forms.wedge_block`, the target is
     :func:`~iiblab.forms.i_del_delbar_matrix` of it.  Each coupled block
     takes one batched LU solve, the 1 x 1 blocks one division, and a

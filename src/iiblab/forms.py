@@ -1,19 +1,17 @@
-"""Differential forms of type (p,q) on the flat torus.
+"""Differential forms on the flat torus, as stacks of components.
 
-A (p,q)-form is stored sparsely as a mapping from ordered multi-index
-pairs ``(J, K)`` (both strictly increasing tuples of zero-based axis
-labels) to complex coefficient arrays over the grid:
-
-    theta = sum_{J,K} comps[(J, K)] dz^J wedge dzbar^K
-
-with ``dz^J = dz^{J[0]} ^ ... ^ dz^{J[p-1]}``.  All reordering signs are
-handled by the algebra below; only strictly increasing keys are stored.
+The runtime has one representation of forms.  A (p,p)-form
+``sum_{J,K} theta[(J, K)] dz^J ^ dzbar^K`` (J, K strictly increasing
+tuples of zero-based labels) is one complex array of shape ``(K, *grid)``:
+its components in *key order*, (J, K) running over the product of the
+p-subsets of ``range(n)`` in ``itertools.combinations`` order
+(:func:`_keys`).  The library needs omega^{n-2} and omega^{n-1} of
+``omega = i g[kbar,j] dz^j ^ dzbar^k`` (barred index first, as everywhere)
+and d of the second.  A general sparse form algebra lives only with the
+tests, as the oracle these stacks and tables are held to.
 
 Conventions fixed here and relied on throughout the library:
 
-* conjugation maps a (p,q)-form to a (q,p)-form with
-  ``conj(theta)[(K,J)] = (-1)**(p*q) * conj(theta[(J,K)])``;
-* a form of bidegree (p,p) is *real* when it equals its conjugate;
 * the positive volume element is ``V = prod_m (i dz^m ^ dzbar^m)``,
   equal to ``i**(n**2) dz^1..dz^n ^ dzbar^1..dzbar^n``;
 * ``sigma(j,k)`` is the unique (n-1,n-1) monomial with
@@ -21,12 +19,24 @@ Conventions fixed here and relied on throughout the library:
   (n-1,n-1)-form are its *matrix encoding*; the matrix of a real form is
   Hermitian.
 
-The sign functions ``_merge_sign``, ``wedge_monomial`` and
-``sigma_coefficient``, like ``_complement``, depend only on their index
-arguments and are cached.  The anchor right-hand side reads tables
-compiled from them once per n.  The complex coefficient matrix C of the
-wedge with an (n-2,n-2)-form, restricted to the active directions, lets
-:func:`i_del_delbar_matrix` sum the mixed second derivatives of the
+The sign functions ``_merge_sign``, ``wedge_monomial``, ``sigma_coefficient``
+and ``_complement`` are cached; every table below is compiled from them.
+
+Powers of omega (:func:`omega_power`).  The 2-forms ``i g[k, j] dz^j ^
+dzbar^k`` commute, so in omega^m each set J of the j appears in m!
+orders; with the j in index order, the k run over the orderings of a set
+K, each signed by its permutation.  Hence omega^m[(J, K)] = c_{J,K} det
+g[K, J], the minor on rows K (barred) and columns J, with c_{J,K} = m! i^m
+s and s the sign :func:`wedge_monomial` gives to the factors ``i dz^{J_l}
+^ dzbar^{K_l}`` wedged in index order.  A Laplace recursion along the
+first row, det g[K, J] = sum_l (-1)^l g[K_0, J_l] det g[K_1.., J - J_l],
+builds the m x m minors from the (m-1)-minors as arrays over the grid,
+with no inverse metric.  d of an (n-1,n-1) stack (:func:`exterior_d`,
+derived in :mod:`iiblab.metrics`) is compiled from ``_merge_sign``.
+
+The anchor right-hand side reads the complex coefficient matrix C of the
+wedge with an (n-2,n-2)-form.  Restricted to the active directions, it
+lets :func:`i_del_delbar_matrix` sum the mixed second derivatives of the
 components into i del delbar with one ``tensordot``.  The real table C_R
 is C after the change to the real basis of Hermitian matrices
 (:func:`hermitian_basis`); column ``r * n**2 + c`` of it gives entry
@@ -40,21 +50,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field as dc_field
+import math
 
 import numpy as np
 
-from .errors import DegreeError
 from .grid import TorusGrid
 
 __all__ = [
-    "DifferentialForm",
-    "wedge",
-    "wedge_power",
     "wedge_monomial",
     "sigma_coefficient",
-    "matrix_to_one_one",
     "volume_coefficient",
+    "omega_power",
+    "exterior_d",
     "hermitian_basis",
     "wedge_block",
     "i_del_delbar_matrix",
@@ -104,80 +111,6 @@ def volume_coefficient(n: int) -> complex:
     return (1j ** n) * ((-1) ** (n * (n - 1) // 2))
 
 
-@dataclass
-class DifferentialForm:
-    """Sparse (p,q)-form over a torus grid."""
-
-    grid: TorusGrid
-    p: int
-    q: int
-    comps: dict[Key, np.ndarray] = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        n = self.grid.n
-        if not (0 <= self.p <= n and 0 <= self.q <= n):
-            raise DegreeError(f"bidegree ({self.p},{self.q}) outside [0,{n}]")
-
-    def _accumulate(self, key: Key, values: np.ndarray):
-        have = self.comps.get(key)
-        self.comps[key] = values if have is None else have + values
-
-    def __mul__(self, scalar) -> "DifferentialForm":
-        return DifferentialForm(
-            self.grid, self.p, self.q, {k: v * scalar for k, v in self.comps.items()}
-        )
-
-    def exterior_d(self):
-        """Full exterior derivative d = del + delbar, spectral.
-
-        Returns the (p+1,q) and (p,q+1) forms as the (del, delbar) pair.
-        Each component takes one forward transform, shared by all its
-        derivatives.
-        """
-        d = DifferentialForm(self.grid, self.p + 1, self.q)
-        dbar = DifferentialForm(self.grid, self.p, self.q + 1)
-        front = (-1) ** self.p  # dzbar^k passes the whole dz block
-        active = self.grid.active_directions
-        for (J, K), v in self.comps.items():
-            requests = [(j, False) for j in active if j not in J]
-            requests += [(k, True) for k in active if k not in K]
-            for (j, barred), dv in zip(requests, self.grid.derivatives(v, requests)):
-                if barred:
-                    merged, sign = _merge_sign((j,), K)
-                    dbar._accumulate((J, merged), front * sign * dv)
-                else:
-                    merged, sign = _merge_sign((j,), J)
-                    d._accumulate((merged, K), sign * dv)
-        return d, dbar
-
-
-def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
-    """Wedge product of two forms on the same grid."""
-    a.grid.require_same(b.grid)
-    p, q = a.p + b.p, a.q + b.q
-    n = a.grid.n
-    if p > n or q > n:
-        raise DegreeError(f"wedge overflows bidegree: ({p},{q}) with n={n}")
-    out = DifferentialForm(a.grid, p, q)
-    for ka, va in a.comps.items():
-        for kb, vb in b.comps.items():
-            key, sign = wedge_monomial(ka, kb)
-            if key is None:
-                continue
-            out._accumulate(key, sign * (va * vb))
-    return out
-
-
-def wedge_power(a: DifferentialForm, m: int) -> DifferentialForm:
-    """m-fold wedge power (m >= 1)."""
-    if m < 1:
-        raise DegreeError("wedge power needs m >= 1")
-    out = a
-    for _ in range(m - 1):
-        out = wedge(out, a)
-    return out
-
-
 # -- the complement basis on (n-1, n-1) forms --------------------------------
 
 
@@ -196,29 +129,109 @@ def sigma_coefficient(n: int, j: int, k: int) -> complex:
     return volume_coefficient(n) / (1j * sign)
 
 
-# -- (1,1) forms from Hermitian matrix fields ---------------------------------
+# -- powers of omega and their exterior derivative ----------------------------
 
 
-def matrix_to_one_one(grid: TorusGrid, g: np.ndarray) -> DifferentialForm:
-    """The (1,1)-form ``i g[kbar,j] dz^j ^ dzbar^k`` of a matrix field.
+@functools.lru_cache(maxsize=None)
+def _keys(n: int, m: int) -> tuple[Key, ...]:
+    """Keys (J, K) of the components of an (m,m)-form, in stack order."""
+    subsets = tuple(itertools.combinations(range(n), m))
+    return tuple(itertools.product(subsets, subsets))
 
-    ``g[..., k, j]`` carries the barred index first, matching the metric
-    convention used everywhere in this library.
+
+@functools.lru_cache(maxsize=None)
+def _power_table(n: int, m: int):
+    """The constants and the Laplace plan of :func:`omega_power`.
+
+    Returns c_{J,K} in key order, the index ``k * n + j`` of each entry
+    g[k, j] the recursion starts from and, per size r = 2..m, ``(entries,
+    minors)`` of shape ``(r, count)``: term l of minor i is ``(-1)**l``
+    times entry ``entries[l, i]`` times minor ``minors[l, i]`` of size r - 1.
     """
-    n = grid.n
-    out = DifferentialForm(grid, 1, 1)
-    for j in range(n):
-        for k in range(n):
-            out._accumulate(((j,), (k,)), 1j * np.asarray(g[..., k, j], dtype=complex))
-    return out
+    keys = _keys(n, m)
+    consts = np.empty(len(keys), dtype=complex)
+    for c, (J, K) in enumerate(keys):
+        key, sign = ((), ()), 1
+        for j, k in zip(J, K):
+            key, s = wedge_monomial(key, ((j,), (k,)))
+            sign *= s
+        consts[c] = math.factorial(m) * (1, 1j, -1, -1j)[m % 4] * sign
+    # the minors (rows, columns) each size needs, top-down
+    levels = [[(K, J) for J, K in keys]]
+    for r in range(m, 1, -1):
+        levels.append(sorted({(K[1:], J[:l] + J[l + 1:]) for K, J in levels[-1] for l in range(r)}))
+    levels.reverse()
+    first = np.array([K[0] * n + J[0] for K, J in levels[0]])
+    steps = []
+    for r, (lower, upper) in enumerate(zip(levels, levels[1:]), start=2):
+        at = {minor: i for i, minor in enumerate(lower)}
+        entries = np.array([[K[0] * n + J[l] for K, J in upper] for l in range(r)])
+        minors = np.array([[at[K[1:], J[:l] + J[l + 1:]] for K, J in upper] for l in range(r)])
+        steps.append((entries, minors))
+    for table in (consts, first, *itertools.chain(*steps)):
+        table.flags.writeable = False
+    return consts, first, tuple(steps)
+
+
+def omega_power(g: np.ndarray, m: int) -> np.ndarray:
+    """omega^m of the metric field ``g[..., k, j]`` (m >= 1) as a stack in
+    key order, shape ``(K, *grid)``: c_{J,K} det g[K, J] by the Laplace
+    recursion (module docstring), C(n, r) minors at a time."""
+    n = g.shape[-1]
+    consts, first, steps = _power_table(n, m)
+    entries = np.moveaxis(g, (-2, -1), (0, 1)).reshape((n * n,) + g.shape[:-2])
+    minors = entries[first]
+    for rows, below in steps:
+        out = np.empty((rows.shape[1],) + minors.shape[1:], dtype=complex)
+        width = math.comb(n, len(rows))
+        for start in range(0, len(out), width):
+            part = slice(start, start + width)
+            acc = np.multiply(entries[rows[0, part]], minors[below[0, part]], out=out[part])
+            for l in range(1, len(rows)):
+                term = entries[rows[l, part]] * minors[below[l, part]]
+                (np.subtract if l % 2 else np.add)(acc, term, out=acc)
+        minors = out
+    minors *= consts.reshape((-1,) + (1,) * (g.ndim - 2))
+    return minors
+
+
+@functools.lru_cache(maxsize=None)
+def _exterior_d_table(n: int, directions: tuple[int, ...]):
+    """For each component of an (n-1,n-1)-form: its index, its derivative
+    requests along the directions and, per request, the part it adds to
+    (del parts first) and the sign."""
+    subsets = tuple(itertools.combinations(range(n), n - 1))
+    front = (-1) ** (n - 1)  # dzbar^k passes the whole dz block
+    plan = []
+    for c, (J, K) in enumerate(_keys(n, n - 1)):
+        requests = [(j, False) for j in directions if j not in J]
+        requests += [(k, True) for k in directions if k not in K]
+        targets = [
+            (n + subsets.index(J), front * _merge_sign((j,), K)[1]) if barred
+            else (subsets.index(K), _merge_sign((j,), J)[1])
+            for j, barred in requests
+        ]
+        plan.append((c, requests, targets))
+    return tuple(plan)
+
+
+def exterior_d(grid: TorusGrid, stack: np.ndarray) -> list[np.ndarray]:
+    """d of an (n-1,n-1)-form given as its stack: the n components of the
+    (n,n-1) part, then the n of the (n-1,n) part, each in key order (module
+    docstring).  Each component is transformed at most once."""
+    parts = [np.zeros(grid.shape, dtype=complex) for _ in range(2 * grid.n)]
+    for c, requests, targets in _exterior_d_table(grid.n, grid.active_directions):
+        for (part, sign), dv in zip(targets, grid.derivatives(stack[c], requests)):
+            (np.add if sign > 0 else np.subtract)(parts[part], dv, out=parts[part])
+    return parts
 
 
 # -- compiled tables of the anchor right-hand side -----------------------------
 
 
 @functools.lru_cache(maxsize=None)
-def _wedge_table(n: int) -> tuple[tuple[Key, ...], np.ndarray]:
-    """Keys of an (n-2,n-2)-form and the matrix C of :func:`wedge_block`.
+def _wedge_table(n: int) -> np.ndarray:
+    """The matrix C of :func:`wedge_block`, on the keys of an (n-2,n-2)-form.
 
     C has shape ``(K, n**4)`` with K = C(n, n-2)**2 components.  Column
     ``(a*n + b)*n**2 + k*n + j`` holds, in the row of component ``kappa``,
@@ -226,8 +239,7 @@ def _wedge_table(n: int) -> tuple[tuple[Key, ...], np.ndarray]:
     where ``E[k, j] = i dz^j ^ dzbar^k``.  Each entry is 0, +-1 or +-i,
     and each column has at most one non-zero entry.
     """
-    lowers = list(itertools.combinations(range(n), n - 2))
-    keys = tuple(itertools.product(lowers, lowers))
+    keys = _keys(n, n - 2)
     C = np.zeros((len(keys), n ** 4), dtype=complex)
     for row, kappa in enumerate(keys):
         for j, k in itertools.product(range(n), range(n)):
@@ -238,7 +250,7 @@ def _wedge_table(n: int) -> tuple[tuple[Key, ...], np.ndarray]:
             b = next(m for m in range(n) if m not in merged[1])
             C[row, (a * n + b) * n * n + k * n + j] = 1j * sign / sigma_coefficient(n, a, b)
     C.flags.writeable = False
-    return keys, C
+    return C
 
 
 @functools.lru_cache(maxsize=None)
@@ -276,7 +288,7 @@ def _real_wedge_table(n: int) -> np.ndarray:
     parts, multiply it into the real part of the block.  Entries are sums
     of at most four terms in 0, +-1/2 and +-1, so the change is exact.
     """
-    _, C = _wedge_table(n)
+    C = _wedge_table(n)
     T, T_inv = hermitian_basis(n)
     block = T_inv @ C.reshape(-1, n * n, n * n) @ T
     C_R = np.stack([block.real, -block.imag], axis=1).reshape(-1, n ** 4)
@@ -289,33 +301,19 @@ def _i_del_delbar_table(n: int, directions: tuple[int, ...]):
     """The part of C that i del delbar reaches along the given directions.
 
     Returns ``(pairs, comps, rows, D)``: the (j, k) direction pairs, the
-    keys of the components and the indices of the sigma rows some pair
-    couples, and ``D[p, r, c]``, the coefficient of ``d_j dbar_k`` of
+    stack indices of the components and the indices of the sigma rows some
+    pair couples, and ``D[p, r, c]``, the coefficient of ``d_j dbar_k`` of
     component ``comps[c]`` in row ``rows[r]`` for ``pairs[p] = (j, k)``.
     """
-    keys, C = _wedge_table(n)
+    C = _wedge_table(n)
     pairs = tuple(itertools.product(directions, directions))
     D = C.reshape(-1, n * n, n * n)[:, :, [k * n + j for j, k in pairs]].transpose(2, 1, 0)
     rows = np.flatnonzero(D.any(axis=(0, 2)))
     live = np.flatnonzero(D.any(axis=(0, 1)))
     D = np.ascontiguousarray(D[:, rows][:, :, live])
-    for table in (rows, D):
+    for table in (rows, live, D):
         table.flags.writeable = False
-    return pairs, tuple(keys[c] for c in live), rows, D
-
-
-def _require_lower(theta: DifferentialForm) -> None:
-    n = theta.grid.n
-    if (theta.p, theta.q) != (n - 2, n - 2):
-        raise DegreeError(f"need an (n-2,n-2)-form, got ({theta.p},{theta.q})")
-
-
-def _stack(theta: DifferentialForm, keys, axis: int) -> np.ndarray:
-    shape = theta.grid.shape
-    return np.stack(
-        [np.broadcast_to(theta.comps.get(key, 0.0), shape) for key in keys],
-        axis=axis, dtype=complex,
-    )
+    return pairs, live, rows, D
 
 
 @functools.lru_cache(maxsize=None)
@@ -338,29 +336,27 @@ def _blocks(n: int, live: tuple[bool, ...]):
     return coupled, tables, singles, pivot_table
 
 
-def wedge_block(theta: DifferentialForm):
+def wedge_block(grid: TorusGrid, theta: np.ndarray):
     """Matrix W of ``X -> sigma matrix of X ^ theta`` in the Hermitian basis, as its blocks.
 
-    Entry ``[r, m]`` of W holds the :func:`hermitian_basis` coordinate r of
-    the sigma matrix of ``T_m ^ theta``, with ``T_m`` as a (1,1)-form
-    (:func:`matrix_to_one_one`): the real part of ``T_inv @ M @ T`` for the
-    complex sigma-basis block M, which is real when theta is a real
-    (n-2,n-2)-form.  An entry of W is zero at every node unless a row of
-    C_R of a live component (one non-zero at some node) reaches it; the
-    connected components of that pattern are the blocks (Duff, Erisman and
-    Reid, *Direct Methods for Sparse Matrices*, 1986, ch. 6).  Returns
+    ``theta`` is the stack of an (n-2,n-2)-form.  Entry ``[r, m]`` of W
+    holds the :func:`hermitian_basis` coordinate r of the sigma matrix of
+    ``T_m ^ theta``, with ``T_m`` as the (1,1)-form ``i T_m[kbar, j] dz^j ^
+    dzbar^k``: the real part of ``T_inv @ M @ T`` for the complex
+    sigma-basis block M, which is real when theta is a real (n-2,n-2)-form.
+    An entry of W is zero at every node unless a row of C_R of a live
+    component (one non-zero at some node) reaches it; the connected
+    components of that pattern are the blocks (Duff, Erisman and Reid,
+    *Direct Methods for Sparse Matrices*, 1986, ch. 6).  Returns
     ``(coupled, (singles, pivots))``: each coupled block's sorted indices
     (two or more) and principal submatrix, shape ``(*grid, m, m)``, then the
     indices of the 1 x 1 blocks and their entries, shape ``(*grid, s)``.
     Every other entry of W is a structural zero, and W is never formed.
     """
-    _require_lower(theta)
-    grid, n = theta.grid, theta.grid.n
-    keys, _ = _wedge_table(n)
-    live = tuple(bool(np.any(theta.comps.get(key, 0.0))) for key in keys)
-    coupled, tables, singles, pivot_table = _blocks(n, live)
-    comps = [key for key, on in zip(keys, live) if on]
-    stacked = _stack(theta, comps, axis=-1).reshape(-1, len(comps)).view(np.float64)
+    live = theta.reshape(len(theta), -1).any(axis=1)
+    coupled, tables, singles, pivot_table = _blocks(grid.n, tuple(live.tolist()))
+    stacked = np.ascontiguousarray(grid.to_grid_first(theta[live]))
+    stacked = stacked.reshape(-1, stacked.shape[-1]).view(np.float64)
     blocks = tuple(
         (block, (stacked @ table).reshape(grid.shape + (block.size, block.size)))
         for block, table in zip(coupled, tables)
@@ -368,8 +364,9 @@ def wedge_block(theta: DifferentialForm):
     return blocks, (singles, (stacked @ pivot_table).reshape(grid.shape + (singles.size,)))
 
 
-def i_del_delbar_matrix(theta: DifferentialForm) -> np.ndarray:
-    """Sigma matrix of ``i del delbar theta`` for an (n-2,n-2)-form theta.
+def i_del_delbar_matrix(grid: TorusGrid, theta: np.ndarray) -> np.ndarray:
+    """Sigma matrix of ``i del delbar theta`` for the stack of an
+    (n-2,n-2)-form theta.
 
     i del delbar of ``v dz^J ^ dzbar^K`` is the sum over (j, k) of
     ``d_j dbar_k v  E[k, j] ^ dz^J ^ dzbar^K``, so its sigma coefficients
@@ -380,12 +377,9 @@ def i_del_delbar_matrix(theta: DifferentialForm) -> np.ndarray:
     sigma rows that can be non-zero sums the result.  Shape
     ``(*grid, n, n)``.
     """
-    _require_lower(theta)
-    grid, n = theta.grid, theta.grid.n
+    n = grid.n
     pairs, comps, rows, D = _i_del_delbar_table(n, grid.active_directions)
-    mixed = grid.derivatives(
-        _stack(theta, comps, axis=0), [(j, False, k, True) for j, k in pairs]
-    )
+    mixed = grid.derivatives(theta[comps], [(j, False, k, True) for j, k in pairs])
     out = np.zeros(grid.shape + (n * n,), dtype=complex)
     out[..., rows] = grid.to_grid_first(np.tensordot(D, mixed, axes=([0, 2], [0, 1])))
     return out.reshape(grid.shape + (n, n))

@@ -139,10 +139,6 @@ class TorusGrid:
         reshape[pos] = self.resolution
         return np.broadcast_to(t.reshape(reshape), self.shape).copy()
 
-    def require_same(self, other: "TorusGrid"):
-        if self != other:
-            raise GridError(f"mismatched grids: {self} vs {other}")
-
     # -- derivatives ----------------------------------------------------
 
     @functools.cached_property

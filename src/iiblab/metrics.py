@@ -13,9 +13,20 @@ Positivity, this determinant and the inverse metric all come from one
 Cholesky factor of the metric, a :class:`MetricFactor`.
 
 A metric is *balanced* when d(omega^{n-1}) = 0 and *conformally balanced*
-when d(norm ||Omega||_g * omega^{n-1}) = 0.  The defect of the latter is
-what the flow preserves; :func:`balanced_defect_parts` computes that
-derivative and :func:`conformally_balanced_defect` its max norm.
+when d(u omega^{n-1}) = 0, u = ||Omega||_g; the flow preserves the latter.
+Its defect is a divergence of minors of g.  By :mod:`iiblab.forms` the
+component of omega^{n-1} on dz^{~a} ^ dzbar^{~b} (~a: all labels but a)
+is c M[b, a], with M[b, a] = det g[~b, ~a] and one constant c.  Only d_a
+and dbar_b of it reach the top degree, with the signs s_a = (-1)^a of
+moving dz^a into place and (-1)^{n-1} s_b of moving dzbar^b there:
+
+    del(u omega^{n-1})[b]    = c sum_{a active} s_a d_a (u M[b, a]),
+    delbar(u omega^{n-1})[a] = (-1)^{n-1} c sum_{b active} s_b dbar_b (u M[b, a]).
+
+As s_a s_b M[b, a] is the cofactor of g[b, a], these are divergences of
+det(g)^{1/2} g^-1 up to sign.  :func:`balanced_defect_parts` never forms
+that inverse; it differentiates u times the stack of minors, and
+:func:`conformally_balanced_defect` is its max norm.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ import itertools
 import numpy as np
 
 from .errors import GridError, HermiticityError, PositivityError
-from .forms import matrix_to_one_one, wedge_power
+from .forms import exterior_d, omega_power
 from .grid import TorusGrid
 
 __all__ = [
@@ -264,16 +275,14 @@ def volume_norm(g: np.ndarray) -> np.ndarray:
 def balanced_defect_parts(
     grid: TorusGrid, g: np.ndarray, norm: np.ndarray | None = None
 ) -> list[np.ndarray]:
-    """Component arrays of d( ||Omega||_g  omega^{n-1} ), del part first.
+    """Component arrays of d( ||Omega||_g  omega^{n-1} ): the n del parts,
+    then the n delbar parts, each in key order (module docstring).
 
     ``norm`` is ``volume_norm(g)`` when the caller already holds it.  The
     list is never empty: every grid has an active direction.
     """
     u = volume_norm(g) if norm is None else norm
-    omega = matrix_to_one_one(grid, g)
-    anchor = wedge_power(omega, grid.n - 1) * u.astype(complex)
-    d, dbar = anchor.exterior_d()
-    return [*d.comps.values(), *dbar.comps.values()]
+    return exterior_d(grid, u * omega_power(g, grid.n - 1))
 
 
 def conformally_balanced_defect(

@@ -22,6 +22,7 @@ import json
 import math
 import operator
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,6 +306,16 @@ def _load_phi(path, grid: TorusGrid) -> np.ndarray:
     return phi
 
 
+def _check_output_names(output: dict) -> None:
+    """Refuse a reports name equal to the diagnostics name, or either named
+    as a snapshot, ``<snapshotPrefix>-<step, 8 digits or more>.snap``."""
+    diagnostics, reports = (os.path.normpath(output[key]) for key in ("diagnostics", "reports"))
+    snapshot = re.escape(os.path.normpath(output["snapshotPrefix"])) + r"-\d{8,}\.snap"
+    for key, name in (("diagnostics", diagnostics), ("reports", reports)):
+        if diagnostics == reports or re.fullmatch(snapshot, name):
+            raise ConfigError(f"output.{key} {output[key]!r} names another output file")
+
+
 def resolve_config(
     raw: dict,
     seed: int | None = None,
@@ -313,6 +324,7 @@ def resolve_config(
 ) -> ResolvedConfig:
     """Validate and default, apply overrides, and construct objects."""
     cfg = validate_config(raw)
+    _check_output_names(cfg["output"])
 
     if resolution is not None:
         cfg["geometry"]["resolution"] = int(resolution)

@@ -196,8 +196,8 @@ def test_weighted_run_with_an_anchor_source_stops_at_the_singular_time(tmp_path,
 
 
 def test_anchor_run_with_a_failed_solve_exits_two(tmp_path, capsys, monkeypatch):
-    def singular(theta):
-        coupled, pivots = wedge_block(theta)
+    def singular(grid, theta):
+        coupled, pivots = wedge_block(grid, theta)
         coupled[0][1][..., :, 0] = 0.0  # a zero column in the first coupled block
         return coupled, pivots
 
@@ -335,6 +335,23 @@ def _config_error(capsys, argv):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "ConfigError" and err["code"] == 1
     return err["message"]
+
+
+@pytest.mark.parametrize("output", [
+    {"diagnostics": "out.json", "reports": "out.json"},
+    {"diagnostics": "out.json", "reports": "./out.json"},
+    {"reports": "state-00000000.snap"},
+    {"diagnostics": "s-00000003.snap", "snapshotPrefix": "s"},
+])
+def test_colliding_output_names_exit_one_and_write_nothing(tmp_path, capsys, output):
+    """Output files that would overwrite one another are a ConfigError: the
+    reports used to replace the diagnostics stream of a run that exits 0."""
+    cfg = _flat_cfg(output=output, verifySuite=[{"identity": "tau"}])
+    cfg["geometry"]["resolution"] = 4
+    out = tmp_path / "out"
+    message = _config_error(capsys, ["run", "--config", _write(tmp_path, "c.json", cfg),
+                                     "--out", str(out)])
+    assert "output." in message and not out.exists()
 
 
 def test_non_finite_end_time_exits_one(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """The CLI contract over configs drawn from CONFIG_SCHEMA.
 
 ``iiblab run`` on any config the schema describes either exits 1 with one
-JSON error on stderr, or writes a header, records with strictly increasing
+JSON error on stderr (always when two output files would share a name), or
+writes a header, records with strictly increasing
 finite times and a status record whose status decides the exit code as the
 README says, keeps at least one snapshot, and on a singularity stop keeps a
 last state above the positivity floor.
@@ -118,6 +119,20 @@ def _valid_data(control: dict, suite: list, seed: int) -> dict:
     }
 
 
+def _colliding(data: dict, output: dict) -> dict:
+    """Valid data whose output names collide: it must exit 1 all the same."""
+    return {**data, "output": output}
+
+
+# equal names, also through a path, and a snapshot's name under either key
+COLLIDING_OUTPUT = st.sampled_from([
+    {"diagnostics": "out.json", "reports": "out.json"},
+    {"diagnostics": "out.json", "reports": "./out.json"},
+    {"diagnostics": "s-00000001.snap", "snapshotPrefix": "s"},
+    {"reports": "state-00000002.snap"},
+])
+
+
 def _block(key: str):
     return _from_schema(CONFIG_SCHEMA["properties"][key], (key,))
 
@@ -127,7 +142,20 @@ CONFIGS = st.one_of(
     st.builds(_singular, st.integers(3, 4), st.floats(50.0, 200.0), st.integers(0, 2),
               st.sampled_from(["anchor", "weighted"])),
     st.builds(_valid_data, _block("control"), _block("verifySuite"), st.integers(0, 3)),
+    st.builds(_colliding, st.builds(_valid_data, _block("control"), _block("verifySuite"),
+                                    st.integers(0, 3)), COLLIDING_OUTPUT),
 )
+
+
+def _collides(output: dict) -> bool:
+    """Whether the diagnostics and reports files share a name, or either has
+    the name of a snapshot, ``<snapshotPrefix>-<8 digits>.snap``."""
+    names = [os.path.normpath(output.get(key, default))
+             for key, default in (("diagnostics", "diagnostics.jsonl"), ("reports", "reports.json"))]
+    prefix = output.get("snapshotPrefix", "state") + "-"
+    step = [name[len(prefix):-len(".snap")] for name in names
+            if name.startswith(prefix) and name.endswith(".snap")]
+    return names[0] == names[1] or any(len(s) == 8 and s.isdigit() for s in step)
 
 
 def _check_contract(cfg: dict, root: str) -> int:
@@ -138,6 +166,8 @@ def _check_contract(cfg: dict, root: str) -> int:
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(["run", "--config", config, "--out", out])
     assert code in (0, 1, 2, 3, 4)
+    if _collides(cfg.get("output", {})):
+        assert code == 1
     if code == 1:
         lines = stderr.getvalue().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"]["code"] == 1

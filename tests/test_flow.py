@@ -34,14 +34,7 @@ from iiblab.flow import (
     metric_from_weighted,
     weighted_from_metric,
 )
-from iiblab.forms import (
-    hermitian_basis,
-    matrix_to_one_one,
-    sigma_coefficient,
-    wedge,
-    wedge_block,
-    wedge_monomial,
-)
+from iiblab.forms import hermitian_basis, sigma_coefficient, wedge_block, wedge_monomial
 from iiblab.metrics import (
     balanced_band_metric,
     fourier_scalar,
@@ -51,7 +44,15 @@ from iiblab.metrics import (
     random_band_metric,
     volume_norm_sq,
 )
-from probes import full_relative_residual, full_wedge, kahler_from_potential, scatter_blocks
+from probes import (
+    full_relative_residual,
+    full_wedge,
+    kahler_from_potential,
+    matrix_to_one_one,
+    scatter_blocks,
+    wedge,
+    wedge_power,
+)
 
 try:
     from hypothesis import given, settings
@@ -453,11 +454,13 @@ def test_nearly_hermitian_anchor_source_acts_as_its_hermitian_part():
 
 def _structure_constant_matrix(pkg):
     """The anchor matrix A assembled entry by entry from wedge signs and
-    sigma coefficients, as the flow did before reading it off the form
-    algebra; kept only here, as the reference."""
+    sigma coefficients, on omega^{n-2} from the form-algebra oracle, as the
+    flow did before reading it off compiled tables; kept only here, as the
+    reference."""
     grid, n = pkg.grid, pkg.grid.n
-    wn2, _ = _anchor_target(pkg, None)
-    wn1 = wedge(wn2, matrix_to_one_one(grid, pkg.g))
+    omega = matrix_to_one_one(grid, pkg.g)
+    wn2 = wedge_power(omega, n - 2)
+    wn1 = wedge(wn2, omega)
     wn1_matrix = np.zeros(grid.shape + (n, n), dtype=complex)
     for a, b in itertools.product(range(n), range(n)):
         key = tuple(m for m in range(n) if m != a), tuple(m for m in range(n) if m != b)
@@ -511,7 +514,7 @@ def test_trace_correction_inverts_the_trace_block(n):
     wn2, _ = _anchor_target(pkg, None)
     rng = np.random.default_rng(n)
     z = rng.standard_normal(grid.shape + (n * n,))
-    b = (full_wedge(wn2) @ z[..., None])[..., 0]
+    b = (full_wedge(grid, wn2) @ z[..., None])[..., 0]
     x = _trace_correction(pkg, z, b)
     T, _ = hermitian_basis(n)
     Z = (z @ T.T).reshape(pkg.g.shape)
@@ -534,7 +537,7 @@ def _wedge_of(pkg):
     """The whole W, as the oracle, and its blocks as :func:`anchor_velocity`
     reads them."""
     wn2, _ = _anchor_target(pkg, None)
-    return full_wedge(wn2), wedge_block(wn2)
+    return full_wedge(pkg.grid, wn2), wedge_block(pkg.grid, wn2)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -621,9 +624,9 @@ def test_block_solve_matches_the_dense_solve_with_one_live_pair(n):
     assert np.abs(got - want).max() <= 1e-16 * np.abs(want).max()
 
 
-def _singular_block(theta):
+def _singular_block(grid, theta):
     """wedge_block with a zero column in its first coupled block."""
-    coupled, pivots = wedge_block(theta)
+    coupled, pivots = wedge_block(grid, theta)
     coupled[0][1][..., :, 0] = 0.0
     return coupled, pivots
 
@@ -656,9 +659,14 @@ def test_block_gate_equals_the_full_w_residual(n, family):
     _assert_gate_is_the_full_residual(ChernPackage(grid, g))
 
 
-def test_anchor_run_computes_no_inverse_metric(monkeypatch):
-    """The anchor right-hand side reads tr(g^-1 Z) from b and det g, so an
-    anchor run never builds MetricFactor.ginv."""
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_anchor_run_computes_no_inverse_metric(monkeypatch, n):
+    """The anchor right-hand side reads tr(g^-1 Z) from b and det g, and
+    omega^{n-2} from minors of g, so an anchor run, its g0 balanced gate
+    included, never builds MetricFactor.ginv nor calls an inverse or a
+    determinant routine.  At n >= 4 omega^{n-2} is a true power of omega:
+    a route through the inverse metric (Jacobi's identity for the minors)
+    would show here."""
     built = []
     ginv = MetricFactor.ginv
 
@@ -667,9 +675,13 @@ def test_anchor_run_computes_no_inverse_metric(monkeypatch):
         return ginv.func(factor)
 
     monkeypatch.setattr(MetricFactor, "ginv", property(spy))
-    traj = run_flow(GRID, _balanced(), FORM_ANCHOR, 2e-5, StepControl(dt=1e-5))
+    for name in ("inv", "det"):
+        routine = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, r=routine: built.append(a) or r(*a))
+    grid = TorusGrid(n, (0, 1), 8)
+    traj = run_flow(grid, _balanced(grid), FORM_ANCHOR, 2e-5, StepControl(dt=1e-5))
     assert traj.status == STATUS_COMPLETED and traj.steps_taken == 2 and not built
-    run_flow(GRID, _balanced(), FORM_WEIGHTED, 1e-5, StepControl(dt=1e-5))
+    run_flow(grid, _balanced(grid), FORM_WEIGHTED, 1e-5, StepControl(dt=1e-5))
     assert built  # the spy sees the weighted right-hand side's inverse
 
 
@@ -677,8 +689,10 @@ def test_anchor_run_computes_no_inverse_metric(monkeypatch):
 def test_anchor_velocity_allocates_no_full_wedge_matrix(n):
     """On the balanced family the peak memory that anchor_velocity traces
     stays below one float (*grid, n^2, n^2) array, so it builds none: W
-    exists only as its blocks.  Measured at R = 16: 0.71 (n = 4) and 0.76
-    (n = 5) of that size, against 1.83 and 1.82 with the whole W built."""
+    exists only as its blocks.  Measured at R = 16: 0.69 (n = 4) and 0.64
+    (n = 5) of that size with omega^{n-2} built as stacks of minors (0.71
+    and 0.76 with the sparse form algebra), against 1.83 and 1.82 with the
+    whole W built."""
     tracemalloc = pytest.importorskip("tracemalloc")
     grid = TorusGrid(n, (0, 1), 16)
     pkg = ChernPackage(grid, _balanced(grid))
@@ -737,8 +751,8 @@ if HAS_HYPOTHESIS:
 def test_singular_one_by_one_block_fails_the_solve(monkeypatch):
     """A zero pivot of a 1 x 1 block stops the solve, as LAPACK stops on a
     coupled block, and divides by nothing: no RuntimeWarning."""
-    def singular(theta):
-        coupled, (singles, pivots) = wedge_block(theta)
+    def singular(grid, theta):
+        coupled, (singles, pivots) = wedge_block(grid, theta)
         pivots[..., 0] = 0.0
         return coupled, (singles, pivots)
 

@@ -1,22 +1,30 @@
-"""Exterior algebra: wedge products, the sigma basis, exterior derivative."""
+"""Exterior algebra: the form-algebra oracle, the sigma basis, and the
+stacks and tables the library compiles from them."""
 
 import numpy as np
 import pytest
 
-from iiblab import DifferentialForm, TorusGrid, wedge, wedge_power
-from iiblab.errors import DegreeError
+from iiblab import TorusGrid
 from iiblab.forms import (
     _real_wedge_table,
     _wedge_table,
     hermitian_basis,
     i_del_delbar_matrix,
-    matrix_to_one_one,
+    omega_power,
     sigma_coefficient,
     volume_coefficient,
     wedge_block,
 )
 from iiblab.metrics import random_band_metric
-from probes import full_wedge, scatter_blocks
+from probes import (
+    DifferentialForm,
+    form_stack,
+    full_wedge,
+    matrix_to_one_one,
+    scatter_blocks,
+    wedge,
+    wedge_power,
+)
 
 try:
     from hypothesis import given, settings
@@ -57,7 +65,7 @@ def _scalar(values):
 
 
 def test_bidegree_validation():
-    with pytest.raises(DegreeError):
+    with pytest.raises(ValueError):
         DifferentialForm(GRID, 4, 0)
 
 
@@ -85,7 +93,7 @@ def test_wedge_associates():
 
 def test_wedge_degree_overflow():
     a = _one_form(7)
-    with pytest.raises(DegreeError):
+    with pytest.raises(ValueError):
         wedge_power(a, 4)
 
 
@@ -158,12 +166,30 @@ def test_wedge_block_equals_form_built_columns(n, axes):
     want = T_inv @ want @ T
     # worst measured over these geometries, R = 4 and 8, seeds 0-3: 8.6e-18,
     # the imaginary residue; at n >= 4 an entry sums up to four terms
-    assert np.abs(full_wedge(theta) - want).max() <= 1e-15 * np.abs(want).max()
+    stack = form_stack(theta)
+    assert np.abs(full_wedge(grid, stack) - want).max() <= 1e-15 * np.abs(want).max()
     # a random metric couples every coordinate: one block, the whole W
-    coupled, (singles, pivots) = system = wedge_block(theta)
+    coupled, (singles, pivots) = system = wedge_block(grid, stack)
     assert [list(block) for block, _ in coupled] == [list(range(n * n))] and not singles.size
     assert pivots.shape == grid.shape + (0,)
     assert np.abs(scatter_blocks(system) - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n, axes", TABLE_GEOMETRIES)
+def test_omega_power_equals_the_wedge_power(n, axes):
+    """The stacks of minors against the oracle's wedge powers: omega itself
+    bit for bit (1j g^T, what the anchor reads at n = 3), omega^{n-2} and
+    omega^{n-1} to round-off."""
+    grid = TorusGrid(n, axes, 8)
+    for seed in range(4):
+        g = random_band_metric(grid, seed=seed, amplitude=0.2)
+        omega = matrix_to_one_one(grid, g)
+        assert omega_power(g, 1).tobytes() == form_stack(omega).tobytes()
+        for m in (n - 2, n - 1):
+            want = form_stack(wedge_power(omega, m))
+            # worst measured over these geometries, R = 4 and 8, seeds 0-3,
+            # amplitudes 0.05 and 0.2: 1.2e-15 (n = 5, m = 4)
+            assert np.abs(omega_power(g, m) - want).max() <= 4e-15 * np.abs(want).max()
 
 
 def _hermitian_basis_by_definition(n):
@@ -188,7 +214,7 @@ def test_real_wedge_table_is_the_basis_change_of_c(n):
     T_inv = np.linalg.inv(T)
     got_T, got_T_inv = hermitian_basis(n)
     assert np.array_equal(got_T, T) and np.array_equal(got_T_inv, T_inv)
-    _, C = _wedge_table(n)
+    C = _wedge_table(n)
     changed = np.einsum("ar,krc,cb->kab", T_inv, C.reshape(-1, n * n, n * n), T)
     # rows 2*kappa and 2*kappa + 1 multiply Re and Im of component kappa
     want = np.stack([changed.real, -changed.imag], axis=1).reshape(-1, n ** 4)
@@ -201,15 +227,9 @@ def test_real_wedge_table_is_the_basis_change_of_c(n):
 def test_i_del_delbar_matrix_equals_form_derivatives(n, axes, resolution):
     theta = _lower_power(n, axes, resolution)
     want = _sigma_matrix(theta.exterior_d()[1].exterior_d()[0] * 1j)
-    got = i_del_delbar_matrix(theta)
+    got = i_del_delbar_matrix(theta.grid, form_stack(theta))
     # worst measured over these geometries, R = 4 and 8, seeds 0-3: 1.0e-15
     assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
-
-
-def test_anchor_tables_need_the_lower_bidegree():
-    for table in (wedge_block, i_del_delbar_matrix):
-        with pytest.raises(DegreeError):
-            table(DifferentialForm(GRID, 2, 2))
 
 
 if HAS_HYPOTHESIS:

@@ -71,6 +71,29 @@ def test_unknown_keys_rejected_everywhere():
         resolve_config(bad_ctl)
 
 
+@pytest.mark.parametrize("output, match", [
+    ({"diagnostics": "out.json", "reports": "out.json"}, "output.diagnostics"),
+    ({"diagnostics": "sub/../r.json", "reports": "r.json"}, "output.diagnostics"),
+    ({"diagnostics": "state-00000012.snap"}, "output.diagnostics"),
+    ({"reports": "state-123456789.snap"}, "output.reports"),
+    ({"reports": "run/s-00000001.snap", "snapshotPrefix": "run/s"}, "output.reports"),
+])
+def test_colliding_output_names_are_rejected(output, match):
+    with pytest.raises(ConfigError, match=match + ".* names another output file"):
+        resolve_config(_base(output=output))
+
+
+@pytest.mark.parametrize("output", [
+    {"diagnostics": "state-0000001.snap"},  # seven digits: no snapshot has it
+    {"reports": "state-00000001.snap", "snapshotPrefix": "s"},
+    {"diagnostics": "a.json", "reports": "b.json"},
+])
+def test_distinct_output_names_are_accepted(output):
+    assert resolve_config(_base(output=output)).output == {
+        "directory": ".", "diagnostics": "diagnostics.jsonl", "reports": "reports.json",
+        "snapshotPrefix": "state", **output}
+
+
 def test_missing_required_block_names_the_path():
     cfg = _base()
     del cfg["control"]

@@ -18,9 +18,9 @@ round-off:
   and 1.
 
 A source psi moves with the map too.  Its sigma matrix is pulled back
-with ``forms.wedge`` and ``sigma_coefficient``, not by a law written
-here, and the quarter turn of the flow with it catches a source read
-with its indices transposed.
+with the form-algebra oracle's ``wedge`` (``probes``) and
+``sigma_coefficient``, not by a law written here, and the quarter turn
+of the flow with it catches a source read with its indices transposed.
 
 The reflection conjugates every field, so it checks that real and
 imaginary parts are treated alike.  The quarter turn multiplies the
@@ -48,9 +48,10 @@ from iiblab import (
 )
 from iiblab.diagnostics import compute_diagnostics
 from iiblab.flow import STATUS_COMPLETED
-from iiblab.forms import DifferentialForm, sigma_coefficient, wedge
+from iiblab.forms import sigma_coefficient
 from iiblab.metrics import fourier_scalar, random_band_metric
 from iiblab.verify import SPATIAL_REGISTRY
+from probes import DifferentialForm, wedge
 
 STEPS, DT = 3, 1e-3
 GEOMETRIES = [(3, (0, 1)), (4, (0, 1))]
