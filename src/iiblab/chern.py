@@ -30,6 +30,19 @@ that a derivative does not correct is never mixed with its neighbours, so
 it may hold only some directions (the live ones): the derivative of that
 slice is the same slice of the full derivative, bit for bit.
 
+Live slots.  The slots of the metric that are exact zeros at every node
+(:func:`metrics.live_slots`) stay zero in ``dg``, and the
+:class:`metrics.MetricFactor` knows the live slots of ``ginv``.  Every
+product below takes its live slots as the boolean product of its
+factors' (:class:`_SlotPlan`), and each grid-last slot loop runs on
+``slot_rects`` of the live part only, so on a diagonal metric the
+connection, curvature and torsion contractions touch n of the n^2 slots,
+and with every slot live each loop is one dense broadcast.  The result
+is bit-identical to the dense loops (the :mod:`iiblab.metrics` docstring
+says why).  The torsion square keeps the term that couples the blocks of
+two different active directions, so a diagonal metric varying along two
+directions has a live off-diagonal ``ttbar``.
+
 Index-first-barred convention: the metric array ``g[..., k, j]`` holds
 the component with barred row k and unbarred column j, and the inverse
 ``ginv[..., p, a]`` holds the component with unbarred row p.  Both
@@ -45,7 +58,7 @@ import numpy as np
 
 from .errors import ValenceError
 from .grid import SPECTRAL, TorusGrid
-from .metrics import check_positive
+from .metrics import _factor_plan, _product, _runs, check_positive, slot_rects
 
 __all__ = [
     "ChernPackage",
@@ -53,6 +66,73 @@ __all__ = [
 ]
 
 _LETTERS = string.ascii_lowercase.replace("m", "").replace("p", "")
+
+
+class _SlotPlan:
+    """Live slots of every grid-last product of a :class:`ChernPackage`.
+
+    Built once per live-slot pattern of g and set of active directions
+    from G, the live slots of g and of each ``dg[i]``, and B, those of
+    ``ginv``.  Each kernel reads the rectangles (:func:`metrics.slot_rects`)
+    or the slot pairs it loops over; the attributes ending in ``_live``
+    are the patterns of the results.
+    """
+
+    def __init__(self, key: bytes, active: tuple[int, ...]):
+        inv_live = _factor_plan(key).ginv  # B
+        live = np.frombuffer(key, dtype=bool).reshape(inv_live.shape)  # G
+        n = len(live)
+
+        def outer(rows, cols):
+            return slot_rects(np.outer(rows, cols))
+
+        gamma = _product(inv_live, live)
+        self.gamma = [(a, outer(inv_live[:, a], live[a])) for a in range(n)]
+        self.traced = [(j_at, k_at, j, k) for j_at, j in enumerate(active)
+                       for k_at, k in enumerate(active) if inv_live[j, k]]
+        self.traced_rects = slot_rects(gamma)
+        self.ricci = [(l, outer(live[:, l], gamma[l])) for l in range(n)]
+        self.ricci_live = _product(live, gamma)
+
+        r_live = _product(live, inv_live)
+        self.r = [(q, outer(live[:, q], inv_live[q])) for q in range(n)]
+        r_rects = slot_rects(r_live)
+        self.ttbar, ttbar_live = [], np.zeros_like(live)
+        for a_at, a in enumerate(active):
+            u_live, u_terms = np.zeros_like(live), []
+            for p_at, p in enumerate(active):
+                u_live |= np.outer(r_live[:, a], inv_live[p]) | (r_live & inv_live[p, a])
+                u_terms.append((p_at, p, r_rects if inv_live[p, a] else (),
+                                outer(r_live[:, a], inv_live[p])))
+            out_terms = [(b, outer(u_live[:, b], live[:, b])) for b in range(n)]
+            self.ttbar.append((a_at, a, u_terms, out_terms))
+            ttbar_live |= _product(u_live, live.T)
+        self.ttbar_live = ttbar_live
+        self.ttbar_rects = slot_rects(ttbar_live)
+
+        self.tau = [[(q, _runs(live[q])) for q in range(n) if inv_live[p, q]] for p in active]
+        self.tau_pairs = _pairs(live & inv_live.T)
+        self.t_norm_pairs = _pairs(inv_live & ttbar_live.T)
+
+
+def _pairs(live: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The live (a, b) of a pattern in row-major order, None when all are live."""
+    return None if live.all() else np.nonzero(live)
+
+
+def _pair_sum(x: np.ndarray, y: np.ndarray, pairs, real: bool = False) -> np.ndarray:
+    """``sum x[a, b] * y[a, b]`` (its real part when ``real``) over the live
+    pairs, in the row-major order of the dense sum over both slot axes."""
+    if pairs is None:
+        terms, axes = x * y, (0, 1)
+    else:
+        terms, axes = x[pairs] * y[pairs], 0
+    return (terms.real if real else terms).sum(axis=axes)
+
+
+@functools.lru_cache(maxsize=None)
+def _slot_plan(key: bytes, active: tuple[int, ...]) -> _SlotPlan:
+    return _SlotPlan(key, active)
 
 
 class ChernPackage:
@@ -74,6 +154,7 @@ class ChernPackage:
         self.g = np.asarray(g, dtype=complex)
         self.scheme = scheme
         self.factor = check_positive(self.g)
+        self.slots = _slot_plan(self.factor.live.tobytes(), grid.active_directions)
 
     # -- first layer: derivatives of the metric ------------------------------
     #
@@ -110,8 +191,9 @@ class ChernPackage:
         ginv, dg = self.factor.ginv, self.active_dg
         out = np.zeros_like(dg)
         for i in range(len(dg)):
-            for a in range(self.grid.n):
-                out[i] += ginv[:, a, None] * dg[i, a]
+            for a, rects in self.slots.gamma:
+                for r, c in rects:
+                    out[i, r, c] += ginv[r, a, None] * dg[i, a, c]
         return out
 
     @functools.cached_property
@@ -141,16 +223,16 @@ class ChernPackage:
 
         ``out[p, q] = sum g[p, l] ginv[j, k] curv[k, j, l, q]``.
         """
-        ginv, curv = self.factor.ginv, self.active_curvature
-        active = self.grid.active_directions
+        ginv, curv, slots = self.factor.ginv, self.active_curvature, self.slots
         traced = np.zeros_like(ginv)
-        for j_at, j in enumerate(active):
-            for k_at, k in enumerate(active):
-                traced += ginv[j, k] * curv[k_at, j_at]
+        for j_at, k_at, j, k in slots.traced:
+            for r, c in slots.traced_rects:
+                traced[r, c] += ginv[j, k] * curv[k_at, j_at, r, c]
         g = self._g_last
         out = np.zeros_like(ginv)
-        for l in range(self.grid.n):
-            out += g[:, l, None] * traced[l]
+        for l, rects in slots.ricci:
+            for r, c in rects:
+                out[r, c] += g[r, l, None] * traced[l, c]
         return self.grid.to_grid_first(out)
 
     @functools.cached_property
@@ -182,10 +264,11 @@ class ChernPackage:
         ginv, dg = self.factor.ginv, self.active_dg
         ginv_t = np.swapaxes(ginv, 0, 1)
         out = np.zeros_like(ginv[0])
-        for i, p in enumerate(self.grid.active_directions):
-            for q in range(self.grid.n):
-                out += ginv[p, q] * dg[i, q]
-            out[p] -= (ginv_t * dg[i]).sum(axis=(0, 1))
+        for i, (p, row) in enumerate(zip(self.grid.active_directions, self.slots.tau)):
+            for q, runs in row:
+                for c in runs:
+                    out[c] += ginv[p, q] * dg[i, q, c]
+            out[p] -= _pair_sum(ginv_t, dg[i], self.slots.tau_pairs)
         return self.grid.to_grid_first(out)
 
     @functools.cached_property
@@ -200,23 +283,26 @@ class ChernPackage:
         ``ttbar[k, j] = 2 sum u[k, a, b] conj(dg[a, j, b])``.  Every sum over
         the first index of dg (p and a) runs over the active directions only.
         """
-        n = self.grid.n
-        ginv, dg = self.factor.ginv, self.active_dg
-        active = self.grid.active_directions
-        r = [np.zeros_like(ginv) for _ in active]
+        ginv, dg, slots = self.factor.ginv, self.active_dg, self.slots
+        r = [np.zeros_like(ginv) for _ in dg]
         for r_p, dg_p in zip(r, dg):
-            for q in range(n):
-                r_p += dg_p[:, q, None] * ginv[q]
+            for q, rects in slots.r:
+                for rows, c in rects:
+                    r_p[rows, c] += dg_p[rows, q, None] * ginv[q, c]
         out = np.zeros_like(ginv)
-        for a_at, a in enumerate(active):
+        for a_at, a, u_terms, out_terms in slots.ttbar:
             u = np.zeros_like(ginv)
-            for r_p, p in zip(r, active):
-                u += ginv[p, a] * r_p
-                u -= r_p[:, a, None] * ginv[p]
+            for p_at, p, scaled, crossed in u_terms:
+                for rows, c in scaled:
+                    u[rows, c] += ginv[p, a] * r[p_at][rows, c]
+                for rows, c in crossed:  # couples the blocks of a and p
+                    u[rows, c] -= r[p_at][rows, a, None] * ginv[p, c]
             dg_bar = np.conj(dg[a_at])
-            for b in range(n):
-                out += u[:, b, None] * dg_bar[:, b]
-        out *= 2.0
+            for b, rects in out_terms:
+                for rows, c in rects:
+                    out[rows, c] += u[rows, b, None] * dg_bar[c, b]
+        for rows, c in slots.ttbar_rects:
+            out[rows, c] *= 2.0
         return self.grid.to_grid_first(out)
 
     @functools.cached_property
@@ -224,7 +310,7 @@ class ChernPackage:
         """Pointwise squared torsion norm (all free slots contracted):
         ``sum ginv[j, k] ttbar[k, j]``, grid-last."""
         ttbar = self.grid.to_grid_last(self.ttbar)
-        return (self.factor.ginv * np.swapaxes(ttbar, 0, 1)).real.sum(axis=(0, 1))
+        return _pair_sum(self.factor.ginv, np.swapaxes(ttbar, 0, 1), self.slots.t_norm_pairs, real=True)
 
     @functools.cached_property
     def norm_sq(self) -> np.ndarray:

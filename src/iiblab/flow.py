@@ -84,6 +84,7 @@ from .metrics import (
     hermitize,
     is_positive,
     min_eigenvalue,
+    slot_rects,
     volume_norm,
     volume_norm_sq,
 )
@@ -261,12 +262,30 @@ def anchor_velocity(
 def weighted_velocity(
     grid: TorusGrid, w: np.ndarray, source_matrix: np.ndarray | None = None
 ) -> np.ndarray:
-    """Velocity of the weighted metric: curvature and torsion of w itself."""
+    """Velocity of the weighted metric: curvature and torsion of w itself.
+
+    ``-ricci2 - ttbar/2 - source`` is formed and hermitized grid-last on
+    the live slots of its terms (a source makes every slot live), and
+    written into a C-contiguous grid-first array whose dead slots are +0.
+    """
     pkg = ChernPackage(grid, w)
-    out = -pkg.second_ricci - 0.5 * pkg.ttbar
+    ricci, ttbar = grid.to_grid_last(pkg.second_ricci), grid.to_grid_last(pkg.ttbar)
+    live = pkg.slots.ricci_live | pkg.slots.ttbar_live
     if source_matrix is not None:
-        out = out - np.asarray(source_matrix, dtype=complex)
-    return hermitize(out)
+        source = np.asarray(source_matrix, dtype=complex)
+        source = grid.to_grid_last(np.broadcast_to(source, grid.shape + (grid.n, grid.n)))
+        live = np.ones_like(live)
+    x = (np.empty_like if live.all() else np.zeros_like)(ricci)
+    for r, c in slot_rects(live):
+        np.subtract(np.negative(ricci[r, c]), 0.5 * ttbar[r, c], out=x[r, c])
+        if source_matrix is not None:
+            x[r, c] -= source[r, c]
+    live = live | live.T
+    out = (np.empty if live.all() else np.zeros)(grid.shape + (grid.n, grid.n), dtype=complex)
+    out_last = grid.to_grid_last(out)
+    for r, c in slot_rects(live):  # hermitize
+        np.multiply(0.5, x[r, c] + np.conj(np.swapaxes(x[c, r], 0, 1)), out=out_last[r, c])
+    return out
 
 
 def induced_weighted_source(w: np.ndarray, anchor_source: np.ndarray) -> np.ndarray:

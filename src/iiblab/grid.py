@@ -174,12 +174,12 @@ class TorusGrid:
     def to_grid_last(self, values: np.ndarray) -> np.ndarray:
         """View of a grid-first array with the grid axes moved to the end."""
         g = self.ndim_grid
-        return np.moveaxis(values, range(g), range(values.ndim - g, values.ndim))
+        return values.transpose(tuple(range(g, values.ndim)) + tuple(range(g)))
 
     def to_grid_first(self, values: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`to_grid_last`, also a view."""
-        g = self.ndim_grid
-        return np.moveaxis(values, range(values.ndim - g, values.ndim), range(g))
+        k = values.ndim - self.ndim_grid
+        return values.transpose(tuple(range(k, values.ndim)) + tuple(range(k)))
 
     def _stencil(self, last, j, barred, out=None) -> np.ndarray:
         """fd8 d/dz^j (d/dzbar^j when ``barred``) of a grid-last array."""

@@ -27,12 +27,29 @@ As s_a s_b M[b, a] is the cofactor of g[b, a], these are divergences of
 det(g)^{1/2} g^-1 up to sign.  :func:`balanced_defect_parts` never forms
 that inverse; it differentiates u times the stack of minors, and
 :func:`conformally_balanced_defect` is its max norm.
+
+Live slots.  A slot (a, b) of a metric field is *live* when g[a, b] or
+g[b, a] is non-zero at some node; the README and flat families keep only
+the diagonal live at every step.  Which slots of the Cholesky factor, its
+inverse and the inverse metric are live follows from that pattern alone
+(George and Liu, *Computer Solution of Large Sparse Positive Definite
+Systems*, 1981): the factor gains the fill of the elimination, and g^-1
+is dense on each block of the pattern's closure (a tridiagonal g has a
+dense inverse).  :class:`MetricFactor` finds the pattern and computes only
+the live slots, and :mod:`iiblab.chern` propagates it through its products
+as boolean matrix products.  Skipping a structurally zero term is bit
+exact: each dropped term is 0 * finite = +-0 on the finite metrics that
+:func:`check_positive` admits, every sum it leaves is x + 0 = x, and sums
+that start from +0 never become -0, so the live slots keep every bit and
+the dead ones are +0.  With every slot live each loop is the one dense
+broadcast.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -42,6 +59,9 @@ from .grid import TorusGrid
 
 __all__ = [
     "MetricFactor",
+    "live_slots",
+    "slot_rects",
+    "block_eigenvalues",
     "hermitize",
     "hermiticity_defect",
     "is_positive",
@@ -65,13 +85,145 @@ def hermitize(g: np.ndarray) -> np.ndarray:
     return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
 
 
-def hermiticity_defect(g: np.ndarray) -> float:
+def hermiticity_defect(g: np.ndarray, live: np.ndarray | None = None) -> float:
+    """Max of ``|g - g^H|``; on the slots of the symmetric pattern ``live``
+    only when given (every other slot is 0 in g and in g^H)."""
+    rects = _FULL if live is None else slot_rects(live)
     with np.errstate(invalid="ignore"):  # a non-finite entry gives NaN or inf
-        return float(np.abs(g - np.conj(np.swapaxes(g, -1, -2))).max())
+        return float(functools.reduce(np.maximum, [  # NaN wins
+            np.abs(g[..., r, c] - np.conj(np.swapaxes(g[..., c, r], -1, -2))).max()
+            for r, c in rects
+        ]))
+
+
+def live_slots(g: np.ndarray) -> np.ndarray:
+    """Symmetric boolean pattern of the slots (a, b) where ``g[..., a, b]`` or
+    ``g[..., b, a]`` is non-zero (or NaN) at some node.
+
+    A slot that is non-zero at the first node costs no scan, so a dense
+    field is read once, at that node.
+    """
+    first = g[(0,) * (g.ndim - 2)] != 0
+    live = first | first.T
+    if not live.all():
+        for i, j in zip(*np.nonzero(~live)):
+            if j <= i:
+                live[i, j] = live[j, i] = bool(g[..., i, j].any() or g[..., j, i].any())
+    return live
+
+
+def _runs(mask: np.ndarray) -> list[slice]:
+    """The maximal runs of True in a boolean vector, as slices."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return [slice(int(s), int(e)) for s, e in zip(edges[::2], edges[1::2])]
+
+
+def _index(mask: np.ndarray) -> slice | np.ndarray:
+    """The True positions of a boolean vector: a slice when they form one
+    run (or none), else a read-only index array."""
+    runs = _runs(mask)
+    if len(runs) <= 1:
+        return runs[0] if runs else slice(0, 0)
+    out = np.flatnonzero(mask)
+    out.flags.writeable = False
+    return out
+
+
+def _pattern(key: bytes) -> np.ndarray:
+    """The boolean n x n pattern whose bytes are ``key``, read-only."""
+    return np.frombuffer(key, dtype=bool).reshape((math.isqrt(len(key)),) * 2)
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Boolean matrix product: the live slots of a product of matrices with
+    live slots x and y."""
+    return (x[:, :, None] & y[None, :, :]).any(axis=1)
+
+
+def slot_rects(live: np.ndarray) -> tuple[tuple[slice, slice], ...]:
+    """Cover the True slots of a boolean n x n pattern exactly by rectangles
+    ``(rows, cols)`` of slices: maximal runs of consecutive rows with the
+    same columns, split into runs of columns.  A dense pattern is one
+    rectangle, the whole matrix; a diagonal one is its n 1 x 1 slots."""
+    return _rects(np.ascontiguousarray(live, dtype=bool).tobytes())
+
+
+@functools.lru_cache(maxsize=None)
+def _rects(key: bytes) -> tuple[tuple[slice, slice], ...]:
+    live, out, start = _pattern(key), [], 0
+    for i in range(1, len(live) + 1):
+        if i == len(live) or (live[i] != live[start]).any():
+            out += [(slice(start, i), cols) for cols in _runs(live[start])]
+            start = i
+    return tuple(out)
+
+
+_FULL = ((slice(None), slice(None)),)
+
+
+class _FactorPlan:
+    """Symbolic Cholesky factorization of a live-slot pattern (module docstring).
+
+    ``ginv`` holds the live slots of g^-1 and ``blocks`` the blocks of its
+    closure.  Each sum of the numeric factorization gets the index of the
+    k whose terms are live: ``pivots[j]`` for pivot j, ``column[j]`` the
+    ``(i, k)`` of each live L[i, j], i > j, ``inverse_row[i]`` the
+    ``(j, k)`` of each live L^-1[i, j], j < i, and ``ginv_row[p]`` the
+    ``(a, k)`` of each live g^-1[p, a], a >= p.  With every slot live each
+    index is the slice of the dense loops.
+    """
+
+    def __init__(self, key: bytes):
+        live = _pattern(key)
+        n, at = len(live), np.arange(len(live))
+        low = np.tril(live)  # L, with the fill of the elimination
+        for j in range(n):
+            for i in range(j + 1, n):
+                low[i, j] |= (low[i, :j] & low[j, :j]).any()
+        inv = np.eye(n, dtype=bool)  # L^-1
+        for i in range(n):
+            for j in range(i):
+                inv[i, j] = (low[i, j:i] & inv[j:i, j]).any()
+        self.ginv = _product(inv.T, inv)
+        self.ginv.flags.writeable = False
+        self.blocks = sorted({tuple(np.flatnonzero(row)) for row in self.ginv})
+        self.pivots = [_index(low[j, :j]) for j in range(n)]
+        self.column = [[(i, _index(low[i] & low[j] & (at < j))) for i in range(j + 1, n) if low[i, j]]
+                       for j in range(n)]
+        self.inverse_row = [[(j, _index(low[i] & inv[:, j] & (at >= j) & (at < i)))
+                             for j in range(i) if inv[i, j]]
+                            for i in range(n)]
+        self.ginv_row = [[(a, _index(inv[:, p] & inv[:, a] & (at >= a)))
+                          for a in range(p, n) if self.ginv[p, a]]
+                         for p in range(n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_plan(key: bytes) -> _FactorPlan:
+    return _FactorPlan(key)
+
+
+def block_eigenvalues(g: np.ndarray) -> list[np.ndarray]:
+    """Eigenvalues of a Hermitian matrix field, one array per block of its
+    live slots (:func:`live_slots`).
+
+    A 1 x 1 block is its real diagonal entry, exactly; a coupled block
+    takes LAPACK (``eigvalsh``, which reads its lower triangle).  Together
+    they are the eigenvalues of g.
+    """
+    out = []
+    for block in _factor_plan(live_slots(g).tobytes()).blocks:
+        if len(block) == 1:
+            out.append(g[..., block[0], block[0]].real)
+        elif len(block) == g.shape[-1]:
+            out.append(np.linalg.eigvalsh(g))
+        else:
+            out.append(np.linalg.eigvalsh(g[..., block, :][..., block]))
+    return out
 
 
 def min_eigenvalue(g: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(g).min())
+    return float(min(e.min() for e in block_eigenvalues(g)))
 
 
 class MetricFactor:
@@ -83,39 +235,50 @@ class MetricFactor:
     :class:`PositivityError`.  ``det`` is the product of the pivots,
     ``inv_chol`` is ``L^-1`` by forward substitution and ``ginv`` is
     ``L^-H L^-1``, exactly Hermitian, both with the index slots first.
+    ``live`` is :func:`live_slots` of g and ``ginv_live`` the live slots of
+    ``ginv``; every slot of ``lower``, ``inv_chol`` and ``ginv`` that the
+    pattern leaves dead is never computed and holds +0 (module docstring).
     """
 
     def __init__(self, g: np.ndarray):
         a = np.moveaxis(g, (-2, -1), (0, 1))
+        self.live = live_slots(g)
+        self.live.flags.writeable = False
+        self._plan = plan = _factor_plan(self.live.tobytes())
+        self.ginv_live = plan.ginv
         self.lower = low = np.zeros(a.shape, dtype=complex)
         self.det = 1.0
         for j in range(a.shape[0]):
-            d = a[j, j].real - (low[j, :j].real ** 2 + low[j, :j].imag ** 2).sum(axis=0)
+            k = plan.pivots[j]
+            d = a[j, j].real - (low[j, k].real ** 2 + low[j, k].imag ** 2).sum(axis=0)
             if not (d.min() > 0.0 and d.max() < np.inf):
                 raise PositivityError(f"metric not positive definite: Cholesky pivot {j}"
                                       f" spans [{d.min():.3e}, {d.max():.3e}]")
             self.det = self.det * d
             low[j, j] = root = np.sqrt(d)
-            for i in range(j + 1, a.shape[0]):
-                low[i, j] = (a[i, j] - (low[i, :j] * np.conj(low[j, :j])).sum(axis=0)) / root
+            for i, k in plan.column[j]:
+                low[i, j] = (a[i, j] - (low[i, k] * np.conj(low[j, k])).sum(axis=0)) / root
 
     @functools.cached_property
     def inv_chol(self) -> np.ndarray:
         low, out = self.lower, np.zeros_like(self.lower)
         for i in range(len(low)):
             out[i, i] = scale = 1.0 / low[i, i].real
-            for j in range(i):
-                out[i, j] = -scale * (low[i, j:i] * out[j:i, j]).sum(axis=0)
+            for j, k in self._plan.inverse_row[i]:
+                out[i, j] = -scale * (low[i, k] * out[k, j]).sum(axis=0)
         return out
 
     @functools.cached_property
     def ginv(self) -> np.ndarray:
-        m, out = self.inv_chol, np.empty_like(self.lower)
-        for p in range(len(m)):
-            out[p, p] = (m[p:, p].real ** 2 + m[p:, p].imag ** 2).sum(axis=0)
-            for a in range(p + 1, len(m)):
-                out[p, a] = (np.conj(m[a:, p]) * m[a:, a]).sum(axis=0)
-                out[a, p] = np.conj(out[p, a])
+        m = self.inv_chol
+        out = (np.empty_like if self.ginv_live.all() else np.zeros_like)(m)
+        for p, row in enumerate(self._plan.ginv_row):
+            for a, k in row:
+                if a == p:
+                    out[p, p] = (m[k, p].real ** 2 + m[k, p].imag ** 2).sum(axis=0)
+                else:
+                    out[p, a] = (np.conj(m[k, p]) * m[k, a]).sum(axis=0)
+                    out[a, p] = np.conj(out[p, a])
         return out
 
 
@@ -134,17 +297,21 @@ def is_positive(g: np.ndarray, floor: float | np.ndarray = 0.0) -> bool:
 def check_positive(g: np.ndarray) -> MetricFactor:
     """Validate Hermiticity (a non-finite entry fails it) and positivity.
 
-    Returns the :class:`MetricFactor`; the eigenvalues are computed only on
-    failure, for the message.
+    Returns the :class:`MetricFactor`.  The factor comes first, so the
+    Hermiticity check reads only its live slots (the others are 0 in g and
+    in g^H); the eigenvalues are computed only on failure, for the message.
     """
-    defect = hermiticity_defect(g)
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite g fails below
+            factor = MetricFactor(g)
+    except PositivityError:
+        factor = None
+    defect = hermiticity_defect(g, None if factor is None else factor.live)
     if not defect <= HERMITICITY_TOLERANCE:
         raise HermiticityError(f"matrix field deviates from Hermitian by {defect:.3e}")
-    try:
-        return MetricFactor(g)
-    except PositivityError:
-        low = min_eigenvalue(g)
-    raise PositivityError(f"metric loses positivity: min eigenvalue {low:.3e}")
+    if factor is None:
+        raise PositivityError(f"metric loses positivity: min eigenvalue {min_eigenvalue(g):.3e}")
+    return factor
 
 
 # -- constructors -------------------------------------------------------------

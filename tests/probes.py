@@ -1,4 +1,5 @@
-"""Deterministic probe fields shared by the tests, and the form-algebra oracle.
+"""Deterministic probe fields shared by the tests, the form-algebra oracle,
+and the dense-loop oracle of the Chern tensors.
 
 The oracle is a general sparse form algebra: a (p,q)-form is a mapping from
 ordered multi-index pairs ``(J, K)`` (strictly increasing tuples of
@@ -10,6 +11,12 @@ multiplied term by term with the signs of :func:`iiblab.forms.wedge_monomial`
 and differentiated component by component.  The library's stacks of minors
 (:func:`iiblab.forms.omega_power`) and its compiled d
 (:func:`iiblab.forms.exterior_d`) are held to it.
+
+The dense-loop oracle (:func:`dense_tensors`) computes the metric factor,
+the connection, curvature and torsion with every slot of every product,
+in the unrolled grid-last loops the live-slot kernels of
+:mod:`iiblab.chern` and :mod:`iiblab.metrics` restrict: those must match
+it bit for bit.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -17,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from iiblab.forms import _keys, _merge_sign, _real_wedge_table, wedge_monomial
-from iiblab.grid import TorusGrid
+from iiblab.grid import SPECTRAL, TorusGrid
 from iiblab.metrics import flat_metric, fourier_scalar, hermitize
 
 Key = tuple[tuple[int, ...], tuple[int, ...]]
@@ -179,3 +186,105 @@ def full_relative_residual(W, b, z) -> float:
     max(max |b|, max |W| max |z|)."""
     residual = np.abs((W @ z[..., None])[..., 0] - b).max()
     return residual / max(np.abs(b).max(), np.abs(W).max() * np.abs(z).max(), 1e-30)
+
+
+def tridiagonal_metric(grid: TorusGrid, scale: float) -> np.ndarray:
+    """Tridiagonal metric: g[0, 2] = 0 everywhere, every slot of ginv live."""
+    g = flat_metric(grid) * (1.0 + 0.1 * scale * np.sin(2 * np.pi * grid.coordinate(0)))[..., None, None]
+    wave = 0.2 * scale * np.exp(2j * np.pi * grid.coordinate(grid.active_axes[-1]))
+    for a in range(grid.n - 1):
+        g[..., a + 1, a] = wave
+        g[..., a, a + 1] = np.conj(wave)
+    return g
+
+
+def diagonal_metric(grid: TorusGrid, scale: float) -> np.ndarray:
+    """Diagonal metric varying along every active real axis, so that on two
+    active directions the torsion square couples them."""
+    g = np.zeros(grid.shape + (grid.n, grid.n), dtype=complex)
+    for a in range(grid.n):
+        f = sum(np.sin(2 * np.pi * (a + 1) * grid.coordinate(x) + x) for x in grid.active_axes)
+        g[..., a, a] = np.exp(0.1 * scale * f)
+    return g
+
+
+def dense_factor(g_last: np.ndarray):
+    """``(L, L^-1, g^-1)`` of a grid-last matrix field, every slot computed."""
+    n = len(g_last)
+    low = np.zeros(g_last.shape, dtype=complex)
+    for j in range(n):
+        d = g_last[j, j].real - (low[j, :j].real ** 2 + low[j, :j].imag ** 2).sum(axis=0)
+        low[j, j] = root = np.sqrt(d)
+        for i in range(j + 1, n):
+            low[i, j] = (g_last[i, j] - (low[i, :j] * np.conj(low[j, :j])).sum(axis=0)) / root
+    inv = np.zeros_like(low)
+    for i in range(n):
+        inv[i, i] = scale = 1.0 / low[i, i].real
+        for j in range(i):
+            inv[i, j] = -scale * (low[i, j:i] * inv[j:i, j]).sum(axis=0)
+    ginv = np.empty_like(low)
+    for p in range(n):
+        ginv[p, p] = (inv[p:, p].real ** 2 + inv[p:, p].imag ** 2).sum(axis=0)
+        for a in range(p + 1, n):
+            ginv[p, a] = (np.conj(inv[a:, p]) * inv[a:, a]).sum(axis=0)
+            ginv[a, p] = np.conj(ginv[p, a])
+    return low, inv, ginv
+
+
+def dense_tensors(grid: TorusGrid, g: np.ndarray, scheme: str = SPECTRAL) -> dict:
+    """Grid-first factor, dg, gamma, curvature, second Ricci form, torsion,
+    its trace, its square and the square's norm, from full-shape grid-last
+    loops over every slot."""
+    n, act = grid.n, grid.active_directions
+    g = np.ascontiguousarray(grid.to_grid_last(g))
+    low, inv_chol, ginv = dense_factor(g)
+    dg = grid.derivatives(g, [(j, False) for j in range(n)], scheme)
+    gamma = np.zeros_like(dg)
+    for m in act:
+        for a in range(n):
+            gamma[m] += ginv[:, a, None] * dg[m, a]
+    curv = np.zeros((n,) + gamma.shape, dtype=complex)
+    for j in act:
+        for k, d in zip(act, grid.derivatives(gamma[j], [(k, True) for k in act], scheme)):
+            np.negative(d, out=curv[k, j])
+    traced = np.zeros_like(ginv)
+    for j in act:
+        for k in act:
+            traced += ginv[j, k] * curv[k, j]
+    ricci = np.zeros_like(ginv)
+    for l in range(n):
+        ricci += g[:, l, None] * traced[l]
+    t_low = np.zeros_like(dg)
+    for a in act:
+        t_low[:, a] += dg[a]
+        t_low[:, :, a] -= dg[a]
+    tau = np.zeros_like(ginv[0])
+    for p in act:
+        for q in range(n):
+            tau += ginv[p, q] * dg[p, q]
+        tau[p] -= (np.swapaxes(ginv, 0, 1) * dg[p]).sum(axis=(0, 1))
+    r = {}
+    for p in act:
+        r[p] = np.zeros_like(ginv)
+        for q in range(n):
+            r[p] += dg[p, :, q, None] * ginv[q]
+    ttbar = np.zeros_like(ginv)
+    for a in act:
+        u = np.zeros_like(ginv)
+        for p in act:
+            u += ginv[p, a] * r[p]
+            u -= r[p][:, a, None] * ginv[p]
+        dg_bar = np.conj(dg[a])
+        for b in range(n):
+            ttbar += u[:, b, None] * dg_bar[:, b]
+    ttbar *= 2.0
+    t_norm_sq = (ginv * np.swapaxes(ttbar, 0, 1)).real.sum(axis=(0, 1))
+    out = dict(lower=low, inv_chol=inv_chol, ginv=ginv, dg=dg, gamma=gamma, curvature=curv,
+               second_ricci=ricci, t_low=t_low, tau=tau, ttbar=ttbar, t_norm_sq=t_norm_sq)
+    return {key: grid.to_grid_first(value) for key, value in out.items()}
+
+
+def dense_weighted_velocity(grid: TorusGrid, w: np.ndarray) -> np.ndarray:
+    """``hermitize(-ricci2 - ttbar / 2)`` of w from :func:`dense_tensors`."""
+    want = dense_tensors(grid, w)
+    return hermitize(-want["second_ricci"] - 0.5 * want["ttbar"])

@@ -7,13 +7,28 @@ whose connection is diagonal: Gamma^p_{jq} = 2 (d_j f) delta_{pq}.
 import numpy as np
 import pytest
 
-from iiblab import ChernPackage, PositivityError, TorusGrid, diagnostics, flat_metric, random_band_metric
+from iiblab import (
+    ChernPackage,
+    PositivityError,
+    TorusGrid,
+    balanced_band_metric,
+    diagnostics,
+    flat_metric,
+    random_band_metric,
+)
 from iiblab.chern import pair_endo_forms
 from iiblab.diagnostics import compute_diagnostics
-from iiblab.flow import hermitize, weighted_velocity
+from iiblab.flow import weighted_velocity
 from iiblab.errors import ValenceError
 from iiblab.grid import ORACLE
-from probes import kahler_from_potential
+from iiblab.metrics import fourier_scalar
+from probes import (
+    dense_tensors,
+    dense_weighted_velocity,
+    diagonal_metric,
+    kahler_from_potential,
+    tridiagonal_metric,
+)
 
 GRID = TorusGrid(3, (0, 1), 16)
 
@@ -314,82 +329,62 @@ def test_covd_of_a_live_slice_is_the_slice_of_covd(geometry):
 # -- the active stacks against the full-tensor loops they replaced -------------
 
 
-def _full_tensor_loops(pkg):
-    """Grid-first dg, gamma, curvature, second Ricci form, torsion, its trace
-    and its square, from the full-shape grid-last loops the stacks replaced."""
-    grid, n, act = pkg.grid, pkg.grid.n, pkg.grid.active_directions
-    g = np.ascontiguousarray(grid.to_grid_last(pkg.g))
-    ginv = np.ascontiguousarray(grid.to_grid_last(pkg.ginv))
-    dg = grid.derivatives(grid.to_grid_last(pkg.g), [(j, False) for j in range(n)], pkg.scheme)
-    gamma = np.zeros_like(dg)
-    for m in act:
-        for a in range(n):
-            gamma[m] += ginv[:, a, None] * dg[m, a]
-    curv = np.zeros((n,) + gamma.shape, dtype=complex)
-    for j in act:
-        for k, d in zip(act, grid.derivatives(gamma[j], [(k, True) for k in act], pkg.scheme)):
-            np.negative(d, out=curv[k, j])
-    traced = np.zeros_like(ginv)
-    for j in act:
-        for k in act:
-            traced += ginv[j, k] * curv[k, j]
-    ricci = np.zeros_like(ginv)
-    for l in range(n):
-        ricci += g[:, l, None] * traced[l]
-    t_low = np.zeros_like(dg)
-    for a in act:
-        t_low[:, a] += dg[a]
-        t_low[:, :, a] -= dg[a]
-    tau = np.zeros_like(ginv[0])
-    for p in act:
-        for q in range(n):
-            tau += ginv[p, q] * dg[p, q]
-        tau[p] -= (np.swapaxes(ginv, 0, 1) * dg[p]).sum(axis=(0, 1))
-    r = {}
-    for p in act:
-        r[p] = np.zeros_like(ginv)
-        for q in range(n):
-            r[p] += dg[p, :, q, None] * ginv[q]
-    ttbar = np.zeros_like(ginv)
-    for a in act:
-        u = np.zeros_like(ginv)
-        for p in act:
-            u += ginv[p, a] * r[p]
-            u -= r[p][:, a, None] * ginv[p]
-        dg_bar = np.conj(dg[a])
-        for b in range(n):
-            ttbar += u[:, b, None] * dg_bar[:, b]
-    ttbar *= 2.0
-    out = dict(dg=dg, gamma=gamma, curvature=curv, second_ricci=ricci,
-               t_low=t_low, tau=tau, ttbar=ttbar)
-    return {key: grid.to_grid_first(value) for key, value in out.items()}
+def _balanced(grid, scale):
+    m = len(grid.active_axes)
+    terms = [[1] * m + [0.0, -0.15 * scale], [1] + [-1] * (m - 1) + [0.0, -0.1 * scale]]
+    return balanced_band_metric(grid, fourier_scalar(grid, terms))
 
 
-@pytest.mark.parametrize("geometry", LIVE_GEOMETRIES, ids=_geometry_id)
-def test_active_stacks_are_bit_identical_to_full_tensors(geometry, monkeypatch):
-    n, axes = geometry
+FAMILIES = {
+    "random": lambda grid, scale: random_band_metric(grid, seed=scale),
+    "balanced": _balanced,
+    "flat": lambda grid, scale: scale * flat_metric(grid),
+    "tridiagonal": tridiagonal_metric,
+    "diagonal": diagonal_metric,
+}
+# the random family on every geometry (ids without a family), then the
+# families with exact-zero slots: diagonal (balanced, flat, a diagonal g on
+# two active directions, whose ttbar[0, 1] is live) and tridiagonal (dense ginv)
+PATTERN_CASES = [(n, axes, "random") for n, axes in LIVE_GEOMETRIES] + [
+    (n, axes, family) for family in ("balanced", "flat")
+    for n, axes in ((3, (0, 1)), (4, (0, 2)), (5, (0, 1, 2, 3)))
+] + [(3, (0, 1), "tridiagonal"), (4, (0, 1, 2, 3), "tridiagonal"), (3, (0, 2), "diagonal")]
+
+
+def _case_id(case):
+    n, axes, family = case
+    return ("" if family == "random" else f"{family}-") + _geometry_id((n, axes))
+
+
+@pytest.mark.parametrize("case", PATTERN_CASES, ids=_case_id)
+def test_active_stacks_are_bit_identical_to_full_tensors(case, monkeypatch):
+    n, axes, family = case
     grid = TorusGrid(n, axes, 8 if len(axes) > 2 else 16)
     act = list(grid.active_directions)
-    g0, g = (random_band_metric(grid, seed=s) for s in (1, 2))
+    g0, g = (FAMILIES[family](grid, s) for s in (1, 2))
+    if family == "diagonal":
+        assert ChernPackage(grid, g).slots.ttbar_live[0, 1]
     for scheme in ("spectral", ORACLE):
         pkg = ChernPackage(grid, g, scheme)
-        want = _full_tensor_loops(pkg)
+        want = dense_tensors(grid, g, scheme)
+        for name in ("lower", "inv_chol", "ginv"):
+            assert np.array_equal(grid.to_grid_first(getattr(pkg.factor, name)), want[name]), name
         assert np.array_equal(grid.to_grid_first(pkg.active_dg), want["dg"][..., act, :, :])
         assert np.array_equal(
             grid.to_grid_first(pkg.active_curvature),
             want["curvature"][..., act, :, :, :][..., act, :, :],
         )
-        for name in ("gamma", "second_ricci", "t_low", "tau", "ttbar"):
+        for name in ("gamma", "second_ricci", "t_low", "tau", "ttbar", "t_norm_sq"):
             assert np.array_equal(getattr(pkg, name), want[name]), name
 
-    want = _full_tensor_loops(ChernPackage(grid, g))
-    velocity = hermitize(-want["second_ricci"] - 0.5 * want["ttbar"])
-    assert np.array_equal(weighted_velocity(grid, g), velocity)
+    velocity = weighted_velocity(grid, g)
+    assert velocity.flags.c_contiguous
+    assert np.array_equal(velocity, dense_weighted_velocity(grid, g))
 
     # the record with S paired over every form slot of the full connections
     baseline = ChernPackage(grid, g0)
     record = compute_diagnostics(g, baseline, 0.5, test_function=(0.02, 1.0))
-    a = want["gamma"] - _full_tensor_loops(baseline)["gamma"]
+    a = dense_tensors(grid, g)["gamma"] - dense_tensors(grid, g0)["gamma"]
     pkg = ChernPackage(grid, g)
     s_field = pair_endo_forms(pkg.ginv, pkg.g, pkg.ginv, a, a).real
     monkeypatch.setattr(diagnostics, "pair_endo_forms", lambda *args: s_field)

@@ -45,6 +45,8 @@ from iiblab.metrics import (
     volume_norm_sq,
 )
 from probes import (
+    dense_weighted_velocity,
+    diagonal_metric,
     full_relative_residual,
     full_wedge,
     kahler_from_potential,
@@ -79,6 +81,40 @@ def weighted_dot_from_metric_dot(pkg, g_dot):
     u = np.sqrt(pkg.norm_sq)
     trace = np.einsum("...pa,...ap->...", pkg.ginv, g_dot)
     return u[..., None, None] * (g_dot - 0.5 * trace[..., None, None] * pkg.g)
+
+
+@pytest.mark.parametrize("axes", [(0, 1), (0, 1, 2, 3)])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_weighted_run_keeps_the_balanced_family_diagonal(n, axes):
+    """Every weighted step keeps the off-diagonal slots of the README family
+    exact zeros, so the live slots stay the diagonal.  The family varies
+    along direction 0 only, as its balanced condition needs (a diagonal
+    metric that also varies along direction 1 gains live slots: see the
+    test below)."""
+    grid = TorusGrid(n, axes, 8)
+    still = [0] * (len(axes) - 2)
+    f = fourier_scalar(grid, [[1, 1, *still, 0.0, -0.15], [1, -1, *still, 0.0, -0.15]])
+    traj = run_flow(grid, balanced_band_metric(grid, f), FORM_WEIGHTED, 5e-3, StepControl(dt=1e-3))
+    assert traj.status == STATUS_COMPLETED and traj.steps_taken == 5
+    off_diagonal = ~np.eye(n, dtype=bool)
+    for state in traj.snapshots:
+        assert not state[..., off_diagonal].any()
+        assert np.array_equal(MetricFactor(state).live, np.eye(n, dtype=bool))
+
+
+def test_two_direction_diagonal_metric_gains_a_live_slot():
+    """A diagonal w varying along two active directions has a live
+    ttbar[0, 1]: one step makes w[0, 1] live, bit for bit as the dense loops
+    over every slot make it."""
+    grid, dt = TorusGrid(3, (0, 2), 8), 1e-3
+    g = diagonal_metric(grid, 1.0)
+    traj = run_flow(grid, g, FORM_WEIGHTED, dt, StepControl(dt=dt))
+    w = traj.snapshots[0]
+    assert np.array_equal(MetricFactor(w).live, np.eye(3, dtype=bool))
+    want = flow._rk4_step(lambda y: dense_weighted_velocity(grid, y), w, dt)
+    assert traj.snapshots[-1].tobytes() == want.tobytes()
+    live = MetricFactor(want).live
+    assert live[0, 1] and live[1, 0] and not live[0, 2] and not live[1, 2]
 
 
 def test_flat_is_a_fixed_point_of_both_velocities():

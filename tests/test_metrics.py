@@ -16,12 +16,16 @@ from iiblab import (
 from iiblab.metrics import (
     MetricFactor,
     balanced_defect_parts,
+    block_eigenvalues,
     check_positive,
     fourier_scalar,
     hermiticity_defect,
     is_positive,
+    live_slots,
+    min_eigenvalue,
+    slot_rects,
 )
-from probes import kahler_from_potential, matrix_to_one_one, wedge_power
+from probes import dense_factor, kahler_from_potential, matrix_to_one_one, wedge_power
 
 GRID = TorusGrid(3, (0, 1), 16)
 
@@ -204,3 +208,76 @@ def test_factor_matches_numpy(n):
     assert rel(inv_chol, np.linalg.inv(np.linalg.cholesky(g))) <= 1e-14
     assert np.array_equal(ginv, np.conj(np.swapaxes(ginv, -1, -2)))
     assert np.array_equal(MetricFactor(g).ginv, factor.ginv)
+
+
+def _patterned(grid, pairs):
+    """A positive metric whose off-diagonal slots are live exactly on the
+    given (i, j), i > j, and their mirrors."""
+    x = grid.coordinate(grid.active_axes[0])
+    g = flat_metric(grid) * (1.5 + 0.2 * np.sin(2 * np.pi * x))[..., None, None]
+    for k, (i, j) in enumerate(pairs):
+        wave = (0.2 + 0.1 * k) * np.exp(2j * np.pi * (k + 1) * x)
+        g[..., i, j], g[..., j, i] = wave, np.conj(wave)
+    return g
+
+
+PATTERNS = {
+    "diagonal": (3, []),
+    "star": (3, [(1, 0), (2, 0)]),  # the factor fills L[2, 1]
+    "split-blocks": (4, [(2, 0), (3, 1)]),  # blocks {0, 2} and {1, 3}
+    "tridiagonal": (5, [(1, 0), (2, 1), (3, 2), (4, 3)]),
+    "dense": (3, [(1, 0), (2, 0), (2, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", PATTERNS)
+def test_factor_on_live_slots_matches_the_dense_loops(name):
+    """Bit for bit: the factor computes only the slots its pattern leaves
+    live (with the fill of the elimination), and every other slot is +0."""
+    n, pairs = PATTERNS[name]
+    g = _patterned(TorusGrid(n, (0, 1), 8), pairs)
+    factor = MetricFactor(g)
+    want = dense_factor(np.ascontiguousarray(np.moveaxis(g, (-2, -1), (0, 1))))
+    for got, dense in zip((factor.lower, factor.inv_chol, factor.ginv), want):
+        assert got.tobytes() == np.where(dense == 0, 0, dense).tobytes()
+    expected = np.eye(n, dtype=bool)
+    for i, j in pairs:
+        expected[i, j] = expected[j, i] = True
+    assert np.array_equal(factor.live, expected)
+    assert np.array_equal(factor.ginv_live, np.any(want[2] != 0, axis=(-2, -1)))
+
+
+def test_live_slots_read_every_node_and_both_triangles():
+    g = flat_metric(GRID)
+    assert np.array_equal(live_slots(g), np.eye(3, dtype=bool))
+    g[5, 9, 2, 0] = 1e-300  # zero at the first node, in the lower triangle
+    g[3, 1, 0, 1] = np.nan  # only in the upper triangle
+    want = np.eye(3, dtype=bool)
+    want[2, 0] = want[0, 2] = want[0, 1] = want[1, 0] = True
+    assert np.array_equal(live_slots(g), want)
+
+
+def test_slot_rects_cover_the_live_slots_exactly():
+    for n, pairs in PATTERNS.values():
+        live = live_slots(_patterned(TorusGrid(n, (0, 1), 4), pairs))
+        covered = np.zeros_like(live, dtype=int)
+        for r, c in slot_rects(live):
+            covered[r, c] += 1
+        assert np.array_equal(covered, live.astype(int))
+    assert slot_rects(np.ones((3, 3), dtype=bool)) == ((slice(0, 3), slice(0, 3)),)
+
+
+@pytest.mark.parametrize("name", PATTERNS)
+def test_eigenvalues_are_taken_block_by_block(name):
+    n, pairs = PATTERNS[name]
+    g = _patterned(TorusGrid(n, (0, 1), 8), pairs)
+    full = np.linalg.eigvalsh(g)
+    blocks = block_eigenvalues(g)
+    got = np.sort(np.concatenate([e.reshape(g.shape[:-2] + (-1,)) for e in blocks], axis=-1))
+    assert np.abs(got - full).max() <= 1e-14 * np.abs(full).max()
+    assert abs(min_eigenvalue(g) - full.min()) <= 1e-14 * full.max()
+    if name == "diagonal":  # a 1 x 1 block is its real diagonal entry
+        assert all(np.array_equal(e, g[..., j, j].real) for j, e in enumerate(blocks))
+        assert np.array_equal(got, full)
+    if name == "dense":  # one block: LAPACK on the whole matrix
+        assert len(blocks) == 1 and np.array_equal(blocks[0], full)
