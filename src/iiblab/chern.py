@@ -41,7 +41,17 @@ and with every slot live each loop is one dense broadcast.  The result
 is bit-identical to the dense loops (the :mod:`iiblab.metrics` docstring
 says why).  The torsion square keeps the term that couples the blocks of
 two different active directions, so a diagonal metric varying along two
-directions has a live off-diagonal ``ttbar``.
+directions has a live off-diagonal ``ttbar``.  The derivative requests
+behind ``active_dg`` and ``active_curvature`` carry only the live slots
+of g and of gamma, and the results are scattered into the zeros the
+engine gives a constant slot; with every slot live the request is the
+whole field, with no gather.
+
+Layout.  A metric may come in either memory layout.  As a grid-first view
+of grid-last memory, the layout the weighted flow keeps its state in,
+every slot the factor, the Hermiticity check and the contractions read is
+a contiguous grid array, and ``_g_last`` is that memory, not a copy.  The
+results do not depend on the layout.
 
 Index-first-barred convention: the metric array ``g[..., k, j]`` holds
 the component with barred row k and unbarred column j, and the inverse
@@ -58,7 +68,7 @@ import numpy as np
 
 from .errors import ValenceError
 from .grid import SPECTRAL, TorusGrid
-from .metrics import _factor_plan, _product, _runs, check_positive, slot_rects
+from .metrics import _factor_plan, _product, _runs, _zeros_on, check_positive, slot_rects
 
 __all__ = [
     "ChernPackage",
@@ -75,7 +85,8 @@ class _SlotPlan:
     from G, the live slots of g and of each ``dg[i]``, and B, those of
     ``ginv``.  Each kernel reads the rectangles (:func:`metrics.slot_rects`)
     or the slot pairs it loops over; the attributes ending in ``_live``
-    are the patterns of the results.
+    are the patterns of the results.  An intermediate accumulator is
+    zeroed on the rectangles its products read only (:func:`metrics._zeros_on`).
     """
 
     def __init__(self, key: bytes, active: tuple[int, ...]):
@@ -86,7 +97,7 @@ class _SlotPlan:
         def outer(rows, cols):
             return slot_rects(np.outer(rows, cols))
 
-        gamma = _product(inv_live, live)
+        self.gamma_live = gamma = _product(inv_live, live)
         self.gamma = [(a, outer(inv_live[:, a], live[a])) for a in range(n)]
         self.traced = [(j_at, k_at, j, k) for j_at, j in enumerate(active)
                        for k_at, k in enumerate(active) if inv_live[j, k]]
@@ -96,7 +107,7 @@ class _SlotPlan:
 
         r_live = _product(live, inv_live)
         self.r = [(q, outer(live[:, q], inv_live[q])) for q in range(n)]
-        r_rects = slot_rects(r_live)
+        self.r_rects = r_rects = slot_rects(r_live)
         self.ttbar, ttbar_live = [], np.zeros_like(live)
         for a_at, a in enumerate(active):
             u_live, u_terms = np.zeros_like(live), []
@@ -105,7 +116,7 @@ class _SlotPlan:
                 u_terms.append((p_at, p, r_rects if inv_live[p, a] else (),
                                 outer(r_live[:, a], inv_live[p])))
             out_terms = [(b, outer(u_live[:, b], live[:, b])) for b in range(n)]
-            self.ttbar.append((a_at, a, u_terms, out_terms))
+            self.ttbar.append((a_at, a, slot_rects(u_live), u_terms, out_terms))
             ttbar_live |= _product(u_live, live.T)
         self.ttbar_live = ttbar_live
         self.ttbar_rects = slot_rects(ttbar_live)
@@ -173,14 +184,33 @@ class ChernPackage:
 
     @functools.cached_property
     def _g_last(self) -> np.ndarray:
+        """g grid-last and contiguous: a copy only when g is not already
+        a grid-first view of grid-last memory."""
         return np.ascontiguousarray(self.grid.to_grid_last(self.g))
+
+    def _live_derivatives(self, values: np.ndarray, live: np.ndarray, requests,
+                          negate: bool = False) -> np.ndarray:
+        """The engine's derivatives (negated when ``negate``) of a grid-last
+        field ``values[..., a, b, *grid]``, taken of the slots ``live`` only
+        and scattered into the zeros the dense form gives the others (+0,
+        or -0 when negated).  With every slot live, the engine's own result."""
+        every = live.all()
+        at = (slice(None),) * (values.ndim - self.grid.ndim_grid - 2) + (live,)
+        d = self.grid.derivatives(values if every else values[at], requests, self.scheme)
+        if negate:
+            np.negative(d, out=d)
+        if every:
+            return d
+        out = np.full((len(requests),) + values.shape, complex(-0.0, -0.0) if negate else 0j)
+        out[(slice(None),) + at] = d
+        return out
 
     @functools.cached_property
     def active_dg(self) -> np.ndarray:
         """Grid-last ``dg[i, a, b]``: holomorphic derivative of g along the
-        i-th active direction."""
+        i-th active direction, taken of the live slots of g only."""
         requests = [(j, False) for j in self.grid.active_directions]
-        return self.grid.derivatives(self.grid.to_grid_last(self.g), requests, self.scheme)
+        return self._live_derivatives(self.grid.to_grid_last(self.g), self.factor.live, requests)
 
     @functools.cached_property
     def active_gamma(self) -> np.ndarray:
@@ -209,13 +239,11 @@ class ChernPackage:
     @functools.cached_property
     def active_curvature(self) -> np.ndarray:
         """Grid-last ``curv[k, j, a, b]`` on the active (k, j): minus the barred
-        derivative along the k-th active direction of the j-th active gamma."""
-        grid, gamma = self.grid, self.active_gamma
-        out = np.empty((len(gamma),) + gamma.shape, dtype=complex)
-        requests = [(k, True) for k in grid.active_directions]
-        for j, gamma_j in enumerate(gamma):
-            np.negative(grid.derivatives(gamma_j, requests, self.scheme), out=out[:, j])
-        return out
+        derivative along the k-th active direction of the j-th active gamma,
+        taken of the live slots of gamma only (its dead slots are -0, the
+        negated zeros of the engine)."""
+        requests = [(k, True) for k in self.grid.active_directions]
+        return self._live_derivatives(self.active_gamma, self.slots.gamma_live, requests, negate=True)
 
     @functools.cached_property
     def second_ricci(self) -> np.ndarray:
@@ -224,7 +252,7 @@ class ChernPackage:
         ``out[p, q] = sum g[p, l] ginv[j, k] curv[k, j, l, q]``.
         """
         ginv, curv, slots = self.factor.ginv, self.active_curvature, self.slots
-        traced = np.zeros_like(ginv)
+        traced = _zeros_on(slots.traced_rects, ginv)
         for j_at, k_at, j, k in slots.traced:
             for r, c in slots.traced_rects:
                 traced[r, c] += ginv[j, k] * curv[k_at, j_at, r, c]
@@ -284,23 +312,22 @@ class ChernPackage:
         the first index of dg (p and a) runs over the active directions only.
         """
         ginv, dg, slots = self.factor.ginv, self.active_dg, self.slots
-        r = [np.zeros_like(ginv) for _ in dg]
+        r = [_zeros_on(slots.r_rects, ginv) for _ in dg]
         for r_p, dg_p in zip(r, dg):
             for q, rects in slots.r:
                 for rows, c in rects:
                     r_p[rows, c] += dg_p[rows, q, None] * ginv[q, c]
         out = np.zeros_like(ginv)
-        for a_at, a, u_terms, out_terms in slots.ttbar:
-            u = np.zeros_like(ginv)
+        for a_at, a, u_rects, u_terms, out_terms in slots.ttbar:
+            u = _zeros_on(u_rects, ginv)
             for p_at, p, scaled, crossed in u_terms:
                 for rows, c in scaled:
                     u[rows, c] += ginv[p, a] * r[p_at][rows, c]
                 for rows, c in crossed:  # couples the blocks of a and p
                     u[rows, c] -= r[p_at][rows, a, None] * ginv[p, c]
-            dg_bar = np.conj(dg[a_at])
             for b, rects in out_terms:
                 for rows, c in rects:
-                    out[rows, c] += u[rows, b, None] * dg_bar[c, b]
+                    out[rows, c] += u[rows, b, None] * np.conj(dg[a_at, c, b])
         for rows, c in slots.ttbar_rects:
             out[rows, c] *= 2.0
         return self.grid.to_grid_first(out)
@@ -385,7 +412,7 @@ class ChernPackage:
         return np.einsum("pq...,pq...->...", self.factor.ginv, hess)
 
 
-def pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
+def pair_endo_forms(m1, m2, m3, x, y, live=None) -> np.ndarray:
     """Sesquilinear pairing of endomorphism-valued one-forms (conjugate on y).
 
     ``sum m1[m, g] m2[u, b] m3[l, a] x[m, b, l] conj(y[g, u, a])``: ``m1``
@@ -399,6 +426,13 @@ def pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
     endomorphism slots (the active directions only), and x and y may hold
     different numbers of them: ``m1`` is forms(x) x forms(y), restricted
     to the slots each one holds, and the endomorphism size comes from ``m2``.
+
+    ``live``, when the caller knows it, holds the live slots of (m1, m2,
+    m3, x, y): boolean patterns of their two trailing index axes, the
+    endomorphism slots for x and y (the same for every form slot).  Each
+    product then runs on the rectangles of its live part
+    (:func:`metrics.slot_rects`), bit-identical to the dense loops
+    (module docstring); without it every slot is live.
     """
     def grid_last(arr, rank):
         return np.ascontiguousarray(np.moveaxis(arr, range(-rank, 0), range(rank)), complex)
@@ -407,16 +441,30 @@ def pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
     x_last = grid_last(x, 3)
     y_bar = np.conj(x_last if y is x else grid_last(y, 3))
     size = m2.shape[0]
-    out = np.zeros_like(m2)
+    if live is None:
+        live = [np.ones(a.shape[:2], dtype=bool) for a in (m1, m2, m3, x_last[0], y_bar[0])]
+    m1_live, m2_live, m3_live, x_live, y_live = live
+    xm3_live = _product(x_live, m3_live)
+    z_live = _product(m2_live, xm3_live)
+    out_live = z_live & y_live
+    xm3_terms = [(l, slot_rects(np.outer(x_live[:, l], m3_live[l]))) for l in range(size)]
+    z_terms = [(b, slot_rects(np.outer(m2_live[:, b], xm3_live[b]))) for b in range(size)]
+    xm3_rects, z_rects, y_rects, out_rects = map(slot_rects, (xm3_live, z_live, y_live, out_live))
+    out = _zeros_on(out_rects, m2)
     for m in range(len(x_last)):
-        xm3 = np.zeros_like(m2)
-        for l in range(size):
-            xm3 += x_last[m, :, l, None] * m3[l]
-        z = np.zeros_like(m2)
-        for b in range(size):
-            z += m2[:, b, None] * xm3[b]
-        w = np.zeros_like(m2)
-        for g in range(len(y_bar)):
-            w += m1[m, g] * y_bar[g]
-        out += z * w
-    return out.sum(axis=(0, 1))
+        xm3 = _zeros_on(xm3_rects, m2)
+        for l, rects in xm3_terms:
+            for r, c in rects:
+                xm3[r, c] += x_last[m, r, l, None] * m3[l, c]
+        z = _zeros_on(z_rects, m2)
+        for b, rects in z_terms:
+            for r, c in rects:
+                z[r, c] += m2[r, b, None] * xm3[b, c]
+        w = _zeros_on(y_rects, m2)
+        for g in np.flatnonzero(m1_live[m]):
+            for r, c in y_rects:
+                w[r, c] += m1[m, g] * y_bar[g, r, c]
+        for r, c in out_rects:
+            out[r, c] += z[r, c] * w[r, c]
+    pairs = _pairs(out_live)
+    return out.sum(axis=(0, 1)) if pairs is None else out[pairs].sum(axis=0)

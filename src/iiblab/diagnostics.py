@@ -17,6 +17,9 @@ built once per run; it caches the inverse metric, the connection, the
 volume norm and the inverse Cholesky factor that whitens each metric
 against it, so a record costs one :class:`ChernPackage` of the current
 metric, and none when the current metric is the baseline's own array.
+The S pairing and the balanced defect read the live slots of that
+package (:mod:`iiblab.metrics`): they skip the products and minors its
+exact-zero slots leave zero, bit for bit.
 
 S, and so ``sMax``, is the norm of a difference of two O(1) connections
 that differ little early in a run, so there it carries only about 1e-10
@@ -75,11 +78,15 @@ def compute_diagnostics(
     tau_sq = (pkg.factor.ginv * tau[:, None] * np.conj(tau)).real.sum(axis=(0, 1))
 
     norm = np.sqrt(pkg.norm_sq)
-    # gamma vanishes along the inactive directions: pair the active form slots only
+    # gamma vanishes along the inactive directions: pair the active form slots
+    # only, and each product on the live slots of its factors
     act = grid.active_directions
     a = grid.to_grid_first(pkg.active_gamma - baseline.active_gamma)
     form_ginv = pkg.ginv[..., act, :][..., :, act]
-    s_field = pair_endo_forms(form_ginv, pkg.g, pkg.ginv, a, a).real
+    live, ginv_live = pkg.factor.live, pkg.factor.ginv_live
+    a_live = pkg.slots.gamma_live | baseline.slots.gamma_live
+    patterns = (ginv_live[np.ix_(act, act)], live, ginv_live, a_live, a_live)
+    s_field = pair_endo_forms(form_ginv, pkg.g, pkg.ginv, a, a, patterns).real
 
     record = {
         "t": float(t),
@@ -92,7 +99,7 @@ def compute_diagnostics(
         "trhMin": float(trh.min()),
         "trhMax": float(trh.max()),
         "detHMin": float(det_h.min()),
-        "balancedDefect": float(conformally_balanced_defect(grid, pkg.g, norm)),
+        "balancedDefect": float(conformally_balanced_defect(grid, pkg.g, norm, live)),
         "torsionSqMax": float(pkg.t_norm_sq.max()),
     }
     if test_function is not None:

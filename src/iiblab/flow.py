@@ -30,6 +30,15 @@ For real (1,1)-forms *alpha = Lambda(alpha) omega^{n-1}/(n-1)!
 for the form alpha of Y, W P X = -(n-2)! M(*alpha) = -M(psi)/norm.  As
 M(*alpha) = det(g) g^-1 Y g^-1 and det g = norm^-2, dw/dt = w psi w / (n-2)!.
 
+State layout: :func:`run_flow` keeps the weighted state in grid-last
+memory (index axes first, grid axes last, contiguous) and passes its
+grid-first view around, so the API's grid-first shapes are unchanged.
+:func:`weighted_velocity` writes its result in that layout, so every
+Runge-Kutta stage, a sum of the state and of velocities, keeps it, and
+each package reads its slots as contiguous grid arrays.  The kept states
+are contiguous grid-first copies.  The anchor state keeps the grid-first
+layout its velocity returns.
+
 Clock normalization: the two equations as written in their most common
 normalizations differ by a constant factor of (n-1) in time.  This
 module puts the factor on the anchor side, as above, so both
@@ -79,6 +88,7 @@ from .grid import TorusGrid
 from .metrics import (
     HERMITICITY_TOLERANCE,
     MetricFactor,
+    _zeros_on,
     conformally_balanced_defect,
     hermiticity_defect,
     hermitize,
@@ -266,7 +276,10 @@ def weighted_velocity(
 
     ``-ricci2 - ttbar/2 - source`` is formed and hermitized grid-last on
     the live slots of its terms (a source makes every slot live), and
-    written into a C-contiguous grid-first array whose dead slots are +0.
+    written into contiguous grid-last memory whose dead slots are +0.  The
+    result is the grid-first view of that memory, the layout of the state
+    :func:`run_flow` keeps, so a Runge-Kutta stage made from it is
+    grid-last too.  w may have either layout; the bits do not depend on it.
     """
     pkg = ChernPackage(grid, w)
     ricci, ttbar = grid.to_grid_last(pkg.second_ricci), grid.to_grid_last(pkg.ttbar)
@@ -275,17 +288,17 @@ def weighted_velocity(
         source = np.asarray(source_matrix, dtype=complex)
         source = grid.to_grid_last(np.broadcast_to(source, grid.shape + (grid.n, grid.n)))
         live = np.ones_like(live)
-    x = (np.empty_like if live.all() else np.zeros_like)(ricci)
+    mirrored = live | live.T  # the slots the hermitization reads
+    x = _zeros_on(slot_rects(mirrored & ~live), ricci)
     for r, c in slot_rects(live):
         np.subtract(np.negative(ricci[r, c]), 0.5 * ttbar[r, c], out=x[r, c])
         if source_matrix is not None:
             x[r, c] -= source[r, c]
-    live = live | live.T
-    out = (np.empty if live.all() else np.zeros)(grid.shape + (grid.n, grid.n), dtype=complex)
-    out_last = grid.to_grid_last(out)
+    live = mirrored
+    out = (np.empty_like if live.all() else np.zeros_like)(x)
     for r, c in slot_rects(live):  # hermitize
-        np.multiply(0.5, x[r, c] + np.conj(np.swapaxes(x[c, r], 0, 1)), out=out_last[r, c])
-    return out
+        np.multiply(0.5, x[r, c] + np.conj(np.swapaxes(x[c, r], 0, 1)), out=out[r, c])
+    return grid.to_grid_first(out)
 
 
 def induced_weighted_source(w: np.ndarray, anchor_source: np.ndarray) -> np.ndarray:
@@ -324,9 +337,9 @@ class Trajectory:
     """Recorded flow run: native snapshots plus conversion helpers.
 
     ``times[i]``, ``steps[i]`` and ``snapshots[i]`` are the time, the step
-    number and the state of the i-th kept state, and ``packages[i]`` is the
-    spectral :class:`ChernPackage` of that native state, built on first read
-    and kept with the trajectory.  :func:`run_flow` appends no state after
+    number and the state of the i-th kept state (a contiguous grid-first
+    array), and ``packages[i]`` is the spectral :class:`ChernPackage` of
+    that native state, built on first read and kept with the trajectory.  :func:`run_flow` appends no state after
     it returns, so the packages never fall behind the snapshots.
     """
 
@@ -366,27 +379,32 @@ def _rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _below_floor(y: np.ndarray, formulation: str) -> str | None:
-    """Why a step's state falls below ``POSITIVITY_FLOOR``, or None if it does not.
+    """Why a finite step's state falls below ``POSITIVITY_FLOOR``, or None if it does not.
 
     A weighted state w and its metric g = det(w)^(-1/(n-2)) w must both
     stay above the floor.  g - floor I is a positive multiple of
     w - floor det(w)^(1/(n-2)) I, so one factor of w, for det w, and one of
     w - floor max(1, det(w)^(1/(n-2))) I decide both floors; a w with no
-    factor is below the first.  Eigenvalues are computed only on a stop,
-    for the message.
+    factor is below the first.  The second factor shifts only its pivots
+    and reuses the first one's live slots (:class:`MetricFactor`), so it
+    neither copies nor scans w.  :func:`run_flow` has checked that y is
+    finite.  Eigenvalues are computed only on a stop, for the message.
     """
-    floor = POSITIVITY_FLOOR
+    floor, live = POSITIVITY_FLOOR, None
     if formulation == FORM_WEIGHTED:
         try:
-            det = MetricFactor(y).det
+            factor = MetricFactor(y)
         except PositivityError:
             return f"min eigenvalue {min_eigenvalue(y):.3e}"
-        floor = floor * np.maximum(1.0, det ** (1.0 / (y.shape[-1] - 2)))[..., None, None]
-    if is_positive(y, floor):
-        return None
-    if formulation == FORM_ANCHOR or not is_positive(y, POSITIVITY_FLOOR):
-        return f"min eigenvalue {min_eigenvalue(y):.3e}"
-    return f"metric min eigenvalue {min_eigenvalue(metric_from_weighted(y)):.3e}"
+        floor = floor * np.maximum(1.0, factor.det ** (1.0 / (y.shape[-1] - 2)))
+        live = factor.live
+    try:
+        MetricFactor(y, floor, live)
+    except PositivityError:
+        if formulation == FORM_ANCHOR or not is_positive(y, POSITIVITY_FLOOR):
+            return f"min eigenvalue {min_eigenvalue(y):.3e}"
+        return f"metric min eigenvalue {min_eigenvalue(metric_from_weighted(y)):.3e}"
+    return None
 
 
 def run_flow(
@@ -441,7 +459,9 @@ def run_flow(
             return anchor_velocity(ChernPackage(grid, state), anchor_source)
 
     else:
-        y = hermitize(weighted_from_metric(np.asarray(g0, dtype=complex)))
+        # grid-last memory behind a grid-first view (module docstring)
+        w0 = hermitize(weighted_from_metric(np.asarray(g0, dtype=complex)))
+        y = grid.to_grid_first(np.ascontiguousarray(grid.to_grid_last(w0)))
 
         def velocity(state: np.ndarray) -> np.ndarray:
             phi = weighted_source

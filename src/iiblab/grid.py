@@ -33,7 +33,12 @@ the grid-last array along its grid axes.  Requests along a direction with
 no active real axis are exact zeros and cost no transform on either path.
 Nor do components that equal their first node bit for bit at every node:
 their deviation from that node is 0, so both the spectral transform of it
-and the stencil's differences of equal values give exact zeros.
+and the stencil's differences of equal values give exact zeros.  A caller
+that knows which components are exact zeros hands the engine only the
+others, so it never scans them: :class:`~iiblab.chern.ChernPackage`
+requests the derivatives of the live slots of the metric and of the
+connection alone and scatters the results back.  A contiguous grid-last
+field, such as the weighted flow's state, is read with no copy.
 
 Complex derivatives follow the convention
 
@@ -194,6 +199,22 @@ class TorusGrid:
                 d += c * (np.roll(last, -k, axis=axis) - np.roll(last, k, axis=axis))
         return np.multiply(0.5, dx + 1j * dy if barred else dx - 1j * dy, out=out)
 
+    def _varies(self, values: np.ndarray, origin: np.ndarray) -> np.ndarray:
+        """Which components of a grid-last field differ from their first node
+        ``origin`` somewhere, as the deviation would say with no deviation
+        formed: x - x0 is non-zero exactly where x != x0, or everywhere when
+        x0 is not finite (inf - inf is NaN).  The first grid line of a
+        varying component nearly always shows it, so only the components
+        constant along that line are compared at every node."""
+        line = values[(...,) + (0,) * (self.ndim_grid - 1)]
+        varies = np.asarray((line != line[..., :1]).any(axis=-1))
+        varies |= ~np.isfinite(origin.reshape(varies.shape))
+        rest = ~varies
+        if rest.any():
+            differs = values[rest] != origin[rest]
+            varies[rest] = differs.reshape(len(differs), -1).any(axis=-1)
+        return varies
+
     def derivatives(
         self, values: np.ndarray, requests, scheme: str = SPECTRAL
     ) -> np.ndarray:
@@ -206,7 +227,8 @@ class TorusGrid:
         request.  A request with a factor along a direction with no active
         real axis, and components equal to their first node at every node,
         are left at exact zeros (module docstring); only the other
-        components are transformed, or stencilled on their raw values.  On
+        components are transformed, or stencilled on their raw values (the
+        fd8 path finds them by comparison, :meth:`_varies`).  On
         the spectral path all requests share one forward transform, each
         multiplied by the product of its factors' symbols; the fd8 path
         applies the stencil factor by factor, the last factor of a request
@@ -226,8 +248,11 @@ class TorusGrid:
         # first node keeps a large mean out of the FFT round-off, and a
         # component whose deviation is 0 at every node is left at zero.
         origin = values[(...,) + (slice(0, 1),) * g]
-        dev = np.subtract(values, origin, dtype=complex, order="C")
-        varies = dev.reshape(values.shape[:-g] + (-1,)).any(axis=-1)
+        if spectral:
+            dev = np.subtract(values, origin, dtype=complex, order="C")
+            varies = dev.reshape(values.shape[:-g] + (-1,)).any(axis=-1)
+        else:
+            varies = self._varies(values, origin)
         count = np.count_nonzero(varies)
         if not count:
             return out

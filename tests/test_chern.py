@@ -378,7 +378,7 @@ def test_active_stacks_are_bit_identical_to_full_tensors(case, monkeypatch):
             assert np.array_equal(getattr(pkg, name), want[name]), name
 
     velocity = weighted_velocity(grid, g)
-    assert velocity.flags.c_contiguous
+    assert grid.to_grid_last(velocity).flags.c_contiguous  # the flow state's layout
     assert np.array_equal(velocity, dense_weighted_velocity(grid, g))
 
     # the record with S paired over every form slot of the full connections
@@ -389,3 +389,31 @@ def test_active_stacks_are_bit_identical_to_full_tensors(case, monkeypatch):
     s_field = pair_endo_forms(pkg.ginv, pkg.g, pkg.ginv, a, a).real
     monkeypatch.setattr(diagnostics, "pair_endo_forms", lambda *args: s_field)
     assert record == compute_diagnostics(g, baseline, 0.5, test_function=(0.02, 1.0))
+
+
+@pytest.mark.parametrize("case", [c for c in PATTERN_CASES if c[0] == 3], ids=_case_id)
+def test_accumulators_read_only_the_slots_they_zero(case, monkeypatch):
+    """The intermediate accumulators are zeroed only where their products
+    read: with ``np.empty_like`` returning NaN everywhere, the weighted
+    velocity, the tensors behind it and a diagnostics record keep every
+    bit, so no unset slot is ever read."""
+    n, axes, family = case
+    grid = TorusGrid(n, axes, 8)
+    g0, g = (FAMILIES[family](grid, s) for s in (1, 2))
+    names = ("second_ricci", "ttbar", "t_norm_sq")
+
+    def run():
+        pkg = ChernPackage(grid, g)
+        record = compute_diagnostics(g, ChernPackage(grid, g0), 0.5, test_function=(0.02, 1.0))
+        return [getattr(pkg, name).tobytes() for name in names], weighted_velocity(grid, g).tobytes(), record
+
+    want = run()
+    empty_like = np.empty_like
+
+    def poisoned(*args, **kwargs):
+        out = empty_like(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty_like", poisoned)
+    assert run() == want

@@ -117,6 +117,76 @@ def test_two_direction_diagonal_metric_gains_a_live_slot():
     assert live[0, 1] and live[1, 0] and not live[0, 2] and not live[1, 2]
 
 
+def _grid_last_view(grid, a):
+    """The values of a grid-first array in grid-last memory, seen through
+    a grid-first view: the layout of run_flow's weighted state."""
+    return grid.to_grid_first(np.ascontiguousarray(grid.to_grid_last(a)))
+
+
+@pytest.mark.parametrize("family", ["balanced", "random"])
+def test_velocities_do_not_depend_on_the_state_layout(family):
+    """Both velocities give the same bits on a grid-first array and on a
+    grid-first view of grid-last memory, with and without a source."""
+    g = _balanced() if family == "balanced" else random_band_metric(GRID, seed=3)
+    w = weighted_from_metric(g)
+    phi = hermitize(np.arange(9.0).reshape(3, 3) * (0.01 + 0.02j))
+    for source in (None, phi):
+        want = weighted_velocity(GRID, w, source)
+        got = weighted_velocity(GRID, _grid_last_view(GRID, w), source)
+        assert GRID.to_grid_last(got).flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+    psi = np.diag([0.3, 0.2, 0.1]).astype(complex)
+    for source in (None, psi):
+        want = anchor_velocity(ChernPackage(GRID, g), source)
+        got = anchor_velocity(ChernPackage(GRID, _grid_last_view(GRID, g)), source)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_weighted_stages_are_grid_last(monkeypatch):
+    """run_flow keeps the weighted state in grid-last memory: every stage
+    the velocity sees is a grid-first view of a contiguous grid-last array,
+    and every kept state is a contiguous grid-first copy."""
+    layouts, velocity = [], flow.weighted_velocity
+
+    def spy(grid, state, source=None):
+        layouts.append(grid.to_grid_last(state).flags.c_contiguous)
+        return velocity(grid, state, source)
+
+    monkeypatch.setattr(flow, "weighted_velocity", spy)
+    traj = run_flow(GRID, _balanced(), FORM_WEIGHTED, 2e-3, StepControl(dt=1e-3))
+    assert traj.steps_taken == 2 and len(layouts) == 8 and all(layouts)
+    assert all(state.flags.c_contiguous for state in traj.snapshots)
+
+
+@pytest.mark.parametrize("family, live", [("balanced", 3), ("random", 9)])
+def test_weighted_rhs_differentiates_only_live_slots(family, live, monkeypatch):
+    """One weighted right-hand side hands the derivative engine only the
+    live slots of g and then of gamma, and transforms only those: the 3
+    diagonal slots of each on the README family (n = 3, axes (0, 1)), all
+    9 of each on the random family."""
+    g = _balanced() if family == "balanced" else random_band_metric(GRID, seed=3)
+    w = weighted_from_metric(g)
+    handed, transformed = [], []
+    derivatives, fftn = TorusGrid.derivatives, np.fft.fftn
+
+    def components(a):
+        return a.size // a[(0,) * (a.ndim - GRID.ndim_grid)].size
+
+    def engine(self, values, requests, scheme="spectral"):
+        handed.append(components(values))
+        return derivatives(self, values, requests, scheme)
+
+    def spy(a, *args, **kwargs):
+        transformed.append(components(a))
+        return fftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(TorusGrid, "derivatives", engine)
+    monkeypatch.setattr(np.fft, "fftn", spy)
+    weighted_velocity(GRID, w)
+    assert handed == [live, live]
+    assert transformed == [live, live]
+
+
 def test_flat_is_a_fixed_point_of_both_velocities():
     pkg = ChernPackage(GRID, FLAT)
     assert np.all(anchor_velocity(pkg, None) == 0.0)

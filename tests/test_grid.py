@@ -261,3 +261,17 @@ def test_engine_matches_per_axis_derivatives(n, axes, resolution):
                         assert np.array_equal(d, want)
                     else:
                         assert np.abs(d - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("scheme", [SPECTRAL, ORACLE])
+def test_a_constant_infinite_component_is_not_skipped(scheme):
+    """Its deviation from the first node is inf - inf = NaN, not 0, so the
+    engine differentiates it (to NaN) while a constant finite one stays +0."""
+    grid = TorusGrid(3, (0, 1), 8)
+    last = np.zeros((2,) + grid.shape, dtype=complex)
+    last[0] = np.inf
+    last[1] = 2.5
+    with np.errstate(invalid="ignore"):
+        got = grid.derivatives(last, [(0, False)], scheme)
+    assert np.isnan(got[0, 0]).all()
+    assert np.all(got[0, 1] == 0.0) and not np.signbit(got[0, 1].real).any()

@@ -151,6 +151,30 @@ def test_balanced_defect_transforms_each_component_once(monkeypatch):
     assert sum(transformed) <= 8
 
 
+@pytest.mark.parametrize("family", ["balanced", "random"])
+def test_balanced_defect_skips_structurally_zero_minors(family, monkeypatch):
+    """Given the live slots of g, d(u omega^2) differentiates only the
+    minors they leave non-zero (the 3 diagonal ones of the README family,
+    all 9 of a random metric), and its parts keep every bit."""
+    grid = TorusGrid(3, (0, 1), 8)
+    if family == "balanced":
+        f = fourier_scalar(grid, [[1, 1, 0.0, -0.15], [1, -1, 0.0, -0.15]])
+        g = balanced_band_metric(grid, f)
+    else:
+        g = random_band_metric(grid, seed=2)
+    want = balanced_defect_parts(grid, g)
+    calls, derivatives = [], TorusGrid.derivatives
+
+    def engine(self, *args, **kwargs):
+        calls.append(1)
+        return derivatives(self, *args, **kwargs)
+
+    monkeypatch.setattr(TorusGrid, "derivatives", engine)
+    got = balanced_defect_parts(grid, g, live=live_slots(g))
+    assert len(calls) == (3 if family == "balanced" else 9)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
 def _with_node(eigenvalues):
     """Flat metric with one node replaced by a rotated diagonal matrix."""
     rng = np.random.default_rng(4)
@@ -245,6 +269,24 @@ def test_factor_on_live_slots_matches_the_dense_loops(name):
         expected[i, j] = expected[j, i] = True
     assert np.array_equal(factor.live, expected)
     assert np.array_equal(factor.ginv_live, np.any(want[2] != 0, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("name", PATTERNS)
+def test_shifted_factor_is_the_factor_of_the_shifted_metric(name):
+    """MetricFactor(g, shift, live) shifts only the pivots and reuses the
+    live slots of g, bit for bit the factor of the copy g - shift * I,
+    with one shift per node as with one number."""
+    n, pairs = PATTERNS[name]
+    grid = TorusGrid(n, (0, 1), 8)
+    g = _patterned(grid, pairs)
+    per_node = 0.1 + 0.05 * grid.coordinate(0)
+    for shift in (0.25, per_node):
+        want = MetricFactor(g - np.asarray(shift)[..., None, None] * np.eye(n))
+        got = MetricFactor(g, shift, MetricFactor(g).live)
+        assert got.lower.tobytes() == want.lower.tobytes()
+        assert np.asarray(got.det).tobytes() == np.asarray(want.det).tobytes()
+    with pytest.raises(PositivityError):
+        MetricFactor(g, 10.0)
 
 
 def test_live_slots_read_every_node_and_both_triangles():
