@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import ValenceError
 from .grid import SPECTRAL, TorusGrid
-from .metrics import _factor_plan, _product, _runs, _zeros_on, check_positive, slot_rects
+from .metrics import _factor_plan, _product, _runs, check_positive, slot_rects
 
 __all__ = [
     "ChernPackage",
@@ -85,8 +85,7 @@ class _SlotPlan:
     from G, the live slots of g and of each ``dg[i]``, and B, those of
     ``ginv``.  Each kernel reads the rectangles (:func:`metrics.slot_rects`)
     or the slot pairs it loops over; the attributes ending in ``_live``
-    are the patterns of the results.  An intermediate accumulator is
-    zeroed on the rectangles its products read only (:func:`metrics._zeros_on`).
+    are the patterns of the results.
     """
 
     def __init__(self, key: bytes, active: tuple[int, ...]):
@@ -107,7 +106,7 @@ class _SlotPlan:
 
         r_live = _product(live, inv_live)
         self.r = [(q, outer(live[:, q], inv_live[q])) for q in range(n)]
-        self.r_rects = r_rects = slot_rects(r_live)
+        r_rects = slot_rects(r_live)
         self.ttbar, ttbar_live = [], np.zeros_like(live)
         for a_at, a in enumerate(active):
             u_live, u_terms = np.zeros_like(live), []
@@ -116,7 +115,7 @@ class _SlotPlan:
                 u_terms.append((p_at, p, r_rects if inv_live[p, a] else (),
                                 outer(r_live[:, a], inv_live[p])))
             out_terms = [(b, outer(u_live[:, b], live[:, b])) for b in range(n)]
-            self.ttbar.append((a_at, a, slot_rects(u_live), u_terms, out_terms))
+            self.ttbar.append((a_at, a, u_terms, out_terms))
             ttbar_live |= _product(u_live, live.T)
         self.ttbar_live = ttbar_live
         self.ttbar_rects = slot_rects(ttbar_live)
@@ -252,7 +251,7 @@ class ChernPackage:
         ``out[p, q] = sum g[p, l] ginv[j, k] curv[k, j, l, q]``.
         """
         ginv, curv, slots = self.factor.ginv, self.active_curvature, self.slots
-        traced = _zeros_on(slots.traced_rects, ginv)
+        traced = np.zeros_like(ginv)
         for j_at, k_at, j, k in slots.traced:
             for r, c in slots.traced_rects:
                 traced[r, c] += ginv[j, k] * curv[k_at, j_at, r, c]
@@ -312,14 +311,14 @@ class ChernPackage:
         the first index of dg (p and a) runs over the active directions only.
         """
         ginv, dg, slots = self.factor.ginv, self.active_dg, self.slots
-        r = [_zeros_on(slots.r_rects, ginv) for _ in dg]
+        r = [np.zeros_like(ginv) for _ in dg]
         for r_p, dg_p in zip(r, dg):
             for q, rects in slots.r:
                 for rows, c in rects:
                     r_p[rows, c] += dg_p[rows, q, None] * ginv[q, c]
         out = np.zeros_like(ginv)
-        for a_at, a, u_rects, u_terms, out_terms in slots.ttbar:
-            u = _zeros_on(u_rects, ginv)
+        for a_at, a, u_terms, out_terms in slots.ttbar:
+            u = np.zeros_like(ginv)
             for p_at, p, scaled, crossed in u_terms:
                 for rows, c in scaled:
                     u[rows, c] += ginv[p, a] * r[p_at][rows, c]
@@ -449,18 +448,18 @@ def pair_endo_forms(m1, m2, m3, x, y, live=None) -> np.ndarray:
     out_live = z_live & y_live
     xm3_terms = [(l, slot_rects(np.outer(x_live[:, l], m3_live[l]))) for l in range(size)]
     z_terms = [(b, slot_rects(np.outer(m2_live[:, b], xm3_live[b]))) for b in range(size)]
-    xm3_rects, z_rects, y_rects, out_rects = map(slot_rects, (xm3_live, z_live, y_live, out_live))
-    out = _zeros_on(out_rects, m2)
+    y_rects, out_rects = slot_rects(y_live), slot_rects(out_live)
+    out = np.zeros_like(m2)
     for m in range(len(x_last)):
-        xm3 = _zeros_on(xm3_rects, m2)
+        xm3 = np.zeros_like(m2)
         for l, rects in xm3_terms:
             for r, c in rects:
                 xm3[r, c] += x_last[m, r, l, None] * m3[l, c]
-        z = _zeros_on(z_rects, m2)
+        z = np.zeros_like(m2)
         for b, rects in z_terms:
             for r, c in rects:
                 z[r, c] += m2[r, b, None] * xm3[b, c]
-        w = _zeros_on(y_rects, m2)
+        w = np.zeros_like(m2)
         for g in np.flatnonzero(m1_live[m]):
             for r, c in y_rects:
                 w[r, c] += m1[m, g] * y_bar[g, r, c]

@@ -17,9 +17,10 @@ built once per run; it caches the inverse metric, the connection, the
 volume norm and the inverse Cholesky factor that whitens each metric
 against it, so a record costs one :class:`ChernPackage` of the current
 metric, and none when the current metric is the baseline's own array.
-The S pairing and the balanced defect read the live slots of that
-package (:mod:`iiblab.metrics`): they skip the products and minors its
-exact-zero slots leave zero, bit for bit.
+The S pairing reads the live slots of that package (:mod:`iiblab.metrics`)
+and skips the products its exact-zero slots leave zero, and the balanced
+defect skips the minors of omega^{n-1} that are 0 at every node
+(:func:`iiblab.forms.exterior_d`), both bit for bit.
 
 S, and so ``sMax``, is the norm of a difference of two O(1) connections
 that differ little early in a run, so there it carries only about 1e-10
@@ -99,7 +100,7 @@ def compute_diagnostics(
         "trhMin": float(trh.min()),
         "trhMax": float(trh.max()),
         "detHMin": float(det_h.min()),
-        "balancedDefect": float(conformally_balanced_defect(grid, pkg.g, norm, live)),
+        "balancedDefect": float(conformally_balanced_defect(grid, pkg.g, norm)),
         "torsionSqMax": float(pkg.t_norm_sq.max()),
     }
     if test_function is not None:

@@ -88,7 +88,6 @@ from .grid import TorusGrid
 from .metrics import (
     HERMITICITY_TOLERANCE,
     MetricFactor,
-    _zeros_on,
     conformally_balanced_defect,
     hermiticity_defect,
     hermitize,
@@ -288,13 +287,12 @@ def weighted_velocity(
         source = np.asarray(source_matrix, dtype=complex)
         source = grid.to_grid_last(np.broadcast_to(source, grid.shape + (grid.n, grid.n)))
         live = np.ones_like(live)
-    mirrored = live | live.T  # the slots the hermitization reads
-    x = _zeros_on(slot_rects(mirrored & ~live), ricci)
+    x = np.zeros_like(ricci)
     for r, c in slot_rects(live):
         np.subtract(np.negative(ricci[r, c]), 0.5 * ttbar[r, c], out=x[r, c])
         if source_matrix is not None:
             x[r, c] -= source[r, c]
-    live = mirrored
+    live = live | live.T  # the slots the hermitization writes
     out = (np.empty_like if live.all() else np.zeros_like)(x)
     for r, c in slot_rects(live):  # hermitize
         np.multiply(0.5, x[r, c] + np.conj(np.swapaxes(x[c, r], 0, 1)), out=out[r, c])
@@ -386,20 +384,21 @@ def _below_floor(y: np.ndarray, formulation: str) -> str | None:
     w - floor det(w)^(1/(n-2)) I, so one factor of w, for det w, and one of
     w - floor max(1, det(w)^(1/(n-2))) I decide both floors; a w with no
     factor is below the first.  The second factor shifts only its pivots
-    and reuses the first one's live slots (:class:`MetricFactor`), so it
-    neither copies nor scans w.  :func:`run_flow` has checked that y is
-    finite.  Eigenvalues are computed only on a stop, for the message.
+    and reuses the first one's live slots (:meth:`MetricFactor.shifted`),
+    so it neither copies nor scans w.  :func:`run_flow` has checked that y
+    is finite.  Eigenvalues are computed only on a stop, for the message.
     """
-    floor, live = POSITIVITY_FLOOR, None
+    factor = None
     if formulation == FORM_WEIGHTED:
         try:
             factor = MetricFactor(y)
         except PositivityError:
             return f"min eigenvalue {min_eigenvalue(y):.3e}"
-        floor = floor * np.maximum(1.0, factor.det ** (1.0 / (y.shape[-1] - 2)))
-        live = factor.live
     try:
-        MetricFactor(y, floor, live)
+        if factor is None:
+            MetricFactor(y, POSITIVITY_FLOOR)
+        else:
+            factor.shifted(POSITIVITY_FLOOR * np.maximum(1.0, factor.det ** (1.0 / (y.shape[-1] - 2))))
     except PositivityError:
         if formulation == FORM_ANCHOR or not is_positive(y, POSITIVITY_FLOOR):
             return f"min eigenvalue {min_eigenvalue(y):.3e}"

@@ -196,21 +196,6 @@ def omega_power(g: np.ndarray, m: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _power_live(key: bytes, m: int) -> np.ndarray:
-    """Which components of omega^m can be non-zero, in key order, for a
-    metric whose live slots (:func:`iiblab.metrics.live_slots`) have the
-    bytes ``key``: the minor det g[K, J] is a structural zero unless some
-    bijection s of K onto J has every g[k, s(k)] live."""
-    live = np.frombuffer(key, dtype=bool).reshape((math.isqrt(len(key)),) * 2)
-    out = np.array([
-        any(all(live[k, j] for k, j in zip(K, J_order)) for J_order in itertools.permutations(J))
-        for J, K in _keys(len(live), m)
-    ])
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=None)
 def _exterior_d_table(n: int, directions: tuple[int, ...]):
     """For each component of an (n-1,n-1)-form: its index, its derivative
     requests along the directions and, per request, the part it adds to
@@ -230,15 +215,18 @@ def _exterior_d_table(n: int, directions: tuple[int, ...]):
     return tuple(plan)
 
 
-def exterior_d(grid: TorusGrid, stack: np.ndarray, live=None) -> list[np.ndarray]:
+def exterior_d(grid: TorusGrid, stack: np.ndarray) -> list[np.ndarray]:
     """d of an (n-1,n-1)-form given as its stack: the n components of the
     (n,n-1) part, then the n of the (n-1,n) part, each in key order (module
-    docstring).  Each component is transformed at most once.  ``live``,
-    when given, flags the components that may be non-zero; the others are
-    exact zeros, whose derivatives would add +0, and are skipped."""
+    docstring).  Each component is transformed at most once.  One that is
+    0 at every node (a structural zero, such as an off-diagonal minor of a
+    diagonal metric) is skipped: its derivatives are +0, and the parts,
+    sums that start at +0, never hold -0, so adding +0 changes no bit.  A
+    component non-zero at its first node costs no scan."""
     parts = [np.zeros(grid.shape, dtype=complex) for _ in range(2 * grid.n)]
+    first = stack[(slice(None),) + (0,) * grid.ndim_grid] != 0
     for c, requests, targets in _exterior_d_table(grid.n, grid.active_directions):
-        if live is not None and not live[c]:
+        if not (first[c] or stack[c].any()):
             continue
         for (part, sign), dv in zip(targets, grid.derivatives(stack[c], requests)):
             (np.add if sign > 0 else np.subtract)(parts[part], dv, out=parts[part])

@@ -201,13 +201,15 @@ class TorusGrid:
 
     def _varies(self, values: np.ndarray, origin: np.ndarray) -> np.ndarray:
         """Which components of a grid-last field differ from their first node
-        ``origin`` somewhere, as the deviation would say with no deviation
+        ``origin`` somewhere, as their deviation would say, with no deviation
         formed: x - x0 is non-zero exactly where x != x0, or everywhere when
         x0 is not finite (inf - inf is NaN).  The first grid line of a
         varying component nearly always shows it, so only the components
         constant along that line are compared at every node."""
         line = values[(...,) + (0,) * (self.ndim_grid - 1)]
         varies = np.asarray((line != line[..., :1]).any(axis=-1))
+        if varies.all():
+            return varies
         varies |= ~np.isfinite(origin.reshape(varies.shape))
         rest = ~varies
         if rest.any():
@@ -227,12 +229,12 @@ class TorusGrid:
         request.  A request with a factor along a direction with no active
         real axis, and components equal to their first node at every node,
         are left at exact zeros (module docstring); only the other
-        components are transformed, or stencilled on their raw values (the
-        fd8 path finds them by comparison, :meth:`_varies`).  On
-        the spectral path all requests share one forward transform, each
-        multiplied by the product of its factors' symbols; the fd8 path
-        applies the stencil factor by factor, the last factor of a request
-        first.  No other method differentiates or transforms a field.
+        components, found by comparison (:meth:`_varies`), are transformed,
+        or stencilled on their raw values.  On the spectral path all
+        requests share one forward transform, each multiplied by the
+        product of its factors' symbols; the fd8 path applies the stencil
+        factor by factor, the last factor of a request first.  No other
+        method differentiates or transforms a field.
         """
         spectral = _is_spectral(scheme)
         out = np.zeros((len(requests),) + values.shape, dtype=complex)
@@ -248,17 +250,16 @@ class TorusGrid:
         # first node keeps a large mean out of the FFT round-off, and a
         # component whose deviation is 0 at every node is left at zero.
         origin = values[(...,) + (slice(0, 1),) * g]
-        if spectral:
-            dev = np.subtract(values, origin, dtype=complex, order="C")
-            varies = dev.reshape(values.shape[:-g] + (-1,)).any(axis=-1)
-        else:
-            varies = self._varies(values, origin)
+        varies = self._varies(values, origin)
         count = np.count_nonzero(varies)
         if not count:
             return out
         some = count < varies.size  # gather the varying components, then scatter
         if spectral:
-            spectrum = dev[varies] if some else dev
+            if some:
+                spectrum = np.subtract(values[varies], origin[varies], dtype=complex)
+            else:
+                spectrum = np.subtract(values, origin, dtype=complex, order="C")
             axes = tuple(range(-g, 0))
             np.fft.fftn(spectrum, axes=axes, out=spectrum)
         else:

@@ -54,7 +54,7 @@ import math
 import numpy as np
 
 from .errors import GridError, HermiticityError, PositivityError
-from .forms import _power_live, exterior_d, omega_power
+from .forms import exterior_d, omega_power
 from .grid import TorusGrid
 
 __all__ = [
@@ -161,16 +161,6 @@ def _rects(key: bytes) -> tuple[tuple[slice, slice], ...]:
 _FULL = ((slice(None), slice(None)),)
 
 
-def _zeros_on(rects, like: np.ndarray) -> np.ndarray:
-    """``np.empty_like(like)`` with +0 in the slots of ``rects`` only: the
-    accumulator of a product whose every read stays inside them (a dense
-    pattern zeros it all).  The other slots are never read."""
-    out = np.empty_like(like)
-    for r, c in rects:
-        out[r, c] = 0.0
-    return out
-
-
 class _FactorPlan:
     """Symbolic Cholesky factorization of a live-slot pattern (module docstring).
 
@@ -244,24 +234,36 @@ class MetricFactor:
     of the flow's state), from the lower triangle of g (Golub and Van Loan,
     *Matrix Computations*, 4.2); a pivot that is not positive and finite
     raises :class:`PositivityError`.  ``shift``, if given, is one number or
-    one per node, of the batch shape; it enters only the pivots, so it costs no
-    copy of g and gives the bits of factoring ``g - shift * I``.  ``det``
-    is the product of the pivots, ``inv_chol`` is ``L^-1`` by forward
-    substitution and ``ginv`` is ``L^-H L^-1``, exactly Hermitian, both
-    with the index slots first.  ``live`` is :func:`live_slots` of g (the
-    shift leaves it unchanged, so a caller that holds it may pass it) and
-    ``ginv_live`` the live slots of ``ginv``; every slot of ``lower``,
+    one per node, of the batch shape; it enters only the pivots, so it
+    costs no copy of g and gives the bits of factoring ``g - shift * I``.
+    ``det`` is the product of the pivots, ``inv_chol`` is ``L^-1`` by
+    forward substitution and ``ginv`` is ``L^-H L^-1``, exactly Hermitian,
+    both with the index slots first.  ``live`` is :func:`live_slots` of g
+    and ``ginv_live`` the live slots of ``ginv``; every slot of ``lower``,
     ``inv_chol`` and ``ginv`` that the pattern leaves dead is never
-    computed and holds +0 (module docstring).
+    computed and holds +0 (module docstring).  :meth:`shifted` factors the
+    same g with another shift on the same pattern.
     """
 
-    def __init__(self, g: np.ndarray, shift: float | np.ndarray | None = None,
-                 live: np.ndarray | None = None):
-        a = np.moveaxis(g, (-2, -1), (0, 1))
-        self.live = live_slots(g) if live is None else np.array(live, dtype=bool)
+    def __init__(self, g: np.ndarray, shift: float | np.ndarray | None = None):
+        self._a = np.moveaxis(g, (-2, -1), (0, 1))
+        self.live = live_slots(g)
         self.live.flags.writeable = False
-        self._plan = plan = _factor_plan(self.live.tobytes())
-        self.ginv_live = plan.ginv
+        self._plan = _factor_plan(self.live.tobytes())
+        self.ginv_live = self._plan.ginv
+        self._factor(shift)
+
+    def shifted(self, shift: float | np.ndarray) -> MetricFactor:
+        """The factor of ``g - shift * I`` for the g of this factor.  A shift
+        of the diagonal leaves the live slots as they are, so the new factor
+        reuses this one's pattern and never scans g."""
+        out = object.__new__(MetricFactor)
+        out._a, out.live, out._plan, out.ginv_live = self._a, self.live, self._plan, self.ginv_live
+        out._factor(shift)
+        return out
+
+    def _factor(self, shift: float | np.ndarray | None):
+        a, plan = self._a, self._plan
         self.lower = low = np.zeros(a.shape, dtype=complex)
         self.det = 1.0
         for j in range(a.shape[0]):
@@ -302,8 +304,11 @@ class MetricFactor:
 def is_positive(g: np.ndarray, floor: float | np.ndarray = 0.0) -> bool:
     """Whether every matrix of ``g - floor * I`` is finite and has a Cholesky factor.
 
-    ``floor`` is one number, or one per node, of the grid shape.
+    ``floor`` is one number, or one per node: of the grid shape, or with
+    two trailing unit axes.
     """
+    if np.ndim(floor) == np.ndim(g):  # the trailing unit axes
+        floor = np.asarray(floor)[..., 0, 0]
     try:
         MetricFactor(g, floor)
     except PositivityError:
@@ -457,32 +462,25 @@ def volume_norm(g: np.ndarray) -> np.ndarray:
 
 
 def balanced_defect_parts(
-    grid: TorusGrid, g: np.ndarray, norm: np.ndarray | None = None,
-    live: np.ndarray | None = None,
+    grid: TorusGrid, g: np.ndarray, norm: np.ndarray | None = None
 ) -> list[np.ndarray]:
     """Component arrays of d( ||Omega||_g  omega^{n-1} ): the n del parts,
     then the n delbar parts, each in key order (module docstring).
 
-    ``norm`` is ``volume_norm(g)`` and ``live`` is :func:`live_slots` of g
-    when the caller already holds them; with ``live`` the minors it leaves
-    structurally zero are not differentiated.  The list is never empty:
-    every grid has an active direction.
+    ``norm`` is ``volume_norm(g)`` when the caller already holds it.  The
+    list is never empty: every grid has an active direction.
     """
     u = volume_norm(g) if norm is None else norm
-    n, components = grid.n, None
-    if live is not None:
-        components = _power_live(np.ascontiguousarray(live, dtype=bool).tobytes(), n - 1)
-    return exterior_d(grid, u * omega_power(g, n - 1), components)
+    return exterior_d(grid, u * omega_power(g, grid.n - 1))
 
 
 def conformally_balanced_defect(
-    grid: TorusGrid, g: np.ndarray, norm: np.ndarray | None = None,
-    live: np.ndarray | None = None,
+    grid: TorusGrid, g: np.ndarray, norm: np.ndarray | None = None
 ) -> float:
     """Max norm of d( ||Omega||_g  omega^{n-1} ) over the grid
-    (:func:`balanced_defect_parts` says what ``norm`` and ``live`` are).
+    (:func:`balanced_defect_parts` says what ``norm`` is).
 
     Zero exactly when the metric satisfies the conformally balanced
     condition the flow preserves.
     """
-    return max(float(np.abs(v).max()) for v in balanced_defect_parts(grid, g, norm, live))
+    return max(float(np.abs(v).max()) for v in balanced_defect_parts(grid, g, norm))

@@ -391,12 +391,11 @@ def test_active_stacks_are_bit_identical_to_full_tensors(case, monkeypatch):
     assert record == compute_diagnostics(g, baseline, 0.5, test_function=(0.02, 1.0))
 
 
-@pytest.mark.parametrize("case", [c for c in PATTERN_CASES if c[0] == 3], ids=_case_id)
-def test_accumulators_read_only_the_slots_they_zero(case, monkeypatch):
-    """The intermediate accumulators are zeroed only where their products
-    read: with ``np.empty_like`` returning NaN everywhere, the weighted
-    velocity, the tensors behind it and a diagnostics record keep every
-    bit, so no unset slot is ever read."""
+@pytest.mark.parametrize("case", PATTERN_CASES, ids=_case_id)
+def test_no_unset_memory_is_read(case, monkeypatch):
+    """Memory from ``np.empty_like`` is read only where it was written:
+    with ``np.empty_like`` returning NaN everywhere, the weighted velocity,
+    the tensors behind it and a diagnostics record keep every bit."""
     n, axes, family = case
     grid = TorusGrid(n, axes, 8)
     g0, g = (FAMILIES[family](grid, s) for s in (1, 2))

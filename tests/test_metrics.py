@@ -25,6 +25,7 @@ from iiblab.metrics import (
     min_eigenvalue,
     slot_rects,
 )
+from iiblab.forms import _exterior_d_table, omega_power
 from probes import dense_factor, kahler_from_potential, matrix_to_one_one, wedge_power
 
 GRID = TorusGrid(3, (0, 1), 16)
@@ -153,16 +154,20 @@ def test_balanced_defect_transforms_each_component_once(monkeypatch):
 
 @pytest.mark.parametrize("family", ["balanced", "random"])
 def test_balanced_defect_skips_structurally_zero_minors(family, monkeypatch):
-    """Given the live slots of g, d(u omega^2) differentiates only the
-    minors they leave non-zero (the 3 diagonal ones of the README family,
-    all 9 of a random metric), and its parts keep every bit."""
+    """d(u omega^2) differentiates only the minors that are non-zero
+    somewhere (the 3 diagonal ones of the README family, all 9 of a random
+    metric), and its parts keep the bits of differentiating every one."""
     grid = TorusGrid(3, (0, 1), 8)
     if family == "balanced":
         f = fourier_scalar(grid, [[1, 1, 0.0, -0.15], [1, -1, 0.0, -0.15]])
         g = balanced_band_metric(grid, f)
     else:
         g = random_band_metric(grid, seed=2)
-    want = balanced_defect_parts(grid, g)
+    stack = volume_norm(g) * omega_power(g, 2)
+    want = [np.zeros(grid.shape, dtype=complex) for _ in range(6)]
+    for c, requests, targets in _exterior_d_table(3, grid.active_directions):
+        for (part, sign), dv in zip(targets, grid.derivatives(stack[c], requests)):
+            (np.add if sign > 0 else np.subtract)(want[part], dv, out=want[part])
     calls, derivatives = [], TorusGrid.derivatives
 
     def engine(self, *args, **kwargs):
@@ -170,7 +175,7 @@ def test_balanced_defect_skips_structurally_zero_minors(family, monkeypatch):
         return derivatives(self, *args, **kwargs)
 
     monkeypatch.setattr(TorusGrid, "derivatives", engine)
-    got = balanced_defect_parts(grid, g, live=live_slots(g))
+    got = balanced_defect_parts(grid, g)
     assert len(calls) == (3 if family == "balanced" else 9)
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
@@ -198,6 +203,18 @@ def test_positivity_gate_honours_nonzero_floor():
     check_positive(g)
     assert is_positive(g, floor=0.998e-3)
     assert not is_positive(g, floor=1e-3)
+
+
+def test_positivity_gate_takes_a_per_node_floor_in_either_shape():
+    """One floor per node, of the grid shape or with two trailing unit axes."""
+    g = _with_node([1.0, 0.999e-3, 2.0])
+    floor = np.full(GRID.shape, 0.5)
+    floor[5, 9] = 0.998e-3
+    assert is_positive(g, floor)
+    assert is_positive(g, floor[..., None, None])
+    floor[5, 9] = 1e-3
+    assert not is_positive(g, floor)
+    assert not is_positive(g, floor[..., None, None])
 
 
 @pytest.mark.parametrize(
@@ -273,20 +290,26 @@ def test_factor_on_live_slots_matches_the_dense_loops(name):
 
 @pytest.mark.parametrize("name", PATTERNS)
 def test_shifted_factor_is_the_factor_of_the_shifted_metric(name):
-    """MetricFactor(g, shift, live) shifts only the pivots and reuses the
-    live slots of g, bit for bit the factor of the copy g - shift * I,
-    with one shift per node as with one number."""
+    """MetricFactor(g, shift) and MetricFactor(g).shifted(shift) shift only
+    the pivots, the second on the live slots of the first, bit for bit the
+    factor of the copy g - shift * I, with one shift per node as with one
+    number."""
     n, pairs = PATTERNS[name]
     grid = TorusGrid(n, (0, 1), 8)
     g = _patterned(grid, pairs)
     per_node = 0.1 + 0.05 * grid.coordinate(0)
+    factor = MetricFactor(g)
     for shift in (0.25, per_node):
         want = MetricFactor(g - np.asarray(shift)[..., None, None] * np.eye(n))
-        got = MetricFactor(g, shift, MetricFactor(g).live)
-        assert got.lower.tobytes() == want.lower.tobytes()
-        assert np.asarray(got.det).tobytes() == np.asarray(want.det).tobytes()
+        for got in (MetricFactor(g, shift), factor.shifted(shift)):
+            assert np.array_equal(got.live, factor.live)
+            assert got.lower.tobytes() == want.lower.tobytes()
+            assert np.asarray(got.det).tobytes() == np.asarray(want.det).tobytes()
+            assert got.ginv.tobytes() == want.ginv.tobytes()
     with pytest.raises(PositivityError):
         MetricFactor(g, 10.0)
+    with pytest.raises(PositivityError):
+        factor.shifted(10.0)
 
 
 def test_live_slots_read_every_node_and_both_triangles():
