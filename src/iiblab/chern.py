@@ -33,9 +33,12 @@ slice is the same slice of the full derivative, bit for bit.
 Live slots.  The slots of the metric that are exact zeros at every node
 (:func:`metrics.live_slots`) stay zero in ``dg``, and the
 :class:`metrics.MetricFactor` knows the live slots of ``ginv``.  Every
-product below takes its live slots as the boolean product of its
-factors' (:class:`_SlotPlan`), and each grid-last slot loop runs on
-``slot_rects`` of the live part only, so on a diagonal metric the
+product below takes its live slots and its terms from one plan cached by
+its factors' patterns (:func:`metrics._product_plan`; a package holds its
+plans in :class:`_SlotPlan`, and :func:`pair_endo_forms` finds the
+patterns of its inputs), and each grid-last slot loop runs on
+``slot_rects`` of the live part only, the matrix products in the one
+kernel :func:`metrics._add_product`.  So on a diagonal metric the
 connection, curvature and torsion contractions touch n of the n^2 slots,
 and with every slot live each loop is one dense broadcast.  The result
 is bit-identical to the dense loops (the :mod:`iiblab.metrics` docstring
@@ -68,7 +71,8 @@ import numpy as np
 
 from .errors import ValenceError
 from .grid import SPECTRAL, TorusGrid
-from .metrics import _factor_plan, _product, _runs, check_positive, slot_rects
+from .metrics import (_FULL, _add_product, _factor_plan, _nonzero_slots, _product_plan, _runs,
+                      check_positive, slot_rects)
 
 __all__ = [
     "ChernPackage",
@@ -83,9 +87,11 @@ class _SlotPlan:
 
     Built once per live-slot pattern of g and set of active directions
     from G, the live slots of g and of each ``dg[i]``, and B, those of
-    ``ginv``.  Each kernel reads the rectangles (:func:`metrics.slot_rects`)
-    or the slot pairs it loops over; the attributes ending in ``_live``
-    are the patterns of the results.
+    ``ginv``.  Each kernel reads its product plan (:func:`metrics._product_plan`),
+    rectangles (:func:`metrics.slot_rects`) or slot pairs; the attributes
+    ending in ``_live`` are the patterns of the results, and ``velocity``
+    holds the rectangles of the sum and the hermitization in
+    :func:`flow.weighted_velocity` (``_FULL`` where they cover every slot).
     """
 
     def __init__(self, key: bytes, active: tuple[int, ...]):
@@ -93,19 +99,13 @@ class _SlotPlan:
         live = np.frombuffer(key, dtype=bool).reshape(inv_live.shape)  # G
         n = len(live)
 
-        def outer(rows, cols):
-            return slot_rects(np.outer(rows, cols))
-
-        self.gamma_live = gamma = _product(inv_live, live)
-        self.gamma = [(a, outer(inv_live[:, a], live[a])) for a in range(n)]
+        self.gamma, self.gamma_live = _product_plan(inv_live.tobytes(), key)
         self.traced = [(j_at, k_at, j, k) for j_at, j in enumerate(active)
                        for k_at, k in enumerate(active) if inv_live[j, k]]
-        self.traced_rects = slot_rects(gamma)
-        self.ricci = [(l, outer(live[:, l], gamma[l])) for l in range(n)]
-        self.ricci_live = _product(live, gamma)
+        self.traced_rects = slot_rects(self.gamma_live)
+        self.ricci, ricci_live = _product_plan(key, self.gamma_live.tobytes())
 
-        r_live = _product(live, inv_live)
-        self.r = [(q, outer(live[:, q], inv_live[q])) for q in range(n)]
+        self.r, r_live = _product_plan(key, inv_live.tobytes())
         r_rects = slot_rects(r_live)
         self.ttbar, ttbar_live = [], np.zeros_like(live)
         for a_at, a in enumerate(active):
@@ -113,12 +113,15 @@ class _SlotPlan:
             for p_at, p in enumerate(active):
                 u_live |= np.outer(r_live[:, a], inv_live[p]) | (r_live & inv_live[p, a])
                 u_terms.append((p_at, p, r_rects if inv_live[p, a] else (),
-                                outer(r_live[:, a], inv_live[p])))
-            out_terms = [(b, outer(u_live[:, b], live[:, b])) for b in range(n)]
+                                slot_rects(np.outer(r_live[:, a], inv_live[p]))))
+            out_terms, out_live = _product_plan(u_live.tobytes(), live.T.tobytes())
             self.ttbar.append((a_at, a, u_terms, out_terms))
-            ttbar_live |= _product(u_live, live.T)
+            ttbar_live |= out_live
         self.ttbar_live = ttbar_live
         self.ttbar_rects = slot_rects(ttbar_live)
+        summed = ricci_live | ttbar_live
+        self.velocity = tuple(_FULL if part.all() else slot_rects(part)
+                              for part in (summed, summed | summed.T))
 
         self.tau = [[(q, _runs(live[q])) for q in range(n) if inv_live[p, q]] for p in active]
         self.tau_pairs = _pairs(live & inv_live.T)
@@ -140,9 +143,7 @@ def _pair_sum(x: np.ndarray, y: np.ndarray, pairs, real: bool = False) -> np.nda
     return (terms.real if real else terms).sum(axis=axes)
 
 
-@functools.lru_cache(maxsize=None)
-def _slot_plan(key: bytes, active: tuple[int, ...]) -> _SlotPlan:
-    return _SlotPlan(key, active)
+_slot_plan = functools.lru_cache(maxsize=None)(_SlotPlan)
 
 
 class ChernPackage:
@@ -219,10 +220,8 @@ class ChernPackage:
         """
         ginv, dg = self.factor.ginv, self.active_dg
         out = np.zeros_like(dg)
-        for i in range(len(dg)):
-            for a, rects in self.slots.gamma:
-                for r, c in rects:
-                    out[i, r, c] += ginv[r, a, None] * dg[i, a, c]
+        for out_i, dg_i in zip(out, dg):
+            _add_product(out_i, ginv, dg_i, self.slots.gamma)
         return out
 
     @functools.cached_property
@@ -255,11 +254,7 @@ class ChernPackage:
         for j_at, k_at, j, k in slots.traced:
             for r, c in slots.traced_rects:
                 traced[r, c] += ginv[j, k] * curv[k_at, j_at, r, c]
-        g = self._g_last
-        out = np.zeros_like(ginv)
-        for l, rects in slots.ricci:
-            for r, c in rects:
-                out[r, c] += g[r, l, None] * traced[l, c]
+        out = _add_product(np.zeros_like(ginv), self._g_last, traced, slots.ricci)
         return self.grid.to_grid_first(out)
 
     @functools.cached_property
@@ -311,11 +306,7 @@ class ChernPackage:
         the first index of dg (p and a) runs over the active directions only.
         """
         ginv, dg, slots = self.factor.ginv, self.active_dg, self.slots
-        r = [np.zeros_like(ginv) for _ in dg]
-        for r_p, dg_p in zip(r, dg):
-            for q, rects in slots.r:
-                for rows, c in rects:
-                    r_p[rows, c] += dg_p[rows, q, None] * ginv[q, c]
+        r = [_add_product(np.zeros_like(ginv), dg_p, ginv, slots.r) for dg_p in dg]
         out = np.zeros_like(ginv)
         for a_at, a, u_terms, out_terms in slots.ttbar:
             u = np.zeros_like(ginv)
@@ -411,7 +402,7 @@ class ChernPackage:
         return np.einsum("pq...,pq...->...", self.factor.ginv, hess)
 
 
-def pair_endo_forms(m1, m2, m3, x, y, live=None) -> np.ndarray:
+def pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
     """Sesquilinear pairing of endomorphism-valued one-forms (conjugate on y).
 
     ``sum m1[m, g] m2[u, b] m3[l, a] x[m, b, l] conj(y[g, u, a])``: ``m1``
@@ -426,39 +417,26 @@ def pair_endo_forms(m1, m2, m3, x, y, live=None) -> np.ndarray:
     different numbers of them: ``m1`` is forms(x) x forms(y), restricted
     to the slots each one holds, and the endomorphism size comes from ``m2``.
 
-    ``live``, when the caller knows it, holds the live slots of (m1, m2,
-    m3, x, y): boolean patterns of their two trailing index axes, the
-    endomorphism slots for x and y (the same for every form slot).  Each
-    product then runs on the rectangles of its live part
-    (:func:`metrics.slot_rects`), bit-identical to the dense loops
-    (module docstring); without it every slot is live.
+    Each product runs on the slots of its factors that are non-zero
+    somewhere (:func:`metrics._nonzero_slots`; in x and y, over every form
+    slot), bit-identical to the dense loops (module docstring).
     """
     def grid_last(arr, rank):
         return np.ascontiguousarray(np.moveaxis(arr, range(-rank, 0), range(rank)), complex)
 
+    m1_live, m2_live, m3_live, x_live = (_nonzero_slots(a) for a in (m1, m2, m3, x))
+    y_live = x_live if y is x else _nonzero_slots(y)
     m1, m2, m3 = (grid_last(m, 2) for m in (m1, m2, m3))
     x_last = grid_last(x, 3)
     y_bar = np.conj(x_last if y is x else grid_last(y, 3))
-    size = m2.shape[0]
-    if live is None:
-        live = [np.ones(a.shape[:2], dtype=bool) for a in (m1, m2, m3, x_last[0], y_bar[0])]
-    m1_live, m2_live, m3_live, x_live, y_live = live
-    xm3_live = _product(x_live, m3_live)
-    z_live = _product(m2_live, xm3_live)
+    xm3_terms, xm3_live = _product_plan(x_live.tobytes(), m3_live.tobytes())
+    z_terms, z_live = _product_plan(m2_live.tobytes(), xm3_live.tobytes())
     out_live = z_live & y_live
-    xm3_terms = [(l, slot_rects(np.outer(x_live[:, l], m3_live[l]))) for l in range(size)]
-    z_terms = [(b, slot_rects(np.outer(m2_live[:, b], xm3_live[b]))) for b in range(size)]
     y_rects, out_rects = slot_rects(y_live), slot_rects(out_live)
     out = np.zeros_like(m2)
     for m in range(len(x_last)):
-        xm3 = np.zeros_like(m2)
-        for l, rects in xm3_terms:
-            for r, c in rects:
-                xm3[r, c] += x_last[m, r, l, None] * m3[l, c]
-        z = np.zeros_like(m2)
-        for b, rects in z_terms:
-            for r, c in rects:
-                z[r, c] += m2[r, b, None] * xm3[b, c]
+        xm3 = _add_product(np.zeros_like(m2), x_last[m], m3, xm3_terms)
+        z = _add_product(np.zeros_like(m2), m2, xm3, z_terms)
         w = np.zeros_like(m2)
         for g in np.flatnonzero(m1_live[m]):
             for r, c in y_rects:

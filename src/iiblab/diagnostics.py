@@ -17,10 +17,10 @@ built once per run; it caches the inverse metric, the connection, the
 volume norm and the inverse Cholesky factor that whitens each metric
 against it, so a record costs one :class:`ChernPackage` of the current
 metric, and none when the current metric is the baseline's own array.
-The S pairing reads the live slots of that package (:mod:`iiblab.metrics`)
-and skips the products its exact-zero slots leave zero, and the balanced
-defect skips the minors of omega^{n-1} that are 0 at every node
-(:func:`iiblab.forms.exterior_d`), both bit for bit.
+The S pairing skips the slots its inputs hold 0 at every node
+(:func:`iiblab.chern.pair_endo_forms`), and the balanced defect the minors
+of omega^{n-1} that are 0 at every node (:func:`iiblab.forms.exterior_d`);
+each finds them in its inputs, and both keep every bit.
 
 S, and so ``sMax``, is the norm of a difference of two O(1) connections
 that differ little early in a run, so there it carries only about 1e-10
@@ -79,15 +79,11 @@ def compute_diagnostics(
     tau_sq = (pkg.factor.ginv * tau[:, None] * np.conj(tau)).real.sum(axis=(0, 1))
 
     norm = np.sqrt(pkg.norm_sq)
-    # gamma vanishes along the inactive directions: pair the active form slots
-    # only, and each product on the live slots of its factors
+    # gamma vanishes along the inactive directions: pair the active form slots only
     act = grid.active_directions
     a = grid.to_grid_first(pkg.active_gamma - baseline.active_gamma)
     form_ginv = pkg.ginv[..., act, :][..., :, act]
-    live, ginv_live = pkg.factor.live, pkg.factor.ginv_live
-    a_live = pkg.slots.gamma_live | baseline.slots.gamma_live
-    patterns = (ginv_live[np.ix_(act, act)], live, ginv_live, a_live, a_live)
-    s_field = pair_endo_forms(form_ginv, pkg.g, pkg.ginv, a, a, patterns).real
+    s_field = pair_endo_forms(form_ginv, pkg.g, pkg.ginv, a, a).real
 
     record = {
         "t": float(t),

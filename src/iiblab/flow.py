@@ -86,6 +86,7 @@ from .errors import (
 from .forms import hermitian_basis, i_del_delbar_matrix, omega_power, wedge_block
 from .grid import TorusGrid
 from .metrics import (
+    _FULL,
     HERMITICITY_TOLERANCE,
     MetricFactor,
     conformally_balanced_defect,
@@ -93,7 +94,6 @@ from .metrics import (
     hermitize,
     is_positive,
     min_eigenvalue,
-    slot_rects,
     volume_norm,
     volume_norm_sq,
 )
@@ -282,19 +282,18 @@ def weighted_velocity(
     """
     pkg = ChernPackage(grid, w)
     ricci, ttbar = grid.to_grid_last(pkg.second_ricci), grid.to_grid_last(pkg.ttbar)
-    live = pkg.slots.ricci_live | pkg.slots.ttbar_live
+    summed, hermitized = pkg.slots.velocity
     if source_matrix is not None:
         source = np.asarray(source_matrix, dtype=complex)
         source = grid.to_grid_last(np.broadcast_to(source, grid.shape + (grid.n, grid.n)))
-        live = np.ones_like(live)
+        summed = hermitized = _FULL
     x = np.zeros_like(ricci)
-    for r, c in slot_rects(live):
+    for r, c in summed:
         np.subtract(np.negative(ricci[r, c]), 0.5 * ttbar[r, c], out=x[r, c])
         if source_matrix is not None:
             x[r, c] -= source[r, c]
-    live = live | live.T  # the slots the hermitization writes
-    out = (np.empty_like if live.all() else np.zeros_like)(x)
-    for r, c in slot_rects(live):  # hermitize
+    out = (np.empty_like if hermitized is _FULL else np.zeros_like)(x)
+    for r, c in hermitized:
         np.multiply(0.5, x[r, c] + np.conj(np.swapaxes(x[c, r], 0, 1)), out=out[r, c])
     return grid.to_grid_first(out)
 

@@ -378,15 +378,17 @@ def i_del_delbar_matrix(grid: TorusGrid, theta: np.ndarray) -> np.ndarray:
     i del delbar of ``v dz^J ^ dzbar^K`` is the sum over (j, k) of
     ``d_j dbar_k v  E[k, j] ^ dz^J ^ dzbar^K``, so its sigma coefficients
     are the entries of C.  The components some active direction pair
-    reaches go to :meth:`TorusGrid.derivatives` together, one mixed request
-    per pair (one forward transform; constant components cost nothing),
-    and one ``tensordot`` with the part of C that couples them to the
-    sigma rows that can be non-zero sums the result.  Shape
-    ``(*grid, n, n)``.
+    reaches and that are non-zero somewhere (a component 0 at every node
+    has zero derivatives; one non-zero at its first node costs no scan) go
+    to :meth:`TorusGrid.derivatives` together, one mixed request per pair
+    (one forward transform), and one ``tensordot`` with the part of C
+    that couples them to the sigma rows that can be non-zero sums the
+    result.  Shape ``(*grid, n, n)``.
     """
     n = grid.n
     pairs, comps, rows, D = _i_del_delbar_table(n, grid.active_directions)
-    mixed = grid.derivatives(theta[comps], [(j, False, k, True) for j, k in pairs])
+    live = np.array([theta[c].flat[0] != 0 or theta[c].any() for c in comps])
+    mixed = grid.derivatives(theta[comps[live]], [(j, False, k, True) for j, k in pairs])
     out = np.zeros(grid.shape + (n * n,), dtype=complex)
-    out[..., rows] = grid.to_grid_first(np.tensordot(D, mixed, axes=([0, 2], [0, 1])))
+    out[..., rows] = grid.to_grid_first(np.tensordot(D[:, :, live], mixed, axes=([0, 2], [0, 1])))
     return out.reshape(grid.shape + (n, n))

@@ -29,20 +29,22 @@ that inverse; it differentiates u times the stack of minors, and
 :func:`conformally_balanced_defect` is its max norm.
 
 Live slots.  A slot (a, b) of a metric field is *live* when g[a, b] or
-g[b, a] is non-zero at some node; the README and flat families keep only
-the diagonal live at every step.  Which slots of the Cholesky factor, its
-inverse and the inverse metric are live follows from that pattern alone
-(George and Liu, *Computer Solution of Large Sparse Positive Definite
-Systems*, 1981): the factor gains the fill of the elimination, and g^-1
-is dense on each block of the pattern's closure (a tridiagonal g has a
-dense inverse).  :class:`MetricFactor` finds the pattern and computes only
-the live slots, and :mod:`iiblab.chern` propagates it through its products
-as boolean matrix products.  Skipping a structurally zero term is bit
-exact: each dropped term is 0 * finite = +-0 on the finite metrics that
-:func:`check_positive` admits, every sum it leaves is x + 0 = x, and sums
-that start from +0 never become -0, so the live slots keep every bit and
-the dead ones are +0.  With every slot live each loop is the one dense
-broadcast.
+g[b, a] is non-zero (or NaN) at some node; the README and flat families
+keep only the diagonal live at every step.  Which slots of the Cholesky
+factor, its inverse and the inverse metric are live follows from that
+pattern alone (George and Liu, *Computer Solution of Large Sparse
+Positive Definite Systems*, 1981): the factor gains the fill of the
+elimination, and g^-1 is dense on each block of the pattern's closure (a
+tridiagonal g has a dense inverse).  No function takes a pattern: a
+kernel finds its inputs' in their values (:func:`live_slots` reads a
+dense field at one node) or reads the one of the factor that found it,
+and a matrix product runs the terms of one plan cached by its factors'
+patterns (:func:`_product_plan`) in one kernel (:func:`_add_product`).
+Skipping a structurally zero term is bit exact: each dropped term is
+0 * finite = +-0 on the finite metrics that :func:`check_positive`
+admits, every sum it leaves is x + 0 = x, and sums that start from +0
+never become -0, so the live slots keep every bit and the dead ones are
++0.  With every slot live each loop is the one dense broadcast.
 """
 
 from __future__ import annotations
@@ -85,31 +87,35 @@ def hermitize(g: np.ndarray) -> np.ndarray:
     return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))
 
 
-def hermiticity_defect(g: np.ndarray, live: np.ndarray | None = None) -> float:
-    """Max of ``|g - g^H|``; on the slots of the symmetric pattern ``live``
-    only when given (every other slot is 0 in g and in g^H)."""
-    rects = _FULL if live is None else slot_rects(live)
+def hermiticity_defect(g: np.ndarray) -> float:
+    """Max of ``|g - g^H|``, read on the slots of :func:`live_slots` only
+    (every other slot is 0 in g and in g^H)."""
+    return _defect(np.moveaxis(g, (-2, -1), (0, 1)), slot_rects(live_slots(g)))
+
+
+def _defect(a: np.ndarray, rects) -> float:
+    """Max of ``|a - a^H|`` over the ``rects`` of an index-first matrix field."""
     with np.errstate(invalid="ignore"):  # a non-finite entry gives NaN or inf
         return float(functools.reduce(np.maximum, [  # NaN wins
-            np.abs(g[..., r, c] - np.conj(np.swapaxes(g[..., c, r], -1, -2))).max()
-            for r, c in rects
-        ]))
+            np.abs(a[r, c] - np.conj(np.swapaxes(a[c, r], 0, 1))).max() for r, c in rects
+        ], 0.0))
+
+
+def _nonzero_slots(x: np.ndarray) -> np.ndarray:
+    """Boolean pattern of the slots (a, b) where ``x[..., a, b]`` is non-zero
+    (or NaN) somewhere; a slot non-zero at the first node costs no scan, so
+    a dense field is read once, at that node."""
+    live = x[(0,) * (x.ndim - 2)] != 0
+    for a, b in zip(*np.nonzero(~live)):
+        live[a, b] = x[..., a, b].any()
+    return live
 
 
 def live_slots(g: np.ndarray) -> np.ndarray:
     """Symmetric boolean pattern of the slots (a, b) where ``g[..., a, b]`` or
-    ``g[..., b, a]`` is non-zero (or NaN) at some node.
-
-    A slot that is non-zero at the first node costs no scan, so a dense
-    field is read once, at that node.
-    """
-    first = g[(0,) * (g.ndim - 2)] != 0
-    live = first | first.T
-    if not live.all():
-        for i, j in zip(*np.nonzero(~live)):
-            if j <= i:
-                live[i, j] = live[j, i] = bool(g[..., i, j].any() or g[..., j, i].any())
-    return live
+    ``g[..., b, a]`` is non-zero (or NaN) somewhere (:func:`_nonzero_slots`)."""
+    live = _nonzero_slots(g)
+    return live | live.T
 
 
 def _runs(mask: np.ndarray) -> list[slice]:
@@ -134,10 +140,27 @@ def _pattern(key: bytes) -> np.ndarray:
     return np.frombuffer(key, dtype=bool).reshape((math.isqrt(len(key)),) * 2)
 
 
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Boolean matrix product: the live slots of a product of matrices with
-    live slots x and y."""
-    return (x[:, :, None] & y[None, :, :]).any(axis=1)
+@functools.lru_cache(maxsize=None)
+def _product_plan(x_key: bytes, y_key: bytes):
+    """Plan of a product of matrices whose live slots have the bytes ``x_key``
+    and ``y_key``: ``(terms, live)``, the ``(k, rects)`` of each k whose term
+    ``x[:, k] y[k]`` has live slots, with its :func:`slot_rects`, and the
+    product's pattern, read-only.  :func:`_add_product` runs it."""
+    x, y = _pattern(x_key), _pattern(y_key)
+    terms = [(k, slot_rects(np.outer(x[:, k], y[k]))) for k in range(len(x))]
+    live = (x[:, :, None] & y[None, :, :]).any(axis=1)
+    live.flags.writeable = False
+    return tuple((k, rects) for k, rects in terms if rects), live
+
+
+def _add_product(out: np.ndarray, x: np.ndarray, y: np.ndarray, terms) -> np.ndarray:
+    """``out += x y`` of grid-last matrix fields on the ``terms`` of a
+    :func:`_product_plan`: the one live-slot matrix product, bit-identical
+    to the dense loop over every k (module docstring)."""
+    for k, rects in terms:
+        for r, c in rects:
+            out[r, c] += x[r, k, None] * y[k, c]
+    return out
 
 
 def slot_rects(live: np.ndarray) -> tuple[tuple[slice, slice], ...]:
@@ -184,8 +207,7 @@ class _FactorPlan:
         for i in range(n):
             for j in range(i):
                 inv[i, j] = (low[i, j:i] & inv[j:i, j]).any()
-        self.ginv = _product(inv.T, inv)
-        self.ginv.flags.writeable = False
+        self.ginv = _product_plan(inv.T.tobytes(), inv.tobytes())[1]
         self.blocks = sorted({tuple(np.flatnonzero(row)) for row in self.ginv})
         self.pivots = [_index(low[j, :j]) for j in range(n)]
         self.column = [[(i, _index(low[i] & low[j] & (at < j))) for i in range(j + 1, n) if low[i, j]]
@@ -198,9 +220,7 @@ class _FactorPlan:
                          for p in range(n)]
 
 
-@functools.lru_cache(maxsize=None)
-def _factor_plan(key: bytes) -> _FactorPlan:
-    return _FactorPlan(key)
+_factor_plan = functools.lru_cache(maxsize=None)(_FactorPlan)
 
 
 def block_eigenvalues(g: np.ndarray) -> list[np.ndarray]:
@@ -262,6 +282,10 @@ class MetricFactor:
         out._factor(shift)
         return out
 
+    def hermiticity_defect(self) -> float:
+        """:func:`hermiticity_defect` of g, on this factor's live slots: no second scan."""
+        return _defect(self._a, slot_rects(self.live))
+
     def _factor(self, shift: float | np.ndarray | None):
         a, plan = self._a, self._plan
         self.lower = low = np.zeros(a.shape, dtype=complex)
@@ -319,16 +343,15 @@ def is_positive(g: np.ndarray, floor: float | np.ndarray = 0.0) -> bool:
 def check_positive(g: np.ndarray) -> MetricFactor:
     """Validate Hermiticity (a non-finite entry fails it) and positivity.
 
-    Returns the :class:`MetricFactor`.  The factor comes first, so the
-    Hermiticity check reads only its live slots (the others are 0 in g and
-    in g^H); the eigenvalues are computed only on failure, for the message.
+    Returns the :class:`MetricFactor`.  The eigenvalues are computed only on
+    failure, for the message.
     """
     try:
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite g fails below
             factor = MetricFactor(g)
     except PositivityError:
         factor = None
-    defect = hermiticity_defect(g, None if factor is None else factor.live)
+    defect = hermiticity_defect(g) if factor is None else factor.hermiticity_defect()
     if not defect <= HERMITICITY_TOLERANCE:
         raise HermiticityError(f"matrix field deviates from Hermitian by {defect:.3e}")
     if factor is None:

@@ -12,8 +12,9 @@ and differentiated component by component.  The library's stacks of minors
 (:func:`iiblab.forms.omega_power`) and its compiled d
 (:func:`iiblab.forms.exterior_d`) are held to it.
 
-The dense-loop oracle (:func:`dense_tensors`) computes the metric factor,
-the connection, curvature and torsion with every slot of every product,
+The dense-loop oracle (:func:`dense_tensors`, :func:`dense_pair_endo_forms`)
+computes the metric factor, the connection, curvature and torsion and the
+pairing of endomorphism-valued forms with every slot of every product,
 in the unrolled grid-last loops the live-slot kernels of
 :mod:`iiblab.chern` and :mod:`iiblab.metrics` restrict: those must match
 it bit for bit.
@@ -282,6 +283,31 @@ def dense_tensors(grid: TorusGrid, g: np.ndarray, scheme: str = SPECTRAL) -> dic
     out = dict(lower=low, inv_chol=inv_chol, ginv=ginv, dg=dg, gamma=gamma, curvature=curv,
                second_ricci=ricci, t_low=t_low, tau=tau, ttbar=ttbar, t_norm_sq=t_norm_sq)
     return {key: grid.to_grid_first(value) for key, value in out.items()}
+
+
+def dense_pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
+    """:func:`iiblab.chern.pair_endo_forms` with every slot of every product
+    live: its grid-last loops, in its order, over every slot."""
+
+    def grid_last(arr, rank):
+        return np.ascontiguousarray(np.moveaxis(arr, range(-rank, 0), range(rank)), complex)
+
+    m1, m2, m3 = (grid_last(m, 2) for m in (m1, m2, m3))
+    x_last = grid_last(x, 3)
+    y_bar = np.conj(x_last if y is x else grid_last(y, 3))
+    out = np.zeros_like(m2)
+    for m in range(len(x_last)):
+        xm3 = np.zeros_like(m2)
+        for l in range(len(m3)):
+            xm3 += x_last[m, :, l, None] * m3[l]
+        z = np.zeros_like(m2)
+        for b in range(len(m2)):
+            z += m2[:, b, None] * xm3[b]
+        w = np.zeros_like(m2)
+        for g in range(len(y_bar)):
+            w += m1[m, g] * y_bar[g]
+        out += z * w
+    return out.sum(axis=(0, 1))
 
 
 def dense_weighted_velocity(grid: TorusGrid, w: np.ndarray) -> np.ndarray:

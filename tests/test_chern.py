@@ -12,6 +12,7 @@ from iiblab import (
     PositivityError,
     TorusGrid,
     balanced_band_metric,
+    chern,
     diagnostics,
     flat_metric,
     random_band_metric,
@@ -21,8 +22,10 @@ from iiblab.diagnostics import compute_diagnostics
 from iiblab.flow import weighted_velocity
 from iiblab.errors import ValenceError
 from iiblab.grid import ORACLE
-from iiblab.metrics import fourier_scalar
+from iiblab.metrics import fourier_scalar, live_slots
+from iiblab.verify import verify_connection_difference
 from probes import (
+    dense_pair_endo_forms,
     dense_tensors,
     dense_weighted_velocity,
     diagonal_metric,
@@ -253,6 +256,81 @@ def test_pair_endo_forms_matches_einsum(n):
             assert _close(pair_endo_forms(m1, m2, m3, x, x), _pair_einsum(m1, m2, m3, x, x))
 
 
+README_TERMS = [[1, 1, 0.0, -0.15], [1, -1, 0.0, -0.15]]
+
+
+def _readme_package(resolution=8):
+    grid = TorusGrid(3, (0, 1), resolution)
+    return ChernPackage(grid, balanced_band_metric(grid, fourier_scalar(grid, README_TERMS)))
+
+
+@pytest.mark.parametrize("value", [0.5 + 0.25j, np.nan])
+@pytest.mark.parametrize("slot", ["m2", "m3", "x"])
+def test_pair_endo_forms_reads_a_slot_live_only_after_the_first_node(slot, value):
+    """On the README family (diagonal slots), y and then one other input get
+    slot (2, 1), in one triangle only, non-zero (or NaN) at a later node
+    than the first: the pairing matches the dense loops, and the value
+    reaches the result."""
+    pkg = _readme_package()
+    at = (3, 5, 0, 2, 1)  # form slot 0 of x and y
+    inputs = {name: a.copy() for name, a in
+              (("m2", pkg.g), ("m3", pkg.ginv), ("x", pkg.gamma), ("y", pkg.gamma))}
+    inputs["y"][at] = 0.3
+    where = at if slot == "x" else at[:2] + at[3:]
+    before = pair_endo_forms(pkg.ginv, *inputs.values())
+    assert not live_slots(inputs[slot][..., 0, :, :] if slot == "x" else inputs[slot])[2, 1]
+    inputs[slot][where] = value
+    args = (pkg.ginv, *inputs.values())
+    got, want = pair_endo_forms(*args), dense_pair_endo_forms(*args)
+    assert np.array_equal(got, want, equal_nan=True)
+    if value == value:
+        assert got.tobytes() == want.tobytes()
+    assert not np.array_equal(got[3, 5], before[3, 5], equal_nan=True)
+
+
+def test_pair_endo_forms_of_all_zero_forms_is_positive_zero(monkeypatch):
+    """No product runs on all-zero forms, and the pairing is +0, as in the
+    record of the baseline state, whose connection difference is 0."""
+    pkg = _readme_package()
+    terms = []
+
+    def spy(out, x, y, plan_terms):
+        terms.extend(plan_terms)
+        return add_product(out, x, y, plan_terms)
+
+    add_product = chern._add_product
+    zero = np.zeros_like(pkg.gamma)
+    monkeypatch.setattr(chern, "_add_product", spy)
+    s_field = pair_endo_forms(pkg.ginv, pkg.g, pkg.ginv, zero, zero)
+    assert terms == []
+    assert s_field.tobytes() == np.zeros(pkg.grid.shape, dtype=complex).tobytes()
+    s_max = compute_diagnostics(pkg.g, pkg, 0.0)["sMax"]
+    assert s_max == 0.0 and np.copysign(1.0, s_max) == 1.0
+
+
+def test_verifier_s_pairing_runs_on_the_diagonal_of_the_readme_family(monkeypatch):
+    """The verifier's S pairings on the README family (a diagonal metric)
+    run every product on 1 x 1 rectangles of the diagonal, and match the
+    dense loops bit for bit."""
+    pkg = _readme_package(16)
+    dg_fd = pkg.grid.holomorphic_gradient(pkg.g, ORACLE)
+    for args in ((pkg.ginv, pkg.g, pkg.ginv, pkg.gamma, pkg.gamma),
+                 (pkg.ginv, pkg.ginv, pkg.ginv, dg_fd, dg_fd)):
+        assert pair_endo_forms(*args).tobytes() == dense_pair_endo_forms(*args).tobytes()
+    rects = []
+
+    def spy(out, x, y, terms):
+        rects.extend(rect for _, k_rects in terms for rect in k_rects)
+        return add_product(out, x, y, terms)
+
+    add_product = chern._add_product
+    monkeypatch.setattr(chern, "_add_product", spy)
+    verify_connection_difference(pkg)
+    assert rects and {(r.stop - r.start, c.stop - c.start, r.start == c.start) for r, c in rects} == {
+        (1, 1, True)
+    }
+
+
 # -- covd against the correction of every slice of the new slot ----------------
 
 COVD_GEOMETRIES = [(3, (0, 1)), (3, (0, 2)), (4, (0, 2, 3)), (5, (0, 1)), (3, (0, 1, 2, 3))]
@@ -386,7 +464,7 @@ def test_active_stacks_are_bit_identical_to_full_tensors(case, monkeypatch):
     record = compute_diagnostics(g, baseline, 0.5, test_function=(0.02, 1.0))
     a = dense_tensors(grid, g)["gamma"] - dense_tensors(grid, g0)["gamma"]
     pkg = ChernPackage(grid, g)
-    s_field = pair_endo_forms(pkg.ginv, pkg.g, pkg.ginv, a, a).real
+    s_field = dense_pair_endo_forms(pkg.ginv, pkg.g, pkg.ginv, a, a).real
     monkeypatch.setattr(diagnostics, "pair_endo_forms", lambda *args: s_field)
     assert record == compute_diagnostics(g, baseline, 0.5, test_function=(0.02, 1.0))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from iiblab import (
+    HermiticityError,
     IIBLabError,
     PositivityError,
     TorusGrid,
@@ -320,6 +321,18 @@ def test_live_slots_read_every_node_and_both_triangles():
     want = np.eye(3, dtype=bool)
     want[2, 0] = want[0, 2] = want[0, 1] = want[1, 0] = True
     assert np.array_equal(live_slots(g), want)
+
+
+@pytest.mark.parametrize("value", [1e-3, np.nan])
+def test_hermiticity_checks_read_a_slot_live_only_after_the_first_node(value):
+    """A slot that is 0 at the first node and non-zero (or NaN) at a later
+    one, in one triangle only, is read by the defect and by check_positive,
+    which reads it on the factor's pattern when g has a factor."""
+    g = flat_metric(GRID)
+    g[5, 9, 2, 0] = value
+    assert np.array_equal(hermiticity_defect(g), value, equal_nan=True)
+    with pytest.raises(HermiticityError):
+        check_positive(g)
 
 
 def test_slot_rects_cover_the_live_slots_exactly():
