@@ -71,8 +71,8 @@ import numpy as np
 
 from .errors import ValenceError
 from .grid import SPECTRAL, TorusGrid
-from .metrics import (_FULL, _add_product, _factor_plan, _nonzero_slots, _product_plan, _runs,
-                      check_positive, slot_rects)
+from .forms import nonzero_components
+from .metrics import _FULL, _add_product, _factor_plan, _product_plan, _runs, check_positive, slot_rects
 
 __all__ = [
     "ChernPackage",
@@ -143,7 +143,9 @@ def _pair_sum(x: np.ndarray, y: np.ndarray, pairs, real: bool = False) -> np.nda
     return (terms.real if real else terms).sum(axis=axes)
 
 
-_slot_plan = functools.lru_cache(maxsize=None)(_SlotPlan)
+@functools.lru_cache(maxsize=None)
+def _slot_plan(key: bytes, active: tuple[int, ...]) -> _SlotPlan:
+    return _SlotPlan(key, active)
 
 
 class ChernPackage:
@@ -315,9 +317,7 @@ class ChernPackage:
                     u[rows, c] += ginv[p, a] * r[p_at][rows, c]
                 for rows, c in crossed:  # couples the blocks of a and p
                     u[rows, c] -= r[p_at][rows, a, None] * ginv[p, c]
-            for b, rects in out_terms:
-                for rows, c in rects:
-                    out[rows, c] += u[rows, b, None] * np.conj(dg[a_at, c, b])
+            _add_product(out, u, np.swapaxes(dg[a_at], 0, 1), out_terms, conj=True)
         for rows, c in slots.ttbar_rects:
             out[rows, c] *= 2.0
         return self.grid.to_grid_first(out)
@@ -418,17 +418,20 @@ def pair_endo_forms(m1, m2, m3, x, y) -> np.ndarray:
     to the slots each one holds, and the endomorphism size comes from ``m2``.
 
     Each product runs on the slots of its factors that are non-zero
-    somewhere (:func:`metrics._nonzero_slots`; in x and y, over every form
-    slot), bit-identical to the dense loops (module docstring).
+    somewhere (:func:`forms.nonzero_components`; in x and y, over every
+    form slot), bit-identical to the dense loops (module docstring).
     """
     def grid_last(arr, rank):
         return np.ascontiguousarray(np.moveaxis(arr, range(-rank, 0), range(rank)), complex)
 
-    m1_live, m2_live, m3_live, x_live = (_nonzero_slots(a) for a in (m1, m2, m3, x))
-    y_live = x_live if y is x else _nonzero_slots(y)
     m1, m2, m3 = (grid_last(m, 2) for m in (m1, m2, m3))
     x_last = grid_last(x, 3)
-    y_bar = np.conj(x_last if y is x else grid_last(y, 3))
+    y_last = x_last if y is x else grid_last(y, 3)
+    ndim_grid = m2.ndim - 2
+    m1_live, m2_live, m3_live = (nonzero_components(m, ndim_grid) for m in (m1, m2, m3))
+    x_live = nonzero_components(x_last, ndim_grid).any(axis=0)
+    y_live = x_live if y is x else nonzero_components(y_last, ndim_grid).any(axis=0)
+    y_bar = np.conj(y_last)
     xm3_terms, xm3_live = _product_plan(x_live.tobytes(), m3_live.tobytes())
     z_terms, z_live = _product_plan(m2_live.tobytes(), xm3_live.tobytes())
     out_live = z_live & y_live

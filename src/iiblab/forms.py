@@ -215,18 +215,28 @@ def _exterior_d_table(n: int, directions: tuple[int, ...]):
     return tuple(plan)
 
 
+def nonzero_components(stack: np.ndarray, ndim_grid: int) -> np.ndarray:
+    """Boolean over the index axes of ``stack[*index, *grid]``: the
+    components non-zero (or NaN) at some node.  One non-zero at the first
+    node costs no scan, so a dense field is read once, at that node."""
+    live = stack[(Ellipsis,) + (0,) * ndim_grid] != 0
+    for i in zip(*np.nonzero(~live)):
+        live[i] = stack[i].any()
+    return live
+
+
 def exterior_d(grid: TorusGrid, stack: np.ndarray) -> list[np.ndarray]:
     """d of an (n-1,n-1)-form given as its stack: the n components of the
     (n,n-1) part, then the n of the (n-1,n) part, each in key order (module
     docstring).  Each component is transformed at most once.  One that is
     0 at every node (a structural zero, such as an off-diagonal minor of a
     diagonal metric) is skipped: its derivatives are +0, and the parts,
-    sums that start at +0, never hold -0, so adding +0 changes no bit.  A
-    component non-zero at its first node costs no scan."""
+    sums that start at +0, never hold -0, so adding +0 changes no bit
+    (:func:`nonzero_components`)."""
     parts = [np.zeros(grid.shape, dtype=complex) for _ in range(2 * grid.n)]
-    first = stack[(slice(None),) + (0,) * grid.ndim_grid] != 0
+    live = nonzero_components(stack, grid.ndim_grid)
     for c, requests, targets in _exterior_d_table(grid.n, grid.active_directions):
-        if not (first[c] or stack[c].any()):
+        if not live[c]:
             continue
         for (part, sign), dv in zip(targets, grid.derivatives(stack[c], requests)):
             (np.add if sign > 0 else np.subtract)(parts[part], dv, out=parts[part])
@@ -360,7 +370,7 @@ def wedge_block(grid: TorusGrid, theta: np.ndarray):
     indices of the 1 x 1 blocks and their entries, shape ``(*grid, s)``.
     Every other entry of W is a structural zero, and W is never formed.
     """
-    live = theta.reshape(len(theta), -1).any(axis=1)
+    live = nonzero_components(theta, grid.ndim_grid)
     coupled, tables, singles, pivot_table = _blocks(grid.n, tuple(live.tolist()))
     stacked = np.ascontiguousarray(grid.to_grid_first(theta[live]))
     stacked = stacked.reshape(-1, stacked.shape[-1]).view(np.float64)
@@ -378,16 +388,16 @@ def i_del_delbar_matrix(grid: TorusGrid, theta: np.ndarray) -> np.ndarray:
     i del delbar of ``v dz^J ^ dzbar^K`` is the sum over (j, k) of
     ``d_j dbar_k v  E[k, j] ^ dz^J ^ dzbar^K``, so its sigma coefficients
     are the entries of C.  The components some active direction pair
-    reaches and that are non-zero somewhere (a component 0 at every node
-    has zero derivatives; one non-zero at its first node costs no scan) go
-    to :meth:`TorusGrid.derivatives` together, one mixed request per pair
-    (one forward transform), and one ``tensordot`` with the part of C
-    that couples them to the sigma rows that can be non-zero sums the
-    result.  Shape ``(*grid, n, n)``.
+    reaches and that are non-zero somewhere (:func:`nonzero_components`; a
+    component 0 at every node has zero derivatives) go to
+    :meth:`TorusGrid.derivatives` together, one mixed request per pair (one
+    forward transform), and one ``tensordot`` with the part of C that
+    couples them to the sigma rows that can be non-zero sums the result.
+    Shape ``(*grid, n, n)``.
     """
     n = grid.n
     pairs, comps, rows, D = _i_del_delbar_table(n, grid.active_directions)
-    live = np.array([theta[c].flat[0] != 0 or theta[c].any() for c in comps])
+    live = nonzero_components(theta, grid.ndim_grid)[comps]
     mixed = grid.derivatives(theta[comps[live]], [(j, False, k, True) for j, k in pairs])
     out = np.zeros(grid.shape + (n * n,), dtype=complex)
     out[..., rows] = grid.to_grid_first(np.tensordot(D[:, :, live], mixed, axes=([0, 2], [0, 1])))

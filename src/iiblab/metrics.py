@@ -56,7 +56,7 @@ import math
 import numpy as np
 
 from .errors import GridError, HermiticityError, PositivityError
-from .forms import exterior_d, omega_power
+from .forms import exterior_d, nonzero_components, omega_power
 from .grid import TorusGrid
 
 __all__ = [
@@ -101,20 +101,10 @@ def _defect(a: np.ndarray, rects) -> float:
         ], 0.0))
 
 
-def _nonzero_slots(x: np.ndarray) -> np.ndarray:
-    """Boolean pattern of the slots (a, b) where ``x[..., a, b]`` is non-zero
-    (or NaN) somewhere; a slot non-zero at the first node costs no scan, so
-    a dense field is read once, at that node."""
-    live = x[(0,) * (x.ndim - 2)] != 0
-    for a, b in zip(*np.nonzero(~live)):
-        live[a, b] = x[..., a, b].any()
-    return live
-
-
 def live_slots(g: np.ndarray) -> np.ndarray:
     """Symmetric boolean pattern of the slots (a, b) where ``g[..., a, b]`` or
-    ``g[..., b, a]`` is non-zero (or NaN) somewhere (:func:`_nonzero_slots`)."""
-    live = _nonzero_slots(g)
+    ``g[..., b, a]`` is non-zero (or NaN) somewhere (:func:`forms.nonzero_components`)."""
+    live = nonzero_components(g.transpose(-2, -1, *range(g.ndim - 2)), g.ndim - 2)
     return live | live.T
 
 
@@ -153,13 +143,15 @@ def _product_plan(x_key: bytes, y_key: bytes):
     return tuple((k, rects) for k, rects in terms if rects), live
 
 
-def _add_product(out: np.ndarray, x: np.ndarray, y: np.ndarray, terms) -> np.ndarray:
-    """``out += x y`` of grid-last matrix fields on the ``terms`` of a
-    :func:`_product_plan`: the one live-slot matrix product, bit-identical
-    to the dense loop over every k (module docstring)."""
+def _add_product(out: np.ndarray, x: np.ndarray, y: np.ndarray, terms, conj: bool = False) -> np.ndarray:
+    """``out += x y`` (``x conj(y)`` when ``conj``) of grid-last matrix fields
+    on the ``terms`` of a :func:`_product_plan`: the one live-slot matrix
+    product, bit-identical to the dense loop over every k (module
+    docstring).  ``conj`` conjugates only the slots read; a conjugated copy
+    of y would be a fresh allocation of every slot."""
     for k, rects in terms:
         for r, c in rects:
-            out[r, c] += x[r, k, None] * y[k, c]
+            out[r, c] += x[r, k, None] * (np.conj(y[k, c]) if conj else y[k, c])
     return out
 
 
@@ -220,7 +212,9 @@ class _FactorPlan:
                          for p in range(n)]
 
 
-_factor_plan = functools.lru_cache(maxsize=None)(_FactorPlan)
+@functools.lru_cache(maxsize=None)
+def _factor_plan(key: bytes) -> _FactorPlan:
+    return _FactorPlan(key)
 
 
 def block_eigenvalues(g: np.ndarray) -> list[np.ndarray]:

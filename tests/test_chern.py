@@ -294,9 +294,9 @@ def test_pair_endo_forms_of_all_zero_forms_is_positive_zero(monkeypatch):
     pkg = _readme_package()
     terms = []
 
-    def spy(out, x, y, plan_terms):
+    def spy(out, x, y, plan_terms, **kwargs):
         terms.extend(plan_terms)
-        return add_product(out, x, y, plan_terms)
+        return add_product(out, x, y, plan_terms, **kwargs)
 
     add_product = chern._add_product
     zero = np.zeros_like(pkg.gamma)
@@ -319,9 +319,9 @@ def test_verifier_s_pairing_runs_on_the_diagonal_of_the_readme_family(monkeypatc
         assert pair_endo_forms(*args).tobytes() == dense_pair_endo_forms(*args).tobytes()
     rects = []
 
-    def spy(out, x, y, terms):
+    def spy(out, x, y, terms, **kwargs):
         rects.extend(rect for _, k_rects in terms for rect in k_rects)
-        return add_product(out, x, y, terms)
+        return add_product(out, x, y, terms, **kwargs)
 
     add_product = chern._add_product
     monkeypatch.setattr(chern, "_add_product", spy)
