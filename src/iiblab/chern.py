@@ -89,9 +89,9 @@ class _SlotPlan:
     from G, the live slots of g and of each ``dg[i]``, and B, those of
     ``ginv``.  Each kernel reads its product plan (:func:`metrics._product_plan`),
     rectangles (:func:`metrics.slot_rects`) or slot pairs; the attributes
-    ending in ``_live`` are the patterns of the results, and ``velocity``
-    holds the rectangles of the sum and the hermitization in
-    :func:`flow.weighted_velocity` (``_FULL`` where they cover every slot).
+    ending in ``_live`` are the patterns of the results, and ``velocity``,
+    read by :func:`flow.weighted_velocity` from its package, holds the sum's
+    and the hermitization's rectangles (``_FULL`` where they cover every slot).
     """
 
     def __init__(self, key: bytes, active: tuple[int, ...]):

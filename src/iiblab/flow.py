@@ -35,9 +35,11 @@ memory (index axes first, grid axes last, contiguous) and passes its
 grid-first view around, so the API's grid-first shapes are unchanged.
 :func:`weighted_velocity` writes its result in that layout, so every
 Runge-Kutta stage, a sum of the state and of velocities, keeps it, and
-each package reads its slots as contiguous grid arrays.  The kept states
-are contiguous grid-first copies.  The anchor state keeps the grid-first
-layout its velocity returns.
+each package reads its slots as contiguous grid arrays.  Both velocities
+take a stage's package; an accepted state's package, whose factor decides
+the positivity floor, is the next step's first stage.  The kept states are
+contiguous grid-first copies.  The anchor state keeps the grid-first layout
+its velocity returns.
 
 Clock normalization: the two equations as written in their most common
 normalizations differ by a constant factor of (n-1) in time.  This
@@ -69,6 +71,7 @@ rescales time: it multiplies w by |c|.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -88,11 +91,9 @@ from .grid import TorusGrid
 from .metrics import (
     _FULL,
     HERMITICITY_TOLERANCE,
-    MetricFactor,
     conformally_balanced_defect,
     hermiticity_defect,
     hermitize,
-    is_positive,
     min_eigenvalue,
     volume_norm,
     volume_norm_sq,
@@ -269,9 +270,9 @@ def anchor_velocity(
 
 
 def weighted_velocity(
-    grid: TorusGrid, w: np.ndarray, source_matrix: np.ndarray | None = None
+    pkg: ChernPackage, source_matrix: np.ndarray | None = None
 ) -> np.ndarray:
-    """Velocity of the weighted metric: curvature and torsion of w itself.
+    """Velocity of the weighted metric w of ``pkg``: curvature and torsion of w.
 
     ``-ricci2 - ttbar/2 - source`` is formed and hermitized grid-last on
     the live slots of its terms (a source makes every slot live), and
@@ -280,7 +281,7 @@ def weighted_velocity(
     :func:`run_flow` keeps, so a Runge-Kutta stage made from it is
     grid-last too.  w may have either layout; the bits do not depend on it.
     """
-    pkg = ChernPackage(grid, w)
+    grid = pkg.grid
     ricci, ttbar = grid.to_grid_last(pkg.second_ricci), grid.to_grid_last(pkg.ttbar)
     summed, hermitized = pkg.slots.velocity
     if source_matrix is not None:
@@ -311,22 +312,22 @@ def induced_weighted_source(w: np.ndarray, anchor_source: np.ndarray) -> np.ndar
 class StepControl:
     """Step-size policy: fixed dt when given, else a parabolic bound.
 
-    The adaptive bound is ``cfl * spacing^2 * min-eigenvalue(state)``,
-    comfortably inside the stability region of the classical fourth
-    order Runge-Kutta scheme for the spectral second-derivative symbol.
+    The adaptive bound ``cfl * spacing^2 * min-eigenvalue(pkg.g)``, for a
+    state's package, is comfortably inside the stability region of classical
+    fourth order Runge-Kutta for the spectral second-derivative symbol.
     """
 
     dt: float | None = None
     cfl: float = 0.2
     max_steps: int = 200_000
 
-    def step_size(self, grid: TorusGrid, state: np.ndarray, remaining: float) -> float:
+    def step_size(self, pkg: ChernPackage, remaining: float) -> float:
         if self.dt is not None:
             return min(self.dt, remaining)
-        lam = max(min_eigenvalue(state), 0.0)
+        lam = max(min_eigenvalue(pkg.g), 0.0)
         if lam <= 0.0:
             raise PositivityError("state lost positivity while sizing a step")
-        return min(self.cfl * grid.spacing ** 2 * lam, remaining)
+        return min(self.cfl * pkg.grid.spacing ** 2 * lam, remaining)
 
 
 @dataclass
@@ -361,48 +362,52 @@ class Trajectory:
         return raw
 
 
-def _rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step.
+def _rk4_step(f, pkg: ChernPackage, dt: float) -> np.ndarray:
+    """One classical Runge-Kutta step from ``pkg``, its first stage; f maps a
+    stage's package to its velocity, and only stages 2-4 build a package.
 
-    With y and every value of f exactly Hermitian, each stage and the
-    result are too: IEEE sums and real multiples of exactly Hermitian
-    arrays stay exactly Hermitian.
+    With the state and every value of f exactly Hermitian, each stage and the
+    result are too: IEEE sums and real multiples of exactly Hermitian arrays
+    stay exactly Hermitian.
     """
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1 = f(copy.copy(pkg))  # what stage 1 caches dies with the copy, not kept by the caller
+    k2 = f(ChernPackage(pkg.grid, pkg.g + 0.5 * dt * k1))
+    k3 = f(ChernPackage(pkg.grid, pkg.g + 0.5 * dt * k2))
+    k4 = f(ChernPackage(pkg.grid, pkg.g + dt * k3))
+    return pkg.g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _below_floor(y: np.ndarray, formulation: str) -> str | None:
-    """Why a finite step's state falls below ``POSITIVITY_FLOOR``, or None if it does not.
+def _accept(grid: TorusGrid, y: np.ndarray, formulation: str) -> tuple[ChernPackage | None, str]:
+    """The package of a finite step's state y, the next step's first stage,
+    or None and why y falls below ``POSITIVITY_FLOOR``.
 
-    A weighted state w and its metric g = det(w)^(-1/(n-2)) w must both
-    stay above the floor.  g - floor I is a positive multiple of
-    w - floor det(w)^(1/(n-2)) I, so one factor of w, for det w, and one of
-    w - floor max(1, det(w)^(1/(n-2))) I decide both floors; a w with no
-    factor is below the first.  The second factor shifts only its pivots
-    and reuses the first one's live slots (:meth:`MetricFactor.shifted`),
-    so it neither copies nor scans w.  :func:`run_flow` has checked that y
-    is finite.  Eigenvalues are computed only on a stop, for the message.
+    A weighted state w and its metric g = det(w)^(-1/(n-2)) w must both stay
+    above the floor.  g - floor I is a positive multiple of
+    w - floor det(w)^(1/(n-2)) I, so the package's factor, for det w, and its
+    shift by floor max(1, det(w)^(1/(n-2))) decide both floors; a w with no
+    factor is below the first.  :func:`run_flow` has checked that y is
+    finite.  Eigenvalues are computed only on a stop, for the message.
     """
-    factor = None
-    if formulation == FORM_WEIGHTED:
-        try:
-            factor = MetricFactor(y)
-        except PositivityError:
-            return f"min eigenvalue {min_eigenvalue(y):.3e}"
     try:
-        if factor is None:
-            MetricFactor(y, POSITIVITY_FLOOR)
-        else:
-            factor.shifted(POSITIVITY_FLOOR * np.maximum(1.0, factor.det ** (1.0 / (y.shape[-1] - 2))))
+        pkg = ChernPackage(grid, y)
     except PositivityError:
-        if formulation == FORM_ANCHOR or not is_positive(y, POSITIVITY_FLOOR):
-            return f"min eigenvalue {min_eigenvalue(y):.3e}"
-        return f"metric min eigenvalue {min_eigenvalue(metric_from_weighted(y)):.3e}"
-    return None
+        return None, f"min eigenvalue {min_eigenvalue(y):.3e}"
+
+    def above(floor) -> bool:
+        try:
+            pkg.factor.shifted(floor)
+        except PositivityError:
+            return False
+        return True
+
+    if formulation == FORM_WEIGHTED:
+        if above(POSITIVITY_FLOOR * np.maximum(1.0, pkg.factor.det ** (1.0 / (grid.n - 2)))):
+            return pkg, ""
+        if above(POSITIVITY_FLOOR):
+            return None, f"metric min eigenvalue {min_eigenvalue(metric_from_weighted(y)):.3e}"
+    elif above(POSITIVITY_FLOOR):
+        return pkg, ""
+    return None, f"min eigenvalue {min_eigenvalue(y):.3e}"
 
 
 def run_flow(
@@ -452,20 +457,17 @@ def run_flow(
                 f" defect {defect:.3e} exceeds {BALANCED_GATE:.1e}"
             )
         y = hermitize(np.asarray(g0, dtype=complex))
-
-        def velocity(state: np.ndarray) -> np.ndarray:
-            return anchor_velocity(ChernPackage(grid, state), anchor_source)
-
+        velocity = functools.partial(anchor_velocity, source_matrix=anchor_source)
     else:
         # grid-last memory behind a grid-first view (module docstring)
         w0 = hermitize(weighted_from_metric(np.asarray(g0, dtype=complex)))
         y = grid.to_grid_first(np.ascontiguousarray(grid.to_grid_last(w0)))
 
-        def velocity(state: np.ndarray) -> np.ndarray:
+        def velocity(pkg: ChernPackage) -> np.ndarray:
             phi = weighted_source
             if anchor_source is not None:
-                phi = induced_weighted_source(state, anchor_source)
-            return weighted_velocity(grid, state, phi)
+                phi = induced_weighted_source(pkg.g, anchor_source)
+            return weighted_velocity(pkg, phi)
 
     traj = Trajectory(grid=grid, formulation=formulation)
 
@@ -476,7 +478,7 @@ def run_flow(
 
     keep(0.0)
 
-    t = 0.0
+    t, pkg = 0.0, None
     while t_final - t > 1e-15 * max(1.0, abs(t_final)):
         if traj.steps_taken == control.max_steps:
             traj.status = STATUS_BLOWUP
@@ -486,8 +488,10 @@ def run_flow(
             )
             break
         try:
-            dt = control.step_size(grid, y, t_final - t)
-            y_next = _rk4_step(velocity, y, dt)
+            if pkg is None:
+                pkg = ChernPackage(grid, y)
+            dt = control.step_size(pkg, t_final - t)
+            y_next = _rk4_step(velocity, pkg, dt)
         except (PositivityError, SingularSystemError, DegeneracyError) as err:
             traj.status = STATUS_SINGULARITY
             traj.stop_detail = str(err)
@@ -502,8 +506,8 @@ def run_flow(
             traj.status = STATUS_BLOWUP
             traj.stop_detail = "non-finite state"
             break
-        below = _below_floor(y_next, formulation)
-        if below is not None:
+        pkg, below = _accept(grid, y_next, formulation)
+        if pkg is None:
             traj.status = STATUS_SINGULARITY
             traj.stop_detail = f"{below} at t={t + dt:.6g}"
             break

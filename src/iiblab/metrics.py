@@ -66,7 +66,6 @@ __all__ = [
     "block_eigenvalues",
     "hermitize",
     "hermiticity_defect",
-    "is_positive",
     "check_positive",
     "min_eigenvalue",
     "flat_metric",
@@ -241,36 +240,35 @@ def min_eigenvalue(g: np.ndarray) -> float:
 
 
 class MetricFactor:
-    """Cholesky factor ``g - shift I = L L^H`` of a Hermitian matrix field, grid-last.
+    """Cholesky factor ``g = L L^H`` of a Hermitian matrix field, grid-last.
 
     Unrolled over the n x n index slots, each an array over the batch axes
     (contiguous when g is a grid-first view of grid-last memory, the layout
     of the flow's state), from the lower triangle of g (Golub and Van Loan,
     *Matrix Computations*, 4.2); a pivot that is not positive and finite
-    raises :class:`PositivityError`.  ``shift``, if given, is one number or
-    one per node, of the batch shape; it enters only the pivots, so it
-    costs no copy of g and gives the bits of factoring ``g - shift * I``.
-    ``det`` is the product of the pivots, ``inv_chol`` is ``L^-1`` by
-    forward substitution and ``ginv`` is ``L^-H L^-1``, exactly Hermitian,
-    both with the index slots first.  ``live`` is :func:`live_slots` of g
-    and ``ginv_live`` the live slots of ``ginv``; every slot of ``lower``,
-    ``inv_chol`` and ``ginv`` that the pattern leaves dead is never
-    computed and holds +0 (module docstring).  :meth:`shifted` factors the
-    same g with another shift on the same pattern.
+    raises :class:`PositivityError`.  ``det`` is the product of the pivots,
+    ``inv_chol`` is ``L^-1`` by forward substitution and ``ginv`` is
+    ``L^-H L^-1``, exactly Hermitian, both with the index slots first.
+    ``live`` is :func:`live_slots` of g and ``ginv_live`` the live slots of
+    ``ginv``; every slot of ``lower``, ``inv_chol`` and ``ginv`` that the
+    pattern leaves dead is never computed and holds +0 (module docstring).
+    :meth:`shifted` factors ``g - shift * I`` on the same pattern.
     """
 
-    def __init__(self, g: np.ndarray, shift: float | np.ndarray | None = None):
+    def __init__(self, g: np.ndarray):
         self._a = np.moveaxis(g, (-2, -1), (0, 1))
         self.live = live_slots(g)
         self.live.flags.writeable = False
         self._plan = _factor_plan(self.live.tobytes())
         self.ginv_live = self._plan.ginv
-        self._factor(shift)
+        self._factor(0.0)  # x - 0.0 is x, bit for bit
 
     def shifted(self, shift: float | np.ndarray) -> MetricFactor:
-        """The factor of ``g - shift * I`` for the g of this factor.  A shift
-        of the diagonal leaves the live slots as they are, so the new factor
-        reuses this one's pattern and never scans g."""
+        """The factor of ``g - shift * I``, ``shift`` one number or one per
+        node (of the batch shape), bit for bit that of the copy: the shift
+        enters only the pivots, so it copies nothing, and leaves the live
+        slots as they are, so the new factor reuses this one's pattern and
+        never scans g."""
         out = object.__new__(MetricFactor)
         out._a, out.live, out._plan, out.ginv_live = self._a, self.live, self._plan, self.ginv_live
         out._factor(shift)
@@ -280,14 +278,13 @@ class MetricFactor:
         """:func:`hermiticity_defect` of g, on this factor's live slots: no second scan."""
         return _defect(self._a, slot_rects(self.live))
 
-    def _factor(self, shift: float | np.ndarray | None):
+    def _factor(self, shift: float | np.ndarray):
         a, plan = self._a, self._plan
         self.lower = low = np.zeros(a.shape, dtype=complex)
         self.det = 1.0
         for j in range(a.shape[0]):
             k = plan.pivots[j]
-            d = a[j, j].real if shift is None else a[j, j].real - shift
-            d = d - (low[j, k].real ** 2 + low[j, k].imag ** 2).sum(axis=0)
+            d = a[j, j].real - shift - (low[j, k].real ** 2 + low[j, k].imag ** 2).sum(axis=0)
             if not (d.min() > 0.0 and d.max() < np.inf):
                 raise PositivityError(f"metric not positive definite: Cholesky pivot {j}"
                                       f" spans [{d.min():.3e}, {d.max():.3e}]")
@@ -317,21 +314,6 @@ class MetricFactor:
                     out[p, a] = (np.conj(m[k, p]) * m[k, a]).sum(axis=0)
                     out[a, p] = np.conj(out[p, a])
         return out
-
-
-def is_positive(g: np.ndarray, floor: float | np.ndarray = 0.0) -> bool:
-    """Whether every matrix of ``g - floor * I`` is finite and has a Cholesky factor.
-
-    ``floor`` is one number, or one per node: of the grid shape, or with
-    two trailing unit axes.
-    """
-    if np.ndim(floor) == np.ndim(g):  # the trailing unit axes
-        floor = np.asarray(floor)[..., 0, 0]
-    try:
-        MetricFactor(g, floor)
-    except PositivityError:
-        return False
-    return bool(np.isfinite(g).all())
 
 
 def check_positive(g: np.ndarray) -> MetricFactor:

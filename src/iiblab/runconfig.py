@@ -31,7 +31,8 @@ from .errors import ConfigError, GridError, SnapshotFormatError
 from .flow import FORM_ANCHOR, FORM_WEIGHTED, StepControl
 from .grid import TorusGrid
 from .metrics import (
-    balanced_band_metric, flat_metric, fourier_scalar, hermiticity_defect, random_band_metric,
+    HERMITICITY_TOLERANCE, balanced_band_metric, flat_metric, fourier_scalar, hermiticity_defect,
+    random_band_metric,
 )
 from .snapshot import load_snapshot
 from .verify import EVOLUTION_REGISTRY, SPATIAL_REGISTRY
@@ -278,7 +279,7 @@ def _parse_matrix(entries, n: int) -> np.ndarray:
             f" {arr.shape}"
         )
     mat = arr[..., 0] + 1j * arr[..., 1]
-    if hermiticity_defect(mat) > 1e-12:
+    if hermiticity_defect(mat) > HERMITICITY_TOLERANCE:
         raise ConfigError("source.matrix must be Hermitian")
     return mat
 

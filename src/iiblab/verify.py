@@ -28,10 +28,10 @@ residuals say little about truncation error.
 
 A spatial verifier takes the spectral ``ChernPackage`` it checks and reads
 the grid and the metric from it; a package of any other scheme is refused.
-Bianchi and the commutator build their own fd8 package of that metric, the
-only packages this module builds.  Evolution verifiers read the packages
-their trajectory keeps (``Trajectory.packages``), so the three of them on
-one trajectory build one package per stored state.
+Bianchi and the commutator share one fd8 package of that metric (a one-entry
+cache), the only package this module builds.  Evolution verifiers read the
+packages their trajectory keeps (``Trajectory.packages``), so the three of
+them on one trajectory build one package per stored state.
 
 Fields vary only along the active directions, so a derivative slot, the
 form slot of the connection and both form slots of the curvature are
@@ -74,6 +74,8 @@ variable, so every tensor below is built from that variable directly.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -154,6 +156,12 @@ def _spectral_grid(pkg: ChernPackage) -> TorusGrid:
     return pkg.grid
 
 
+@functools.lru_cache(maxsize=1)  # keyed by the package itself
+def _oracle_package(pkg: ChernPackage) -> ChernPackage:
+    """The fd8 package of the metric of ``pkg``, which Bianchi and the commutator share."""
+    return ChernPackage(pkg.grid, pkg.g, ORACLE)
+
+
 def _active_block(m: np.ndarray, act: list[int]) -> np.ndarray:
     """``m[..., p, q]`` for p and q both active."""
     return m[..., act, :][..., act]
@@ -232,7 +240,7 @@ def verify_bianchi(pkg: ChernPackage, tolerance: float = 1e-7) -> list[dict]:
     """All four Bianchi-type identities of the Chern connection, each formed
     on the active values of one curvature slot (module docstring)."""
     grid, oracle = _spectral_grid(pkg), _spatial_oracle()
-    fd = ChernPackage(grid, pkg.g, ORACLE)
+    fd = _oracle_package(pkg)
     act = list(grid.active_directions)
     fd_k, fd_j = _live_curvature(fd, 0), _live_curvature(fd, 1)
     pkg_k, pkg_j = _live_curvature(pkg, 0), _live_curvature(pkg, 1)
@@ -288,7 +296,7 @@ def verify_commutator_convention(
     the full (n, n, n) tensor.
     """
     grid, oracle = _spectral_grid(pkg), _spatial_oracle()
-    fd = ChernPackage(grid, pkg.g, ORACLE)
+    fd = _oracle_package(pkg)
     if covector is None:
         # Constant default probe: on the flat metric every term of the
         # residual is then identically zero, so the trivial case is

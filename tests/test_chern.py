@@ -455,7 +455,7 @@ def test_active_stacks_are_bit_identical_to_full_tensors(case, monkeypatch):
         for name in ("gamma", "second_ricci", "t_low", "tau", "ttbar", "t_norm_sq"):
             assert np.array_equal(getattr(pkg, name), want[name]), name
 
-    velocity = weighted_velocity(grid, g)
+    velocity = weighted_velocity(ChernPackage(grid, g))
     assert grid.to_grid_last(velocity).flags.c_contiguous  # the flow state's layout
     assert np.array_equal(velocity, dense_weighted_velocity(grid, g))
 
@@ -482,7 +482,8 @@ def test_no_unset_memory_is_read(case, monkeypatch):
     def run():
         pkg = ChernPackage(grid, g)
         record = compute_diagnostics(g, ChernPackage(grid, g0), 0.5, test_function=(0.02, 1.0))
-        return [getattr(pkg, name).tobytes() for name in names], weighted_velocity(grid, g).tobytes(), record
+        velocity = weighted_velocity(ChernPackage(grid, g))
+        return [getattr(pkg, name).tobytes() for name in names], velocity.tobytes(), record
 
     want = run()
     empty_like = np.empty_like

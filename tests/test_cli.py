@@ -612,7 +612,7 @@ def test_snapshot_info_command(tmp_path, capsys):
 
 FAULT_PROBE = """
 import resource
-from iiblab import cli, flow
+from iiblab import ChernPackage, cli, flow
 from iiblab.runconfig import resolve_config
 cli._keep_freed_memory()
 rc = resolve_config({
@@ -623,10 +623,10 @@ rc = resolve_config({
 })
 w = flow.hermitize(flow.weighted_from_metric(rc.initial_metric))
 for _ in range(3):
-    flow.weighted_velocity(rc.grid, w)
+    flow.weighted_velocity(ChernPackage(rc.grid, w))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(20):
-    flow.weighted_velocity(rc.grid, w)
+    flow.weighted_velocity(ChernPackage(rc.grid, w))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -111,7 +112,11 @@ def test_two_direction_diagonal_metric_gains_a_live_slot():
     traj = run_flow(grid, g, FORM_WEIGHTED, dt, StepControl(dt=dt))
     w = traj.snapshots[0]
     assert np.array_equal(MetricFactor(w).live, np.eye(3, dtype=bool))
-    want = flow._rk4_step(lambda y: dense_weighted_velocity(grid, y), w, dt)
+
+    def dense(stage):
+        return dense_weighted_velocity(grid, stage.g)
+
+    want = flow._rk4_step(dense, ChernPackage(grid, w), dt)
     assert traj.snapshots[-1].tobytes() == want.tobytes()
     live = MetricFactor(want).live
     assert live[0, 1] and live[1, 0] and not live[0, 2] and not live[1, 2]
@@ -131,8 +136,8 @@ def test_velocities_do_not_depend_on_the_state_layout(family):
     w = weighted_from_metric(g)
     phi = hermitize(np.arange(9.0).reshape(3, 3) * (0.01 + 0.02j))
     for source in (None, phi):
-        want = weighted_velocity(GRID, w, source)
-        got = weighted_velocity(GRID, _grid_last_view(GRID, w), source)
+        want = weighted_velocity(ChernPackage(GRID, w), source)
+        got = weighted_velocity(ChernPackage(GRID, _grid_last_view(GRID, w)), source)
         assert GRID.to_grid_last(got).flags.c_contiguous
         assert got.tobytes() == want.tobytes()
     psi = np.diag([0.3, 0.2, 0.1]).astype(complex)
@@ -148,14 +153,56 @@ def test_weighted_stages_are_grid_last(monkeypatch):
     and every kept state is a contiguous grid-first copy."""
     layouts, velocity = [], flow.weighted_velocity
 
-    def spy(grid, state, source=None):
-        layouts.append(grid.to_grid_last(state).flags.c_contiguous)
-        return velocity(grid, state, source)
+    def spy(pkg, source=None):
+        layouts.append(GRID.to_grid_last(pkg.g).flags.c_contiguous)
+        return velocity(pkg, source)
 
     monkeypatch.setattr(flow, "weighted_velocity", spy)
     traj = run_flow(GRID, _balanced(), FORM_WEIGHTED, 2e-3, StepControl(dt=1e-3))
     assert traj.steps_taken == 2 and len(layouts) == 8 and all(layouts)
     assert all(state.flags.c_contiguous for state in traj.snapshots)
+
+
+@pytest.mark.parametrize("formulation", [FORM_WEIGHTED, FORM_ANCHOR])
+@pytest.mark.parametrize("steps", [2, 3])
+def test_each_accepted_state_is_factored_once(formulation, steps, monkeypatch):
+    """A k-step run factors g0 once for the weight chain or the balanced
+    gate, and every state once: the first stage, stages 2-4 of each step
+    and each accepted state, whose package decides the positivity floor
+    with one shift and is the next step's first stage.  So 4k + 2 factors
+    and k shifts."""
+    built, shifts = [], []
+    init, shifted = MetricFactor.__init__, MetricFactor.shifted
+
+    def spy_init(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    def spy_shifted(self, shift):
+        shifts.append(shift)
+        return shifted(self, shift)
+
+    monkeypatch.setattr(MetricFactor, "__init__", spy_init)
+    monkeypatch.setattr(MetricFactor, "shifted", spy_shifted)
+    traj = run_flow(GRID, _balanced(), formulation, steps * 1e-5, StepControl(dt=1e-5))
+    assert traj.status == STATUS_COMPLETED and traj.steps_taken == steps
+    assert len(built) == 4 * steps + 2 and len(shifts) == steps
+
+
+def test_no_stage_package_outlives_its_stage(monkeypatch):
+    """The accepted state's package is the next step's first stage, but the
+    tensors that stage caches are not held through stages 2-4: every stage's
+    package is gone when the next stage starts."""
+    stages, velocity = [], flow.weighted_velocity
+
+    def spy(pkg, source=None):
+        assert all(stage() is None for stage in stages)
+        stages.append(weakref.ref(pkg))
+        return velocity(pkg, source)
+
+    monkeypatch.setattr(flow, "weighted_velocity", spy)
+    traj = run_flow(GRID, _balanced(), FORM_WEIGHTED, 2e-5, StepControl(dt=1e-5))
+    assert traj.steps_taken == 2 and len(stages) == 8
 
 
 @pytest.mark.parametrize("family, live", [("balanced", 3), ("random", 9)])
@@ -182,7 +229,7 @@ def test_weighted_rhs_differentiates_only_live_slots(family, live, monkeypatch):
 
     monkeypatch.setattr(TorusGrid, "derivatives", engine)
     monkeypatch.setattr(np.fft, "fftn", spy)
-    weighted_velocity(GRID, w)
+    weighted_velocity(ChernPackage(GRID, w))
     assert handed == [live, live]
     assert transformed == [live, live]
 
@@ -191,7 +238,7 @@ def test_flat_is_a_fixed_point_of_both_velocities():
     pkg = ChernPackage(GRID, FLAT)
     assert np.all(anchor_velocity(pkg, None) == 0.0)
     w = weighted_from_metric(FLAT)
-    assert np.all(weighted_velocity(GRID, w, None) == 0.0)
+    assert np.all(weighted_velocity(ChernPackage(GRID, w), None) == 0.0)
 
 
 def test_flat_constant_source_velocity_frozen():
@@ -388,8 +435,8 @@ def test_step_below_the_positivity_floor_is_refused():
 def test_step_to_an_indefinite_weighted_state_is_refused(monkeypatch):
     """A step whose w has no Cholesky factor (so no det w) stops at the
     state's floor, and the last kept state is the one before it."""
-    def indefinite_step(f, y, dt):
-        out = y.copy()
+    def indefinite_step(f, pkg, dt):
+        out = pkg.g.copy()
         out[..., 0, 0] = -0.5
         return out
 
@@ -496,13 +543,13 @@ def test_formulations_agree_with_an_anchor_source():
     a = run_flow(grid, g0, FORM_ANCHOR, 5e-5, StepControl(dt=1e-5), anchor_source=psi)
     assert a.status == STATUS_COMPLETED
 
-    def pushed(w):
-        pkg = ChernPackage(grid, metric_from_weighted(w))
+    def pushed(stage):
+        pkg = ChernPackage(grid, metric_from_weighted(stage.g))
         return hermitize(weighted_dot_from_metric_dot(pkg, anchor_velocity(pkg, psi)))
 
     w = hermitize(weighted_from_metric(g0))
     for dt in np.diff(a.times):
-        w = flow._rk4_step(pushed, w, dt)
+        w = flow._rk4_step(pushed, ChernPackage(grid, w), dt)
     ga = a.metric_at(len(a.times) - 1)
     # measured 4.9e-16; the source-free gap between the formulations here is 1.2e-12
     assert np.abs(ga - metric_from_weighted(w)).max() / np.abs(ga).max() <= 1e-12

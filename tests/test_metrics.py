@@ -21,7 +21,6 @@ from iiblab.metrics import (
     check_positive,
     fourier_scalar,
     hermiticity_defect,
-    is_positive,
     live_slots,
     min_eigenvalue,
     slot_rects,
@@ -193,29 +192,29 @@ def _with_node(eigenvalues):
 
 def test_positivity_gate_reports_negative_eigenvalue():
     g = _with_node([1.0, -0.25, 2.0])
-    assert not is_positive(g)
+    with pytest.raises(PositivityError):
+        MetricFactor(g)
     with pytest.raises(PositivityError, match=r"min eigenvalue -2\.500e-01") as err:
         check_positive(g)
     assert str(err.value) == "metric loses positivity: min eigenvalue -2.500e-01"
 
 
 def test_positivity_gate_honours_nonzero_floor():
-    g = _with_node([1.0, 0.999e-3, 2.0])
-    check_positive(g)
-    assert is_positive(g, floor=0.998e-3)
-    assert not is_positive(g, floor=1e-3)
+    factor = check_positive(_with_node([1.0, 0.999e-3, 2.0]))
+    factor.shifted(0.998e-3)
+    with pytest.raises(PositivityError):
+        factor.shifted(1e-3)
 
 
-def test_positivity_gate_takes_a_per_node_floor_in_either_shape():
-    """One floor per node, of the grid shape or with two trailing unit axes."""
-    g = _with_node([1.0, 0.999e-3, 2.0])
+def test_positivity_gate_takes_a_per_node_floor():
+    """One floor per node, of the grid shape."""
+    factor = MetricFactor(_with_node([1.0, 0.999e-3, 2.0]))
     floor = np.full(GRID.shape, 0.5)
     floor[5, 9] = 0.998e-3
-    assert is_positive(g, floor)
-    assert is_positive(g, floor[..., None, None])
+    factor.shifted(floor)
     floor[5, 9] = 1e-3
-    assert not is_positive(g, floor)
-    assert not is_positive(g, floor[..., None, None])
+    with pytest.raises(PositivityError):
+        factor.shifted(floor)
 
 
 @pytest.mark.parametrize(
@@ -226,13 +225,15 @@ def test_positivity_gate_takes_a_per_node_floor_in_either_shape():
 def test_positivity_gate_rejects_non_finite_entries(node, value):
     g = flat_metric(GRID)
     g[5, 9][node] = value
-    assert not is_positive(g)
-    assert not is_positive(g, floor=1e-8)
     with pytest.raises(IIBLabError):
         check_positive(g)
     if node[0] >= node[1]:  # the factor reads only the lower triangle
         with pytest.raises(PositivityError):
             volume_norm(g)
+    floor = np.full(GRID.shape, 1e-8)
+    floor[5, 9] = value  # a non-finite floor fails the pivots it enters
+    with pytest.raises(PositivityError):
+        MetricFactor(flat_metric(GRID)).shifted(floor)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -291,10 +292,9 @@ def test_factor_on_live_slots_matches_the_dense_loops(name):
 
 @pytest.mark.parametrize("name", PATTERNS)
 def test_shifted_factor_is_the_factor_of_the_shifted_metric(name):
-    """MetricFactor(g, shift) and MetricFactor(g).shifted(shift) shift only
-    the pivots, the second on the live slots of the first, bit for bit the
-    factor of the copy g - shift * I, with one shift per node as with one
-    number."""
+    """MetricFactor(g).shifted(shift) shifts only the pivots, on the live
+    slots of the factor, bit for bit the factor of the copy g - shift * I,
+    with one shift per node as with one number."""
     n, pairs = PATTERNS[name]
     grid = TorusGrid(n, (0, 1), 8)
     g = _patterned(grid, pairs)
@@ -302,13 +302,11 @@ def test_shifted_factor_is_the_factor_of_the_shifted_metric(name):
     factor = MetricFactor(g)
     for shift in (0.25, per_node):
         want = MetricFactor(g - np.asarray(shift)[..., None, None] * np.eye(n))
-        for got in (MetricFactor(g, shift), factor.shifted(shift)):
-            assert np.array_equal(got.live, factor.live)
-            assert got.lower.tobytes() == want.lower.tobytes()
-            assert np.asarray(got.det).tobytes() == np.asarray(want.det).tobytes()
-            assert got.ginv.tobytes() == want.ginv.tobytes()
-    with pytest.raises(PositivityError):
-        MetricFactor(g, 10.0)
+        got = factor.shifted(shift)
+        assert np.array_equal(got.live, factor.live)
+        assert got.lower.tobytes() == want.lower.tobytes()
+        assert np.asarray(got.det).tobytes() == np.asarray(want.det).tobytes()
+        assert got.ginv.tobytes() == want.ginv.tobytes()
     with pytest.raises(PositivityError):
         factor.shifted(10.0)
 

@@ -27,7 +27,6 @@ from iiblab import (
     verify_tau_identity,
     verify_trh_evolution,
 )
-from iiblab import flow
 from iiblab.errors import HermiticityError, ValenceError
 from iiblab.grid import ORACLE
 from iiblab.metrics import (
@@ -230,33 +229,34 @@ def test_identity_suite_builds_no_full_curvature(monkeypatch, tmp_path):
 
 def test_identity_suite_builds_each_package_once(monkeypatch, tmp_path):
     """One verify suite of the seven identities builds one spectral package
-    of the initial metric, the fd8 packages of Bianchi and the commutator,
-    and one package per window state; the rest are right-side stages."""
+    of the initial metric, one fd8 package that Bianchi and the commutator
+    share, and one package per window state.  The window's run builds the
+    rest, 4 per step and 1 of w0: one per accepted state and the stages."""
     config = _seven_identity_config(8)
     g0 = resolve_config(config).initial_metric
-    built, stage = [], []
-    init, velocity = ChernPackage.__init__, flow.weighted_velocity
+    built, in_run, running = [], [], []
+    init, run = ChernPackage.__init__, cli.run_flow
 
     def counting(self, grid, g, *args):
         init(self, grid, g, *args)
-        if not stage:
-            built.append((self.scheme, np.array_equal(g, g0)))
+        (in_run if running else built).append((self.scheme, np.array_equal(g, g0)))
 
-    def in_stage(*args):
-        stage.append(None)
+    def flow_run(*args, **kwargs):
+        running.append(None)
         try:
-            return velocity(*args)
+            return run(*args, **kwargs)
         finally:
-            stage.pop()
+            running.pop()
 
     monkeypatch.setattr(ChernPackage, "__init__", counting)
-    monkeypatch.setattr(flow, "weighted_velocity", in_stage)
+    monkeypatch.setattr(cli, "run_flow", flow_run)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
     assert sorted(built) == sorted(
-        [("spectral", True)] + [(ORACLE, True)] * 2 + [("spectral", False)] * 5
+        [("spectral", True)] + [(ORACLE, True)] + [("spectral", False)] * 5
     )
+    assert len(in_run) == 4 * 4 + 1
 
 
 @pytest.mark.parametrize("key", sorted(verify.SPATIAL_REGISTRY))
